@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,11 +45,8 @@ from repro.learn import (
 from repro.matrices.features import feature_vector, structural_flags
 from repro.mcmc.parameters import MCMCParameters
 from repro.mcmc.preconditioner import MCMCPreconditioner
-from repro.server.policy import (
-    ORIGIN_RULE,
-    ORIGIN_SURROGATE,
-    PreconditionerPolicy,
-)
+from repro.server.policy import PreconditionerPolicy
+from repro.service.ladder import ORIGIN_RULE, ORIGIN_SURROGATE
 from repro.service.store import ObservationStore
 from repro.sparse.fingerprint import matrix_fingerprint
 
@@ -169,8 +167,10 @@ def bench_learn(tmp_root: str) -> dict:
     # effects but serves the interaction inverted.
     trainer = SurrogateTrainer(
         store, registry, bank=bank,
-        config=LearnConfig(min_records=24, epochs=600, patience=600,
-                           learning_rate=8e-4, interval_s=60.0),
+        config=LearnConfig(
+            min_records=24, interval_s=60.0,
+            training=replace(LearnConfig().training, epochs=600,
+                             patience=600, learning_rate=8e-4)),
         on_publish=lambda model, dataset, version, meta:
             surrogate.update(model, dataset, version, meta))
     version = trainer.train_generation()

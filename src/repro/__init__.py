@@ -43,7 +43,7 @@ from repro.core import (
 )
 from repro.api import SolveRequestV1, SolveResponseV1
 from repro.client import Client, HTTPClient, InProcessClient
-from repro.server import SolveRequest, SolveServer
+from repro.server import SolveServer
 
 __all__ = [
     "__version__",
@@ -58,7 +58,6 @@ __all__ = [
     "GraphNeuralSurrogate",
     "SurrogateConfig",
     "TrainingConfig",
-    "SolveRequest",
     "SolveServer",
     "SolveRequestV1",
     "SolveResponseV1",

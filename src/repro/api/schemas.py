@@ -267,8 +267,10 @@ def validate_request(request: SolveRequestV1) -> None:
 class PolicyProvenance:
     """Why a response was preconditioned the way it was.
 
-    A typed rendering of :meth:`repro.server.policy.PolicyDecision` plus the
-    family actually *built* (which differs from the decided family when a
+    The wire rendering of a :class:`repro.server.policy.PolicyDecision` —
+    which carries the ladder's :class:`~repro.service.ladder.Proposal`
+    provenance (origin, neighbour, model version) — plus the family
+    actually *built* (which differs from the decided family when a
     build broke down and the identity fallback was used).  Provides a
     read-only mapping interface over the same keys the pre-wire ``dict``
     provenance exposed, so ``response.provenance["origin"]`` keeps working.
@@ -296,7 +298,7 @@ class PolicyProvenance:
             neighbour_name=decision.neighbour_name,
             neighbour_distance=decision.neighbour_distance,
             built_family=built_family,
-            model_version=getattr(decision, "model_version", None),
+            model_version=decision.model_version,
         )
 
     def to_json_dict(self) -> dict:

@@ -128,12 +128,19 @@ class MCMCTuner:
     def recommend(self, matrix: sp.spmatrix, matrix_name: str, *,
                   n_candidates: int = 8, xi: float = 0.05,
                   solver: str = "gmres") -> list[Candidate]:
-        """Propose parameter vectors for ``matrix`` (which may be unseen)."""
-        model = self._require_model()
-        optimizer = AcquisitionOptimizer(model, self.dataset, bounds=self.bounds,
-                                         seed=self.seed)
-        return optimizer.propose(matrix, matrix_name, y_min=None,
-                                 n_candidates=n_candidates, xi=xi, solver=solver)
+        """Propose parameter vectors for ``matrix`` (which may be unseen).
+
+        This is the ladder's ``surrogate`` stage in its *explore* form: the
+        distinct Expected-Improvement optima, to be measured next.
+        """
+        # Imported here: repro.service imports repro.core.evaluation, so a
+        # module-level import would be circular.
+        from repro.service import ladder
+
+        return ladder.surrogate(
+            self._require_model(), self.dataset, matrix, matrix_name,
+            bounds=self.bounds, seed=self.seed, solver=solver,
+            n_candidates=n_candidates, xi=xi, n_restarts=4, exploit=False)
 
     def predict(self, matrix: sp.spmatrix, matrix_name: str,
                 parameter_list: list[MCMCParameters]

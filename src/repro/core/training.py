@@ -14,6 +14,7 @@ validation loss with best-weight restoration.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +43,6 @@ class TrainingConfig:
     validation_fraction: float = 0.2
     patience: int = 20
     min_epochs: int = 10
-    shuffle: bool = True
     seed: int = 0
 
     @classmethod
@@ -109,11 +109,20 @@ class Trainer:
     # -- main loop -------------------------------------------------------------------
     def fit(self, model: GraphNeuralSurrogate, dataset: SurrogateDataset, *,
             train_indices: np.ndarray | None = None,
-            validation_indices: np.ndarray | None = None) -> TrainingHistory:
+            validation_indices: np.ndarray | None = None,
+            start_epoch: int = 0,
+            on_epoch: Callable[[int], None] | None = None) -> TrainingHistory:
         """Train ``model`` in place and return the loss history.
 
         When the index splits are not supplied, the dataset's random
         80/20 split (seeded from the training config) is used.
+
+        ``start_epoch`` resumes an interrupted fit whose weights the caller
+        has loaded into ``model``: the first ``start_epoch`` shuffles are
+        drawn and discarded, so the resumed run walks the batch order the
+        uninterrupted one would have, and the best-so-far starts from the
+        loaded weights' validation loss.  ``on_epoch(epoch)`` runs after
+        each epoch's bookkeeping (checkpointing; raise to abort the fit).
         """
         config = self.config
         if config.epochs < 1:
@@ -131,12 +140,17 @@ class Trainer:
         best_state = model.state_dict()
         validation_batch = dataset.batch_from_indices(validation_indices)
         epochs_without_improvement = 0
+        if start_epoch:
+            for _ in range(start_epoch):
+                rng.shuffle(train_indices.copy())
+            history.best_validation_loss = self.evaluate_loss(
+                model, validation_batch)
+            history.best_epoch = start_epoch - 1
 
         model.train()
-        for epoch in range(config.epochs):
+        for epoch in range(start_epoch, config.epochs):
             order = train_indices.copy()
-            if config.shuffle:
-                rng.shuffle(order)
+            rng.shuffle(order)
             epoch_losses: list[float] = []
             for start in range(0, order.size, config.batch_size):
                 batch = dataset.batch_from_indices(order[start:start + config.batch_size])
@@ -161,6 +175,8 @@ class Trainer:
             if (epoch + 1) % 25 == 0 or epoch == config.epochs - 1:
                 _LOG.debug("epoch %d: train %.4f, val %.4f", epoch, train_loss,
                            validation_loss)
+            if on_epoch is not None:
+                on_epoch(epoch)
             if (epoch + 1 >= config.min_epochs
                     and epochs_without_improvement >= config.patience):
                 history.stopped_early = True

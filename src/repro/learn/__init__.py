@@ -16,7 +16,7 @@ Everything here is opt-in: without ``--learn`` the solve server never imports
 nor constructs these classes, keeping default serving bit-identical.
 """
 
-from repro.learn.policy import SurrogatePolicy, SurrogateProposal
+from repro.learn.policy import SurrogatePolicy
 from repro.learn.registry import ModelRegistry
 from repro.learn.trainer import (
     LearnConfig,
@@ -30,7 +30,6 @@ __all__ = [
     "MatrixBank",
     "ModelRegistry",
     "SurrogatePolicy",
-    "SurrogateProposal",
     "SurrogateTrainer",
     "TrainingAborted",
 ]

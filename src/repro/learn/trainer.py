@@ -10,9 +10,10 @@ turns that stream into versioned surrogate models:
   registry as fallback for registry-named traffic).
 * :class:`SurrogateTrainer` — snapshots the store (its generation header
   makes ``reload()`` a cheap no-op when nothing changed), builds a
-  :class:`SurrogateDataset`, trains the surrogate with the seeded Adam loop
-  of :mod:`repro.core.training` extended with periodic atomic checkpoints,
-  and publishes each completed generation to the :class:`ModelRegistry`.
+  :class:`SurrogateDataset`, trains the surrogate with
+  :meth:`repro.core.training.Trainer.fit` — checkpointing atomically from
+  its per-epoch callback and resuming through its ``start_epoch`` — and
+  publishes each completed generation to the :class:`ModelRegistry`.
 
 Crash safety: checkpoints are single atomic files keyed by a hash of the
 training snapshot.  A trainer restarted after a crash resumes from the last
@@ -27,19 +28,18 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.core.dataset import SurrogateDataset
 from repro.core.surrogate import GraphNeuralSurrogate, SurrogateConfig
-from repro.core.training import Trainer
+from repro.core.training import Trainer, TrainingConfig, TrainingHistory
 from repro.exceptions import LearnError
 from repro.learn.registry import ModelRegistry
 from repro.logging_utils import get_logger
 from repro.matrices.registry import MATRIX_REGISTRY, get_matrix
-from repro.nn.optim import Adam
 from repro.service.store import ObservationStore
 from repro.sparse.fingerprint import content_hash
 
@@ -54,30 +54,19 @@ class TrainingAborted(LearnError):
 
 @dataclass(frozen=True)
 class LearnConfig:
-    """Knobs of the online learning loop.
-
-    The training hyperparameters mirror
-    :class:`repro.core.training.TrainingConfig` but default to a smaller
-    budget — the trainer runs repeatedly as traffic accumulates, so each
-    generation can afford to be cheap.
-    """
+    """Knobs of the online learning loop."""
 
     min_records: int = 24          #: records before the first generation trains
     retrain_threshold: int = 16    #: new records that trigger a retrain
     interval_s: float = 10.0       #: background poll period
-    epochs: int = 60
     checkpoint_every: int = 8      #: epochs between atomic checkpoints
-    batch_size: int = 64
-    learning_rate: float = 1.848e-3
-    weight_decay: float = 1e-4
-    validation_fraction: float = 0.25
-    patience: int = 15
-    min_epochs: int = 5
-    seed: int = 0
-    xi: float = 0.05               #: EI exploration weight at proposal time
-    n_restarts: int = 2            #: L-BFGS-B restarts per proposal
     max_sigma: float | None = None  #: confidence gate on proposals (off = None)
-    train_on_start: bool = True    #: train synchronously at startup if warm
+    #: Optimisation budget of one generation.  Smaller than the offline
+    #: default: the trainer runs repeatedly as traffic accumulates, so each
+    #: generation can afford to be cheap.
+    training: TrainingConfig = TrainingConfig(
+        epochs=60, batch_size=64, validation_fraction=0.25, patience=15,
+        min_epochs=5)
 
     def __post_init__(self) -> None:
         if self.min_records < 2:
@@ -85,8 +74,6 @@ class LearnConfig:
         if self.retrain_threshold < 1:
             raise LearnError(
                 f"retrain_threshold must be >= 1, got {self.retrain_threshold}")
-        if self.epochs < 1:
-            raise LearnError(f"epochs must be >= 1, got {self.epochs}")
         if self.checkpoint_every < 1:
             raise LearnError(
                 f"checkpoint_every must be >= 1, got {self.checkpoint_every}")
@@ -329,16 +316,17 @@ class SurrogateTrainer:
                     "are trainable (matrices unresolvable); "
                     "not enough for a generation")
             dataset = SurrogateDataset(observations, matrices)
-            model_config = SurrogateConfig(seed=self.config.seed).with_dims(
+            model_config = SurrogateConfig(
+                seed=self.config.training.seed).with_dims(
                 node_dim=dataset.node_feature_dim,
                 edge_dim=dataset.edge_feature_dim,
                 xa_dim=dataset.xa_dim, xm_dim=dataset.xm_dim)
             model = GraphNeuralSurrogate(model_config)
             if self.tracer is not None:
                 with self.tracer.span("learn.train", records=len(observations)):
-                    history = self._fit(model, dataset, snapshot_hash)
+                    history = self._train(model, dataset, snapshot_hash)
             else:
-                history = self._fit(model, dataset, snapshot_hash)
+                history = self._train(model, dataset, snapshot_hash)
             elapsed = time.perf_counter() - started
             version = self._publish(model, dataset, history, snapshot_hash,
                                     record_count=len(observations),
@@ -368,21 +356,17 @@ class SurrogateTrainer:
                 self._last_error = f"{type(exc).__name__}: {exc}"
             raise
 
-    def _fit(self, model: GraphNeuralSurrogate, dataset: SurrogateDataset,
-             snapshot_hash: str):
-        """Seeded Adam loop with periodic atomic checkpoints and resume."""
-        from repro.core.training import TrainingHistory
-
-        config = self.config
-        train_idx, val_idx = dataset.split(config.validation_fraction,
-                                           seed=config.seed)
+    def _train(self, model: GraphNeuralSurrogate, dataset: SurrogateDataset,
+               snapshot_hash: str) -> TrainingHistory:
+        """:meth:`Trainer.fit` with periodic atomic checkpoints and resume."""
+        training = self.config.training
+        lineage = {"snapshot_hash": snapshot_hash, "seed": training.seed,
+                   "epochs": training.epochs}
         start_epoch = 0
         checkpoint = self.registry.load_checkpoint()
         if checkpoint is not None:
             state, meta = checkpoint
-            if (meta.get("snapshot_hash") == snapshot_hash
-                    and meta.get("seed") == config.seed
-                    and meta.get("epochs") == config.epochs):
+            if all(meta.get(key) == value for key, value in lineage.items()):
                 try:
                     model.load_state_dict(state)
                     start_epoch = int(meta.get("epoch", -1)) + 1
@@ -390,71 +374,24 @@ class SurrogateTrainer:
                               start_epoch)
                 except Exception as exc:
                     _LOG.warning("checkpoint resume failed (%s); restarting", exc)
-                    start_epoch = 0
             else:
                 self.registry.clear_checkpoint()
 
-        optimizer = Adam(model.parameters(), lr=config.learning_rate,
-                         weight_decay=config.weight_decay)
-        history = TrainingHistory()
-        validation_batch = dataset.batch_from_indices(val_idx)
-        best_state = model.state_dict()
-        best_val = Trainer.evaluate_loss(model, validation_batch)
-        history.best_validation_loss = best_val
-        history.best_epoch = start_epoch - 1
-        epochs_without_improvement = 0
-
-        model.train()
-        for epoch in range(start_epoch, config.epochs):
-            if self._stop.is_set():
-                raise TrainingAborted("trainer stopped mid-training")
-            # Per-epoch generator: the shuffle sequence is a function of the
-            # epoch index, not of the resume point, so a resumed run walks the
-            # same batch order the uninterrupted run would have.
-            order = train_idx.copy()
-            np.random.default_rng(config.seed + 1000003 * (epoch + 1)).shuffle(order)
-            epoch_losses: list[float] = []
-            for start in range(0, order.size, config.batch_size):
-                batch = dataset.batch_from_indices(
-                    order[start:start + config.batch_size])
-                optimizer.zero_grad()
-                loss = Trainer.batch_loss(model, batch)
-                loss.backward()
-                optimizer.step()
-                epoch_losses.append(float(loss.item()))
-            train_loss = float(np.mean(epoch_losses)) if epoch_losses else float("nan")
-            validation_loss = Trainer.evaluate_loss(model, validation_batch)
-            history.train_losses.append(train_loss)
-            history.validation_losses.append(validation_loss)
-            if validation_loss < history.best_validation_loss - 1e-12:
-                history.best_validation_loss = validation_loss
-                history.best_epoch = epoch
-                best_state = model.state_dict()
-                epochs_without_improvement = 0
-            else:
-                epochs_without_improvement += 1
-
-            if (epoch + 1) % config.checkpoint_every == 0:
-                self.registry.save_checkpoint(model.state_dict(), {
-                    "epoch": epoch, "snapshot_hash": snapshot_hash,
-                    "seed": config.seed, "epochs": config.epochs,
-                })
+        def after_epoch(epoch: int) -> None:
+            if (epoch + 1) % self.config.checkpoint_every == 0:
+                self.registry.save_checkpoint(model.state_dict(),
+                                              {"epoch": epoch, **lineage})
             if self._epoch_hook is not None:
                 self._epoch_hook(epoch)
-            if (epoch + 1 >= config.min_epochs
-                    and epochs_without_improvement >= config.patience):
-                history.stopped_early = True
-                break
+            if self._stop.is_set():
+                raise TrainingAborted("trainer stopped mid-training")
 
-        model.load_state_dict(best_state)
-        model.eval()
-        return history
+        return Trainer(training).fit(model, dataset, start_epoch=start_epoch,
+                                     on_epoch=after_epoch)
 
     def _publish(self, model: GraphNeuralSurrogate, dataset: SurrogateDataset,
-                 history, snapshot_hash: str, *, record_count: int,
-                 skipped: int, train_seconds: float) -> str:
-        from dataclasses import asdict
-
+                 history: TrainingHistory, snapshot_hash: str, *,
+                 record_count: int, skipped: int, train_seconds: float) -> str:
         meta = {
             "config": asdict(model.config),
             "snapshot_hash": snapshot_hash,
@@ -463,7 +400,7 @@ class SurrogateTrainer:
             "matrix_names": dataset.matrix_names,
             "train_seconds": train_seconds,
             "trained_unix": time.time(),
-            "seed": self.config.seed,
+            "seed": self.config.training.seed,
             "epochs_run": history.epochs_run,
             "best_validation_loss": history.best_validation_loss,
             "xa_mean": np.asarray(dataset.xa_standardizer.mean_).tolist(),

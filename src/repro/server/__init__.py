@@ -31,22 +31,21 @@ and HTTP/JSON traffic (:mod:`repro.server.http` +
 * :mod:`repro.server.cli` — the ``repro-serve`` console entry point
   (one-shot solves, or ``--http`` to serve the wire protocol).
 
-``SolveRequest`` and ``SolveResponse`` remain importable from here as thin
-deprecated aliases of the :mod:`repro.api` schemas.
+Requests and responses are the :mod:`repro.api` schemas
+(:class:`~repro.api.SolveRequestV1`, :class:`~repro.api.SolveResponseV1`).
 """
 
 from repro.server.queue import (
     AdmissionError,
     Job,
     JobQueue,
-    SolveRequest,
     REJECT_CLOSED,
     REJECT_DRAINING,
     REJECT_INVALID,
     REJECT_QUEUE_FULL,
 )
 from repro.server.policy import PolicyDecision, PreconditionerPolicy
-from repro.server.scheduler import Scheduler, SolveResponse
+from repro.server.scheduler import Scheduler
 from repro.server.server import SolveServer
 from repro.server.http import SolveHTTPServer, TRACE_HEADER
 from repro.server.telemetry import (
@@ -61,7 +60,6 @@ __all__ = [
     "AdmissionError",
     "Job",
     "JobQueue",
-    "SolveRequest",
     "REJECT_CLOSED",
     "REJECT_DRAINING",
     "REJECT_INVALID",
@@ -69,7 +67,6 @@ __all__ = [
     "PolicyDecision",
     "PreconditionerPolicy",
     "Scheduler",
-    "SolveResponse",
     "SolveServer",
     "SolveHTTPServer",
     "TRACE_HEADER",

@@ -5,13 +5,15 @@ policy decides which preconditioner family to build, with which parameters,
 and which Krylov solver to drive — recording *why* on every decision so each
 response carries full provenance.
 
-Decision ladder (first match wins):
+Decision ladder (first match wins).  Steps 2-4 are the stages of
+:mod:`repro.service.ladder`, shared with the batch tuner and the offline
+loop; the policy takes the first proposal of the first stage that answers:
 
 1. **Explicit** — the request named a family (and/or solver); honour it.
 2. **Stored reuse** — the :class:`~repro.service.store.ObservationStore`
    holds tuned MCMC observations for this exact matrix fingerprint; reuse
-   the best-performing parameter vector (the online analogue of the
-   :class:`~repro.service.tuner_service.TuningService`'s exact-reuse tier).
+   the best-performing parameter vector (among the records of the
+   request's solver, when it names one).
 3. **Surrogate** — an online-trained surrogate model
    (:class:`~repro.learn.policy.SurrogatePolicy`, opt-in via ``--learn``)
    proposes MCMC parameters by maximising Expected Improvement; decisions
@@ -51,37 +53,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
 import scipy.sparse as sp
 
-from repro.logging_utils import get_logger
-from repro.matrices.features import (
-    feature_vector,
-    nearest_feature_neighbour,
-    structural_flags,
-)
+from repro.matrices.features import structural_flags
 from repro.mcmc.parameters import DEFAULT_BOUNDS, MCMCParameters, ParameterBounds
 from repro.api.errors import AdmissionError, REJECT_INVALID
 from repro.precond.factory import KNOWN_FAMILIES
+from repro.service import ladder
+from repro.service.ladder import ORIGIN_EXPLICIT, ORIGIN_RULE
 from repro.service.store import ObservationStore
 
-__all__ = [
-    "PolicyDecision",
-    "PreconditionerPolicy",
-    "ORIGIN_EXPLICIT",
-    "ORIGIN_STORED",
-    "ORIGIN_SURROGATE",
-    "ORIGIN_WARM_START",
-    "ORIGIN_RULE",
-]
-
-_LOG = get_logger("server.policy")
-
-ORIGIN_EXPLICIT = "explicit"
-ORIGIN_STORED = "stored"
-ORIGIN_SURROGATE = "surrogate"
-ORIGIN_WARM_START = "warm_start"
-ORIGIN_RULE = "rule"
+__all__ = ["PolicyDecision", "PreconditionerPolicy"]
 
 #: Dominance (median |a_ii| / off-diagonal row mass) above which plain
 #: Jacobi scaling is already an excellent preconditioner.
@@ -132,23 +114,6 @@ class PolicyDecision:
                               delta=float(values["delta"]),
                               solver=self.solver)
 
-    def provenance(self) -> dict:
-        """JSON-serialisable description recorded on every response."""
-        info: dict = {
-            "family": self.family,
-            "solver": self.solver,
-            "params": {name: value for name, value in self.params},
-            "origin": self.origin,
-        }
-        if self.rule:
-            info["rule"] = self.rule
-        if self.neighbour_name is not None:
-            info["neighbour"] = {"name": self.neighbour_name,
-                                 "distance": self.neighbour_distance}
-        if self.model_version is not None:
-            info["model_version"] = self.model_version
-        return info
-
 
 def _mcmc_params_tuple(parameters: MCMCParameters
                        ) -> tuple[tuple[str, float], ...]:
@@ -180,32 +145,14 @@ class PreconditionerPolicy:
         self.store = store
         self.bounds = bounds
         self.surrogate = surrogate
-        self._best_by_fingerprint: dict[str, MCMCParameters] = {}
-        self._neighbour_pool: list[tuple[str, str, np.ndarray]] = []
-        self._name_by_fingerprint: dict[str, str] = {}
+        self._snapshot = ladder.StoreSnapshot()
         self.refresh()
 
     def refresh(self) -> None:
         """Re-snapshot the store (new records become visible to decisions)."""
-        best: dict[str, MCMCParameters] = {}
-        pool: list[tuple[str, str, np.ndarray]] = []
-        names: dict[str, str] = {}
         if self.store is not None:
             self.store.reload()
-            for fingerprint in self.store.fingerprints():
-                records = self.store.query(fingerprint=fingerprint)
-                if not records:
-                    continue
-                winner = min(records, key=lambda r: r.to_record().y_mean)
-                best[fingerprint] = winner.parameters
-            for fingerprint, entry in self.store.matrix_entries().items():
-                names[fingerprint] = entry.name
-                if fingerprint in best and entry.features is not None:
-                    pool.append((fingerprint, entry.name,
-                                 np.asarray(entry.features, dtype=np.float64)))
-        self._best_by_fingerprint = best
-        self._neighbour_pool = pool
-        self._name_by_fingerprint = names
+            self._snapshot = ladder.StoreSnapshot(self.store)
 
     # -- the decision ladder ------------------------------------------------
     def decide(self, matrix: sp.spmatrix, fingerprint: str, *,
@@ -224,51 +171,38 @@ class PreconditionerPolicy:
                 f"unknown preconditioner family {preconditioner!r}; "
                 f"expected one of {KNOWN_FAMILIES}")
 
+        snapshot = self._snapshot
         if family is not None:
             params: tuple = ()
             if family == "mcmc":
-                stored = self._best_by_fingerprint.get(fingerprint)
-                params = _mcmc_params_tuple(stored if stored is not None
-                                            else DEFAULT_MCMC_PARAMETERS)
+                tuned = next(
+                    ladder.stored(snapshot, fingerprint, solver=solver), None)
+                params = _mcmc_params_tuple(
+                    tuned.parameters if tuned is not None
+                    else DEFAULT_MCMC_PARAMETERS)
             return PolicyDecision(
                 family=family, solver=solver or "gmres", params=params,
                 origin=ORIGIN_EXPLICIT)
 
-        stored = self._best_by_fingerprint.get(fingerprint)
-        if stored is not None:
-            return PolicyDecision(
-                family="mcmc",
-                solver=solver or stored.solver,
-                params=_mcmc_params_tuple(stored),
-                origin=ORIGIN_STORED)
-
-        if self.surrogate is not None:
+        proposal = next(
+            ladder.stored(snapshot, fingerprint, solver=solver), None)
+        if proposal is None and self.surrogate is not None:
             proposal = self.surrogate.propose(
                 matrix, fingerprint, solver=solver,
-                matrix_name=self._name_by_fingerprint.get(fingerprint))
-            if proposal is not None:
-                proposed = proposal.parameters.clipped(self.bounds)
-                return PolicyDecision(
-                    family="mcmc",
-                    solver=solver or proposed.solver,
-                    params=_mcmc_params_tuple(proposed),
-                    origin=ORIGIN_SURROGATE,
-                    model_version=proposal.model_version)
-
-        neighbour = self._nearest_neighbour(matrix, fingerprint)
-        if neighbour is not None:
-            neighbour_fingerprint, name, distance = neighbour
-            donated = self._best_by_fingerprint[neighbour_fingerprint]
-            donated = donated.clipped(self.bounds)
-            return PolicyDecision(
-                family="mcmc",
-                solver=solver or donated.solver,
-                params=_mcmc_params_tuple(donated),
-                origin=ORIGIN_WARM_START,
-                neighbour_name=name,
-                neighbour_distance=distance)
-
-        return self._rule_decision(matrix, solver)
+                matrix_name=snapshot.names.get(fingerprint))
+        if proposal is None:
+            proposal = next(ladder.warm_start(
+                snapshot, matrix, fingerprint, bounds=self.bounds), None)
+        if proposal is None:
+            return self._rule_decision(matrix, solver)
+        return PolicyDecision(
+            family="mcmc",
+            solver=solver or proposal.parameters.solver,
+            params=_mcmc_params_tuple(proposal.parameters),
+            origin=proposal.origin,
+            neighbour_name=proposal.neighbour_name,
+            neighbour_distance=proposal.neighbour_distance,
+            model_version=proposal.model_version)
 
     def _rule_decision(self, matrix: sp.spmatrix,
                        solver: str | None) -> PolicyDecision:
@@ -300,19 +234,3 @@ class PreconditionerPolicy:
         return PolicyDecision(
             family="spai", solver=solver or "gmres", params=(),
             origin=ORIGIN_RULE, rule="zero_diagonal")
-
-    # -- warm-start neighbour search ----------------------------------------
-    def _nearest_neighbour(self, matrix: sp.spmatrix, fingerprint: str
-                           ) -> tuple[str, str, float] | None:
-        pool = [(fp, name, features)
-                for fp, name, features in self._neighbour_pool
-                if fp != fingerprint]
-        found = nearest_feature_neighbour(
-            [features for _, _, features in pool], feature_vector(matrix))
-        if found is None:
-            return None
-        best, distance = found
-        fp, name, _ = pool[best]
-        _LOG.debug("warm start for %s from neighbour %s (distance %.3f)",
-                   fingerprint[:8], name, distance)
-        return fp, name, distance

@@ -33,8 +33,7 @@ import threading
 import time
 import uuid
 
-from repro.api.schemas import SolveRequestV1 as SolveRequest
-from repro.api.schemas import SolveResponseV1 as SolveResponse
+from repro.api.schemas import SolveRequestV1, SolveResponseV1
 from repro.api.versioning import SCHEMA_VERSION, version_stamp
 from repro.exceptions import ParameterError
 from repro.logging_utils import get_logger
@@ -200,8 +199,8 @@ class SolveServer:
         self.model_registry = registry
         self._matrix_bank = MatrixBank()
         surrogate = SurrogatePolicy(
-            bounds=bounds, xi=config.xi, n_restarts=config.n_restarts,
-            max_sigma=config.max_sigma, telemetry=self.telemetry)
+            bounds=bounds, max_sigma=config.max_sigma,
+            telemetry=self.telemetry)
         self.surrogate = surrogate
         self.trainer = SurrogateTrainer(
             self.store, registry, bank=self._matrix_bank, config=config,
@@ -216,15 +215,14 @@ class SolveServer:
                               surrogate.model_version)
             except Exception:  # noqa: BLE001 - serving must boot regardless
                 _LOG.exception("surrogate restore failed; serving without it")
-        if (config.train_on_start and not surrogate.ready
-                and self.trainer.should_train()):
+        if not surrogate.ready and self.trainer.should_train():
             try:
                 self.trainer.train_generation()
             except Exception:  # noqa: BLE001 - serving must boot regardless
                 _LOG.exception("bootstrap training failed; serving without it")
 
     # -- synchronous serving -------------------------------------------------
-    def solve(self, request: SolveRequest) -> SolveResponse:
+    def solve(self, request: SolveRequestV1) -> SolveResponseV1:
         """Serve one request immediately in the calling thread.
 
         Runs through the exact scheduler path a queued batch takes (policy,
@@ -241,7 +239,7 @@ class SolveServer:
         return job.result()
 
     # -- queued serving ------------------------------------------------------
-    def submit(self, request: SolveRequest) -> Job:
+    def submit(self, request: SolveRequestV1) -> Job:
         """Admit a request into the queue and return its job handle.
 
         Raises :class:`~repro.server.queue.AdmissionError` (with a reason)
@@ -254,7 +252,7 @@ class SolveServer:
             self._ensure_worker()
         return job
 
-    def submit_many(self, requests: list[SolveRequest]) -> list[Job]:
+    def submit_many(self, requests: list[SolveRequestV1]) -> list[Job]:
         """Submit several requests; admission failures abort the remainder."""
         return [self.submit(request) for request in requests]
 
@@ -387,7 +385,7 @@ class SolveServer:
         return payload
 
     # -- internals -----------------------------------------------------------
-    def _admit(self, request: SolveRequest) -> Job:
+    def _admit(self, request: SolveRequestV1) -> Job:
         tracer = self.tracer
         root = None
         trace_id = None

@@ -10,6 +10,10 @@ something that can serve many tuning requests fast:
 * :mod:`repro.service.cache` — :class:`ArtifactCache`, a process-wide LRU for
   expensive per-matrix build artifacts (``TransitionTable``\\ s, assembled
   preconditioners) shared by every evaluator in the process.
+* :mod:`repro.service.ladder` — the one recommendation ladder: the
+  ``stored`` / ``surrogate`` / ``warm_start`` / ``explore`` stages and the
+  :class:`Proposal` provenance type shared by the solve server's policy, the
+  batch tuner, the offline tuner and the online learner.
 * :mod:`repro.service.tuner_service` — :class:`TuningService`, the batch
   front-end: exact reuse from the store, nearest-neighbour warm starts in
   matrix-feature space, seeded exploration for the remaining budget, and
@@ -32,8 +36,8 @@ from repro.service.store import (
     StoredRecord,
     parameter_hash,
 )
+from repro.service.ladder import Proposal, StoreSnapshot
 from repro.service.tuner_service import (
-    Recommendation,
     TuningRequest,
     TuningResult,
     TuningService,
@@ -49,7 +53,8 @@ __all__ = [
     "ObservationStore",
     "StoredRecord",
     "parameter_hash",
-    "Recommendation",
+    "Proposal",
+    "StoreSnapshot",
     "TuningRequest",
     "TuningResult",
     "TuningService",

@@ -2,7 +2,9 @@
 
 :class:`TuningService` is the serving layer of the reproduction: hand it a
 batch of matrices (with per-request budgets) and it returns a recommended
-parameter vector per matrix, measuring as little as possible:
+parameter vector per matrix, measuring as little as possible.  The candidates
+are the stages of :mod:`repro.service.ladder`, concatenated until the budget
+is filled:
 
 1. **Exact reuse** — observations already stored for the matrix's content
    fingerprint cost nothing and count against the budget first.
@@ -23,14 +25,15 @@ makes future requests cheaper).  The batch is scheduled through a
 into the same on-disk store and :meth:`ObservationStore.reload` merges their
 writes back into the parent's view.
 
-Every recommendation carries provenance: where the winning parameters came
-from (stored observation, neighbour warm start, or fresh sample), which
-neighbour was used and at what feature distance.
+Every recommendation is a :class:`~repro.service.ladder.Proposal`: where the
+winning parameters came from (stored observation, neighbour warm start, or
+fresh sample), which neighbour donated them and at what feature distance,
+and the mean / spread of the metric measured for them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import scipy.sparse as sp
 
@@ -41,26 +44,17 @@ from repro.core.evaluation import (
 )
 from repro.exceptions import ParameterError
 from repro.logging_utils import get_logger
-from repro.matrices.features import feature_vector, nearest_feature_neighbour
-from repro.mcmc.parameters import (
-    DEFAULT_BOUNDS,
-    MCMCParameters,
-    ParameterBounds,
-    sample_parameters,
-)
+from repro.matrices.features import feature_vector
+from repro.mcmc.parameters import DEFAULT_BOUNDS, ParameterBounds
 from repro.parallel.executor import Executor, SerialExecutor
+from repro.service import ladder
 from repro.service.cache import ArtifactCache, global_cache
+from repro.service.ladder import Proposal, StoreSnapshot
 from repro.service.store import ObservationStore, parameter_hash
-from repro.sparse.fingerprint import matrix_fingerprint
 
-__all__ = ["TuningRequest", "Recommendation", "TuningResult", "TuningService"]
+__all__ = ["TuningRequest", "TuningResult", "TuningService"]
 
 _LOG = get_logger("service.tuner")
-
-#: Candidate origins recorded in the provenance of each recommendation.
-ORIGIN_STORED = "stored"
-ORIGIN_WARM_START = "warm_start"
-ORIGIN_SAMPLED = "sampled"
 
 
 @dataclass(frozen=True)
@@ -82,25 +76,14 @@ class TuningRequest:
                 f"n_replications must be >= 1, got {self.n_replications}")
 
 
-@dataclass(frozen=True)
-class Recommendation:
-    """The winning parameter vector of one request, with provenance."""
-
-    parameters: MCMCParameters
-    y_mean: float
-    y_std: float
-    origin: str                       # one of the ORIGIN_* constants
-    neighbour_name: str | None = None
-    neighbour_distance: float | None = None
-
-
 @dataclass
 class TuningResult:
     """Everything one request produced."""
 
     name: str
     fingerprint: str
-    recommendation: Recommendation
+    #: the winning parameters, their provenance and their measured metric
+    recommendation: Proposal
     measured_records: list[PerformanceRecord]
     reused_observations: int
     candidate_origins: dict[str, str] = field(default_factory=dict)
@@ -168,125 +151,58 @@ class TuningService:
         # with different settings would mix incompatible metrics.  The seed
         # and replication count may differ — any seed's measurement is a
         # valid observation of (matrix, parameters, settings).
-        regime = evaluator.settings_fingerprint + ":"
-        stored = [record for record
-                  in self.store.query(fingerprint=fingerprint,
-                                      solver=request.solver)
-                  if record.context.startswith(regime)]
-        origins: dict[str, str] = {
-            parameter_hash(record.parameters): ORIGIN_STORED
-            for record in stored}
+        snapshot = StoreSnapshot(self.store)
+        reused = list(ladder.stored(
+            snapshot, fingerprint, solver=request.solver,
+            regime=evaluator.settings_fingerprint + ":"))
 
-        candidates, neighbour = self._plan_candidates(
-            request, fingerprint, known_hashes=set(origins), origins=origins)
-        measured: list[PerformanceRecord] = []
-        for index, parameters in enumerate(candidates):
-            measured.append(evaluator.evaluate(
-                parameters, n_replications=request.n_replications,
-                candidate_index=index))
+        # Already-stored parameter vectors count against the budget but are
+        # never re-measured; ``fresh`` only holds genuinely new work.
+        planned: dict[str, Proposal] = {
+            parameter_hash(proposal.parameters): proposal
+            for proposal in reused}
+        fresh: list[Proposal] = []
+        remaining = request.budget - len(planned)
+        if remaining > 0:
+            for proposal in ladder.warm_start(
+                    snapshot, request.matrix, fingerprint,
+                    solver=request.solver, bounds=self.bounds):
+                if len(fresh) >= remaining:
+                    break
+                key = parameter_hash(proposal.parameters)
+                if key not in planned:
+                    planned[key] = proposal
+                    fresh.append(proposal)
+            for proposal in ladder.explore(
+                    remaining - len(fresh), bounds=self.bounds,
+                    solver=request.solver, seed=request.seed,
+                    exclude=set(planned)):
+                planned[parameter_hash(proposal.parameters)] = proposal
+                fresh.append(proposal)
 
-        recommendation = self._recommend(stored, measured, origins, neighbour)
+        measured = [
+            evaluator.evaluate(proposal.parameters,
+                               n_replications=request.n_replications,
+                               candidate_index=index)
+            for index, proposal in enumerate(fresh)]
+
+        # Recommend the lowest mean metric among what was reused and what
+        # was just measured (ties go to the earlier, i.e. the reused, one).
+        outcomes = reused + [
+            replace(proposal, y_mean=record.y_mean, y_std=record.y_std)
+            for proposal, record in zip(fresh, measured)]
+        if not outcomes:
+            raise ParameterError("no observations available to recommend from")
+        recommendation = min(outcomes, key=lambda proposal: proposal.y_mean)
         _LOG.info("tuned %s: %d stored / %d measured, best y=%.3f (%s)",
-                  request.name, len(stored), len(measured),
+                  request.name, len(reused), len(measured),
                   recommendation.y_mean, recommendation.origin)
         return TuningResult(
             name=request.name,
             fingerprint=fingerprint,
             recommendation=recommendation,
             measured_records=measured,
-            reused_observations=len(stored),
-            candidate_origins=origins,
-        )
-
-    # -- candidate planning -------------------------------------------------
-    def _plan_candidates(self, request: TuningRequest, fingerprint: str, *,
-                         known_hashes: set[str], origins: dict[str, str]
-                         ) -> tuple[list[MCMCParameters],
-                                    tuple[str, float] | None]:
-        """Candidates to measure: neighbour warm start, then fresh samples.
-
-        Already-stored parameter vectors count against the budget but are
-        never re-measured; the returned list only holds genuinely new work.
-        """
-        remaining = request.budget - len(known_hashes)
-        if remaining <= 0:
-            return [], None
-
-        candidates: list[MCMCParameters] = []
-        seen = set(known_hashes)
-        neighbour = self._nearest_neighbour(request.matrix, fingerprint)
-        if neighbour is not None:
-            neighbour_fingerprint, _name, _distance = neighbour
-            donations = sorted(
-                self.store.query(fingerprint=neighbour_fingerprint,
-                                 solver=request.solver),
-                key=lambda record: record.to_record().y_mean)
-            for record in donations:
-                if remaining <= len(candidates):
-                    break
-                parameters = record.parameters.clipped(self.bounds)
-                key = parameter_hash(parameters)
-                if key in seen:
-                    continue
-                seen.add(key)
-                origins[key] = ORIGIN_WARM_START
-                candidates.append(parameters)
-
-        # Fill what is left with seeded uniform exploration.  Oversample so
-        # that collisions with existing hashes do not shrink the batch.
-        attempts = 0
-        while len(candidates) < remaining and attempts < 8:
-            needed = remaining - len(candidates)
-            fresh = sample_parameters(2 * needed, bounds=self.bounds,
-                                      solver=request.solver,
-                                      seed=request.seed + 7919 * (attempts + 1))
-            for parameters in fresh:
-                if len(candidates) >= remaining:
-                    break
-                key = parameter_hash(parameters)
-                if key in seen:
-                    continue
-                seen.add(key)
-                origins[key] = ORIGIN_SAMPLED
-                candidates.append(parameters)
-            attempts += 1
-
-        neighbour_info = (neighbour[1], neighbour[2]) if neighbour else None
-        return candidates, neighbour_info
-
-    def _nearest_neighbour(self, matrix: sp.spmatrix, fingerprint: str
-                           ) -> tuple[str, str, float] | None:
-        """Closest *other* registered matrix in standardised feature space."""
-        entries = [entry for fp, entry in self.store.matrix_entries().items()
-                   if fp != fingerprint and entry.features is not None
-                   and self.store.query(fingerprint=fp)]
-        found = nearest_feature_neighbour(
-            [entry.features for entry in entries], feature_vector(matrix))
-        if found is None:
-            return None
-        best, distance = found
-        return entries[best].fingerprint, entries[best].name, distance
-
-    # -- recommendation -----------------------------------------------------
-    @staticmethod
-    def _recommend(stored, measured: list[PerformanceRecord],
-                   origins: dict[str, str],
-                   neighbour: tuple[str, float] | None) -> Recommendation:
-        pool: list[tuple[float, float, MCMCParameters]] = []
-        for stored_record in stored:
-            record = stored_record.to_record()
-            pool.append((record.y_mean, record.y_std, record.parameters))
-        for record in measured:
-            pool.append((record.y_mean, record.y_std, record.parameters))
-        if not pool:
-            raise ParameterError("no observations available to recommend from")
-        y_mean, y_std, parameters = min(pool, key=lambda item: item[0])
-        origin = origins.get(parameter_hash(parameters), ORIGIN_SAMPLED)
-        return Recommendation(
-            parameters=parameters,
-            y_mean=y_mean,
-            y_std=y_std,
-            origin=origin,
-            neighbour_name=neighbour[0] if neighbour else None,
-            neighbour_distance=neighbour[1] if neighbour else None,
+            reused_observations=len(reused),
+            candidate_origins={key: proposal.origin
+                               for key, proposal in planned.items()},
         )

@@ -18,6 +18,11 @@ from repro.matrices import laplacian_2d, pdd_real_sparse, unsteady_advection_dif
 from repro.mcmc.parameters import MCMCParameters, paper_parameter_grid
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: takes minutes (the full experiment pipeline)")
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(0)

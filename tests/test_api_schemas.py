@@ -28,7 +28,6 @@ from repro.api import (
 from repro.api import versioning
 from repro.matrices import laplacian_2d
 from repro.server.policy import PolicyDecision
-from repro.server.queue import SolveRequest
 
 
 class TestRequestRoundTrip:
@@ -53,9 +52,6 @@ class TestRequestRoundTrip:
 
         request = SolveRequestV1(matrix=laplacian_2d(4), rhs=np.ones(9))
         json.loads(json.dumps(request.to_json_dict()))
-
-    def test_deprecated_alias_is_the_schema(self):
-        assert SolveRequest is SolveRequestV1
 
     def test_matrix_object_without_name_or_csr_rejected(self):
         payload = SolveRequestV1(matrix="2DFDLaplace_16").to_json_dict()
@@ -173,7 +169,11 @@ class TestProvenanceVariants:
     def test_mapping_interface_matches_legacy_dict(self):
         decision = self.DECISIONS["warm_start"]
         provenance = PolicyProvenance.from_decision(decision, "mcmc")
-        legacy = decision.provenance()
+        legacy = {
+            "family": "mcmc", "solver": "gmres", "origin": "warm_start",
+            "params": {"alpha": 1.5, "delta": 0.5, "eps": 0.125},
+            "neighbour": {"name": "lap8", "distance": 0.372},
+        }
         for key, value in legacy.items():
             assert provenance[key] == value
         assert "rule" not in provenance

@@ -20,6 +20,7 @@ import pytest
 
 from repro.api.schemas import SolveRequestV1, SolveResponseV1
 from repro.core.evaluation import PerformanceRecord
+from repro.core.training import TrainingConfig
 from repro.exceptions import LearnError
 from repro.learn import (
     LearnConfig,
@@ -66,8 +67,10 @@ def seed_store(path, matrix_names=("2DFDLaplace_16", "2DFDLaplace_32"),
 
 
 def fast_config(**overrides):
-    defaults = dict(min_records=24, epochs=10, checkpoint_every=2,
-                    interval_s=60.0, patience=50)
+    defaults = dict(min_records=24, checkpoint_every=2, interval_s=60.0,
+                    training=TrainingConfig(
+                        epochs=10, batch_size=64, validation_fraction=0.25,
+                        patience=50, min_epochs=5))
     defaults.update(overrides)
     return LearnConfig(**defaults)
 
@@ -235,7 +238,7 @@ class TestCrashSafety:
         model need not equal the uninterrupted one — but it must publish,
         load, and propose like any other generation.
         """
-        config = fast_config(checkpoint_every=2, patience=50)
+        config = fast_config(checkpoint_every=2)
         store = seed_store(tmp_path / "store")
         registry = ModelRegistry(tmp_path / "models")
         crashing = SurrogateTrainer(store, registry, config=config)

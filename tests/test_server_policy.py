@@ -15,14 +15,15 @@ from repro.matrices import (
     unsteady_advection_diffusion,
 )
 from repro.mcmc.parameters import MCMCParameters
-from repro.server.policy import (
+from repro.api.schemas import PolicyProvenance
+from repro.server.policy import PreconditionerPolicy
+from repro.server.queue import AdmissionError
+from repro.service.ladder import (
     ORIGIN_EXPLICIT,
     ORIGIN_RULE,
     ORIGIN_STORED,
     ORIGIN_WARM_START,
-    PreconditionerPolicy,
 )
-from repro.server.queue import AdmissionError
 from repro.service.store import ObservationStore
 from repro.sparse.fingerprint import matrix_fingerprint
 
@@ -89,7 +90,8 @@ class TestRuleTable:
         matrix = laplacian_2d(8)
         policy = PreconditionerPolicy()
         decision = policy.decide(matrix, matrix_fingerprint(matrix))
-        json.dumps(decision.provenance())
+        json.dumps(PolicyProvenance.from_decision(
+            decision, decision.family).to_json_dict())
 
 
 def _store_with(tmp_path, matrix, name, parameters_to_y: dict) -> ObservationStore:
@@ -155,6 +157,51 @@ class TestStoreReuse:
                                  preconditioner="mcmc")
         assert decision.origin == ORIGIN_EXPLICIT
         assert decision.mcmc_parameters().alpha == tuned.alpha
+
+
+    def test_stored_reuse_honours_the_requested_solver(self, tmp_path):
+        """A request naming a solver only competes that solver's records."""
+        matrix = laplacian_2d(8)
+        gmres_best = MCMCParameters(alpha=4.0, eps=0.25, delta=0.25)
+        bicgstab_best = MCMCParameters(alpha=2.0, eps=0.125, delta=0.5,
+                                       solver="bicgstab")
+        store = _store_with(tmp_path, matrix, "lap8",
+                            {gmres_best: 0.2, bicgstab_best: 0.5})
+        policy = PreconditionerPolicy(store)
+        fingerprint = matrix_fingerprint(matrix)
+
+        auto = policy.decide(matrix, fingerprint)
+        assert (auto.origin, auto.solver) == (ORIGIN_STORED, "gmres")
+        assert auto.mcmc_parameters().alpha == gmres_best.alpha
+
+        named = policy.decide(matrix, fingerprint, solver="bicgstab")
+        assert (named.origin, named.solver) == (ORIGIN_STORED, "bicgstab")
+        assert named.mcmc_parameters().alpha == bicgstab_best.alpha
+
+        # No CG-tuned record: nothing stored answers, the rule table does.
+        untuned = policy.decide(matrix, fingerprint, solver="cg")
+        assert (untuned.origin, untuned.solver) == (ORIGIN_RULE, "cg")
+
+    @pytest.mark.parametrize("with_store", [False, True])
+    def test_no_feature_pass_without_a_neighbour_pool(self, tmp_path,
+                                                      monkeypatch, with_store):
+        """``warm_start`` declines before touching the matrix."""
+        from repro.service import ladder
+
+        def forbidden(matrix):
+            raise AssertionError("feature_vector evaluated for an empty pool")
+
+        matrix = laplacian_2d(8)
+        store = None
+        if with_store:
+            # The only matrix with records is the target itself.
+            store = _store_with(tmp_path, matrix, "lap8", {
+                MCMCParameters(alpha=2.0, eps=0.25, delta=0.25): 0.4})
+        policy = PreconditionerPolicy(store)
+        monkeypatch.setattr(ladder, "feature_vector", forbidden)
+        decision = policy.decide(matrix, matrix_fingerprint(matrix),
+                                 solver="cg")
+        assert decision.origin == ORIGIN_RULE
 
 
 class TestDegenerateInputs:

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.api import SolveRequestV1
 from repro.exceptions import ParameterError
 from repro.matrices import laplacian_2d
 from repro.server.queue import (
     AdmissionError,
     Job,
     JobQueue,
-    SolveRequest,
     REJECT_CLOSED,
     REJECT_DRAINING,
     REJECT_INVALID,
@@ -24,9 +24,9 @@ from repro.server.queue import (
 from repro.server.telemetry import Histogram, MetricsRegistry
 
 
-def _request(**kwargs) -> SolveRequest:
+def _request(**kwargs) -> SolveRequestV1:
     kwargs.setdefault("matrix", laplacian_2d(4))
-    return SolveRequest(**kwargs)
+    return SolveRequestV1(**kwargs)
 
 
 class TestAdmission:
@@ -59,13 +59,13 @@ class TestAdmission:
     def test_unknown_registry_name_rejected(self):
         queue = JobQueue()
         with pytest.raises(AdmissionError) as excinfo:
-            queue.submit(SolveRequest(matrix="no_such_matrix"))
+            queue.submit(SolveRequestV1(matrix="no_such_matrix"))
         assert excinfo.value.reason == REJECT_INVALID
 
     def test_rectangular_matrix_rejected(self):
         queue = JobQueue()
         with pytest.raises(AdmissionError) as excinfo:
-            queue.submit(SolveRequest(matrix=sp.random(3, 4, density=0.5)))
+            queue.submit(SolveRequestV1(matrix=sp.random(3, 4, density=0.5)))
         assert excinfo.value.reason == REJECT_INVALID
 
     def test_rhs_length_mismatch_rejected(self):
@@ -77,8 +77,8 @@ class TestAdmission:
     def test_registry_rhs_checked_against_published_dimension(self):
         queue = JobQueue()
         with pytest.raises(AdmissionError):
-            queue.submit(SolveRequest(matrix="2DFDLaplace_16", rhs=np.ones(7)))
-        queue.submit(SolveRequest(matrix="2DFDLaplace_16", rhs=np.ones(225)))
+            queue.submit(SolveRequestV1(matrix="2DFDLaplace_16", rhs=np.ones(7)))
+        queue.submit(SolveRequestV1(matrix="2DFDLaplace_16", rhs=np.ones(225)))
 
     def test_invalid_limits_rejected(self):
         queue = JobQueue()

@@ -10,15 +10,16 @@ from repro.matrices import laplacian_2d, pdd_real_sparse
 from repro.mcmc.parameters import MCMCParameters
 from repro.parallel.executor import ThreadExecutor
 from repro.service.cache import ArtifactCache
-from repro.service.store import ObservationStore
-from repro.service.tuner_service import (
+from repro.service.ladder import (
     ORIGIN_SAMPLED,
     ORIGIN_STORED,
     ORIGIN_WARM_START,
-    Recommendation,
-    TuningRequest,
-    TuningService,
+    Proposal,
+    StoreSnapshot,
+    warm_start,
 )
+from repro.service.store import ObservationStore
+from repro.service.tuner_service import TuningRequest, TuningService
 from repro.sparse.fingerprint import matrix_fingerprint
 
 
@@ -48,7 +49,7 @@ class TestColdStart:
         [result] = service.tune_batch([request])
         assert result.measurements == 3
         assert result.reused_observations == 0
-        assert isinstance(result.recommendation, Recommendation)
+        assert isinstance(result.recommendation, Proposal)
         assert result.recommendation.origin == ORIGIN_SAMPLED
         assert result.fingerprint == matrix_fingerprint(small_spd)
         assert len(service.store) == 3
@@ -112,10 +113,11 @@ class TestWarmStart:
             TuningRequest(matrix=pdd, name="pdd", budget=2,
                           n_replications=1, seed=0),
         ])
-        neighbour = service._nearest_neighbour(
-            laplacian_2d(9), matrix_fingerprint(laplacian_2d(9)))
-        assert neighbour is not None
-        assert neighbour[1] == "lap8"
+        donated = next(warm_start(
+            StoreSnapshot(service.store), laplacian_2d(9),
+            matrix_fingerprint(laplacian_2d(9))), None)
+        assert donated is not None
+        assert donated.neighbour_name == "lap8"
 
 
 class TestDegenerateStoreWarmStart:
@@ -124,8 +126,8 @@ class TestDegenerateStoreWarmStart:
     A store whose registered feature vectors share constant columns, contain
     near-zero-variance columns, or carry non-finite entries used to emit NaN
     (or overflowed) distances from the shared standardise-then-distance
-    kernel, silently breaking neighbour selection for both the tuning service
-    and the solve-server policy.
+    kernel, silently breaking the ladder's ``warm_start`` stage for both the
+    tuning service and the solve-server policy.
     """
 
     def test_constant_feature_columns_yield_finite_distances(self):
@@ -187,12 +189,12 @@ class TestDegenerateStoreWarmStart:
             matrix=corrupt, name="corrupt", budget=1, n_replications=1,
             seed=0)])
         assert corrupt_result.measurements >= 0
-        neighbour = service._nearest_neighbour(
-            laplacian_2d(9), matrix_fingerprint(laplacian_2d(9)))
-        assert neighbour is not None
-        fingerprint, name, distance = neighbour
-        assert np.isfinite(distance)
-        assert name == "lap8"
+        donated = next(warm_start(
+            StoreSnapshot(service.store), laplacian_2d(9),
+            matrix_fingerprint(laplacian_2d(9))), None)
+        assert donated is not None
+        assert np.isfinite(donated.neighbour_distance)
+        assert donated.neighbour_name == "lap8"
 
 
 class TestBatchExecution:
