@@ -40,8 +40,8 @@ __all__ = [
     "ERROR_INTERNAL",
 ]
 
-#: Admission-rejection reasons (also counted in telemetry under
-#: ``rejected.<reason>``).
+#: Admission-rejection reasons (also the ``reason`` label of the
+#: ``solve.rejected`` counter).
 REJECT_QUEUE_FULL = "queue_full"
 REJECT_CLOSED = "closed"
 REJECT_DRAINING = "draining"

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 from repro.core.dataset import SurrogateDataset
 from repro.core.evaluation import LabelledObservation, MatrixEvaluator
-from repro.core.optimize import AcquisitionOptimizer, Candidate
+from repro.core.optimize import Candidate
 from repro.core.surrogate import GraphNeuralSurrogate
 from repro.core.training import Trainer, TrainingHistory
 from repro.exceptions import ParameterError
@@ -71,10 +71,14 @@ def bo_round(model: GraphNeuralSurrogate, dataset: SurrogateDataset,
     """
     if batch_size < 1:
         raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
-    optimizer = AcquisitionOptimizer(model, dataset, bounds=bounds,
-                                     n_restarts=n_restarts, seed=seed)
-    candidates = optimizer.propose(matrix, matrix_name, y_min=None,
-                                   n_candidates=batch_size, xi=xi, solver=solver)
+    # Imported here: repro.service imports repro.core.evaluation, so a
+    # module-level import would be circular.
+    from repro.service import ladder
+
+    candidates = ladder.surrogate(
+        model, dataset, matrix, matrix_name, bounds=bounds, seed=seed,
+        solver=solver, n_candidates=batch_size, xi=xi, n_restarts=n_restarts,
+        exploit=False)
     _LOG.info("BO round (xi=%.2f): proposed %d candidates for %s",
               xi, len(candidates), matrix_name)
 

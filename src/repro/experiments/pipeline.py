@@ -43,7 +43,8 @@ from repro.core.training import Trainer, TrainingConfig
 from repro.exceptions import ExperimentError
 from repro.logging_utils import get_logger
 from repro.matrices.registry import get_spec, test_specs
-from repro.mcmc.parameters import MCMCParameters
+from repro.mcmc.parameters import DEFAULT_BOUNDS, MCMCParameters
+from repro.service import ladder
 from repro.service.cache import ArtifactCache
 from repro.service.store import ObservationStore
 from repro.sparse.fingerprint import content_hash
@@ -299,11 +300,11 @@ def run_pipeline(profile: ExperimentProfile | None = None, *,
     bo_records: dict[float, list[PerformanceRecord]] = {}
     new_observations: list[LabelledObservation] = []
     for index, xi in enumerate(profile.acquisition_xis):
-        optimizer = AcquisitionOptimizer(pre_bo_model, dataset,
-                                         seed=profile.seed + 31 * (index + 1))
-        candidates = optimizer.propose(test_matrix, profile.test_matrix_name,
-                                       y_min=None, n_candidates=profile.bo_batch_size,
-                                       xi=xi, solver="gmres")
+        candidates = ladder.surrogate(
+            pre_bo_model, dataset, test_matrix, profile.test_matrix_name,
+            bounds=DEFAULT_BOUNDS, seed=profile.seed + 31 * (index + 1),
+            solver="gmres", n_candidates=profile.bo_batch_size, xi=xi,
+            n_restarts=4, exploit=False)
         records = evaluator.evaluate_many([c.parameters for c in candidates],
                                           n_replications=profile.n_replications_bo)
         bo_candidates[xi] = candidates
@@ -352,9 +353,10 @@ def run_pipeline_cached(profile: ExperimentProfile | None = None, *,
     """Memoised :func:`run_pipeline` keyed by the full profile content hash.
 
     The three figure drivers consume the same pipeline output; caching makes
-    ``pytest benchmarks/`` run it once instead of three times.  The key is
-    :func:`profile_hash` (plus the store location), so two profiles differing
-    in *any* field — not just name and seed — never share a result.
+    a pytest session over ``benchmarks/bench_*.py`` run it once instead of
+    three times.  The key is :func:`profile_hash` (plus the store location),
+    so two profiles differing in *any* field — not just name and seed — never
+    share a result.
     """
     profile = profile if profile is not None else ExperimentProfile.from_environment()
     store = _open_store(store)

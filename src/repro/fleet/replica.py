@@ -328,6 +328,10 @@ class ReplicaFleet:
         self.probe_timeout = float(probe_timeout)
         self.unhealthy_threshold = int(unhealthy_threshold)
         self._lock = threading.Lock()
+        # One sweep at a time: a sweep acts on health answers it fetched
+        # earlier, so two interleaved sweeps could let the older answer
+        # overwrite the newer verdict (and relaunch one replica twice).
+        self._sweep_lock = threading.Lock()
         self._state = {replica.name: _ReplicaState(self.backoff_initial)
                        for replica in self._replicas}
         self._stop = threading.Event()
@@ -426,9 +430,15 @@ class ReplicaFleet:
 
     # -- monitoring ----------------------------------------------------------
     def probe_now(self) -> None:
-        """One synchronous health sweep (also used by tests)."""
-        for replica in self._replicas:
-            self._check(replica)
+        """One synchronous health sweep (also used by tests).
+
+        Sweeps are serialised, so the verdict standing when this returns is
+        from a sweep that started no earlier than the call.  Only
+        :meth:`mark_dead` acts without waiting for a sweep in flight.
+        """
+        with self._sweep_lock:
+            for replica in self._replicas:
+                self._check(replica)
         self._observe_live()
 
     def _monitor_loop(self) -> None:

@@ -49,10 +49,8 @@ from __future__ import annotations
 
 import json
 import threading
-from http.server import ThreadingHTTPServer
 
 from repro.api.errors import (
-    ERROR_BAD_REQUEST,
     ERROR_NOT_FOUND,
     ERROR_UNAVAILABLE,
     ErrorEnvelope,
@@ -63,7 +61,7 @@ from repro.client.http import HTTPClient, RawReply
 from repro.fleet.replica import ReplicaFleet
 from repro.fleet.ring import DEFAULT_VNODES, HashRing
 from repro.logging_utils import get_logger
-from repro.server.http import TRACE_HEADER, WireHandler
+from repro.server.http import TRACE_HEADER, WireHandler, WireListener
 from repro.server.telemetry import parse_label_key, render_label_key
 from repro.obs.prometheus import merge_expositions, render_prometheus
 from repro.version import __version__
@@ -109,7 +107,7 @@ class _RouterHandler(WireHandler):
 
     @property
     def router(self) -> "FleetRouter":
-        return self.server.router
+        return self.server.owner
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         route, _ = self._split_path()
@@ -146,18 +144,7 @@ class _RouterHandler(WireHandler):
         self.wfile.write(reply.body)
 
 
-class _RouterHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that knows its owning router."""
-
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, address, router: "FleetRouter") -> None:
-        super().__init__(address, _RouterHandler)
-        self.router = router
-
-
-class FleetRouter:
+class FleetRouter(WireListener):
     """HTTP front end sharding the wire protocol across a replica fleet.
 
     Parameters
@@ -179,20 +166,21 @@ class FleetRouter:
         the next replica on the preference walk (default: once).
     """
 
+    handler_class = _RouterHandler
+    thread_name = "fleet-router"
+
     def __init__(self, fleet: ReplicaFleet, *, host: str = "127.0.0.1",
                  port: int = 0, vnodes: int = DEFAULT_VNODES,
                  proxy_timeout: float = 300.0, connect_timeout: float = 5.0,
                  failover_retries: int = 1,
                  max_tracked_jobs: int = 4096) -> None:
+        super().__init__(host, port)
         self.fleet = fleet
         self.telemetry = fleet.telemetry
         self.ring = HashRing(fleet.ids(), vnodes=vnodes)
         self.proxy_timeout = float(proxy_timeout)
         self.connect_timeout = float(connect_timeout)
         self.failover_retries = int(failover_retries)
-        self._requested_address = (host, int(port))
-        self._httpd: _RouterHTTPServer | None = None
-        self._thread: threading.Thread | None = None
         self._clients: dict[str, HTTPClient] = {}
         self._clients_lock = threading.Lock()
         # Router-namespaced job ids: router_id -> (replica name, remote id).
@@ -320,14 +308,7 @@ class FleetRouter:
 
     def proxy_job(self, handler: _RouterHandler, route: str) -> None:
         """``GET /v1/jobs/<router-id>`` → the replica that queued the job."""
-        token = route[len("/v1/jobs/"):]
-        try:
-            router_id = int(token)
-        except ValueError:
-            handler._send_error_envelope(ErrorEnvelope(
-                code=ERROR_BAD_REQUEST,
-                message=f"job id {token!r} is not an integer"))
-            return
+        router_id = handler._job_id(route)
         with self._jobs_lock:
             mapping = self._jobs.get(router_id)
         if mapping is None:
@@ -397,8 +378,7 @@ class FleetRouter:
 
     def answer_metrics(self, handler: _RouterHandler,
                        query: dict[str, list[str]]) -> None:
-        fmt = (query.get("format") or ["json"])[-1].lower()
-        if fmt == "prometheus":
+        if handler._metrics_format(query) == "prometheus":
             expositions = {}
             for name, url in self._live_replicas():
                 try:
@@ -413,12 +393,6 @@ class FleetRouter:
             handler._send_text(
                 200, merged,
                 content_type="text/plain; version=0.0.4; charset=utf-8")
-            return
-        if fmt != "json":
-            handler._send_error_envelope(ErrorEnvelope(
-                code=ERROR_BAD_REQUEST,
-                message=f"unknown metrics format {fmt!r} "
-                        "(expected 'json' or 'prometheus')"))
             return
         snapshot = TelemetrySnapshot.from_snapshot(self.aggregate_snapshot())
         handler._send_json(200, snapshot.to_json_dict())
@@ -460,61 +434,7 @@ class FleetRouter:
         status = 503 if payload["status"] == "unavailable" else 200
         handler._send_json(status, payload)
 
-    # -- lifecycle (mirrors SolveHTTPServer) ----------------------------------
-    def _bind(self) -> _RouterHTTPServer:
-        if self._httpd is None:
-            self._httpd = _RouterHTTPServer(self._requested_address, self)
-        return self._httpd
-
-    @property
-    def port(self) -> int:
-        """The bound port (binds lazily, resolving an ephemeral request)."""
-        return self._bind().server_address[1]
-
-    @property
-    def url(self) -> str:
-        """Base URL clients should talk to."""
-        return f"http://{self._requested_address[0]}:{self.port}"
-
-    def start(self) -> "FleetRouter":
-        """Bind and serve from a daemon thread; returns ``self``."""
-        httpd = self._bind()
-        if self._thread is None or not self._thread.is_alive():
-            self._thread = threading.Thread(
-                target=httpd.serve_forever, name="fleet-router",
-                kwargs={"poll_interval": 0.05}, daemon=True)
-            self._thread.start()
-        _LOG.info("fleet router serving on %s (%d replicas)",
-                  self.url, len(self.fleet.ids()))
-        return self
-
-    def serve_forever(self) -> None:
-        """Bind and serve in the calling thread until :meth:`shutdown`."""
-        httpd = self._bind()
-        _LOG.info("fleet router serving on %s (%d replicas)",
-                  self.url, len(self.fleet.ids()))
-        try:
-            httpd.serve_forever(poll_interval=0.05)
-        finally:
-            self._close_http()
-
-    def _close_http(self) -> None:
-        if self._httpd is not None:
-            self._httpd.server_close()
-            self._httpd = None
-
-    def shutdown(self) -> None:
-        """Stop the front end.  The fleet is drained by its owner."""
-        thread = self._thread
-        if self._httpd is not None and thread is not None and thread.is_alive():
-            self._httpd.shutdown()
-        if thread is not None:
-            thread.join(timeout=5.0)
-        self._thread = None
-        self._close_http()
-
-    def __enter__(self) -> "FleetRouter":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
+    # -- lifecycle (WireListener; the fleet is drained by its owner) ----------
+    def _banner(self) -> str:
+        return (f"fleet router serving on {self.url} "
+                f"({len(self.fleet.ids())} replicas)")

@@ -209,7 +209,7 @@ class _BackwardStats:
     (``inplace_accumulations``).  ``leaf_donations`` counts owned buffers
     handed to ``Tensor.grad`` without the defensive copy the seed
     implementation always paid.  The counters are process-wide diagnostics
-    for the autograd benchmark, not synchronised across threads.
+    for the equivalence suite, not synchronised across threads.
     """
 
     __slots__ = ("buffer_allocations", "inplace_accumulations", "leaf_donations")
@@ -237,7 +237,7 @@ def backward_stats() -> dict[str, int]:
 
 
 def reset_backward_stats() -> None:
-    """Zero the accumulation counters (used by tests and the benchmark)."""
+    """Zero the accumulation counters (used by tests)."""
     _STATS.reset()
 
 

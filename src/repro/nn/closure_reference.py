@@ -4,13 +4,10 @@ Before the operation-tape engine (:mod:`repro.nn.autograd`), every function
 in :mod:`repro.nn.functional` hand-coded its own backward closure and
 ``Tensor.backward`` walked those opaque closures.  This module preserves that
 implementation -- :class:`ClosureTensor` plus the closure-registering ops --
-so that
-
-* the equivalence suite can assert, in-process and therefore bit-exactly,
-  that the tape engine produces *identical* gradients and identical seeded
-  surrogate training trajectories (``tests/test_nn_autograd.py``), and
-* ``benchmarks/bench_autograd.py`` can measure tape overhead against the
-  closure baseline it replaced.
+so that the equivalence suite can assert, in-process and therefore
+bit-exactly, that the tape engine produces *identical* gradients and
+identical seeded surrogate training trajectories from fewer gradient buffers
+(``tests/test_nn_autograd.py``).
 
 The code is transcribed from the seed ``tensor.py`` / ``functional.py`` with
 only mechanical changes (``Tensor`` renamed, the tape always records, and a
@@ -19,9 +16,8 @@ the new engine optimises).  Do not "improve" it: its value is being the old
 behaviour, byte for byte.
 
 :func:`seeded_surrogate_problem` and :func:`surrogate_loss_tensor` build the
-seeded GNN-surrogate training step used by both consumers; the step is
-written against a generic ``ops`` module interface so the *same* model code
-runs on either engine.
+seeded GNN-surrogate training step; the step is written against a generic
+``ops`` module interface so the *same* model code runs on either engine.
 """
 
 from __future__ import annotations
@@ -42,7 +38,7 @@ __all__ = [
 
 #: Gradient-buffer allocations made by the closure engine (fan-in additions
 #: and first-use leaf copies); the tape engine's ``backward_stats`` is the
-#: counterpart measured by the benchmark.
+#: counterpart the equivalence suite compares it with.
 _ALLOCATIONS = 0
 
 
@@ -542,7 +538,7 @@ def gaussian_nll_loss(mu, sigma, target, *, eps: float = 1e-6):
 
 
 # --------------------------------------------------------------------------
-# Seeded GNN-surrogate training step (shared by tests and the benchmark)
+# Seeded GNN-surrogate training step
 # --------------------------------------------------------------------------
 
 #: Mirror-surrogate dimensions (EdgeConv x2, multi + mean aggregation, three

@@ -23,7 +23,7 @@ __all__ = ["SPAIPreconditioner"]
 
 
 def _spai_static_loop(matrix: sp.csr_matrix, pattern: sp.csr_matrix) -> sp.csr_matrix:
-    """Reference per-column least-squares loop (kept for tests/benchmarks).
+    """Reference per-column least-squares loop (kept for the tests).
 
     One ``lstsq`` per column of ``M``; the vectorised :func:`_spai_static`
     below must reproduce its result within floating-point roundoff.

@@ -2,11 +2,11 @@
 
 The vectorised hot paths (:class:`repro.mcmc.walks.TransitionTable` and
 :func:`repro.sparse.csr.truncate_to_fill_factor`) are pinned against these
-original loop implementations by the equivalence tests and the
-``benchmarks/bench_walk_table.py`` speedup gate.  They are intentionally slow
-and must not be used on any production path; they live in one place so a
-future fix to the oracle semantics cannot silently diverge between the test
-and benchmark copies.
+original loop implementations by the equivalence tests
+(``tests/test_mcmc_walks.py``, ``tests/test_sparse_csr.py``).  They are
+intentionally slow and must not be used on any production path; they live in
+one place so a future fix to the oracle semantics cannot silently diverge
+between copies.
 """
 
 from __future__ import annotations

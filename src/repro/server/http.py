@@ -49,7 +49,6 @@ from urllib.parse import parse_qs
 from repro.api.errors import (
     AdmissionError,
     ErrorEnvelope,
-    ERROR_BAD_REQUEST,
     ERROR_NOT_FOUND,
     SchemaError,
 )
@@ -60,7 +59,7 @@ from repro.server.queue import Job, job_status
 from repro.server.server import SolveServer
 from repro.version import __version__
 
-__all__ = ["SolveHTTPServer", "WireHandler", "TRACE_HEADER"]
+__all__ = ["SolveHTTPServer", "WireHandler", "WireListener", "TRACE_HEADER"]
 
 _LOG = get_logger("server.http")
 
@@ -163,6 +162,25 @@ class WireHandler(BaseHTTPRequestHandler):
         route, _, query = self.path.partition("?")
         return route, parse_qs(query)
 
+    @staticmethod
+    def _job_id(route: str) -> int:
+        """The integer ``<id>`` of a ``/v1/jobs/<id>`` route."""
+        token = route[len("/v1/jobs/"):]
+        try:
+            return int(token)
+        except ValueError:
+            raise SchemaError(f"job id {token!r} is not an integer") from None
+
+    @staticmethod
+    def _metrics_format(query: dict[str, list[str]]) -> str:
+        """``?format=`` of a metrics scrape: ``json`` (default) or
+        ``prometheus``."""
+        fmt = (query.get("format") or ["json"])[-1].lower()
+        if fmt not in ("json", "prometheus"):
+            raise SchemaError(f"unknown metrics format {fmt!r} "
+                              "(expected 'json' or 'prometheus')")
+        return fmt
+
     def _read_body(self) -> bytes:
         """The request body, bounded by :data:`MAX_BODY_BYTES`."""
         length = self._body_length()
@@ -190,6 +208,107 @@ class WireHandler(BaseHTTPRequestHandler):
         except Exception as error:  # noqa: BLE001 - the wire must answer
             self.wire_log.exception("unhandled error serving %s", self.path)
             self._send_error_envelope(ErrorEnvelope.from_exception(error))
+
+
+class _HTTPServer(ThreadingHTTPServer):
+    """ThreadingHTTPServer that knows the listener it serves."""
+
+    daemon_threads = True
+    allow_reuse_address = True
+
+    def __init__(self, address, owner: "WireListener") -> None:
+        super().__init__(address, owner.handler_class)
+        self.owner = owner
+
+
+class WireListener:
+    """Listener lifecycle shared by every ``/v1/*`` front end.
+
+    Binds lazily (so ``port=0`` resolves on first use), serves from a daemon
+    thread (:meth:`start`) or the calling one (:meth:`serve_forever`), and
+    closes the socket on the way out.  A front end names its
+    :attr:`handler_class` and :attr:`thread_name`, describes itself in
+    :meth:`_banner`, and overrides :meth:`_close_owned` when something it
+    owns must be closed once the socket is.
+    """
+
+    handler_class: type[WireHandler]
+    thread_name: str
+
+    def __init__(self, host: str, port: int) -> None:
+        self._requested_address = (host, int(port))
+        self._httpd: _HTTPServer | None = None
+        self._thread: threading.Thread | None = None
+
+    def _banner(self) -> str:
+        """The line logged when serving starts."""
+        raise NotImplementedError
+
+    def _close_owned(self) -> None:
+        """Close what this front end owns besides the socket (nothing)."""
+
+    def _bind(self) -> _HTTPServer:
+        if self._httpd is None:
+            self._httpd = _HTTPServer(self._requested_address, self)
+        return self._httpd
+
+    @property
+    def port(self) -> int:
+        """The bound port (binds lazily, resolving an ephemeral request)."""
+        return self._bind().server_address[1]
+
+    @property
+    def url(self) -> str:
+        """Base URL clients should talk to."""
+        return f"http://{self._requested_address[0]}:{self.port}"
+
+    def start(self):
+        """Bind and serve from a daemon thread; returns ``self``."""
+        httpd = self._bind()
+        if self._thread is None or not self._thread.is_alive():
+            self._thread = threading.Thread(
+                target=httpd.serve_forever, name=self.thread_name,
+                kwargs={"poll_interval": 0.05}, daemon=True)
+            self._thread.start()
+        self.handler_class.wire_log.info("%s", self._banner())
+        return self
+
+    def serve_forever(self) -> None:
+        """Bind and serve in the calling thread until :meth:`shutdown`."""
+        httpd = self._bind()
+        self.handler_class.wire_log.info("%s", self._banner())
+        try:
+            httpd.serve_forever(poll_interval=0.05)
+        finally:
+            self._close()
+
+    def _close(self) -> None:
+        if self._httpd is not None:
+            self._httpd.server_close()
+            self._httpd = None
+        self._close_owned()
+
+    def shutdown(self) -> None:
+        """Stop accepting connections, then close what the front end owns.
+
+        Only valid from a thread other than the one inside
+        :meth:`serve_forever` (the stdlib restriction); the CLIs' blocking
+        mode instead interrupts ``serve_forever`` and relies on its
+        ``finally`` clause for the same cleanup.
+        """
+        thread = self._thread
+        if self._httpd is not None and thread is not None and thread.is_alive():
+            self._httpd.shutdown()
+        if thread is not None:
+            thread.join(timeout=5.0)
+        self._thread = None
+        self._close()
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.shutdown()
 
 
 class _Handler(WireHandler):
@@ -233,7 +352,7 @@ class _Handler(WireHandler):
         request = self._read_request_schema()
         trace_id = self._request_trace_id()
         with use_trace_id(trace_id):
-            response = self.server.adapter.solve_server.solve(request)
+            response = self.server.owner.solve_server.solve(request)
         echo = response.trace_id or trace_id
         self._send_json(200, response.to_json_dict(),
                         headers=None if echo is None else {TRACE_HEADER: echo})
@@ -242,22 +361,15 @@ class _Handler(WireHandler):
         request = self._read_request_schema()
         trace_id = self._request_trace_id()
         with use_trace_id(trace_id):
-            job = self.server.adapter.solve_server.submit(request)
-        self.server.adapter.track_job(job)
+            job = self.server.owner.solve_server.submit(request)
+        self.server.owner.track_job(job)
         echo = job.trace_id or trace_id
         self._send_json(202, job_status(job).to_json_dict(),
                         headers=None if echo is None else {TRACE_HEADER: echo})
 
     def _get_job(self, route: str) -> None:
-        token = route[len("/v1/jobs/"):]
-        try:
-            job_id = int(token)
-        except ValueError:
-            self._send_error_envelope(ErrorEnvelope(
-                code=ERROR_BAD_REQUEST,
-                message=f"job id {token!r} is not an integer"))
-            return
-        job = self.server.adapter.find_job(job_id)
+        job_id = self._job_id(route)
+        job = self.server.owner.find_job(job_id)
         if job is None:
             self._send_error_envelope(ErrorEnvelope(
                 code=ERROR_NOT_FOUND, message=f"no such job {job_id}"))
@@ -265,43 +377,25 @@ class _Handler(WireHandler):
         self._send_json(200, job_status(job).to_json_dict())
 
     def _get_metrics(self, query: dict[str, list[str]]) -> None:
-        fmt = (query.get("format") or ["json"])[-1].lower()
-        if fmt == "prometheus":
+        if self._metrics_format(query) == "prometheus":
             self._send_text(
-                200, self.server.adapter.solve_server.prometheus_metrics(),
+                200, self.server.owner.solve_server.prometheus_metrics(),
                 content_type="text/plain; version=0.0.4; charset=utf-8")
             return
-        if fmt != "json":
-            self._send_error_envelope(ErrorEnvelope(
-                code=ERROR_BAD_REQUEST,
-                message=f"unknown metrics format {fmt!r} "
-                        "(expected 'json' or 'prometheus')"))
-            return
         snapshot = TelemetrySnapshot.from_snapshot(
-            self.server.adapter.solve_server.telemetry_snapshot())
+            self.server.owner.solve_server.telemetry_snapshot())
         self._send_json(200, snapshot.to_json_dict())
 
     def _get_healthz(self) -> None:
         self._send_json(
-            200, self.server.adapter.solve_server.health_snapshot())
+            200, self.server.owner.solve_server.health_snapshot())
 
     def _get_learn(self) -> None:
         self._send_json(
-            200, self.server.adapter.solve_server.learn_status())
+            200, self.server.owner.solve_server.learn_status())
 
 
-class _HTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that knows its owning adapter."""
-
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, address, adapter: "SolveHTTPServer") -> None:
-        super().__init__(address, _Handler)
-        self.adapter = adapter
-
-
-class SolveHTTPServer:
+class SolveHTTPServer(WireListener):
     """Serve a :class:`SolveServer` over HTTP/JSON.
 
     Parameters
@@ -326,16 +420,17 @@ class SolveHTTPServer:
         SolveHTTPServer(port=8080).serve_forever()
     """
 
+    handler_class = _Handler
+    thread_name = "solve-http-server"
+
     def __init__(self, solve_server: SolveServer | None = None, *,
                  host: str = "127.0.0.1", port: int = 0,
                  max_tracked_jobs: int = 4096,
                  **server_kwargs) -> None:
+        super().__init__(host, port)
         self._owns_solve_server = solve_server is None
         self.solve_server = (SolveServer(**server_kwargs)
                              if solve_server is None else solve_server)
-        self._requested_address = (host, int(port))
-        self._httpd: _HTTPServer | None = None
-        self._thread: threading.Thread | None = None
         self._jobs: dict[int, Job] = {}
         self._jobs_lock = threading.Lock()
         self._max_tracked_jobs = max(int(max_tracked_jobs), 1)
@@ -367,70 +462,10 @@ class SolveHTTPServer:
         with self._jobs_lock:
             return self._jobs.get(job_id)
 
-    # -- lifecycle -----------------------------------------------------------
-    def _bind(self) -> _HTTPServer:
-        if self._httpd is None:
-            self._httpd = _HTTPServer(self._requested_address, self)
-        return self._httpd
+    # -- lifecycle (WireListener) --------------------------------------------
+    def _banner(self) -> str:
+        return f"serving HTTP on {self.url}"
 
-    @property
-    def port(self) -> int:
-        """The bound port (binds lazily, resolving an ephemeral request)."""
-        return self._bind().server_address[1]
-
-    @property
-    def url(self) -> str:
-        """Base URL clients should talk to."""
-        host = self._requested_address[0]
-        return f"http://{host}:{self.port}"
-
-    def start(self) -> "SolveHTTPServer":
-        """Bind and serve from a daemon thread; returns ``self``."""
-        httpd = self._bind()
-        if self._thread is None or not self._thread.is_alive():
-            self._thread = threading.Thread(
-                target=httpd.serve_forever, name="solve-http-server",
-                kwargs={"poll_interval": 0.05}, daemon=True)
-            self._thread.start()
-        _LOG.info("serving HTTP on %s", self.url)
-        return self
-
-    def serve_forever(self) -> None:
-        """Bind and serve in the calling thread until :meth:`shutdown`."""
-        httpd = self._bind()
-        _LOG.info("serving HTTP on %s", self.url)
-        try:
-            httpd.serve_forever(poll_interval=0.05)
-        finally:
-            self._close_http()
-            if self._owns_solve_server:
-                self.solve_server.shutdown()
-
-    def _close_http(self) -> None:
-        if self._httpd is not None:
-            self._httpd.server_close()
-            self._httpd = None
-
-    def shutdown(self) -> None:
-        """Stop accepting connections, then drain the owned solve server.
-
-        Only valid from a thread other than the one inside
-        :meth:`serve_forever` (the stdlib restriction); the CLI's blocking
-        mode instead interrupts ``serve_forever`` and relies on its
-        ``finally`` clause for the same cleanup.
-        """
-        thread = self._thread
-        if self._httpd is not None and thread is not None and thread.is_alive():
-            self._httpd.shutdown()
-        if thread is not None:
-            thread.join(timeout=5.0)
-        self._thread = None
-        self._close_http()
+    def _close_owned(self) -> None:
         if self._owns_solve_server:
             self.solve_server.shutdown()
-
-    def __enter__(self) -> "SolveHTTPServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()

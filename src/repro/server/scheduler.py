@@ -459,7 +459,7 @@ class Scheduler:
         achieved on this ``(fingerprint, solver, rtol, maxiter)`` slot since
         the server started; regret is the (clamped-at-zero) excess over it.
         A consistently-zero surrogate series against a positive rule series
-        is the online win signal the A/B benchmark asserts offline.
+        is the online win signal ``tests/test_learn_ab.py`` asserts offline.
         """
         key = (group.fingerprint, decision.solver, group.rtol, group.maxiter)
         with self._shadow_lock:

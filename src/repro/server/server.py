@@ -179,7 +179,7 @@ class SolveServer:
         Imports :mod:`repro.learn` lazily so a learning-free server never
         pays for (or depends on) the subsystem.  When the store is already
         warm enough, the first generation trains *synchronously* here —
-        a deterministic bootstrap the CI smoke test and the A/B benchmark
+        a deterministic bootstrap the CI smoke test and the A/B test
         rely on (no sleeping until a background tick fires).
         """
         from repro.learn import (
@@ -405,7 +405,6 @@ class SolveServer:
                                     root_span=root)
         except Exception as error:
             reason = getattr(error, "reason", "error")
-            self.telemetry.counter(f"rejected.{reason}").add(1)
             self.telemetry.counter("solve.rejected", reason=reason).add(1)
             tracer.end(admission, outcome="rejected", reason=reason)
             if root is not None:

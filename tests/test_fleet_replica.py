@@ -10,6 +10,7 @@ benchmarks compose fleets from.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -101,7 +102,74 @@ class TestSubprocessReplica:
         assert replica.returncode != 0
 
 
+class _ParkedProbeReplica:
+    """Replica stub whose health probe parks on an event while holding the
+    answer it read beforehand: a probe in flight across a kill."""
+
+    name = "r0"
+    url = "http://stub.invalid"
+
+    def __init__(self) -> None:
+        self.alive = True
+        self.probing = threading.Event()
+        self.release = threading.Event()
+
+    def alive_process(self) -> bool:
+        return self.alive
+
+    def health(self, timeout: float) -> dict:
+        answer = {"replica_id": "stub-0", "started_at": 0.0}
+        self.probing.set()
+        assert self.release.wait(timeout=30.0)
+        return answer
+
+
+class _AnnouncingLock:
+    """Lock that sets ``progress`` when a caller finds it held."""
+
+    def __init__(self, progress: threading.Event) -> None:
+        self._lock = threading.Lock()
+        self._progress = progress
+
+    def __enter__(self) -> None:
+        if not self._lock.acquire(blocking=False):
+            self._progress.set()
+            self._lock.acquire()
+
+    def __exit__(self, *exc_info) -> None:
+        self._lock.release()
+
+
 class TestReplicaFleet:
+    def test_stale_sweep_cannot_resurrect_a_dead_replica(self):
+        """A sweep holding a pre-kill health answer must not leave the
+        replica live once a sweep started after the kill has returned."""
+        replica = _ParkedProbeReplica()
+        # Never started: no monitor thread, every sweep is driven from here.
+        fleet = ReplicaFleet([replica], restart=False)
+        # The fresh sweep below either returns (nothing orders it against
+        # the stale one) or queues behind it; both count as progress.
+        fresh_progress = threading.Event()
+        fleet._sweep_lock = _AnnouncingLock(fresh_progress)
+
+        def fresh_sweep() -> None:
+            fleet.probe_now()
+            fresh_progress.set()
+
+        stale = threading.Thread(target=fleet.probe_now)
+        stale.start()
+        assert replica.probing.wait(timeout=30.0)
+        replica.alive = False  # the kill: the parked answer is now stale
+        fresh = threading.Thread(target=fresh_sweep)
+        fresh.start()
+        assert fresh_progress.wait(timeout=30.0)
+        replica.release.set()
+        for sweep in (stale, fresh):
+            sweep.join(timeout=30.0)
+            assert not sweep.is_alive()
+        assert fleet.live_ids() == frozenset()
+        assert fleet.url_of("r0") is None
+
     def test_requires_unique_nonempty_replicas(self):
         with pytest.raises(FleetError):
             ReplicaFleet([])

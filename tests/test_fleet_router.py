@@ -123,6 +123,10 @@ class TestSharding:
         hits = sum(stats.get("hits", 0)
                    for stats in snapshot.artifact_cache.values())
         assert hits >= len(matrices)
+        # ...and no matrix was ever built twice, on either replica.
+        builds = sum(stats.get("builds", 0)
+                     for stats in snapshot.artifact_cache.values())
+        assert builds == len(matrices)
         # Both replicas took a share of the routed traffic.
         routed = {key: value for key, value in snapshot.counters.items()
                   if key.startswith("fleet.routed")}

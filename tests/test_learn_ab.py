@@ -1,4 +1,4 @@
-"""A/B benchmark: rule-table policy vs the online-trained surrogate policy.
+"""A/B gate: rule-table policy vs the online-trained surrogate policy.
 
 The scenario the online learning loop exists for: a *family* of matrices the
 rule table can only treat generically.  Each member is a 2-D FD Laplacian
@@ -17,17 +17,15 @@ a surrogate generation with the real :class:`SurrogateTrainer` on grid
 measurements of *training* members, then decides through the same policy
 ladder with the surrogate stage attached.  Both arms are evaluated on family
 members the store has never seen; the gate asserts the surrogate's mean
-iteration count beats the rule default by ``LEARN_REQUIRED_WIN`` iterations.
+iteration count beats the rule default by :data:`REQUIRED_WIN` iterations.
 
-Run directly (``PYTHONPATH=src python benchmarks/bench_learn.py``) or through
-pytest.  When run directly with ``LEARN_JSON`` set, per-matrix iteration
-counts and the margin are written there as JSON (CI artifact).
+Deterministic end to end (seeded training, seeded proposals, exact iteration
+counts — nothing is timed), which is why it is a tier-1 test and not a
+benchmark.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -53,7 +51,7 @@ from repro.sparse.fingerprint import matrix_fingerprint
 #: Mean-iteration win (rule minus surrogate) the gate demands on the unseen
 #: evaluation members.  The landscape gives the surrogate ~15-20 iterations
 #: of headroom; 5.0 keeps the gate robust to fit and transfer noise.
-REQUIRED_WIN = float(os.environ.get("LEARN_REQUIRED_WIN", "5.0"))
+REQUIRED_WIN = 5.0
 
 RTOL = 1e-8
 MAXITER = 3000
@@ -112,7 +110,7 @@ def measure_iterations(matrix: sp.csr_matrix,
     return int(result.iterations) if result.converged else MAXITER
 
 
-def seed_family_store(store_dir: str, bank: MatrixBank) -> ObservationStore:
+def seed_family_store(store_dir, bank: MatrixBank) -> ObservationStore:
     """Measure the parameter grid on the training members into a store."""
     store = ObservationStore(store_dir)
     for grid, seed in TRAIN_MEMBERS:
@@ -139,7 +137,7 @@ def seed_family_store(store_dir: str, bank: MatrixBank) -> ObservationStore:
                     baseline_iterations=baseline_iterations,
                     preconditioned_iterations=[iterations],
                     y_values=[iterations / baseline_iterations]),
-                    context="bench_learn")
+                    context="learn_ab")
     return store
 
 
@@ -155,11 +153,12 @@ def decide_and_measure(policy: PreconditionerPolicy,
     return decision.origin, dict(decision.params), iterations
 
 
-def bench_learn(tmp_root: str) -> dict:
-    """Train arm B, evaluate both arms on the unseen members (no gate)."""
+def test_surrogate_beats_rule_table(tmp_path):
+    """The trained surrogate must out-iterate the rule default on unseen
+    family members by at least REQUIRED_WIN iterations on average."""
     bank = MatrixBank()
-    store = seed_family_store(os.path.join(tmp_root, "store"), bank)
-    registry = ModelRegistry(os.path.join(tmp_root, "models"))
+    store = seed_family_store(tmp_path / "store", bank)
+    registry = ModelRegistry(tmp_path / "models")
     surrogate = SurrogatePolicy()
     # The alpha/eps interaction (low alpha is optimal *only* at low eps; the
     # divergence cliff sits at low alpha + high eps) needs a longer, gentler
@@ -178,13 +177,13 @@ def bench_learn(tmp_root: str) -> dict:
     rule_policy = PreconditionerPolicy()  # arm A: cold rule table
     surrogate_policy = PreconditionerPolicy(store, surrogate=surrogate)
 
-    per_matrix = []
+    rule_iterations, surrogate_iterations = [], []
     for grid, seed in EVAL_MEMBERS:
         matrix = skew_laplacian(grid, seed)
-        flags = structural_flags(matrix)
-        assert flags["dominance"] < 0.5, (
+        dominance = structural_flags(matrix)["dominance"]
+        assert dominance < 0.5, (
             f"family drifted out of the fragile regime "
-            f"(dominance {flags['dominance']:.3f})")
+            f"(dominance {dominance:.3f})")
         rule_origin, rule_params, rule_iters = \
             decide_and_measure(rule_policy, matrix)
         surr_origin, surr_params, surr_iters = \
@@ -193,56 +192,18 @@ def bench_learn(tmp_root: str) -> dict:
         assert surr_origin == ORIGIN_SURROGATE, (
             f"surrogate stage did not fire on {member_name(grid, seed)} "
             f"(origin {surr_origin})")
-        per_matrix.append({
-            "matrix": member_name(grid, seed),
-            "n": int(matrix.shape[0]),
-            "dominance": float(flags["dominance"]),
-            "rule_params": rule_params,
-            "rule_iterations": rule_iters,
-            "surrogate_params": surr_params,
-            "surrogate_iterations": surr_iters,
-        })
+        rule_iterations.append(rule_iters)
+        surrogate_iterations.append(surr_iters)
         print(f"{member_name(grid, seed)}: rule {rule_iters} iters "
               f"{rule_params} | surrogate {surr_iters} iters {surr_params}")
 
-    rule_mean = float(np.mean([m["rule_iterations"] for m in per_matrix]))
-    surrogate_mean = float(np.mean([m["surrogate_iterations"]
-                                    for m in per_matrix]))
+    rule_mean = float(np.mean(rule_iterations))
+    surrogate_mean = float(np.mean(surrogate_iterations))
     margin = rule_mean - surrogate_mean
-    print(f"\nmean iterations over {len(per_matrix)} unseen matrices: "
+    print(f"\nmean iterations over {len(EVAL_MEMBERS)} unseen matrices: "
           f"rule {rule_mean:.1f}, surrogate {surrogate_mean:.1f} "
           f"-> margin {margin:+.1f} (model {version})")
-    return {"model_version": version,
-            "train_members": [member_name(g, s) for g, s in TRAIN_MEMBERS],
-            "eval_members": [member_name(g, s) for g, s in EVAL_MEMBERS],
-            "records": len(store),
-            "rule_mean_iterations": rule_mean,
-            "surrogate_mean_iterations": surrogate_mean,
-            "margin": margin,
-            "required_win": REQUIRED_WIN,
-            "per_matrix": per_matrix}
-
-
-def test_surrogate_beats_rule_table(tmp_path):
-    """The trained surrogate must out-iterate the rule default on unseen
-    family members by at least REQUIRED_WIN iterations on average."""
-    results = bench_learn(str(tmp_path))
-    assert results["margin"] >= REQUIRED_WIN, (
-        f"surrogate won by only {results['margin']:+.1f} mean iterations "
-        f"(required {REQUIRED_WIN}); rule {results['rule_mean_iterations']:.1f}"
-        f" vs surrogate {results['surrogate_mean_iterations']:.1f}")
-
-
-if __name__ == "__main__":
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmp_root:
-        results = bench_learn(tmp_root)
-    json_path = os.environ.get("LEARN_JSON")
-    if json_path:
-        with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump(results, handle, indent=2)
-        print(f"wrote {json_path}")
-    assert results["margin"] >= REQUIRED_WIN, (
-        f"surrogate won by only {results['margin']:+.1f} mean iterations "
-        f"(required {REQUIRED_WIN})")
+    assert margin >= REQUIRED_WIN, (
+        f"surrogate won by only {margin:+.1f} mean iterations "
+        f"(required {REQUIRED_WIN}); rule {rule_mean:.1f}"
+        f" vs surrogate {surrogate_mean:.1f}")

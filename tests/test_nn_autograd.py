@@ -317,6 +317,8 @@ class TestSurrogateTrajectoryEquivalence:
         tape_loss = C.surrogate_loss_tensor(F, tape_params, problem)
         closure_loss = C.surrogate_loss_tensor(C, closure_params, problem)
         assert tape_loss.item() == closure_loss.item()
+        autograd.reset_backward_stats()
+        C.reset_allocation_counter()
         tape_loss.backward()
         closure_loss.backward()
         for name in arrays:
@@ -324,6 +326,10 @@ class TestSurrogateTrajectoryEquivalence:
             np.testing.assert_array_equal(tape_params[name].grad,
                                           closure_params[name].grad,
                                           err_msg=name)
+        # In-place accumulation: the same gradients from strictly fewer
+        # gradient buffers than the closures' one-per-contribution.
+        assert (autograd.backward_stats()["buffer_allocations"]
+                < C.allocation_counter())
 
     def test_adam_trajectory_bitwise_identical(self):
         problem = C.seeded_surrogate_problem(3)

@@ -58,11 +58,15 @@ class TestSharedBuilds:
         cache = ArtifactCache(max_entries=32)
         server = _server(cache=cache)
         n = dominant_matrix.shape[0]
-        server.solve(SolveRequestV1(matrix=dominant_matrix, rhs=np.ones(n)))
+        cold = server.solve(SolveRequestV1(matrix=dominant_matrix, rhs=np.ones(n)))
         hits_before = cache.stats.hits
         server.solve(SolveRequestV1(matrix=dominant_matrix, rhs=np.arange(n) * 1.0))
         assert cache.stats.builds == 1
         assert cache.stats.hits > hits_before
+        # served from the cached build, the first request repeats to the bit
+        warm = server.solve(SolveRequestV1(matrix=dominant_matrix, rhs=np.ones(n)))
+        assert cache.stats.builds == 1
+        assert np.array_equal(warm.solution, cold.solution)
         server.shutdown()
 
     def test_same_matrix_different_rhs_batched_into_multi_rhs_solve(
@@ -194,7 +198,7 @@ class TestBackpressureAndFailures:
             server.submit(SolveRequestV1(matrix=dominant_matrix))
         assert excinfo.value.reason == "queue_full"
         snapshot = server.telemetry_snapshot()
-        assert snapshot["counters"]["rejected.queue_full"] == 1
+        assert snapshot["counters"]['solve.rejected{reason="queue_full"}'] == 1
         assert server.drain(timeout=30.0)
         server.shutdown()
 

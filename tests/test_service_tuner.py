@@ -257,6 +257,7 @@ class TestStoreAwareEvaluatorReplay:
         fresh = MatrixEvaluator(small_spd, "lap", settings=settings,
                                 seed=3).evaluate(parameters, n_replications=2)
         assert served.y_values == first.y_values == fresh.y_values
+        assert len(store) == 1  # the replay added nothing
         assert (served.preconditioned_iterations
                 == fresh.preconditioned_iterations)
 
