@@ -202,7 +202,7 @@ class MatrixEvaluator:
         # whatever seed / replication count produced them.  It prefixes the
         # store context so consumers (the tuning service) can filter by it.
         self.settings_fingerprint = measurement_regime(self.settings, self.rhs)
-        if store is not None:
+        if store is not None and not store.has_matrix(self.fingerprint):
             from repro.matrices.features import feature_vector
 
             store.register_matrix(self.fingerprint, self.name,

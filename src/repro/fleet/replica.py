@@ -38,7 +38,7 @@ import time
 from repro.client.http import HTTPClient
 from repro.exceptions import ReproError
 from repro.logging_utils import get_logger
-from repro.server.telemetry import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["FleetError", "SubprocessReplica", "InProcessReplica",
            "ReplicaFleet"]

@@ -29,11 +29,14 @@ out across a :class:`~repro.fleet.replica.ReplicaFleet`:
   router degrades honestly: a typed ``unavailable``
   :class:`~repro.api.errors.ErrorEnvelope` under HTTP 503.
 * **Aggregation.**  ``GET /v1/metrics`` merges every live replica's
-  snapshot into one answer — instruments gain a ``replica`` label (JSON via
-  :func:`~repro.server.telemetry.parse_label_key`, Prometheus via
-  :func:`~repro.obs.prometheus.merge_expositions`) — alongside the router's
-  own ``fleet.*`` telemetry.  ``GET /v1/healthz`` reports ``ok`` /
-  ``degraded`` / ``unavailable`` with per-replica detail.
+  *snapshot* into one (:meth:`FleetRouter.aggregate_snapshot`): replica
+  instruments gain a ``replica`` label through the label codec of
+  :mod:`repro.obs.metrics`, alongside the router's own ``fleet.*``
+  telemetry.  Both formats are that one merged snapshot — JSON as is,
+  ``?format=prometheus`` through
+  :func:`~repro.obs.prometheus.render_prometheus`, the same encoder a single
+  server uses.  ``GET /v1/healthz`` reports ``ok`` / ``degraded`` /
+  ``unavailable`` with per-replica detail.
 
 Job ids are namespaced by the router: ``POST /v1/submit`` records
 ``router_id -> (replica, remote_id)`` and rewrites the id in job-status
@@ -56,14 +59,13 @@ from repro.api.errors import (
     ErrorEnvelope,
     RemoteSolveError,
 )
-from repro.api.schemas import TelemetrySnapshot
 from repro.client.http import HTTPClient, RawReply
 from repro.fleet.replica import ReplicaFleet
 from repro.fleet.ring import DEFAULT_VNODES, HashRing
 from repro.logging_utils import get_logger
+from repro.obs.metrics import parse_label_key, render_label_key
 from repro.server.http import TRACE_HEADER, WireHandler, WireListener
-from repro.server.telemetry import parse_label_key, render_label_key
-from repro.obs.prometheus import merge_expositions, render_prometheus
+from repro.server.queue import MAX_TRACKED_JOBS
 from repro.version import __version__
 
 __all__ = ["FleetRouter"]
@@ -123,7 +125,8 @@ class _RouterHandler(WireHandler):
         if route == "/v1/healthz":
             self._dispatch(lambda: self.router.answer_health(self))
         elif route == "/v1/metrics":
-            self._dispatch(lambda: self.router.answer_metrics(self, query))
+            self._dispatch(lambda: self._send_metrics(
+                query, self.router.aggregate_snapshot))
         elif route.startswith("/v1/jobs/"):
             self._dispatch(lambda: self.router.proxy_job(self, route))
         else:
@@ -172,8 +175,7 @@ class FleetRouter(WireListener):
     def __init__(self, fleet: ReplicaFleet, *, host: str = "127.0.0.1",
                  port: int = 0, vnodes: int = DEFAULT_VNODES,
                  proxy_timeout: float = 300.0, connect_timeout: float = 5.0,
-                 failover_retries: int = 1,
-                 max_tracked_jobs: int = 4096) -> None:
+                 failover_retries: int = 1) -> None:
         super().__init__(host, port)
         self.fleet = fleet
         self.telemetry = fleet.telemetry
@@ -187,7 +189,6 @@ class FleetRouter(WireListener):
         self._jobs: dict[int, tuple[str, int]] = {}
         self._next_job_id = 1
         self._jobs_lock = threading.Lock()
-        self._max_tracked_jobs = max(int(max_tracked_jobs), 1)
 
     # -- proxied hop ----------------------------------------------------------
     def _client_for(self, url: str) -> HTTPClient:
@@ -298,7 +299,7 @@ class FleetRouter(WireListener):
             router_id = self._next_job_id
             self._next_job_id += 1
             self._jobs[router_id] = (replica, remote_id)
-            overflow = len(self._jobs) - self._max_tracked_jobs
+            overflow = len(self._jobs) - MAX_TRACKED_JOBS
             if overflow > 0:
                 for stale in list(self._jobs)[:overflow]:
                     del self._jobs[stale]
@@ -375,27 +376,6 @@ class FleetRouter(WireListener):
         merged["queue"] = queues
         merged["artifact_cache"] = caches
         return merged
-
-    def answer_metrics(self, handler: _RouterHandler,
-                       query: dict[str, list[str]]) -> None:
-        if handler._metrics_format(query) == "prometheus":
-            expositions = {}
-            for name, url in self._live_replicas():
-                try:
-                    expositions[name] = (
-                        self._client_for(url).metrics_prometheus())
-                except Exception as error:  # noqa: BLE001
-                    _LOG.warning("prometheus scrape of replica %s failed: "
-                                 "%s", name, error)
-            merged = merge_expositions(
-                render_prometheus(self.telemetry), expositions,
-                label="replica")
-            handler._send_text(
-                200, merged,
-                content_type="text/plain; version=0.0.4; charset=utf-8")
-            return
-        snapshot = TelemetrySnapshot.from_snapshot(self.aggregate_snapshot())
-        handler._send_json(200, snapshot.to_json_dict())
 
     def health_snapshot(self) -> dict:
         """Fleet liveness in the shape clients already understand.

@@ -84,8 +84,13 @@ def gmres(matrix, rhs, *, preconditioner=None, x0=None, rtol: float = 1e-8,
 
     while total_iterations < maxiter and not converged:
         # --- Arnoldi process for one restart cycle ---------------------------
-        basis = np.zeros((restart + 1, n), dtype=np.float64)
-        hessenberg = np.zeros((restart + 1, restart), dtype=np.float64)
+        # The two big arrays are left uninitialised: serving asks for full
+        # GMRES (``restart = min(n, maxiter)``), and zero-filling 1001 rows a
+        # converging solve never reaches touches tens of MB per cycle.  Every
+        # entry is written before it is read — basis row j+1 and Hessenberg
+        # column j at step j — so results are bit-identical to zero-filling.
+        basis = np.empty((restart + 1, n), dtype=np.float64)
+        hessenberg = np.empty((restart + 1, restart), dtype=np.float64)
         givens_cos = np.zeros(restart, dtype=np.float64)
         givens_sin = np.zeros(restart, dtype=np.float64)
         rhs_small = np.zeros(restart + 1, dtype=np.float64)

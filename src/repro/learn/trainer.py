@@ -176,7 +176,7 @@ class SurrogateTrainer:
     config:
         :class:`LearnConfig`.
     telemetry:
-        Optional :class:`~repro.server.telemetry.MetricsRegistry` receiving
+        Optional :class:`~repro.obs.metrics.MetricsRegistry` receiving
         the ``learn.*`` series.
     tracer:
         Optional tracer; training and publishing emit ``learn.train`` /

@@ -1,15 +1,19 @@
-"""Observability: span tracing, solver phase timers, Prometheus rendering.
+"""Observability: span tracing, solver phase timers, metrics.
 
-Three stdlib-only building blocks the serving stack threads through the
-request path:
+Building blocks the serving stack threads through the request path — stdlib
+plus numpy only, importing nothing else of :mod:`repro` but its exceptions,
+so any layer (the Krylov solvers included) may depend on them:
 
 * :mod:`repro.obs.trace` — :class:`Span`/:class:`Tracer` with parent/child
   nesting, per-request trace IDs, JSONL streaming, and Chrome trace-event
   export.  :data:`NULL_TRACER` is the zero-cost default when tracing is off.
 * :mod:`repro.obs.phases` — ambient per-solve phase timers (matvec,
   preconditioner apply, orthogonalization) for the Krylov solvers.
-* :mod:`repro.obs.prometheus` — text-exposition rendering (and a matching
-  parser) for :class:`~repro.server.telemetry.MetricsRegistry`.
+* :mod:`repro.obs.metrics` — the metrics registry (counters, gauges,
+  histograms, optionally labeled), its JSON snapshot, and the one label
+  codec (``render_label_key`` / ``parse_label_key``).
+* :mod:`repro.obs.prometheus` — the one text-exposition encoder, fed by
+  that snapshot, and a matching parser.
 """
 
 from repro.obs.phases import (

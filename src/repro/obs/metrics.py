@@ -1,4 +1,4 @@
-"""Metrics registry of the solve server.
+"""Metrics registry and the label codec every metrics consumer shares.
 
 Serving a stream of solve requests is only tunable if the server can answer
 "what happened": how many requests were admitted or rejected (and why), how
@@ -12,16 +12,19 @@ the three classic instrument kinds —
   (latency, iteration counts, batch sizes),
 
 — collected in a thread-safe :class:`MetricsRegistry` whose :meth:`snapshot`
-is a plain JSON-serialisable dict (the CI benchmark artifact and the
-``repro-serve`` CLI both print it verbatim).
+is a plain JSON-serialisable dict.  The snapshot is the *only* thing the rest
+of the metrics pipeline reads: ``GET /v1/metrics`` serves it as JSON,
+:func:`repro.obs.prometheus.render_prometheus` encodes it as text, and the
+fleet router merges replica snapshots into one.
 
 Instruments are created on first use (``registry.counter("x").add(1)``), so
 call sites never need registration boilerplate.  Instruments may carry
 **labels** (``registry.counter("solve.rejected", reason="queue_full")``):
-each distinct label set is its own instrument, stored under the rendered key
-``solve.rejected{reason="queue_full"}``.  Unlabeled instruments keep their
-plain name as the key, so the snapshot shape is unchanged for existing call
-sites.
+each distinct label set is its own instrument, stored under the key
+``solve.rejected{reason="queue_full"}`` that :func:`render_label_key` renders
+and :func:`parse_label_key` reads back — the one codec for series names, in
+snapshots and in the Prometheus exposition alike.  Unlabeled instruments keep
+their plain name as the key.
 
 Histograms keep exact ``count`` / ``sum`` / ``min`` / ``max`` forever and
 retain a bounded *reservoir* of raw samples for quantile estimation
@@ -60,12 +63,12 @@ def _escape_label_value(value: str) -> str:
 
 
 def render_label_key(name: str, labels: dict[str, str]) -> str:
-    """Canonical storage key for an instrument: ``name{k="v",...}``.
+    """Canonical key of a labelled series: ``name{k="v",...}``.
 
     Labels are sorted by name and values escaped exactly as in the Prometheus
     text exposition format, so a key is both stable (one key per label set)
     and human-readable in snapshots.  An empty label set renders as the bare
-    name — the pre-label snapshot shape.
+    name.
     """
     if not labels:
         return name
@@ -96,10 +99,8 @@ def _unescape_label_value(value: str) -> str:
 def parse_label_key(key: str) -> tuple[str, dict[str, str]]:
     """Inverse of :func:`render_label_key`: ``name{k="v"}`` → name + labels.
 
-    The fleet router uses this to re-key replica snapshot entries with an
-    added ``replica`` label while keeping any labels the replica already
-    rendered.  Raises :class:`~repro.exceptions.ParameterError` on keys this
-    module could not have produced.
+    Raises :class:`~repro.exceptions.ParameterError` on keys
+    :func:`render_label_key` could not have produced.
     """
     if not (key.endswith("}") and "{" in key):
         return key, {}
@@ -129,15 +130,24 @@ def _validate_labels(name: str, labels: dict[str, object]) -> dict[str, str]:
     return clean
 
 
-class Counter:
-    """Monotonically increasing event counter."""
+class _Instrument:
+    """Name, label set, rendered key and lock of one series."""
+
+    #: The snapshot section instruments of this kind are reported under.
+    kind: str
 
     def __init__(self, name: str, *, labels: dict[str, str] | None = None) -> None:
         self.name = name
         self.labels = dict(labels or {})
         self.key = render_label_key(name, self.labels)
-        self._value = 0
         self._lock = threading.Lock()
+
+
+class Counter(_Instrument):
+    """Monotonically increasing event counter."""
+
+    kind = "counters"
+    _value = 0
 
     @property
     def value(self) -> int:
@@ -154,15 +164,11 @@ class Counter:
             self._value += int(amount)
 
 
-class Gauge:
+class Gauge(_Instrument):
     """Last-written value (e.g. current queue depth)."""
 
-    def __init__(self, name: str, *, labels: dict[str, str] | None = None) -> None:
-        self.name = name
-        self.labels = dict(labels or {})
-        self.key = render_label_key(name, self.labels)
-        self._value = 0.0
-        self._lock = threading.Lock()
+    kind = "gauges"
+    _value = 0.0
 
     @property
     def value(self) -> float:
@@ -181,7 +187,7 @@ class Gauge:
             self._value += float(delta)
 
 
-class Histogram:
+class Histogram(_Instrument):
     """Distribution of float observations with quantile estimates.
 
     Keeps exact ``count`` / ``sum`` / ``min`` / ``max`` for every observation
@@ -192,15 +198,15 @@ class Histogram:
     identical quantile estimates across runs.
     """
 
+    kind = "histograms"
+
     def __init__(self, name: str, *,
                  max_samples: int = DEFAULT_MAX_SAMPLES,
                  labels: dict[str, str] | None = None) -> None:
         if max_samples < 1:
             raise ParameterError(
                 f"histogram {name}: max_samples must be >= 1, got {max_samples}")
-        self.name = name
-        self.labels = dict(labels or {})
-        self.key = render_label_key(name, self.labels)
+        super().__init__(name, labels=labels)
         self._max_samples = int(max_samples)
         self._samples: list[float] = []
         self._count = 0
@@ -208,7 +214,6 @@ class Histogram:
         self._min = float("inf")
         self._max = float("-inf")
         self._rng = random.Random(zlib.crc32(self.key.encode("utf-8")))
-        self._lock = threading.Lock()
 
     @property
     def count(self) -> int:
@@ -249,15 +254,16 @@ class Histogram:
             return float(np.quantile(np.asarray(self._samples), q))
 
     def summary(self) -> dict[str, float]:
-        """count / mean / min / p50 / p95 / p99 / max as a plain dict."""
+        """count / sum / mean / min / p50 / p95 / p99 / max as a plain dict."""
+        nan = float("nan")
         with self._lock:
             if self._count == 0:
-                return {"count": 0, "mean": float("nan"), "min": float("nan"),
-                        "p50": float("nan"), "p95": float("nan"),
-                        "p99": float("nan"), "max": float("nan")}
+                return {"count": 0, "sum": 0.0, "mean": nan, "min": nan,
+                        "p50": nan, "p95": nan, "p99": nan, "max": nan}
             samples = np.asarray(self._samples)
             return {
                 "count": self._count,
+                "sum": self._sum,
                 "mean": self._sum / self._count,
                 "min": self._min,
                 "p50": float(np.quantile(samples, 0.50)),
@@ -272,79 +278,51 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, Histogram] = {}
+        # The one instrument table: (snapshot section, rendered key) -> series.
+        self._instruments: dict[tuple[str, str], _Instrument] = {}
+
+    def _get_or_create(self, factory, name: str, labels: dict[str, object]):
+        clean = _validate_labels(name, labels)
+        slot = (factory.kind, render_label_key(name, clean))
+        with self._lock:
+            if slot not in self._instruments:
+                self._instruments[slot] = factory(name, labels=clean)
+            return self._instruments[slot]
 
     def counter(self, name: str, **labels: object) -> Counter:
         """The counter for ``name`` + label set (created when missing)."""
-        clean = _validate_labels(name, labels)
-        key = render_label_key(name, clean)
-        with self._lock:
-            if key not in self._counters:
-                self._counters[key] = Counter(name, labels=clean)
-            return self._counters[key]
+        return self._get_or_create(Counter, name, labels)
 
     def gauge(self, name: str, **labels: object) -> Gauge:
         """The gauge for ``name`` + label set (created when missing)."""
-        clean = _validate_labels(name, labels)
-        key = render_label_key(name, clean)
-        with self._lock:
-            if key not in self._gauges:
-                self._gauges[key] = Gauge(name, labels=clean)
-            return self._gauges[key]
+        return self._get_or_create(Gauge, name, labels)
 
-    def histogram(self, name: str, *,
-                  max_samples: int = DEFAULT_MAX_SAMPLES,
-                  **labels: object) -> Histogram:
+    def histogram(self, name: str, **labels: object) -> Histogram:
         """The histogram for ``name`` + label set (created when missing)."""
-        clean = _validate_labels(name, labels)
-        key = render_label_key(name, clean)
-        with self._lock:
-            if key not in self._histograms:
-                self._histograms[key] = Histogram(
-                    name, max_samples=max_samples, labels=clean)
-            return self._histograms[key]
-
-    def instruments(self) -> dict[str, list]:
-        """All registered instruments, by kind, sorted by key.
-
-        The Prometheus renderer walks this to group label sets of the same
-        metric name into one family.
-        """
-        with self._lock:
-            return {
-                "counters": [self._counters[k] for k in sorted(self._counters)],
-                "gauges": [self._gauges[k] for k in sorted(self._gauges)],
-                "histograms": [self._histograms[k]
-                               for k in sorted(self._histograms)],
-            }
+        return self._get_or_create(Histogram, name, labels)
 
     def snapshot(self) -> dict:
         """Every instrument's current state as a JSON-serialisable dict.
 
-        Labeled instruments appear under their rendered key
-        (``name{k="v"}``); unlabeled instruments under their plain name, so
-        pre-label consumers see the same shape as before.  ``nan`` values
-        (empty histograms) are mapped to ``None`` so the result round-trips
-        through strict JSON parsers.
+        ``{"counters": {key: int}, "gauges": {key: float}, "histograms":
+        {key: summary}}``, each section sorted by key.  Labeled instruments
+        appear under their rendered key (``name{k="v"}``), unlabeled ones
+        under their plain name.  ``nan`` values (empty histograms) are mapped
+        to ``None`` so the result round-trips through strict JSON parsers.
         """
         with self._lock:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
-            histograms = dict(self._histograms)
-
-        def clean(value: float) -> float | None:
-            return None if isinstance(value, float) and np.isnan(value) else value
-
-        return {
-            "counters": {key: c.value for key, c in sorted(counters.items())},
-            "gauges": {key: g.value for key, g in sorted(gauges.items())},
-            "histograms": {
-                key: {k: clean(v) for k, v in h.summary().items()}
-                for key, h in sorted(histograms.items())
-            },
-        }
+            instruments = sorted(self._instruments.items())
+        snapshot: dict[str, dict] = {"counters": {}, "gauges": {},
+                                     "histograms": {}}
+        for (kind, key), instrument in instruments:
+            if kind == Histogram.kind:
+                snapshot[kind][key] = {
+                    field: None if isinstance(value, float) and np.isnan(value)
+                    else value
+                    for field, value in instrument.summary().items()}
+            else:
+                snapshot[kind][key] = instrument.value
+        return snapshot
 
     def to_json(self, *, indent: int | None = 2) -> str:
         """The snapshot rendered as a JSON string."""

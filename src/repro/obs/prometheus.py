@@ -1,49 +1,53 @@
-"""Prometheus text-exposition rendering for the metrics registry.
+"""Prometheus text exposition of a metrics snapshot: the one encoder.
 
-:func:`render_prometheus` walks a
-:class:`~repro.server.telemetry.MetricsRegistry` and emits the classic text
-format (version 0.0.4): one ``# TYPE`` line per family followed by its
-samples, counters suffixed ``_total``, histograms rendered as Prometheus
-*summaries* (``quantile`` label + ``_sum`` / ``_count``).  Metric names are
-sanitised (``solve.latency_ms`` → ``repro_solve_latency_ms``) and label
-values escaped per the spec, so the output scrapes cleanly.
+:func:`render_prometheus` takes the snapshot dict every transport already
+serves as JSON (:meth:`repro.obs.metrics.MetricsRegistry.snapshot`, plus the
+``queue`` / ``artifact_cache`` sections a server or fleet router adds) and
+emits the classic text format (version 0.0.4): one ``# TYPE`` line per family
+followed by its samples, counters suffixed ``_total``, histograms rendered as
+Prometheus *summaries* (``quantile`` label + ``_sum`` / ``_count``).  Metric
+names are sanitised (``solve.latency_ms`` → ``repro_solve_latency_ms``);
+series names go through the label codec of :mod:`repro.obs.metrics`, so a
+snapshot key and an exposition line escape label values the same way.
 
 :func:`parse_prometheus` is the matching reader — enough of the text format
-to round-trip our own output.  Tests and the CI trace-smoke step use it to
-assert the ``/v1/metrics?format=prometheus`` endpoint stays parseable.
+to round-trip our own output.  Tests and the CI smoke steps use it to assert
+the ``/v1/metrics?format=prometheus`` endpoint stays parseable.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from typing import Iterator, NamedTuple
 
-__all__ = ["render_prometheus", "parse_prometheus", "merge_expositions",
-           "PrometheusSample"]
+from repro.exceptions import ParameterError
+from repro.obs.metrics import parse_label_key, render_label_key
+
+__all__ = ["render_prometheus", "parse_prometheus", "PrometheusSample"]
 
 _INVALID_NAME_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
 
 _SAMPLE_RE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>.*)\})?"
+    r"^(?P<series>[a-zA-Z_:][a-zA-Z0-9_:]*(?:\{.*\})?)"
     r"\s+(?P<value>\S+)\s*$")
 
-_LABEL_RE = re.compile(
-    r'\s*(?P<key>[a-zA-Z_][a-zA-Z0-9_]*)="(?P<value>(?:[^"\\]|\\.)*)"\s*(?:,|$)')
+#: Snapshot sections that live outside the registry; their numeric entries
+#: are exposed as gauges ``<section>.<key>``.
+_SECTIONS = ("queue", "artifact_cache")
+
+_TYPES = {"counters": "counter", "gauges": "gauge", "histograms": "summary"}
+
+_QUANTILES = (("0.5", "p50"), ("0.95", "p95"), ("0.99", "p99"))
 
 
-def _sanitize(name: str) -> str:
-    """A legal Prometheus metric name (dots and dashes become underscores)."""
+def _family_name(name: str) -> str:
+    """A legal, ``repro_``-prefixed Prometheus metric name (dots and dashes
+    become underscores)."""
     clean = _INVALID_NAME_CHARS.sub("_", name)
     if not clean or clean[0].isdigit():
         clean = "_" + clean
-    return clean
-
-
-def _escape(value: str) -> str:
-    return (value.replace("\\", r"\\")
-            .replace('"', r"\"")
-            .replace("\n", r"\n"))
+    return f"repro_{clean}"
 
 
 def _format_value(value: float) -> str:
@@ -57,174 +61,79 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
-def _sample_line(name: str, labels: dict[str, str], value: float,
-                 extra: tuple[str, str] | None = None) -> str:
-    items = sorted(labels.items())
-    if extra is not None:
-        items.append(extra)
-    if items:
-        inner = ",".join(f'{key}="{_escape(val)}"' for key, val in items)
-        return f"{name}{{{inner}}} {_format_value(value)}"
-    return f"{name} {_format_value(value)}"
+def _section_gauges(section: str, entries: dict
+                    ) -> Iterator[tuple[str, dict[str, str], float]]:
+    """``(name, labels, value)`` of one section's numeric, non-bool entries.
 
-
-def render_prometheus(registry, *, namespace: str = "repro",
-                      extra_gauges: dict[str, float] | None = None) -> str:
-    """The registry's instruments in Prometheus text format 0.0.4.
-
-    ``extra_gauges`` lets the caller merge point-in-time values that live
-    outside the registry (queue depth, cache occupancy) into the scrape as
-    plain gauges.
+    A single server's section maps keys to values; the fleet router's merged
+    section maps replica names to such dicts, which become a ``replica``
+    label.
     """
-    instruments = registry.instruments()
-    lines: list[str] = []
+    for key, value in entries.items():
+        if isinstance(value, dict):
+            scoped = [(inner, {"replica": key}, number)
+                      for inner, number in value.items()]
+        else:
+            scoped = [(key, {}, value)]
+        for inner, labels, number in scoped:
+            if isinstance(number, (int, float)) and not isinstance(number, bool):
+                yield f"{section}.{inner}", labels, number
 
-    # Counters: family name carries the conventional _total suffix.
-    families: dict[str, list] = {}
-    for counter in instruments["counters"]:
-        families.setdefault(counter.name, []).append(counter)
-    for name in sorted(families):
-        full = f"{namespace}_{_sanitize(name)}"
-        if not full.endswith("_total"):
+
+def render_prometheus(snapshot: dict) -> str:
+    """``snapshot`` in Prometheus text format 0.0.4.
+
+    Counters, gauges and histograms are read from the sections of those
+    names; the numeric entries of the ``queue`` / ``artifact_cache``
+    sections (when present) join as gauges, unless the registry already
+    holds a gauge of that name and label set (``queue.depth``).
+    """
+    families: dict[tuple[str, str], list[tuple[dict[str, str], object]]] = {}
+    for kind in _TYPES:
+        for key in sorted(snapshot[kind]):
+            name, labels = parse_label_key(key)
+            families.setdefault((kind, name), []).append(
+                (labels, snapshot[kind][key]))
+    for section in _SECTIONS:
+        for name, labels, value in _section_gauges(
+                section, snapshot.get(section, {})):
+            series = families.setdefault(("gauges", name), [])
+            if all(existing != labels for existing, _ in series):
+                series.append((labels, value))
+
+    lines: list[str] = []
+    for kind, name in sorted(families):
+        full = _family_name(name)
+        if kind == "counters" and not full.endswith("_total"):
             full += "_total"
-        lines.append(f"# TYPE {full} counter")
-        for counter in families[name]:
-            lines.append(_sample_line(full, counter.labels, counter.value))
-
-    families = {}
-    for gauge in instruments["gauges"]:
-        families.setdefault(gauge.name, []).append(gauge)
-    extra = dict(extra_gauges or {})
-    for name in sorted(set(families) | set(extra)):
-        full = f"{namespace}_{_sanitize(name)}"
-        lines.append(f"# TYPE {full} gauge")
-        for gauge in families.get(name, []):
-            lines.append(_sample_line(full, gauge.labels, gauge.value))
-        if name in extra:
-            lines.append(_sample_line(full, {}, float(extra[name])))
-
-    # Histograms render as Prometheus summaries: pre-computed quantiles plus
-    # exact _sum/_count (quantile lines are omitted while empty — NaN there
-    # trips many scrapers).
-    families = {}
-    for histogram in instruments["histograms"]:
-        families.setdefault(histogram.name, []).append(histogram)
-    for name in sorted(families):
-        full = f"{namespace}_{_sanitize(name)}"
-        lines.append(f"# TYPE {full} summary")
-        for histogram in families[name]:
-            summary = histogram.summary()
-            if summary["count"] > 0:
-                for q_label, q_key in (("0.5", "p50"), ("0.95", "p95"),
-                                       ("0.99", "p99")):
-                    lines.append(_sample_line(
-                        full, histogram.labels, summary[q_key],
-                        extra=("quantile", q_label)))
-            lines.append(_sample_line(
-                f"{full}_sum", histogram.labels, histogram.sum))
-            lines.append(_sample_line(
-                f"{full}_count", histogram.labels, summary["count"]))
-
+        lines.append(f"# TYPE {full} {_TYPES[kind]}")
+        for labels, value in families[kind, name]:
+            if kind != "histograms":
+                lines.append(f"{render_label_key(full, labels)} "
+                             f"{_format_value(value)}")
+                continue
+            # Summaries: pre-computed quantiles (omitted while empty — NaN
+            # there trips many scrapers) plus exact _sum / _count.
+            if value["count"] > 0:
+                series = render_label_key(full, labels)
+                # ``quantile`` goes after the series' own (sorted) labels.
+                head = f"{series[:-1]}," if labels else f"{series}{{"
+                for quantile, field in _QUANTILES:
+                    lines.append(f'{head}quantile="{quantile}"}} '
+                                 f"{_format_value(value[field])}")
+            lines.append(f"{render_label_key(full + '_sum', labels)} "
+                         f"{_format_value(value['sum'])}")
+            lines.append(f"{render_label_key(full + '_count', labels)} "
+                         f"{_format_value(value['count'])}")
     return "\n".join(lines) + "\n"
 
 
-def _family_of(name: str, types: dict[str, str]) -> str:
-    """The family a sample line belongs to (summaries emit ``_sum``/``_count``
-    samples under their base family's ``# TYPE`` line)."""
-    if name in types:
-        return name
-    for suffix in ("_sum", "_count"):
-        if name.endswith(suffix) and name[: -len(suffix)] in types:
-            return name[: -len(suffix)]
-    return name
-
-
-def merge_expositions(base: str, labeled: dict[str, str], *,
-                      label: str = "replica") -> str:
-    """Merge several text expositions into one labeled scrape.
-
-    The fleet router's ``/v1/metrics?format=prometheus`` endpoint fetches
-    each replica's exposition and merges it with the router's own: every
-    sample from ``labeled[source]`` gains ``{label="source"}`` (overriding a
-    pre-existing label of the same name), families of the same metric are
-    grouped under a *single* ``# TYPE`` line (the spec forbids repeating a
-    family), and the ``base`` text's samples pass through unlabeled.  The
-    result round-trips :func:`parse_prometheus`.
-    """
-    family_types: dict[str, str] = {}
-    family_order: list[str] = []
-    samples_by_family: dict[str, list[tuple[str, dict[str, str], float]]] = {}
-
-    def ingest(text: str, source: str | None) -> None:
-        samples, types = parse_prometheus(text)
-        for family, family_type in types.items():
-            if family not in family_types:
-                family_types[family] = family_type
-                family_order.append(family)
-        for sample in samples:
-            labels = dict(sample.labels)
-            if source is not None:
-                labels[label] = source
-            samples_by_family.setdefault(
-                _family_of(sample.name, types), []).append(
-                    (sample.name, labels, sample.value))
-
-    ingest(base, None)
-    for source in sorted(labeled):
-        ingest(labeled[source], source)
-
-    lines: list[str] = []
-    for family in family_order:
-        lines.append(f"# TYPE {family} {family_types[family]}")
-        for name, labels, value in samples_by_family.pop(family, []):
-            lines.append(_sample_line(name, labels, value))
-    # Samples whose family never had a TYPE line (none of our own renderers
-    # produce these, but a replica's exposition may) pass through untyped.
-    for entries in samples_by_family.values():
-        for name, labels, value in entries:
-            lines.append(_sample_line(name, labels, value))
-    return "\n".join(lines) + "\n"
-
-
-class PrometheusSample:
+class PrometheusSample(NamedTuple):
     """One parsed sample line: name, labels, value."""
 
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: dict[str, str], value: float) -> None:
-        self.name = name
-        self.labels = labels
-        self.value = value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PrometheusSample({self.name!r}, {self.labels!r}, {self.value!r})"
-
-
-def _unescape(value: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(value):
-        ch = value[i]
-        if ch == "\\" and i + 1 < len(value):
-            nxt = value[i + 1]
-            out.append({"n": "\n", "\\": "\\", '"': '"'}.get(nxt, "\\" + nxt))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
-
-
-def _parse_labels(raw: str) -> dict[str, str]:
-    labels: dict[str, str] = {}
-    pos = 0
-    while pos < len(raw):
-        match = _LABEL_RE.match(raw, pos)
-        if match is None:
-            raise ValueError(f"malformed label block: {raw!r} at offset {pos}")
-        labels[match.group("key")] = _unescape(match.group("value"))
-        pos = match.end()
-    return labels
+    name: str
+    labels: dict[str, str]
+    value: float
 
 
 def parse_prometheus(text: str) -> tuple[list[PrometheusSample], dict[str, str]]:
@@ -236,7 +145,9 @@ def parse_prometheus(text: str) -> tuple[list[PrometheusSample], dict[str, str]]
     """
     samples: list[PrometheusSample] = []
     types: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # Lines end at "\n" only: other line-break characters may sit (unescaped,
+    # per the format) inside a label value.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped:
             continue
@@ -248,12 +159,12 @@ def parse_prometheus(text: str) -> tuple[list[PrometheusSample], dict[str, str]]
         match = _SAMPLE_RE.match(stripped)
         if match is None:
             raise ValueError(f"line {lineno}: not a valid sample: {line!r}")
-        raw_value = match.group("value")
         try:
-            value = float(raw_value.replace("+Inf", "inf").replace("-Inf", "-inf"))
-        except ValueError as exc:
+            value = float(match["value"].replace("+Inf", "inf")
+                          .replace("-Inf", "-inf"))
+            name, labels = parse_label_key(match["series"])
+        except (ValueError, ParameterError) as exc:
             raise ValueError(
-                f"line {lineno}: bad sample value {raw_value!r}") from exc
-        labels = _parse_labels(match.group("labels") or "")
-        samples.append(PrometheusSample(match.group("name"), labels, value))
+                f"line {lineno}: not a valid sample: {line!r}") from exc
+        samples.append(PrometheusSample(name, labels, value))
     return samples, types

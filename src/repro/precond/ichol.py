@@ -58,8 +58,7 @@ def _ic0_factorise(matrix: sp.csr_matrix) -> sp.csr_matrix:
         if position_diag is None:
             raise PreconditionerError(
                 f"IC(0) requires a structurally non-zero diagonal (row {i})")
-        pivot = vals_i[position_diag] - float(
-            np.sum(vals_i[:position_diag] ** 2)) if position_diag else vals_i[position_diag]
+        pivot = vals_i[position_diag]
         if position_diag:
             # Only the strictly-lower entries of row i contribute to the pivot.
             strictly_lower = vals_i[:position_diag]
@@ -116,6 +115,7 @@ class IncompleteCholeskyPreconditioner(Preconditioner):
         else:
             raise PreconditionerError(
                 f"IC(0) failed after {max_shifts} diagonal shifts") from last_error
+        self._upper = self._lower.T.tocsr()
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -140,4 +140,4 @@ class IncompleteCholeskyPreconditioner(Preconditioner):
 
         array = self._check_vector(vector)
         intermediate = spsolve_triangular(self._lower, array, lower=True)
-        return spsolve_triangular(self._lower.T.tocsr(), intermediate, lower=False)
+        return spsolve_triangular(self._upper, intermediate, lower=False)

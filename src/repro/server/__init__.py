@@ -19,10 +19,9 @@ and HTTP/JSON traffic (:mod:`repro.server.http` +
 * :mod:`repro.server.policy` — :class:`PreconditionerPolicy`
   (stored reuse → warm start → rule table, deterministic via store
   snapshots).
-* :mod:`repro.server.telemetry` — :class:`MetricsRegistry` (counters,
-  gauges, latency/iteration histograms — optionally labeled — JSON
-  snapshots, and the instrument walk behind the Prometheus exposition of
-  :mod:`repro.obs.prometheus`).
+* :mod:`repro.obs.metrics` — :class:`MetricsRegistry` (counters, gauges,
+  latency/iteration histograms — optionally labeled — and the JSON
+  snapshot both ``/v1/metrics`` formats are served from), re-exported here.
 * :mod:`repro.server.server` — :class:`SolveServer`, the facade with
   submit / await / drain / shutdown semantics.
 * :mod:`repro.server.http` — :class:`SolveHTTPServer`, the stdlib
@@ -35,6 +34,13 @@ Requests and responses are the :mod:`repro.api` schemas
 (:class:`~repro.api.SolveRequestV1`, :class:`~repro.api.SolveResponseV1`).
 """
 
+from repro.obs.metrics import (
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+    render_label_key,
+)
 from repro.server.queue import (
     AdmissionError,
     Job,
@@ -48,13 +54,6 @@ from repro.server.policy import PolicyDecision, PreconditionerPolicy
 from repro.server.scheduler import Scheduler
 from repro.server.server import SolveServer
 from repro.server.http import SolveHTTPServer, TRACE_HEADER
-from repro.server.telemetry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    render_label_key,
-)
 
 __all__ = [
     "AdmissionError",

@@ -54,8 +54,9 @@ from repro.api.errors import (
 )
 from repro.api.schemas import SolveRequestV1, TelemetrySnapshot
 from repro.logging_utils import get_logger
+from repro.obs.prometheus import render_prometheus
 from repro.obs.trace import use_trace_id
-from repro.server.queue import Job, job_status
+from repro.server.queue import JobRegistry, job_status
 from repro.server.server import SolveServer
 from repro.version import __version__
 
@@ -82,8 +83,9 @@ class WireHandler(BaseHTTPRequestHandler):
     Owns the parts of speaking the wire protocol that are independent of
     *what* is being served: JSON/text responses with correct framing, typed
     :class:`~repro.api.errors.ErrorEnvelope` answers, bounded body reading,
-    keep-alive-safe body draining, trace-header extraction and the
-    exception-to-envelope dispatch.  :class:`SolveHTTPServer`'s handler and
+    keep-alive-safe body draining, trace-header extraction, the
+    ``/v1/metrics`` answer in both formats and the exception-to-envelope
+    dispatch.  :class:`SolveHTTPServer`'s handler and
     the fleet router's front end (:mod:`repro.fleet.router`) both subclass
     this, so the two wire surfaces cannot drift apart.
     """
@@ -171,15 +173,22 @@ class WireHandler(BaseHTTPRequestHandler):
         except ValueError:
             raise SchemaError(f"job id {token!r} is not an integer") from None
 
-    @staticmethod
-    def _metrics_format(query: dict[str, list[str]]) -> str:
-        """``?format=`` of a metrics scrape: ``json`` (default) or
-        ``prometheus``."""
+    def _send_metrics(self, query: dict[str, list[str]],
+                      take_snapshot) -> None:
+        """Answer ``GET /v1/metrics``: one snapshot, in the ``?format=`` the
+        scrape asked for — ``json`` (default) or ``prometheus``."""
         fmt = (query.get("format") or ["json"])[-1].lower()
         if fmt not in ("json", "prometheus"):
             raise SchemaError(f"unknown metrics format {fmt!r} "
                               "(expected 'json' or 'prometheus')")
-        return fmt
+        snapshot = take_snapshot()
+        if fmt == "prometheus":
+            self._send_text(
+                200, render_prometheus(snapshot),
+                content_type="text/plain; version=0.0.4; charset=utf-8")
+        else:
+            self._send_json(
+                200, TelemetrySnapshot.from_snapshot(snapshot).to_json_dict())
 
     def _read_body(self) -> bytes:
         """The request body, bounded by :data:`MAX_BODY_BYTES`."""
@@ -341,7 +350,8 @@ class _Handler(WireHandler):
         elif route == "/v1/learn":
             self._dispatch(self._get_learn)
         elif route == "/v1/metrics":
-            self._dispatch(lambda: self._get_metrics(query))
+            self._dispatch(lambda: self._send_metrics(
+                query, self.server.owner.solve_server.telemetry_snapshot))
         elif route.startswith("/v1/jobs/"):
             self._dispatch(lambda: self._get_job(route))
         else:
@@ -362,29 +372,19 @@ class _Handler(WireHandler):
         trace_id = self._request_trace_id()
         with use_trace_id(trace_id):
             job = self.server.owner.solve_server.submit(request)
-        self.server.owner.track_job(job)
+        self.server.owner.jobs.track(job)
         echo = job.trace_id or trace_id
         self._send_json(202, job_status(job).to_json_dict(),
                         headers=None if echo is None else {TRACE_HEADER: echo})
 
     def _get_job(self, route: str) -> None:
         job_id = self._job_id(route)
-        job = self.server.owner.find_job(job_id)
+        job = self.server.owner.jobs.find(job_id)
         if job is None:
             self._send_error_envelope(ErrorEnvelope(
                 code=ERROR_NOT_FOUND, message=f"no such job {job_id}"))
             return
         self._send_json(200, job_status(job).to_json_dict())
-
-    def _get_metrics(self, query: dict[str, list[str]]) -> None:
-        if self._metrics_format(query) == "prometheus":
-            self._send_text(
-                200, self.server.owner.solve_server.prometheus_metrics(),
-                content_type="text/plain; version=0.0.4; charset=utf-8")
-            return
-        snapshot = TelemetrySnapshot.from_snapshot(
-            self.server.owner.solve_server.telemetry_snapshot())
-        self._send_json(200, snapshot.to_json_dict())
 
     def _get_healthz(self) -> None:
         self._send_json(
@@ -425,42 +425,13 @@ class SolveHTTPServer(WireListener):
 
     def __init__(self, solve_server: SolveServer | None = None, *,
                  host: str = "127.0.0.1", port: int = 0,
-                 max_tracked_jobs: int = 4096,
                  **server_kwargs) -> None:
         super().__init__(host, port)
         self._owns_solve_server = solve_server is None
         self.solve_server = (SolveServer(**server_kwargs)
                              if solve_server is None else solve_server)
-        self._jobs: dict[int, Job] = {}
-        self._jobs_lock = threading.Lock()
-        self._max_tracked_jobs = max(int(max_tracked_jobs), 1)
-
-    # -- job tracking (GET /v1/jobs/<id>) ------------------------------------
-    def track_job(self, job: Job) -> None:
-        """Remember a submitted job so its status can be queried later.
-
-        The registry is bounded: beyond ``max_tracked_jobs`` the oldest
-        *finished* jobs are evicted (their results — including full solution
-        vectors — would otherwise accumulate for the lifetime of the
-        process).  Unfinished jobs are never dropped; their count is already
-        bounded by the admission queue.  A ``GET /v1/jobs/<id>`` for an
-        evicted job answers 404, the standard contract of a
-        retention-bounded job store.
-        """
-        with self._jobs_lock:
-            self._jobs[job.id] = job
-            overflow = len(self._jobs) - self._max_tracked_jobs
-            if overflow > 0:
-                # dicts iterate in insertion order: oldest first.
-                evictable = [job_id for job_id, tracked in self._jobs.items()
-                             if tracked.done()]
-                for job_id in evictable[:overflow]:
-                    del self._jobs[job_id]
-
-    def find_job(self, job_id: int) -> Job | None:
-        """The tracked job of ``job_id``, or ``None``."""
-        with self._jobs_lock:
-            return self._jobs.get(job_id)
+        #: Jobs behind ``GET /v1/jobs/<id>``.
+        self.jobs = JobRegistry()
 
     # -- lifecycle (WireListener) --------------------------------------------
     def _banner(self) -> str:

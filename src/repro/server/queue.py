@@ -48,7 +48,9 @@ from repro.logging_utils import get_logger
 
 __all__ = [
     "Job",
+    "JobRegistry",
     "JobQueue",
+    "MAX_TRACKED_JOBS",
     "job_status",
     "AdmissionError",
     "REJECT_QUEUE_FULL",
@@ -58,6 +60,10 @@ __all__ = [
 ]
 
 _LOG = get_logger("server.queue")
+
+#: Retention bound of every submitted-job registry (in-process client, HTTP
+#: adapter, fleet router).
+MAX_TRACKED_JOBS = 4096
 
 
 class Job:
@@ -120,6 +126,39 @@ class Job:
         self._error = error
         self.state = Job.FAILED if error is not None else Job.DONE
         self._event.set()
+
+
+class JobRegistry:
+    """Submitted jobs by id, so their status can be queried later.
+
+    Bounded: beyond :data:`MAX_TRACKED_JOBS` the oldest *finished* jobs are
+    evicted (their results — including full solution vectors — would
+    otherwise accumulate for the lifetime of the process).  Unfinished jobs
+    are never dropped; their count is already bounded by the admission
+    queue.  Looking up an evicted job answers ``None`` (a 404 on the wire),
+    the standard contract of a retention-bounded job store.
+    """
+
+    def __init__(self) -> None:
+        self._jobs: dict[int, Job] = {}
+        self._lock = threading.Lock()
+
+    def track(self, job: Job) -> None:
+        """Remember ``job``, evicting the oldest finished ones past the bound."""
+        with self._lock:
+            self._jobs[job.id] = job
+            overflow = len(self._jobs) - MAX_TRACKED_JOBS
+            if overflow > 0:
+                # dicts iterate in insertion order: oldest first.
+                evictable = [job_id for job_id, tracked in self._jobs.items()
+                             if tracked.done()]
+                for job_id in evictable[:overflow]:
+                    del self._jobs[job_id]
+
+    def find(self, job_id: int) -> Job | None:
+        """The tracked job of ``job_id``, or ``None``."""
+        with self._lock:
+            return self._jobs.get(job_id)
 
 
 def job_status(job: Job, *, response_transform=None) -> JobStatusV1:

@@ -66,13 +66,13 @@ from repro.matrices.features import feature_vector
 from repro.matrices.registry import get_matrix
 from repro.mcmc.preconditioner import MCMCPreconditioner
 from repro.mcmc.walks import TransitionTable
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.phases import record_phases
 from repro.obs.trace import NULL_TRACER
 from repro.parallel.executor import Executor, SerialExecutor
 from repro.precond.factory import make_preconditioner
 from repro.server.policy import PolicyDecision, PreconditionerPolicy
 from repro.server.queue import Job
-from repro.server.telemetry import MetricsRegistry
 from repro.service.cache import ArtifactCache, transition_table_key
 from repro.service.store import ObservationStore
 from repro.sparse.csr import validate_square
@@ -190,7 +190,6 @@ class Scheduler:
         self.batch_mode = batch_mode
         self.matrix_bank = matrix_bank
         self.shadow_eval = bool(shadow_eval)
-        self._registered_fingerprints: set[str] = set()
         self._incumbent_iterations: dict[tuple, int] = {}
         self._shadow_lock = threading.Lock()
 
@@ -492,11 +491,10 @@ class Scheduler:
         baseline = self.cache.get_or_build(
             ("server_baseline", group.fingerprint, decision.solver, regime),
             lambda: self._baseline(group, decision.solver, settings, rhs))
-        if group.fingerprint not in self._registered_fingerprints:
+        if not self.store.has_matrix(group.fingerprint):
             self.store.register_matrix(group.fingerprint,
                                        group.name or group.fingerprint[:12],
                                        feature_vector(group.matrix))
-            self._registered_fingerprints.add(group.fingerprint)
         if self.matrix_bank is not None:
             # Bank under the record's matrix_name so the trainer can resolve
             # graphs for matrices that are not in the registry.

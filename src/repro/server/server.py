@@ -38,13 +38,13 @@ from repro.api.versioning import SCHEMA_VERSION, version_stamp
 from repro.exceptions import ParameterError
 from repro.logging_utils import get_logger
 from repro.mcmc.parameters import DEFAULT_BOUNDS, ParameterBounds
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.prometheus import render_prometheus
 from repro.obs.trace import NULL_TRACER, current_trace_id, new_trace_id
 from repro.parallel.executor import Executor
 from repro.server.policy import PreconditionerPolicy
 from repro.server.queue import Job, JobQueue
 from repro.server.scheduler import Scheduler, end_job_trace
-from repro.server.telemetry import MetricsRegistry
 from repro.service.cache import ArtifactCache, global_cache
 from repro.service.store import ObservationStore
 
@@ -327,21 +327,9 @@ class SolveServer:
         return snapshot
 
     def prometheus_metrics(self) -> str:
-        """Every instrument in Prometheus text-exposition format.
-
-        Queue state and artifact-cache stats (which live outside the
-        registry) are merged in as gauges, so one scrape covers the whole
-        server (``GET /v1/metrics?format=prometheus``).
-        """
-        self._observe_depth()
-        extra = {
-            "queue.admitted": float(self.queue.admitted),
-            "queue.max_depth": float(self.queue.max_depth),
-        }
-        for key, value in self.cache.stats.as_dict().items():
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                extra[f"artifact_cache.{key}"] = float(value)
-        return render_prometheus(self.telemetry, extra_gauges=extra)
+        """:meth:`telemetry_snapshot` in Prometheus text-exposition format
+        (``GET /v1/metrics?format=prometheus``)."""
+        return render_prometheus(self.telemetry_snapshot())
 
     def refresh_policy(self) -> None:
         """Re-snapshot the store so decisions see records written since."""

@@ -178,6 +178,11 @@ class ObservationStore:
         with self._lock:
             return set(self._by_fingerprint)
 
+    def has_matrix(self, fingerprint: str) -> bool:
+        """Whether :meth:`register_matrix` already holds ``fingerprint``."""
+        with self._lock:
+            return fingerprint in self._matrices
+
     def matrix_entries(self) -> dict[str, MatrixEntry]:
         """Registered matrices by fingerprint (for warm-start lookups)."""
         with self._lock:

@@ -44,7 +44,6 @@ from repro.core.evaluation import (
 )
 from repro.exceptions import ParameterError
 from repro.logging_utils import get_logger
-from repro.matrices.features import feature_vector
 from repro.mcmc.parameters import DEFAULT_BOUNDS, ParameterBounds
 from repro.parallel.executor import Executor, SerialExecutor
 from repro.service import ladder
@@ -143,8 +142,6 @@ class TuningService:
             request.matrix, request.name, settings=self.settings,
             seed=request.seed, cache=self.cache, store=self.store)
         fingerprint = evaluator.fingerprint
-        self.store.register_matrix(fingerprint, request.name,
-                                   feature_vector(request.matrix))
 
         # Only records measured under the *same regime* (solver settings +
         # rhs) are comparable: reusing or recommending from a store filled

@@ -21,7 +21,7 @@ from repro.fleet.replica import (
     ReplicaFleet,
     SubprocessReplica,
 )
-from repro.server.telemetry import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 
 def _wait_until(predicate, timeout: float = 30.0, interval: float = 0.1):

@@ -397,6 +397,54 @@ class TestAggregation:
                       if line.startswith("# TYPE ")]
         assert len(type_lines) == len(set(type_lines))
 
+    def test_router_exposition_is_the_replicas_plus_a_label(self):
+        """Every transport serves both formats from one snapshot through one
+        encoder: the router's exposition over one replica is that replica's
+        own exposition, ``replica``-labelled, plus the router's ``fleet.*``
+        families — names, labels and values."""
+        with _fleet_router(1) as (fleet, router):
+            client = HTTPClient(router.url)
+            for seed in (0, 1, 0):
+                matrix = _matrix(seed)
+                client.solve(SolveRequestV1(
+                    matrix=matrix, rhs=np.ones(matrix.shape[0])))
+            routed, routed_types = parse_prometheus(
+                client.metrics_prometheus())
+            direct, direct_types = parse_prometheus(
+                HTTPClient(fleet.url_of("r0")).metrics_prometheus())
+
+        def by_series(samples):
+            return {(s.name, tuple(sorted(s.labels.items()))): s.value
+                    for s in samples}
+
+        expected = {(name, tuple(sorted(labels + (("replica", "r0"),)))): value
+                    for (name, labels), value in by_series(direct).items()}
+        routed = by_series(routed)
+        own = {series: value for series, value in routed.items()
+               if series not in expected}
+        assert {series: routed[series] for series in expected} == expected
+        assert own and all(name.startswith("repro_fleet_")
+                           for name, _ in own)
+        assert own[("repro_fleet_routed_total", (("replica", "r0"),))] == 3
+        assert {family: kind for family, kind in routed_types.items()
+                if not family.startswith("repro_fleet_")} == direct_types
+
+    def test_in_process_and_http_snapshots_carry_the_same_series(self):
+        from repro.client import InProcessClient
+
+        with SolveHTTPServer(port=0, background=False,
+                             cache=ArtifactCache(max_entries=8)) as http:
+            wire = HTTPClient(http.url)
+            for seed in (0, 1, 0):
+                matrix = _matrix(seed)
+                wire.solve(SolveRequestV1(
+                    matrix=matrix, rhs=np.ones(matrix.shape[0])))
+            over_http = wire.metrics()
+            in_process = InProcessClient(http.solve_server).metrics()
+        assert over_http == in_process
+        assert over_http.counters["solves_total"] == 3
+        assert over_http.histograms["solve.latency_ms"]["sum"] > 0
+
     def test_unknown_metrics_format_and_endpoint(self):
         with _fleet_router(1) as (fleet, router):
             client = HTTPClient(router.url)

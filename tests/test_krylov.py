@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -298,3 +302,72 @@ class TestSolveMany:
         matrix, rhs, _ = spd_system
         with pytest.raises(ParameterError):
             solve_many(matrix, [rhs, rhs[:-1]])
+
+
+# -- GMRES uninitialised storage ------------------------------------------------
+GMRES_GOLDEN_PATH = Path(__file__).parent / "data" / "gmres_golden.json"
+
+
+def _gmres_storage_cases() -> dict[str, dict]:
+    """Solves that reach deep into the Arnoldi storage: full-GMRES cycles of
+    64 and 100 steps, a 40-step cycle under ``restart=50``, and nine cycles
+    of ``restart=10`` (each cycle allocates afresh, typically over the
+    previous cycle's memory)."""
+    from repro.matrices import unsteady_advection_diffusion
+
+    cases = {
+        "full_64_steps": (unsteady_advection_diffusion(8, order=1, seed=3), 64),
+        "full_100_steps": (unsteady_advection_diffusion(10, order=2, seed=3), 100),
+        "restart_50": (laplacian_2d(12), 50),
+        "restart_10": (laplacian_2d(12), 10),
+    }
+    results = {}
+    for label, (matrix, restart) in cases.items():
+        rhs = np.random.default_rng(0).standard_normal(matrix.shape[0])
+        result = gmres(matrix, rhs, rtol=1e-10, restart=restart, maxiter=2000)
+        results[label] = {"iterations": result.iterations,
+                          "converged": result.converged,
+                          "matvecs": result.matvecs,
+                          "solution": result.solution.tolist(),
+                          "residual_norms": list(result.residual_norms)}
+    return results
+
+
+class _PoisonedNumpy:
+    """numpy, except that uninitialised memory reads as NaN."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def empty(shape, dtype=float):
+        return np.full(shape, np.nan, dtype=dtype)
+
+
+class TestGMRESUninitialisedStorage:
+    """The basis and the Hessenberg are allocated without zero-filling, so
+    every entry must be written before it is read.  Results are compared
+    with ones frozen at the last commit that zero-filled both (4b55391;
+    regenerate by running this file as a script *there*) — as allocated,
+    and with the "uninitialised" memory poisoned with NaN, which any read of
+    an unwritten entry would carry into the result."""
+
+    @pytest.mark.parametrize("poisoned", [False, True])
+    def test_results_equal_the_zero_filling_implementation(self, poisoned,
+                                                           monkeypatch):
+        if poisoned:
+            # (`repro.krylov.gmres` the attribute is the function)
+            monkeypatch.setattr(sys.modules["repro.krylov.gmres"], "np",
+                                _PoisonedNumpy())
+        frozen = json.loads(GMRES_GOLDEN_PATH.read_text())
+        results = _gmres_storage_cases()
+        assert set(results) == set(frozen)
+        for label, case in results.items():
+            for field, value in case.items():
+                assert np.array_equal(value, frozen[label][field]), \
+                    f"{label}.{field}"
+
+
+if __name__ == "__main__":
+    GMRES_GOLDEN_PATH.write_text(json.dumps(_gmres_storage_cases()) + "\n")
+    print(f"wrote {GMRES_GOLDEN_PATH}")

@@ -34,8 +34,8 @@ from repro.learn.trainer import build_training_snapshot
 from repro.matrices.features import feature_vector
 from repro.matrices.registry import get_matrix
 from repro.mcmc.parameters import MCMCParameters
+from repro.obs.metrics import MetricsRegistry
 from repro.server.server import SolveServer
-from repro.server.telemetry import MetricsRegistry
 from repro.service.store import ObservationStore
 from repro.sparse.fingerprint import matrix_fingerprint
 

@@ -1,0 +1,99 @@
+"""Guard: ideas that were folded into one implementation stay in one place.
+
+Several PRs each replaced parallel copies of one idea by a single definition
+and checked the result with ``grep``.  This walks the syntax trees of
+``src/repro`` instead, so a second copy cannot regrow unnoticed.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+@pytest.fixture(scope="module")
+def trees() -> dict[str, ast.Module]:
+    return {str(path.relative_to(SRC)): ast.parse(path.read_text())
+            for path in sorted(SRC.rglob("*.py"))}
+
+
+def _where(trees: dict[str, ast.Module], matches) -> list[str]:
+    """``file:line`` of every node, in any module, that ``matches``."""
+    return [f"{name}:{node.lineno}"
+            for name, tree in trees.items()
+            for node in ast.walk(tree) if matches(node)]
+
+
+def _defines(node: ast.AST, pattern: str) -> bool:
+    return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and re.fullmatch(pattern, node.name) is not None)
+
+
+def test_one_listener_lifecycle(trees):
+    found = _where(trees, lambda node: _defines(node, "serve_forever"))
+    assert len(found) == 1 and found[0].startswith("server/http.py:"), found
+
+
+def test_one_acquisition_call(trees):
+    def is_propose_call(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "propose"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "optimizer")
+
+    found = _where(trees, is_propose_call)
+    assert len(found) == 1 and found[0].startswith("service/ladder.py:"), found
+
+
+def test_one_label_codec(trees):
+    """One escape / unescape pair and one label regex, in ``obs/metrics.py``."""
+    def is_label_regex(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Assign)
+                and any(isinstance(target, ast.Name)
+                        and re.fullmatch(r"_LABEL(_ITEM)?_RE", target.id)
+                        for target in node.targets))
+
+    for what, matches in (
+            ("escape", lambda node: _defines(node, r"_?escape\w*")),
+            ("unescape", lambda node: _defines(node, r"_?unescape\w*")),
+            ("label regex", is_label_regex)):
+        found = _where(trees, matches)
+        assert len(found) == 1 and found[0].startswith("obs/metrics.py:"), \
+            (what, found)
+
+
+def test_one_prometheus_encoder(trees):
+    """Expositions are rendered from snapshots, never merged as text."""
+    def mentions_text_merge(node: ast.AST) -> bool:
+        names = {"merge_expositions", "_family_of"}
+        return (_defines(node, "|".join(names))
+                or isinstance(node, ast.Name) and node.id in names
+                or isinstance(node, ast.Attribute) and node.attr in names
+                or isinstance(node, ast.alias) and node.name in names)
+
+    assert _where(trees, mentions_text_merge) == []
+    found = _where(trees, lambda node: _defines(node, r"render_prometheus"))
+    assert len(found) == 1 and found[0].startswith("obs/prometheus.py:"), found
+
+
+def test_one_finished_job_eviction_loop(trees):
+    """One function both asks jobs whether they are ``done()`` and deletes
+    entries: the bounded job registry next to ``Job``."""
+    def evicts_finished(node: ast.AST) -> bool:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return False
+        inner = list(ast.walk(node))
+        asks_done = any(isinstance(n, ast.Call)
+                        and isinstance(n.func, ast.Attribute)
+                        and n.func.attr == "done" for n in inner)
+        deletes = any(isinstance(n, ast.Delete) for n in inner)
+        return asks_done and deletes
+
+    found = _where(trees, evicts_finished)
+    assert len(found) == 1 and found[0].startswith("server/queue.py:"), found

@@ -132,6 +132,21 @@ class TestIncompleteCholesky:
         upper_part = sp.triu(preconditioner.lower_factor, k=1)
         assert upper_part.nnz == 0
 
+    def test_apply_is_the_two_triangular_solves_bit_for_bit(self):
+        """The transpose is built once at construction; applying must equal
+        the per-call ``L.T.tocsr()`` it replaced exactly."""
+        from scipy.sparse.linalg import spsolve_triangular
+
+        preconditioner = IncompleteCholeskyPreconditioner(laplacian_2d(12))
+        lower = preconditioner.lower_factor
+        rng = np.random.default_rng(5)
+        for _ in range(3):  # repeated applications reuse the stored factor
+            vector = rng.standard_normal(lower.shape[0])
+            expected = spsolve_triangular(
+                lower.T.tocsr(),
+                spsolve_triangular(lower, vector, lower=True), lower=False)
+            assert np.array_equal(preconditioner.apply(vector), expected)
+
 
 class TestSPAI:
     def test_better_than_jacobi_on_laplacian(self):

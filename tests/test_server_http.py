@@ -265,9 +265,9 @@ class TestErrorMapping:
 
 
 class TestJobRegistryBound:
-    def test_finished_jobs_evicted_beyond_the_bound(self):
-        with _http_server(background=False,
-                          max_tracked_jobs=2) as http_server:
+    def test_finished_jobs_evicted_beyond_the_bound(self, monkeypatch):
+        monkeypatch.setattr("repro.server.queue.MAX_TRACKED_JOBS", 2)
+        with _http_server(background=False) as http_server:
             client = HTTPClient(http_server.url)
             job_ids = [client.submit(SolveRequestV1(matrix="2DFDLaplace_16",
                                                     tag=f"j{index}"))

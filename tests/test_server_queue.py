@@ -12,6 +12,7 @@ import scipy.sparse as sp
 from repro.api import SolveRequestV1
 from repro.exceptions import ParameterError
 from repro.matrices import laplacian_2d
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.server.queue import (
     AdmissionError,
     Job,
@@ -21,7 +22,6 @@ from repro.server.queue import (
     REJECT_INVALID,
     REJECT_QUEUE_FULL,
 )
-from repro.server.telemetry import Histogram, MetricsRegistry
 
 
 def _request(**kwargs) -> SolveRequestV1:

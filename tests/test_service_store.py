@@ -66,6 +66,7 @@ class TestRoundTrip:
         store.register_matrix("fp1", "m", np.arange(3.0))
         reopened = ObservationStore(tmp_path)
         assert len(reopened) == 2
+        assert reopened.has_matrix("fp1") and not reopened.has_matrix("fp2")
         entry = reopened.matrix_entries()["fp1"]
         assert entry.name == "m"
         np.testing.assert_array_equal(entry.features, np.arange(3.0))

@@ -261,6 +261,30 @@ class TestStoreAwareEvaluatorReplay:
         assert (served.preconditioned_iterations
                 == fresh.preconditioned_iterations)
 
+    def test_registered_matrix_is_not_featurised_again(self, tmp_path,
+                                                       settings, small_spd,
+                                                       monkeypatch):
+        """The store is the one source of "is this matrix registered": the
+        first evaluator registers it, later ones (and `tune_one`) skip the
+        feature pass, and the index holds one matrix line."""
+        import repro.matrices.features as features
+
+        store = ObservationStore(tmp_path / "store")
+        first = MatrixEvaluator(small_spd, "lap", settings=settings,
+                                store=store)
+        assert store.has_matrix(first.fingerprint)
+
+        def refuse(matrix):
+            raise AssertionError("feature_vector recomputed")
+
+        monkeypatch.setattr(features, "feature_vector", refuse)
+        MatrixEvaluator(small_spd, "lap", settings=settings, store=store)
+        service = TuningService(store, cache=ArtifactCache(max_entries=8),
+                                settings=settings)
+        service.tune_one(TuningRequest(matrix=small_spd, name="lap", budget=1))
+        assert list(ObservationStore(tmp_path / "store").matrix_entries()) \
+            == [first.fingerprint]
+
 
 class TestRegimeIsolation:
     """Records from incompatible solver settings must not be pooled."""
