@@ -23,9 +23,9 @@ from repro.precond import (
 
 def _iterations(matrix, preconditioner, maxiter=600):
     rhs = np.ones(matrix.shape[0])
-    result = solve(matrix, rhs, solver="gmres", maxiter=maxiter,
-                   restart=matrix.shape[0], preconditioner=preconditioner)
-    return result.iterations if result.converged else maxiter
+    return solve(matrix, rhs, solver="gmres", maxiter=maxiter,
+                 restart=matrix.shape[0],
+                 preconditioner=preconditioner).measured_iterations
 
 
 def test_preconditioner_comparison(benchmark):

@@ -33,9 +33,9 @@ from repro.sparse import is_symmetric
 
 def iteration_count(matrix, preconditioner, maxiter=600) -> int:
     rhs = np.ones(matrix.shape[0])
-    result = solve(matrix, rhs, solver="gmres", maxiter=maxiter,
-                   restart=matrix.shape[0], preconditioner=preconditioner)
-    return result.iterations if result.converged else maxiter
+    return solve(matrix, rhs, solver="gmres", maxiter=maxiter,
+                 restart=matrix.shape[0],
+                 preconditioner=preconditioner).measured_iterations
 
 
 def build_preconditioners(name: str, matrix):

@@ -49,7 +49,9 @@ def run(client: HTTPClient) -> None:
     response = client.solve(SolveRequestV1(
         matrix="2DFDLaplace_16", tag="laplace/wire"))
     print(f"{response.tag}: converged={response.converged} "
-          f"iterations={response.iterations} solver={response.solver}")
+          f"iterations={response.iterations} solver={response.solver} "
+          f"termination={response.termination} "
+          f"true_residual={response.true_residual:.3e}")
     print(f"provenance: {json.dumps(response.provenance.to_json_dict())}")
 
     print("\n== POST /v1/solve (raw CSR through the codec) ==")

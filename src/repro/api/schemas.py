@@ -361,6 +361,16 @@ class PolicyProvenance:
         return self.to_json_dict().get(key, default)
 
 
+def _finite_or_none(value: float) -> float | None:
+    """JSON has no NaN or infinity: a non-finite residual travels as ``null``
+    (and :func:`_nan_if_none` reads it back as ``nan``)."""
+    return float(value) if np.isfinite(value) else None
+
+
+def _nan_if_none(value) -> float:
+    return float("nan") if value is None else float(value)
+
+
 @dataclass(frozen=True)
 class SolveResponseV1:
     """What the server returns for one request.
@@ -375,6 +385,12 @@ class SolveResponseV1:
     ``X-Repro-Trace-Id`` response header over HTTP), ``None`` otherwise.
     Like ``batch_mode`` it is a post-freeze optional field — payloads
     without it parse unchanged.
+
+    ``termination`` (``converged`` / ``maxiter`` / ``breakdown`` /
+    ``non_finite``) and ``true_residual`` (``||b - A x|| / ||b||`` of the
+    returned solution, beside the solver's own ``final_residual``) are what
+    :class:`repro.krylov.SolveResult` measured at the solver's exit; optional
+    post-freeze fields too, ``None`` from a server predating them.
     """
 
     tag: str
@@ -389,6 +405,8 @@ class SolveResponseV1:
     batch_size: int
     batch_mode: str = "loop"
     trace_id: str | None = None
+    termination: str | None = None
+    true_residual: float | None = None
 
     def to_json_dict(self) -> dict:
         """The stamped wire form of this response."""
@@ -400,13 +418,16 @@ class SolveResponseV1:
             "solution": encode_array(self.solution),
             "converged": bool(self.converged),
             "iterations": int(self.iterations),
-            "final_residual": float(self.final_residual),
+            "final_residual": _finite_or_none(self.final_residual),
             "solver": self.solver,
             "provenance": self.provenance.to_json_dict(),
             "batch_size": int(self.batch_size),
             "batch_mode": str(self.batch_mode),
             "trace_id": self.trace_id,
+            "termination": self.termination,
         })
+        if self.true_residual is not None:
+            payload["true_residual"] = _finite_or_none(self.true_residual)
         return payload
 
     @classmethod
@@ -420,7 +441,7 @@ class SolveResponseV1:
             solution=decode_array(payload["solution"]),
             converged=bool(payload["converged"]),
             iterations=int(payload["iterations"]),
-            final_residual=float(payload["final_residual"]),
+            final_residual=_nan_if_none(payload["final_residual"]),
             solver=str(payload["solver"]),
             provenance=PolicyProvenance.from_json_dict(
                 payload.get("provenance", {})),
@@ -428,6 +449,10 @@ class SolveResponseV1:
             batch_mode=str(payload.get("batch_mode", "loop")),
             trace_id=(None if payload.get("trace_id") is None
                       else str(payload["trace_id"])),
+            termination=(None if payload.get("termination") is None
+                         else str(payload["termination"])),
+            true_residual=(_nan_if_none(payload["true_residual"])
+                           if "true_residual" in payload else None),
         )
 
 

@@ -51,20 +51,11 @@ class SolverSettings:
     Using the *same* settings for both sides of the ratio is what makes the
     metric well defined; the defaults mirror the experiment scale of the paper
     (small systems, tight tolerance, full-memory GMRES).
-
-    ``batch_mode`` selects how a *multi-rhs* batch sharing these settings is
-    executed (:func:`repro.krylov.solve_many`'s ``mode``): ``"loop"`` keeps
-    every column bit-identical to a standalone solve, ``"block"``/"auto"
-    share one Krylov subspace across the batch.  It is deliberately excluded
-    from :func:`measurement_regime` — performance records are only ever
-    written from loop-served solves, whose iteration counts are the
-    comparable quantity.
     """
 
     rtol: float = 1e-8
     maxiter: int = 1000
     gmres_restart: int | None = None  # ``None`` -> full GMRES (restart = n)
-    batch_mode: str = "loop"
 
     def solver_kwargs(self, solver: str, dimension: int) -> dict:
         """Keyword arguments for :func:`repro.krylov.solve`."""
@@ -214,11 +205,8 @@ class MatrixEvaluator:
         if solver not in self._baseline_cache:
             kwargs = self.settings.solver_kwargs(solver, self.matrix.shape[0])
             result = solve(self.matrix, self.rhs, solver=solver, **kwargs)
-            iterations = result.iterations if result.converged else self.settings.maxiter
-            iterations = max(int(iterations), 1)
-            self._baseline_cache[solver] = iterations
-            _LOG.debug("baseline %s on %s: %d iterations (converged=%s)",
-                       solver, self.name, iterations, result.converged)
+            self._baseline_cache[solver] = result.measured_iterations
+            _LOG.debug("baseline on %s: %s", self.name, result.describe())
         return self._baseline_cache[solver]
 
     @property
@@ -258,10 +246,9 @@ class MatrixEvaluator:
             self.matrix, parameters, seed=seed, executor=self.executor,
             transition_table=self._transition_table(parameters.alpha))
         kwargs = self.settings.solver_kwargs(parameters.solver, self.matrix.shape[0])
-        result = solve(self.matrix, self.rhs, solver=parameters.solver,
-                       preconditioner=preconditioner, **kwargs)
-        iterations = result.iterations if result.converged else self.settings.maxiter
-        iterations = max(int(iterations), 1)
+        iterations = solve(self.matrix, self.rhs, solver=parameters.solver,
+                           preconditioner=preconditioner,
+                           **kwargs).measured_iterations
         baseline = self.baseline_iterations(parameters.solver)
         return iterations, iterations / baseline
 

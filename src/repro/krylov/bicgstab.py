@@ -12,10 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.krylov.base import SolveResult, as_preconditioner_function, prepare_system
-from repro.obs.phases import (PHASE_MATVEC, PHASE_PRECOND,
-                              finish_solve_phases, solve_phase_timings,
-                              timed_operator)
+from repro.krylov.base import SolveResult, SolveRun
 
 __all__ = ["bicgstab"]
 
@@ -31,29 +28,21 @@ def bicgstab(matrix, rhs, *, preconditioner=None, x0=None, rtol: float = 1e-8,
         ``||b||`` (unpreconditioned residual), which keeps the stopping rule
         identical with and without preconditioning.
     """
-    a_matrix, b, x, maxiter, rtol = prepare_system(matrix, rhs, x0, maxiter, rtol)
-    n = a_matrix.shape[0]
-    timings = solve_phase_timings()
-    apply_a = timed_operator(a_matrix.__matmul__, timings, PHASE_MATVEC)
-    apply_m = timed_operator(as_preconditioner_function(preconditioner, n),
-                             timings, PHASE_PRECOND)
+    run = SolveRun("bicgstab", matrix, rhs, x0, maxiter, rtol, preconditioner)
+    b, x, n, apply_a, apply_m = run.b, run.x, run.n, run.apply_a, run.apply_m
 
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
-        return SolveResult(solution=np.zeros(n), converged=True, iterations=0,
-                           residual_norms=[0.0], solver="bicgstab", matvecs=0,
-                           phase_timings=finish_solve_phases(timings))
-    tolerance = rtol * b_norm
+        return run.finish(np.zeros(n), converged=True, iterations=0,
+                          history=[0.0], residual=b)
+    tolerance = run.rtol * b_norm
 
     residual = b - apply_a(x)
-    matvecs = 1
     residual_norm = float(np.linalg.norm(residual))
     history = [residual_norm]
     if residual_norm <= tolerance:
-        return SolveResult(solution=x, converged=True, iterations=0,
-                           residual_norms=history, solver="bicgstab",
-                           matvecs=matvecs,
-                           phase_timings=finish_solve_phases(timings))
+        return run.finish(x, converged=True, iterations=0, history=history,
+                          residual=residual)
 
     shadow = residual.copy()
     rho_previous = 1.0
@@ -66,7 +55,7 @@ def bicgstab(matrix, rhs, *, preconditioner=None, x0=None, rtol: float = 1e-8,
     converged = False
     breakdown = False
 
-    while iterations < maxiter:
+    while iterations < run.maxiter:
         iterations += 1
         rho = float(np.dot(shadow, residual))
         if rho == 0.0:
@@ -82,7 +71,6 @@ def bicgstab(matrix, rhs, *, preconditioner=None, x0=None, rtol: float = 1e-8,
             direction = residual + beta * (direction - omega * v)
         preconditioned_direction = apply_m(direction)
         v = apply_a(preconditioned_direction)
-        matvecs += 1
         shadow_dot_v = float(np.dot(shadow, v))
         if shadow_dot_v == 0.0:
             breakdown = True
@@ -97,7 +85,6 @@ def bicgstab(matrix, rhs, *, preconditioner=None, x0=None, rtol: float = 1e-8,
             break
         preconditioned_s = apply_m(s)
         t = apply_a(preconditioned_s)
-        matvecs += 1
         t_dot_t = float(np.dot(t, t))
         if t_dot_t == 0.0:
             breakdown = True
@@ -117,9 +104,6 @@ def bicgstab(matrix, rhs, *, preconditioner=None, x0=None, rtol: float = 1e-8,
             break
         rho_previous = rho
 
-    if not converged:
-        converged = history[-1] <= tolerance
-    return SolveResult(solution=x, converged=converged, iterations=iterations,
-                       residual_norms=history, solver="bicgstab",
-                       breakdown=breakdown and not converged, matvecs=matvecs,
-                       phase_timings=finish_solve_phases(timings))
+    return run.finish(x, converged=converged or history[-1] <= tolerance,
+                      iterations=iterations, history=history,
+                      breakdown=breakdown)

@@ -33,16 +33,13 @@ opt-in (see :class:`repro.server.scheduler.Scheduler`).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.exceptions import MatrixFormatError, ParameterError
-from repro.krylov.base import SolveResult, as_preconditioner_function
-from repro.obs.phases import (PHASE_MATVEC, PHASE_ORTHO, PHASE_PRECOND,
-                              finish_solve_phases, solve_phase_timings,
-                              timed_operator)
+from repro.krylov.base import BlockInfo, SolveResult, SolveRun
+from repro.obs.phases import PHASE_ORTHO
 from repro.sparse.csr import validate_square
 
 __all__ = [
@@ -64,40 +61,6 @@ DEFLATION_RTOL = 1e-12
 #: Relative threshold of the block "lucky breakdown": when the norm of the
 #: new Arnoldi block falls below it the Krylov space has become invariant.
 LUCKY_BREAKDOWN_RTOL = 1e-14
-
-
-@dataclass(frozen=True)
-class BlockInfo:
-    """Shared accounting of one block solve (attached to every column).
-
-    Attributes
-    ----------
-    solver:
-        ``"cg"`` or ``"gmres"``.
-    k:
-        Number of right-hand-side columns the block solve handled.
-    block_iterations:
-        Block iterations (block CG steps, or block Arnoldi inner steps of
-        the longest-running column for GMRES).
-    matvecs:
-        Total applications of ``A`` across the whole block — the quantity
-        block methods reduce versus ``k`` independent solves.
-    deflated_columns:
-        Columns retired from the active block *early*, while other columns
-        kept iterating (converged-column deflation).
-    breakdown:
-        True when the block recursion broke down (rank collapse of the
-        block Gram matrix, or an invariant subspace that left columns
-        unconverged); ``solve_many(mode="auto")`` falls back to the loop
-        path in that case.
-    """
-
-    solver: str
-    k: int
-    block_iterations: int
-    matvecs: int
-    deflated_columns: int
-    breakdown: bool
 
 
 def block_summary(results: Sequence[SolveResult]) -> BlockInfo | None:
@@ -134,22 +97,14 @@ def total_matvecs(results: Sequence[SolveResult]) -> int:
     :class:`BlockInfo`.  Loop/standalone results contribute their own
     per-solve count.
     """
-    total = 0
-    counted: list[BlockInfo] = []
-    for result in results:
-        info = result.block_info
-        if info is not None:
-            if not any(info is seen for seen in counted):
-                counted.append(info)
-                total += info.matvecs
-        elif result.matvecs is not None:
-            total += result.matvecs
-    return total
+    summary = block_summary(results)
+    return (0 if summary is None else summary.matvecs) + sum(
+        result.matvecs or 0 for result in results if result.block_info is None)
 
 
 # -- shared preparation ------------------------------------------------------
 
-def _prepare_block(matrix, rhs_block, x0, maxiter, rtol):
+def _prepare_block(matrix, rhs_block, x0):
     """Validate and normalise the inputs shared by both block methods.
 
     Error taxonomy mirrors :func:`repro.krylov.base.prepare_system`:
@@ -182,13 +137,7 @@ def _prepare_block(matrix, rhs_block, x0, maxiter, rtol):
             raise MatrixFormatError(
                 f"initial guess of length {start.size} incompatible with n={n}")
         x = np.repeat(start[:, None], block.shape[1], axis=1)
-    if maxiter is None:
-        maxiter = min(max(10 * n, 100), 5000)
-    if maxiter < 1:
-        raise ParameterError(f"maxiter must be >= 1, got {maxiter}")
-    if not 0.0 < rtol < 1.0:
-        raise ParameterError(f"rtol must lie in (0, 1), got {rtol}")
-    return csr, block, x, int(maxiter), float(rtol)
+    return csr, block, x
 
 
 def _apply_block(apply_m: Callable[[np.ndarray], np.ndarray],
@@ -219,25 +168,6 @@ def _truncated_pinv(small: np.ndarray) -> tuple[np.ndarray, int]:
     return inv, rank
 
 
-def _results(solution, converged, iterations, histories, solver, broke, info,
-             phase_timings=None) -> list[SolveResult]:
-    return [
-        SolveResult(
-            solution=solution[:, j].copy(),
-            converged=bool(converged[j]),
-            iterations=int(iterations[j]),
-            residual_norms=[float(value) for value in histories[j]],
-            solver=solver,
-            breakdown=bool(broke[j] and not converged[j]),
-            matvecs=None,
-            block_info=info,
-            # Shared by every column, like the block work itself.
-            phase_timings=phase_timings,
-        )
-        for j in range(solution.shape[1])
-    ]
-
-
 # -- block conjugate gradients ----------------------------------------------
 
 def block_cg(matrix, rhs_block, *, preconditioner=None, x0=None,
@@ -265,21 +195,18 @@ def block_cg(matrix, rhs_block, *, preconditioner=None, x0=None,
         One result per column; every column carries the shared
         :class:`BlockInfo` in ``block_info``.
     """
-    a_matrix, rhs, x, maxiter, rtol = _prepare_block(
-        matrix, rhs_block, x0, maxiter, rtol)
-    n, k = rhs.shape
-    timings = solve_phase_timings()
-    apply_a = timed_operator(a_matrix.__matmul__, timings, PHASE_MATVEC)
-    apply_m = timed_operator(as_preconditioner_function(preconditioner, n),
-                             timings, PHASE_PRECOND)
+    run = SolveRun("cg", matrix, rhs_block, x0, maxiter, rtol, preconditioner,
+                   prepare=_prepare_block)
+    rhs, x, maxiter, apply_a, apply_m = (
+        run.b, run.x, run.maxiter, run.apply_a, run.apply_m)
+    k = rhs.shape[1]
 
     b_norms = np.linalg.norm(rhs, axis=0)
-    tolerances = rtol * b_norms
+    tolerances = run.rtol * b_norms
     histories: list[list[float]] = [[] for _ in range(k)]
     converged = np.zeros(k, dtype=bool)
     broke = np.zeros(k, dtype=bool)
     iterations = np.zeros(k, dtype=np.int64)
-    matvecs = 0
     deflated = 0
     total_block_iterations = 0
 
@@ -293,7 +220,6 @@ def block_cg(matrix, rhs_block, *, preconditioner=None, x0=None,
     active = np.where(~zero)[0]
     if active.size:
         residual = rhs[:, active] - apply_a(x[:, active])
-        matvecs += int(active.size)
         norms = np.linalg.norm(residual, axis=0)
         for local, j in enumerate(active):
             histories[j].append(float(norms[local]))
@@ -310,7 +236,6 @@ def block_cg(matrix, rhs_block, *, preconditioner=None, x0=None,
         while active.size and total_block_iterations < maxiter:
             total_block_iterations += 1
             a_direction = apply_a(direction)
-            matvecs += int(active.size)
             gram = direction.T @ a_direction
             gram = 0.5 * (gram + gram.T)
             gram_inv, rank = _truncated_pinv(gram)
@@ -354,12 +279,9 @@ def block_cg(matrix, rhs_block, *, preconditioner=None, x0=None,
             direction = z + direction @ beta
             gamma = gamma_next
 
-    info = BlockInfo(
-        solver="cg", k=k, block_iterations=total_block_iterations,
-        matvecs=matvecs, deflated_columns=deflated,
-        breakdown=bool(np.any(broke & ~converged)))
-    return _results(x, converged, iterations, histories, "cg", broke, info,
-                    phase_timings=finish_solve_phases(timings))
+    return run.finish(x, converged=converged, iterations=iterations,
+                      history=histories, breakdown=broke, deflated=deflated,
+                      block_iterations=total_block_iterations)
 
 
 # -- block GMRES -------------------------------------------------------------
@@ -396,8 +318,10 @@ def block_gmres(matrix, rhs_block, *, preconditioner=None, x0=None,
         the column was active for, every column carries the shared
         :class:`BlockInfo`.
     """
-    a_matrix, rhs, x, maxiter, rtol = _prepare_block(
-        matrix, rhs_block, x0, maxiter, rtol)
+    run = SolveRun("gmres", matrix, rhs_block, x0, maxiter, rtol,
+                   preconditioner, prepare=_prepare_block)
+    rhs, x, maxiter, apply_a, apply_m, timings = (
+        run.b, run.x, run.maxiter, run.apply_a, run.apply_m, run.timings)
     n, k = rhs.shape
     if k > n:
         # More columns than dimensions: solve in <= n wide chunks so every
@@ -405,37 +329,37 @@ def block_gmres(matrix, rhs_block, *, preconditioner=None, x0=None,
         results: list[SolveResult] = []
         for start in range(0, k, n):
             results.extend(block_gmres(
-                a_matrix, rhs[:, start:start + n],
-                preconditioner=preconditioner, x0=x0, rtol=rtol,
+                run.a, rhs[:, start:start + n],
+                preconditioner=preconditioner, x0=x0, rtol=run.rtol,
                 maxiter=maxiter, restart=restart))
         return results
-    timings = solve_phase_timings()
-    apply_a = timed_operator(a_matrix.__matmul__, timings, PHASE_MATVEC)
-    apply_m = timed_operator(as_preconditioner_function(preconditioner, n),
-                             timings, PHASE_PRECOND)
 
     denominators = np.array(
         [float(np.linalg.norm(apply_m(rhs[:, j]))) for j in range(k)])
-    tolerances = rtol * denominators
+    tolerances = run.rtol * denominators
     histories: list[list[float]] = [[] for _ in range(k)]
     converged = np.zeros(k, dtype=bool)
     broke = np.zeros(k, dtype=bool)
     column_steps = np.zeros(k, dtype=np.int64)
-    matvecs = 0
     deflated = 0
+    # b - A x per column for the exit: x stops changing once a column leaves
+    # the active set, x = 0 columns hold b.  (`_apply_block` gets `fresh`, not
+    # a view of `true`: the input's layout decides the last bit of its norms.)
+    true = rhs.copy()
 
-    # Zero (preconditioned) columns: x = 0 is exact (single-rhs semantics).
+    # Zero preconditioned columns (single-rhs semantics): x = 0 is exact
+    # when b_j = 0; when only M b_j vanishes the column has broken down.
     zero = denominators == 0.0
     for j in np.where(zero)[0]:
         x[:, j] = 0.0
         histories[j].append(0.0)
-        converged[j] = True
+        converged[j] = not rhs[:, j].any()
+        broke[j] = not converged[j]
 
     active = np.where(~zero)[0]
     if active.size:
-        residual = _apply_block(
-            apply_m, rhs[:, active] - apply_a(x[:, active]))
-        matvecs += int(active.size)
+        true[:, active] = fresh = rhs[:, active] - apply_a(x[:, active])
+        residual = _apply_block(apply_m, fresh)
         norms = np.linalg.norm(residual, axis=0)
         for local, j in enumerate(active):
             histories[j].append(float(norms[local]))
@@ -462,7 +386,6 @@ def block_gmres(matrix, rhs_block, *, preconditioner=None, x0=None,
         lucky = False
         for j in range(cycle_steps):
             work = _apply_block(apply_m, apply_a(blocks[j]))
-            matvecs += width
             ortho_start = 0.0 if timings is None else time.perf_counter()
             for i in range(j + 1):
                 coupling = blocks[i].T @ work
@@ -500,9 +423,8 @@ def block_gmres(matrix, rhs_block, *, preconditioner=None, x0=None,
 
         # True preconditioned residual (convergence is only ever declared on
         # it, exactly like the single-rhs solver's cycle-end recomputation).
-        residual = _apply_block(
-            apply_m, rhs[:, active] - apply_a(x[:, active]))
-        matvecs += width
+        true[:, active] = fresh = rhs[:, active] - apply_a(x[:, active])
+        residual = _apply_block(apply_m, fresh)
         norms = np.linalg.norm(residual, axis=0)
         for local, j_col in enumerate(active):
             histories[j_col].append(float(norms[local]))
@@ -520,10 +442,6 @@ def block_gmres(matrix, rhs_block, *, preconditioner=None, x0=None,
             broke[active] = True
             break
 
-    info = BlockInfo(
-        solver="gmres", k=k,
-        block_iterations=int(column_steps.max()),
-        matvecs=matvecs, deflated_columns=deflated,
-        breakdown=bool(np.any(broke & ~converged)))
-    return _results(x, converged, column_steps, histories, "gmres", broke,
-                    info, phase_timings=finish_solve_phases(timings))
+    return run.finish(x, converged=converged, iterations=column_steps,
+                      history=histories, breakdown=broke, residual=true,
+                      deflated=deflated, block_iterations=column_steps.max())

@@ -7,17 +7,14 @@ to the residual at every step.  CG formally requires a symmetric positive
 definite preconditioner; the MCMC approximate inverse is not exactly
 symmetric, so (as in the reference implementation) the method is used in its
 "flexible" spirit: the recursion is unchanged and convergence is monitored on
-the true residual, which is also how the paper counts steps.
+the unpreconditioned recurrence residual, as the paper counts steps.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.krylov.base import SolveResult, as_preconditioner_function, prepare_system
-from repro.obs.phases import (PHASE_MATVEC, PHASE_PRECOND,
-                              finish_solve_phases, solve_phase_timings,
-                              timed_operator)
+from repro.krylov.base import SolveResult, SolveRun
 
 __all__ = ["cg"]
 
@@ -32,29 +29,21 @@ def cg(matrix, rhs, *, preconditioner=None, x0=None, rtol: float = 1e-8,
         As in :func:`repro.krylov.gmres.gmres`; the tolerance is relative to
         ``||b||``.
     """
-    a_matrix, b, x, maxiter, rtol = prepare_system(matrix, rhs, x0, maxiter, rtol)
-    n = a_matrix.shape[0]
-    timings = solve_phase_timings()
-    apply_a = timed_operator(a_matrix.__matmul__, timings, PHASE_MATVEC)
-    apply_m = timed_operator(as_preconditioner_function(preconditioner, n),
-                             timings, PHASE_PRECOND)
+    run = SolveRun("cg", matrix, rhs, x0, maxiter, rtol, preconditioner)
+    b, x, apply_a, apply_m = run.b, run.x, run.apply_a, run.apply_m
 
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
-        return SolveResult(solution=np.zeros(n), converged=True, iterations=0,
-                           residual_norms=[0.0], solver="cg", matvecs=0,
-                           phase_timings=finish_solve_phases(timings))
-    tolerance = rtol * b_norm
+        return run.finish(np.zeros(run.n), converged=True, iterations=0,
+                          history=[0.0], residual=b)
+    tolerance = run.rtol * b_norm
 
     residual = b - apply_a(x)
-    matvecs = 1
     residual_norm = float(np.linalg.norm(residual))
     history = [residual_norm]
     if residual_norm <= tolerance:
-        return SolveResult(solution=x, converged=True, iterations=0,
-                           residual_norms=history, solver="cg",
-                           matvecs=matvecs,
-                           phase_timings=finish_solve_phases(timings))
+        return run.finish(x, converged=True, iterations=0, history=history,
+                          residual=residual)
 
     z = apply_m(residual)
     direction = z.copy()
@@ -64,10 +53,9 @@ def cg(matrix, rhs, *, preconditioner=None, x0=None, rtol: float = 1e-8,
     converged = False
     breakdown = False
 
-    while iterations < maxiter:
+    while iterations < run.maxiter:
         iterations += 1
         a_direction = apply_a(direction)
-        matvecs += 1
         denominator = float(np.dot(direction, a_direction))
         if denominator == 0.0:
             breakdown = True
@@ -95,7 +83,5 @@ def cg(matrix, rhs, *, preconditioner=None, x0=None, rtol: float = 1e-8,
         direction = z + beta * direction
         rz = rz_new
 
-    return SolveResult(solution=x, converged=converged, iterations=iterations,
-                       residual_norms=history, solver="cg",
-                       breakdown=breakdown and not converged, matvecs=matvecs,
-                       phase_timings=finish_solve_phases(timings))
+    return run.finish(x, converged=converged, iterations=iterations,
+                      history=history, breakdown=breakdown)

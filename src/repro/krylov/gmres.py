@@ -16,10 +16,8 @@ import time
 
 import numpy as np
 
-from repro.krylov.base import SolveResult, as_preconditioner_function, prepare_system
-from repro.obs.phases import (PHASE_MATVEC, PHASE_ORTHO, PHASE_PRECOND,
-                              finish_solve_phases, solve_phase_timings,
-                              timed_operator)
+from repro.krylov.base import SolveResult, SolveRun
+from repro.obs.phases import PHASE_ORTHO
 
 __all__ = ["gmres"]
 
@@ -51,36 +49,30 @@ def gmres(matrix, rhs, *, preconditioner=None, x0=None, rtol: float = 1e-8,
     SolveResult
         With ``iterations`` counting inner Arnoldi steps.
     """
-    a_matrix, b, x, maxiter, rtol = prepare_system(matrix, rhs, x0, maxiter, rtol)
-    n = a_matrix.shape[0]
-    timings = solve_phase_timings()
-    apply_a = timed_operator(a_matrix.__matmul__, timings, PHASE_MATVEC)
-    apply_m = timed_operator(as_preconditioner_function(preconditioner, n),
-                             timings, PHASE_PRECOND)
+    run = SolveRun("gmres", matrix, rhs, x0, maxiter, rtol, preconditioner)
+    b, x, n, maxiter = run.b, run.x, run.n, run.maxiter
+    apply_a, apply_m, timings = run.apply_a, run.apply_m, run.timings
     restart = int(max(1, min(restart, n, maxiter)))
 
     preconditioned_rhs_norm = float(np.linalg.norm(apply_m(b)))
     if preconditioned_rhs_norm == 0.0:
-        # b (or M b) is zero: x = 0 is the exact solution.
-        return SolveResult(solution=np.zeros(n), converged=True, iterations=0,
-                           residual_norms=[0.0], solver="gmres", matvecs=0,
-                           phase_timings=finish_solve_phases(timings))
-    tolerance = rtol * preconditioned_rhs_norm
+        # x = 0 is the exact solution when b = 0.  When only M b vanishes the
+        # preconditioned system carries no information about b: a breakdown.
+        solved = not b.any()
+        return run.finish(np.zeros(n), converged=solved, iterations=0,
+                          history=[0.0], breakdown=not solved, residual=b)
+    tolerance = run.rtol * preconditioned_rhs_norm
 
-    residual_history: list[float] = []
     total_iterations = 0
-    matvecs = 0
     converged = False
-
-    residual = apply_m(b - apply_a(x))
-    matvecs += 1
+    # ``true`` is b - A x of the current iterate: what the exit reports.
+    true = b - apply_a(x)
+    residual = apply_m(true)
     residual_norm = float(np.linalg.norm(residual))
-    residual_history.append(residual_norm)
+    residual_history = [residual_norm]
     if residual_norm <= tolerance:
-        return SolveResult(solution=x, converged=True, iterations=0,
-                           residual_norms=residual_history, solver="gmres",
-                           matvecs=matvecs,
-                           phase_timings=finish_solve_phases(timings))
+        return run.finish(x, converged=True, iterations=0,
+                          history=residual_history, residual=true)
 
     while total_iterations < maxiter and not converged:
         # --- Arnoldi process for one restart cycle ---------------------------
@@ -106,7 +98,6 @@ def gmres(matrix, rhs, *, preconditioner=None, x0=None, rtol: float = 1e-8,
             inner_used = j + 1
 
             work = apply_m(apply_a(basis[j]))
-            matvecs += 1
             # Modified Gram--Schmidt orthogonalisation.
             ortho_start = 0.0 if timings is None else time.perf_counter()
             for i in range(j + 1):
@@ -159,13 +150,11 @@ def gmres(matrix, rhs, *, preconditioner=None, x0=None, rtol: float = 1e-8,
                 y[i] = (rhs_small[i] - np.dot(hessenberg[i, i + 1:k], y[i + 1:k])) / diagonal
             x = x + basis[:k].T @ y
 
-        residual = apply_m(b - apply_a(x))
-        matvecs += 1
+        true = b - apply_a(x)
+        residual = apply_m(true)
         residual_norm = float(np.linalg.norm(residual))
         if residual_norm <= tolerance:
             converged = True
 
-    return SolveResult(solution=x, converged=converged, iterations=total_iterations,
-                       residual_norms=residual_history, solver="gmres",
-                       matvecs=matvecs,
-                       phase_timings=finish_solve_phases(timings))
+    return run.finish(x, converged=converged, iterations=total_iterations,
+                      history=residual_history, residual=true)

@@ -1,9 +1,8 @@
-"""Unified solver dispatch and iteration counting.
+"""Unified solver dispatch.
 
 The categorical part of the MCMC parameter vector selects the Krylov solver;
-this module maps the solver name to the implementation and provides the
-iteration-count helper the evaluation layer builds the paper's performance
-metric from.
+this module maps the solver name to the implementation, for one right-hand
+side (:func:`solve`) or a block of them (:func:`solve_many`).
 """
 
 from __future__ import annotations
@@ -22,8 +21,7 @@ from repro.krylov.block import (
 from repro.krylov.cg import cg
 from repro.krylov.gmres import gmres
 
-__all__ = ["solve", "solve_many", "iteration_count", "KNOWN_SOLVERS",
-           "BATCH_MODES"]
+__all__ = ["solve", "solve_many", "KNOWN_SOLVERS", "BATCH_MODES"]
 
 #: Mapping from solver name to implementation.
 KNOWN_SOLVERS = {
@@ -181,35 +179,11 @@ def solve_many(matrix, rhs_block, *, solver: str = "gmres", preconditioner=None,
                              x0=x0, rtol=rtol, maxiter=maxiter,
                              **solver_options)
     summary = block_summary(results)
-    if mode_key == "auto" and summary is not None and summary.breakdown:
+    if mode_key == "auto" and summary.breakdown:
         # Block breakdown under auto mode: serve the batch with the safe,
-        # bit-identical loop path instead of surfacing partial answers.
-        wasted_matvecs = summary.matvecs
+        # bit-identical loop path instead of surfacing partial answers.  The
+        # abandoned attempt's A-applications were really paid; charge them to
+        # the batch so matvec accounting stays honest.
         results = solve_loop()
-        if results[0].matvecs is not None:
-            # The abandoned block attempt's A-applications were really paid;
-            # charge them to the batch so matvec accounting stays honest.
-            results[0].matvecs += wasted_matvecs
-        return results
+        results[0].matvecs += summary.matvecs
     return results
-
-
-def iteration_count(matrix, rhs, *, solver: str = "gmres", preconditioner=None,
-                    rtol: float = 1e-8, maxiter: int | None = None,
-                    count_failures_as_maxiter: bool = True, **solver_options) -> int:
-    """Number of iterations needed to converge (the paper's raw measurement).
-
-    When the solver does not converge within its budget the count is reported
-    as ``maxiter`` (the paper's divergence scenarios, e.g. near-zero ``alpha``,
-    produce exactly this saturation), unless
-    ``count_failures_as_maxiter=False`` in which case the actual iteration
-    count at termination is returned.
-    """
-    result = solve(matrix, rhs, solver=solver, preconditioner=preconditioner,
-                   rtol=rtol, maxiter=maxiter, **solver_options)
-    if result.converged or not count_failures_as_maxiter:
-        return result.iterations
-    if maxiter is not None:
-        return int(maxiter)
-    n = np.asarray(rhs).ravel().size
-    return int(min(max(10 * n, 100), 5000))

@@ -21,7 +21,6 @@ from repro.obs.phases import (
     PHASE_ORTHO,
     PHASE_PRECOND,
     PhaseTimings,
-    current_phase_recorder,
     finish_solve_phases,
     record_phases,
     solve_phase_timings,
@@ -57,7 +56,6 @@ __all__ = [
     "PHASE_ORTHO",
     "PhaseTimings",
     "record_phases",
-    "current_phase_recorder",
     "solve_phase_timings",
     "finish_solve_phases",
     "timed_operator",

@@ -9,13 +9,14 @@ apply".
 
 The recorder is ambient: :func:`record_phases` activates a
 :class:`PhaseTimings` accumulator through a :mod:`contextvars` variable, and
-each solver checks :func:`current_phase_recorder` **once** at entry.  When no
-recorder is active the solvers run their original arithmetic with no timing
-calls at all — phase timing is zero-cost unless requested.  When one is
-active, each solve accumulates into its *own* :class:`PhaseTimings` (attached
-to the returned :class:`~repro.krylov.base.SolveResult` as
-``phase_timings``) and merges it into the ambient recorder on completion, so
-a multi-rhs batch aggregates naturally.
+:class:`~repro.krylov.base.SolveRun` — the one object every solve runs inside
+— asks :func:`solve_phase_timings` **once** at entry.  When no recorder is
+active the solvers run their original arithmetic with no timing calls at all
+— phase timing is zero-cost unless requested.  When one is active, each solve
+accumulates into its *own* :class:`PhaseTimings` (attached to the returned
+:class:`~repro.krylov.base.SolveResult` as ``phase_timings``) and its exit
+merges it into the ambient recorder, so a multi-rhs batch aggregates
+naturally.
 
 Timing never changes the arithmetic — wrapped operators return exactly what
 the bare operators return — so phase-timed solves are bit-identical to
@@ -35,7 +36,6 @@ __all__ = [
     "PHASE_ORTHO",
     "PhaseTimings",
     "record_phases",
-    "current_phase_recorder",
     "solve_phase_timings",
     "finish_solve_phases",
     "timed_operator",
@@ -74,15 +74,6 @@ class PhaseTimings:
         for phase, seconds in other.seconds.items():
             self.add(phase, seconds, other.calls.get(phase, 0))
 
-    @contextmanager
-    def timed(self, phase: str) -> Iterator[None]:
-        """Accumulate the wall-clock duration of the block under ``phase``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(phase, time.perf_counter() - start)
-
     def as_dict(self) -> dict[str, float]:
         """``{phase: seconds}`` (plain JSON-serialisable floats)."""
         return {phase: float(seconds)
@@ -101,11 +92,6 @@ class PhaseTimings:
         return f"PhaseTimings({inner})"
 
 
-def current_phase_recorder() -> PhaseTimings | None:
-    """The ambient recorder (``None`` means phase timing is off)."""
-    return _PHASE_RECORDER.get()
-
-
 @contextmanager
 def record_phases() -> Iterator[PhaseTimings]:
     """Activate phase recording for every solve inside the block.
@@ -122,11 +108,10 @@ def record_phases() -> Iterator[PhaseTimings]:
 
 
 def solve_phase_timings() -> PhaseTimings | None:
-    """Per-solve accumulator for a solver entry point, or ``None`` when off.
+    """Per-solve accumulator, or ``None`` when no recorder is active.
 
-    Called once at the top of each Krylov solver: the result being ``None``
-    selects the bare (untimed) operators, keeping the disabled path free of
-    timing calls.
+    Called once per solve: the result being ``None`` selects the bare
+    (untimed) operators, keeping the disabled path free of timing calls.
     """
     return None if _PHASE_RECORDER.get() is None else PhaseTimings()
 

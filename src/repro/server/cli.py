@@ -307,11 +307,13 @@ def main(argv: list[str] | None = None) -> int:
     exit_code = 0
     report = []
     for response in responses:
-        status = "converged" if response.converged else "NOT CONVERGED"
+        status = ("converged" if response.converged
+                  else f"NOT CONVERGED ({response.termination})")
         print(f"{response.tag}: {status} in {response.iterations} iterations "
               f"({response.solver} + {response.provenance['built_family']}, "
               f"origin={response.provenance['origin']}, "
               f"residual={response.final_residual:.3e}, "
+              f"true_residual={response.true_residual:.3e}, "
               f"batched with {response.batch_size - 1} other request(s), "
               f"mode={response.batch_mode})")
         if not response.converged:

@@ -286,15 +286,14 @@ class Scheduler:
                 policy_span.set_attribute("neighbour", decision.neighbour_name)
         preconditioner, built_family = self._preconditioner(
             group, decision, parent=leader)
-        settings = SolverSettings(rtol=group.rtol, maxiter=group.maxiter,
-                                  batch_mode=group.batch_mode)
+        settings = SolverSettings(rtol=group.rtol, maxiter=group.maxiter)
         kwargs = settings.solver_kwargs(decision.solver, group.matrix.shape[0])
 
         n = group.matrix.shape[0]
         columns = [np.ones(n) if job.request.rhs is None
                    else np.asarray(job.request.rhs, dtype=np.float64).ravel()
                    for job in group.jobs]
-        call_mode = settings.batch_mode
+        call_mode = group.batch_mode
         if call_mode == "block" and decision.solver not in BLOCK_SOLVERS:
             # The policy (or the request) picked a solver without a block
             # implementation; serving must degrade to the loop path rather
@@ -313,6 +312,12 @@ class Scheduler:
                          batch_size=len(group.jobs)) as solve_span:
                 with record_phases() as recorder:
                     results = run_solve()
+                # Group-shared span: every reason in the batch and the worst
+                # true residual (each request's own pair closes its root).
+                solve_span.set_attribute("termination", ",".join(sorted(
+                    {result.termination for result in results})))
+                solve_span.set_attribute("true_residual", float(np.max(
+                    [result.true_residual for result in results])))
                 # Per-phase wall time: on the span for this request's trace,
                 # and aggregated per matrix fingerprint for fleet-level
                 # "where does this matrix spend its time" queries.
@@ -341,8 +346,8 @@ class Scheduler:
             # Block iteration counts are shared across the batch and not
             # comparable with single-rhs incumbents; only loop-served solves
             # feed the regret signal (mirrors the store-feedback gate below).
-            self._record_regret(group, decision,
-                                [result.iterations for result in results])
+            self._record_regret(group, decision, [
+                result.measured_iterations for result in results])
 
         provenance = PolicyProvenance.from_decision(decision, built_family)
         batch = len(group.jobs)
@@ -364,8 +369,12 @@ class Scheduler:
                 batch_size=batch,
                 batch_mode=batch_mode_used,
                 trace_id=job.trace_id,
+                termination=result.termination,
+                true_residual=result.true_residual,
             )
             self.telemetry.counter("solves_total").add(1)
+            self.telemetry.counter("solve.terminated",
+                                   reason=result.termination).add(1)
             if not result.converged:
                 self.telemetry.counter("solves_not_converged").add(1)
             self.telemetry.histogram("solve.iterations").observe(result.iterations)
@@ -385,12 +394,15 @@ class Scheduler:
                 # comparable with the single-rhs baseline the performance
                 # metric divides by; only loop-served solves feed the store.
                 self._record_observation(group, decision, built_family,
-                                         settings, column, result.iterations)
+                                         settings, column,
+                                         result.measured_iterations)
             job.finished_at = time.perf_counter()
             job._finish(result=response)
             end_job_trace(tr, job, outcome="ok", solver=decision.solver,
                           converged=bool(result.converged),
-                          iterations=int(result.iterations))
+                          iterations=int(result.iterations),
+                          termination=result.termination,
+                          true_residual=result.true_residual)
 
     # -- preconditioner assembly (shared through the cache) ------------------
     def _preconditioner(self, group: _Group, decision: PolicyDecision,
@@ -459,12 +471,13 @@ class Scheduler:
         the server started; regret is the (clamped-at-zero) excess over it.
         A consistently-zero surrogate series against a positive rule series
         is the online win signal ``tests/test_learn_ab.py`` asserts offline.
+        Counts are ``SolveResult.measured_iterations``, so a solve that did
+        not converge weighs its whole budget and never lowers the incumbent.
         """
         key = (group.fingerprint, decision.solver, group.rtol, group.maxiter)
         with self._shadow_lock:
             incumbent = self._incumbent_iterations.get(key)
             for iterations in iteration_counts:
-                iterations = int(iterations)
                 regret = (0 if incumbent is None
                           else max(0, iterations - incumbent))
                 incumbent = (iterations if incumbent is None
@@ -482,7 +495,8 @@ class Scheduler:
         Only genuine MCMC builds are recorded — they are the observations
         the tuning layer consumes.  The unpreconditioned baseline is cached
         per ``(fingerprint, solver, regime)`` so a traffic wave pays for it
-        once.
+        once.  ``iterations`` is ``SolveResult.measured_iterations`` — what
+        ``MatrixEvaluator`` would have stored for the same solve.
         """
         if (self.store is None or not self.record_observations
                 or built_family != "mcmc"):
@@ -500,7 +514,6 @@ class Scheduler:
             # graphs for matrices that are not in the registry.
             self.matrix_bank.put(group.name or group.fingerprint[:12],
                                  group.matrix)
-        iterations = max(int(iterations), 1)
         record = PerformanceRecord(
             parameters=decision.mcmc_parameters(),
             matrix_name=group.name or group.fingerprint[:12],
@@ -515,6 +528,5 @@ class Scheduler:
     def _baseline(self, group: _Group, solver: str,
                   settings: SolverSettings, rhs: np.ndarray) -> int:
         kwargs = settings.solver_kwargs(solver, group.matrix.shape[0])
-        result = solve(group.matrix, rhs, solver=solver, **kwargs)
-        iterations = result.iterations if result.converged else settings.maxiter
-        return max(int(iterations), 1)
+        return solve(group.matrix, rhs, solver=solver,
+                     **kwargs).measured_iterations

@@ -9,6 +9,9 @@ the structured ``invalid`` reason instead of a downstream crash.
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -199,6 +202,39 @@ class TestResponseRoundTrip:
         assert decoded.provenance == response.provenance
         assert (decoded.tag, decoded.job_id, decoded.iterations,
                 decoded.batch_size) == ("t", 4, 12, 2)
+
+    def test_exit_fields_round_trip(self):
+        response = dataclasses.replace(
+            self._response(), termination="converged", true_residual=4.25e-9)
+        payload = json.loads(json.dumps(response.to_json_dict(),
+                                        allow_nan=False))
+        decoded = SolveResponseV1.from_json_dict(payload)
+        assert (decoded.termination, decoded.true_residual,
+                decoded.final_residual) == ("converged", 4.25e-9, 3.5e-9)
+
+    def test_non_finite_residuals_travel_as_null(self):
+        """``json.dumps`` would write the bare token ``NaN``, which is not
+        JSON; a ``non_finite`` solve makes that path real."""
+        response = dataclasses.replace(
+            self._response(), converged=False, termination="non_finite",
+            final_residual=float("nan"), true_residual=float("inf"))
+        payload = response.to_json_dict()
+        assert payload["final_residual"] is None
+        assert payload["true_residual"] is None
+        decoded = SolveResponseV1.from_json_dict(
+            json.loads(json.dumps(payload, allow_nan=False)))
+        assert decoded.termination == "non_finite"
+        assert np.isnan(decoded.final_residual)
+        assert np.isnan(decoded.true_residual)
+
+    def test_payload_predating_the_exit_fields_parses(self):
+        """What a server at the parent commit sends: neither field."""
+        payload = self._response().to_json_dict()
+        assert "true_residual" not in payload
+        del payload["termination"]
+        decoded = SolveResponseV1.from_json_dict(payload)
+        assert decoded.termination is None and decoded.true_residual is None
+        assert decoded.final_residual == 3.5e-9
 
     def test_tampered_solution_fails_integrity(self):
         payload = self._response().to_json_dict()

@@ -95,6 +95,9 @@ class TestInProcessClient:
         assert np.array_equal(through_codec.solution, direct.solution)
         assert through_codec.iterations == direct.iterations
         assert through_codec.provenance == direct.provenance
+        assert (through_codec.termination, through_codec.true_residual) == (
+            direct.termination, direct.true_residual)
+        assert direct.termination == "converged"
 
     def test_borrowed_server_is_not_shut_down(self):
         from repro.server import SolveServer

@@ -105,6 +105,10 @@ class TestSharding:
                                   fleet_response.solution)
             assert single_response.iterations == fleet_response.iterations
             assert single_response.provenance == fleet_response.provenance
+            assert (single_response.termination,
+                    single_response.true_residual) == (
+                fleet_response.termination, fleet_response.true_residual)
+            assert fleet_response.termination is not None
         assert any(r.provenance["family"] == "mcmc" for r in routed)
 
     def test_same_matrix_lands_on_same_replica_and_hits_its_cache(self):

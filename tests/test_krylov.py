@@ -11,7 +11,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.exceptions import MatrixFormatError, ParameterError
-from repro.krylov import KNOWN_SOLVERS, bicgstab, cg, gmres, iteration_count, solve
+from repro.krylov import KNOWN_SOLVERS, bicgstab, cg, gmres, solve
 from repro.matrices import laplacian_2d
 from repro.precond import JacobiPreconditioner, NeumannPreconditioner
 
@@ -178,7 +178,7 @@ class TestCG:
             return np.array([-residual[1], residual[0]])
 
         result = cg(matrix, rhs, preconditioner=preconditioner, rtol=1e-12)
-        assert result.breakdown
+        assert result.termination == "breakdown"
         assert not result.converged
         # The breakdown must be detected immediately, on the first iteration.
         assert result.iterations == 1
@@ -203,7 +203,7 @@ class TestCG:
             return residual.copy()
 
         result = cg(matrix, rhs, preconditioner=preconditioner, rtol=1e-12)
-        assert result.breakdown
+        assert result.termination == "breakdown"
         assert not result.converged
 
 
@@ -222,16 +222,6 @@ class TestDispatcher:
         matrix, rhs, _ = spd_system
         with pytest.raises(ParameterError):
             solve(matrix, rhs, solver="minres")
-
-    def test_iteration_count_matches_solve(self, spd_system):
-        matrix, rhs, _ = spd_system
-        count = iteration_count(matrix, rhs, solver="gmres", rtol=1e-8)
-        assert count == solve(matrix, rhs, solver="gmres", rtol=1e-8).iterations
-
-    def test_iteration_count_saturates_at_maxiter(self, spd_system):
-        matrix, rhs, _ = spd_system
-        assert iteration_count(matrix, rhs, solver="gmres", rtol=1e-14,
-                               maxiter=2) == 2
 
     def test_input_validation(self, spd_system):
         matrix, rhs, _ = spd_system

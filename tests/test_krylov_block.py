@@ -245,7 +245,7 @@ class TestSolveManyModes:
                              maxiter=50)
         assert results[0].block_info is not None
         assert results[0].block_info.breakdown
-        assert all(result.breakdown for result in results)
+        assert all(result.termination == "breakdown" for result in results)
 
 
 class TestTypedValidation:

@@ -105,9 +105,8 @@ def measure_iterations(matrix: sp.csr_matrix,
         preconditioner = MCMCPreconditioner(matrix, parameters, seed=0)
     except Exception:
         return MAXITER  # non-contractive walks: censored like a divergence
-    result = solve(matrix, rhs, solver="gmres", preconditioner=preconditioner,
-                   rtol=RTOL, maxiter=MAXITER)
-    return int(result.iterations) if result.converged else MAXITER
+    return solve(matrix, rhs, solver="gmres", preconditioner=preconditioner,
+                 rtol=RTOL, maxiter=MAXITER).measured_iterations
 
 
 def seed_family_store(store_dir, bank: MatrixBank) -> ObservationStore:

@@ -97,3 +97,72 @@ def test_one_finished_job_eviction_loop(trees):
 
     found = _where(trees, evicts_finished)
     assert len(found) == 1 and found[0].startswith("server/queue.py:"), found
+
+
+def _calls(node: ast.AST, name: str) -> bool:
+    """A call of ``name(...)`` or ``<anything>.name(...)``."""
+    return (isinstance(node, ast.Call)
+            and (isinstance(node.func, ast.Name) and node.func.id == name
+                 or isinstance(node.func, ast.Attribute)
+                 and node.func.attr == name))
+
+
+def test_one_exit_from_every_krylov_solver(trees):
+    """``SolveRun.finish`` is the only place a ``SolveResult`` is built and
+    the only place a solve's phase timings are closed; the default budget
+    and the paper's measurement (the count, saturated at ``maxiter`` when
+    the solve did not converge) are each written once, next to it."""
+    def mentions(node: ast.AST, name: str) -> bool:
+        return (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name)
+
+    def is_default_budget(node: ast.AST) -> bool:
+        # min(max(10 * n, 100), 5000)
+        return (_calls(node, "min") and len(node.args) == 2
+                and _calls(node.args[0], "max")
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value == 5000)
+
+    def is_saturated_count(node: ast.AST) -> bool:
+        # <iterations> if <converged> else <maxiter>
+        return (isinstance(node, ast.IfExp)
+                and any(mentions(n, "converged") for n in ast.walk(node.test))
+                and any(mentions(n, "maxiter") or mentions(n, "MAXITER")
+                        for n in ast.walk(node.orelse)))
+
+    for what, matches in (
+            ("SolveResult(", lambda node: _calls(node, "SolveResult")),
+            ("finish_solve_phases(",
+             lambda node: _calls(node, "finish_solve_phases")),
+            ("default budget", is_default_budget),
+            ("saturated count", is_saturated_count)):
+        found = _where(trees, matches)
+        assert len(found) == 1 and found[0].startswith("krylov/base.py:"), \
+            (what, found)
+    assert _where(trees, lambda node: _defines(node, "iteration_count")) == []
+    # ... and the scripts that used to spell the measurement out read it.
+    root = SRC.parents[1]
+    for path in (*root.glob("examples/*.py"),
+                 *root.glob("benchmarks/bench_*.py"),
+                 root / "tests" / "test_learn_ab.py"):
+        assert not any(is_saturated_count(node)
+                       for node in ast.walk(ast.parse(path.read_text()))), path
+
+
+def test_krylov_solvers_keep_no_matvec_counter(trees):
+    """Applications of ``A`` are counted by the operator ``SolveRun`` binds;
+    the only other writes are the loop fallback charging an abandoned block
+    attempt (``solve.py``)."""
+    def writes_matvecs(node: ast.AST) -> bool:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AugAssign)
+                   else [])
+        return any(isinstance(target, (ast.Name, ast.Attribute))
+                   and (getattr(target, "id", None) == "matvecs"
+                        or getattr(target, "attr", None) == "matvecs")
+                   for target in targets)
+
+    found = [where for where in _where(trees, writes_matvecs)
+             if where.startswith("krylov/")]
+    assert sorted(where.split(":")[0] for where in found) == [
+        "krylov/base.py", "krylov/base.py", "krylov/solve.py"], found

@@ -9,11 +9,13 @@ served synchronously or through the queue.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.krylov import solve
+from repro.krylov import TERMINATIONS, solve
 from repro.matrices import laplacian_2d, pdd_real_sparse, unsteady_advection_diffusion
 from repro.parallel.executor import ThreadExecutor
 from repro.api import SolveRequestV1
@@ -132,6 +134,30 @@ class TestDeterminism:
             assert sync.provenance["family"] == queued.provenance["family"]
             assert np.array_equal(sync.solution, queued.solution), sync.tag
 
+    def test_every_response_says_how_the_solve_ended(self):
+        """``termination`` from the closed set and a ``true_residual`` the
+        caller can recompute, on every response; the reasons are counted."""
+        server = _server()
+        requests = self._stream() + [SolveRequestV1(
+            matrix=laplacian_2d(8), solver="cg", preconditioner="none",
+            rtol=1e-12, maxiter=2, tag="starved")]
+        responses = [server.solve(request) for request in requests]
+        for request, response in zip(requests, responses):
+            rhs = (np.ones(request.matrix.shape[0]) if request.rhs is None
+                   else request.rhs)
+            recomputed = (np.linalg.norm(rhs - request.matrix @ response.solution)
+                          / np.linalg.norm(rhs))
+            assert response.true_residual == pytest.approx(recomputed,
+                                                           rel=1e-12)
+            assert response.termination in TERMINATIONS
+            assert (response.termination == "converged") == response.converged
+        assert responses[-1].termination == "maxiter"
+        counters = server.telemetry_snapshot()["counters"]
+        assert counters['solve.terminated{reason="converged"}'] == (
+            counters["solves_total"] - counters["solves_not_converged"]) == 6
+        assert counters['solve.terminated{reason="maxiter"}'] == 1
+        server.shutdown()
+
     def test_background_worker_matches_inline_drain(self):
         inline_server = _server()
         inline = [inline_server.solve(request) for request in self._stream()]
@@ -176,6 +202,53 @@ class TestStoreIntegration:
             assert stored.fingerprint == fingerprint
             assert stored.context.endswith(":server")
             assert stored.y_values and np.isfinite(stored.y_values).all()
+        server.shutdown()
+
+    def test_unconverged_solve_is_fed_back_at_its_budget(self, tmp_path,
+                                                         monkeypatch):
+        """Traffic feeds the store and the regret signal through the paper's
+        one measurement: a solve that broke down at iteration 1 weighs its
+        whole budget — what ``MatrixEvaluator`` would have stored for it —
+        instead of being recorded as the best result the matrix ever saw."""
+        from repro.server import scheduler as scheduler_module
+        from repro.service import ladder
+
+        matrix = self._mcmc_matrix()
+        fingerprint = matrix_fingerprint(matrix)
+        store = ObservationStore(tmp_path / "store")
+        server = _server(store=store)
+        server.scheduler.shadow_eval = True
+        rng = np.random.default_rng(3)
+        good = server.solve(SolveRequestV1(
+            matrix=matrix, rhs=rng.standard_normal(30), maxiter=200))
+        assert good.converged and good.provenance["built_family"] == "mcmc"
+        (slot, incumbent), = server.scheduler._incumbent_iterations.items()
+        assert incumbent == good.iterations
+
+        real_solve_many = scheduler_module.solve_many
+
+        def broken_solve_many(*args, **kwargs):
+            return [dataclasses.replace(result, converged=False, iterations=1,
+                                        termination="breakdown")
+                    for result in real_solve_many(*args, **kwargs)]
+
+        monkeypatch.setattr(scheduler_module, "solve_many", broken_solve_many)
+        bad = server.solve(SolveRequestV1(
+            matrix=matrix, rhs=rng.standard_normal(30), maxiter=200))
+        assert (bad.converged, bad.iterations, bad.termination) == (
+            False, 1, "breakdown")
+
+        good_record, bad_record = sorted(
+            (stored.to_record()
+             for stored in store.query(fingerprint=fingerprint)),
+            key=lambda record: record.preconditioned_iterations)
+        assert good_record.preconditioned_iterations == [good.iterations]
+        assert bad_record.preconditioned_iterations == [200]
+        assert server.scheduler._incumbent_iterations[slot] == incumbent
+        regret = server.telemetry.histogram("policy.regret", origin="rule")
+        assert regret.summary()["max"] == 200 - incumbent
+        best = next(ladder.stored(ladder.StoreSnapshot(store), fingerprint))
+        assert best.y_mean == good_record.y_mean < bad_record.y_mean
         server.shutdown()
 
     def test_served_records_feed_future_policy_decisions(self, tmp_path):

@@ -58,6 +58,12 @@ class TestServing:
         assert "jacobi" in out
         assert "origin=explicit" in out
 
+    def test_not_converged_prints_the_reason(self, capsys):
+        code = main(["2DFDLaplace_16", "--preconditioner", "none",
+                     "--maxiter", "2"])
+        assert code == 1  # served but not converged
+        assert "NOT CONVERGED (maxiter) in 2 iterations" in capsys.readouterr().out
+
     def test_parser_defaults(self):
         args = build_parser().parse_args(["2DFDLaplace_16"])
         assert args.rhs == "ones"

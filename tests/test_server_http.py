@@ -332,6 +332,8 @@ class TestCrossTransportDeterminism:
             assert ours.fingerprint == theirs.fingerprint
             assert ours.provenance == theirs.provenance, ours.tag
             assert np.array_equal(ours.solution, theirs.solution), ours.tag
+            assert ours.termination == theirs.termination == "converged"
+            assert ours.true_residual == theirs.true_residual < 1e-7
 
     def test_block_batch_matches_in_process_across_transports(self):
         """An HTTP batch of k same-fingerprint requests served in block mode
@@ -432,3 +434,5 @@ class TestCrossTransportDeterminism:
         assert local.provenance == remote.provenance
         assert local.iterations == remote.iterations
         assert np.array_equal(local.solution, remote.solution)
+        assert (local.termination, local.true_residual) == (
+            remote.termination, remote.true_residual)

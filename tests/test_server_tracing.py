@@ -76,6 +76,11 @@ def test_traced_solve_produces_connected_span_tree():
     solve = next(s for s in spans if s.name == "solve")
     phase_keys = [k for k in solve.attributes if k.startswith("phase.")]
     assert "phase.matvec_ms" in phase_keys
+    # what the solver's exit measured, on the solve span and the closing span
+    for span in (solve, root):
+        assert span.attributes["termination"] == response.termination \
+            == "converged"
+        assert span.attributes["true_residual"] == response.true_residual
 
 
 def test_cache_hit_recorded_on_repeat_request():

@@ -15,7 +15,12 @@ preconditioner family**, asserting:
   ``solve_many(mode="loop")`` stays **bit-identical** to sequential
   :func:`~repro.krylov.solve` calls for every solver/preconditioner family;
 * block/loop agreement — block mode answers match loop answers to a tight
-  tolerance whenever both converge.
+  tolerance whenever both converge;
+* the exit contract — whatever the solver and however it stopped,
+  ``true_residual`` is ``||b - A x|| / ||b||`` of the returned iterate and
+  ``termination`` names the reason from the closed set; over 30 further
+  draws per matrix kind the worst ``true_residual / rtol`` of a converged
+  solve stays inside the table declared below.
 
 Families whose construction legitimately rejects a matrix class (e.g.
 IC(0) on an unsymmetric matrix) are skipped per case, mirroring the
@@ -31,7 +36,8 @@ import pytest
 import scipy.sparse as sp
 
 from repro.exceptions import PreconditionerError
-from repro.krylov import BLOCK_SOLVERS, KNOWN_SOLVERS, solve, solve_many
+from repro.krylov import (BLOCK_SOLVERS, KNOWN_SOLVERS, TERMINATIONS, solve,
+                          solve_many)
 from repro.mcmc.parameters import MCMCParameters
 from repro.precond.factory import KNOWN_FAMILIES, make_preconditioner
 
@@ -127,6 +133,15 @@ def _assert_convergence_contract(matrix, rhs, result, preconditioner,
         f"> bound {bound:.3e}")
 
 
+def _assert_exit_contract(matrix, rhs, result) -> None:
+    """What every result carries out of ``SolveRun.finish``."""
+    recomputed = (np.linalg.norm(rhs - matrix @ result.solution)
+                  / np.linalg.norm(rhs))
+    assert result.true_residual == pytest.approx(recomputed, rel=1e-12)
+    assert result.termination in TERMINATIONS
+    assert (result.termination == "converged") == result.converged
+
+
 @pytest.fixture(scope="module")
 def drawn_systems():
     """One seeded (matrix, rhs) draw per matrix kind."""
@@ -152,6 +167,7 @@ class TestSolverPreconditionerMatrix:
                        preconditioner=preconditioner, rtol=RTOL)
         _assert_convergence_contract(matrix, rhs, result, preconditioner,
                                      solver)
+        _assert_exit_contract(matrix, rhs, result)
         if (solver, kind) in GUARANTEED and family in ("none", "jacobi"):
             assert result.converged, (
                 f"{solver} must converge on {kind} with family {family}")
@@ -198,6 +214,7 @@ class TestBlockLoopAgreement:
                              preconditioner=preconditioner, rtol=1e-10,
                              mode="block")
         for j, (ours, theirs) in enumerate(zip(blocked, loop)):
+            _assert_exit_contract(matrix, block[:, j], ours)
             if not (ours.converged and theirs.converged):
                 continue
             scale = np.linalg.norm(theirs.solution)
@@ -216,6 +233,7 @@ def test_property_block_cg_many_seeds(seed):
     results = solve_many(matrix, block, solver="cg", mode="block", rtol=RTOL)
     assert all(result.converged for result in results)
     for j, result in enumerate(results):
+        _assert_exit_contract(matrix, block[:, j], result)
         achieved = np.linalg.norm(matrix @ result.solution - block[:, j])
         assert achieved <= 50 * RTOL * np.linalg.norm(block[:, j])
 
@@ -230,5 +248,40 @@ def test_property_block_gmres_many_seeds(seed):
                          rtol=RTOL)
     assert all(result.converged for result in results)
     for j, result in enumerate(results):
+        _assert_exit_contract(matrix, block[:, j], result)
         achieved = np.linalg.norm(matrix @ result.solution - block[:, j])
         assert achieved <= 100 * RTOL * np.linalg.norm(block[:, j])
+
+
+#: The declared tolerance: the worst ``true_residual / rtol`` a solve that
+#: reports ``converged`` may carry, per solver.  CG and BiCGStab stop on a
+#: recurrence of the true residual; GMRES stops on the *preconditioned*
+#: residual, so its true one overshoots by what ``M`` distorts.  Measured by
+#: the test below (1,419 converged solves): cg 0.998, bicgstab 0.999, gmres
+#: 2.41 (Neumann, ``unsymmetric``, draw 1088).  A change that is not
+#: bit-identical (CGS2, mixed precision) is held to this table — widen an
+#: entry only with the measured number here.
+TRUE_RESIDUAL_OVER_RTOL = {"cg": 1.01, "bicgstab": 1.01, "gmres": 2.5}
+
+
+def test_true_residual_of_converged_solves_stays_in_the_declared_table():
+    worst = dict.fromkeys(TRUE_RESIDUAL_OVER_RTOL, 0.0)
+    for draw in range(1000, 1090):
+        kind = MATRIX_KINDS[draw % 3]
+        matrix = GENERATORS[kind](seed=draw)
+        rhs = np.random.default_rng(draw + 1000).standard_normal(N)
+        for family in KNOWN_FAMILIES:
+            params = {"parameters": MCMCParameters(
+                alpha=2.0, eps=0.25, delta=0.25)} if family == "mcmc" else {}
+            try:
+                preconditioner = make_preconditioner(family, matrix, **params)
+            except PreconditionerError:
+                continue
+            for solver in worst:
+                result = solve(matrix, rhs, solver=solver,
+                               preconditioner=preconditioner, rtol=RTOL)
+                if result.converged:
+                    worst[solver] = max(worst[solver],
+                                        result.true_residual / RTOL)
+    for solver, bound in TRUE_RESIDUAL_OVER_RTOL.items():
+        assert 0.0 < worst[solver] <= bound, worst
