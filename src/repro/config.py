@@ -42,8 +42,8 @@ def default_rng(seed: int | np.random.Generator | None = None) -> np.random.Gene
 def spawn_rngs(seed: int | np.random.Generator | None, n: int) -> list[np.random.Generator]:
     """Spawn ``n`` statistically independent generators from ``seed``.
 
-    Uses :class:`numpy.random.SeedSequence` spawning so that parallel workers
-    (threads, processes or simulated MPI ranks) draw non-overlapping streams.
+    Uses :class:`numpy.random.SeedSequence` spawning so that the generators
+    draw non-overlapping streams.
     """
     if n < 0:
         raise ValueError(f"cannot spawn a negative number of generators: {n}")

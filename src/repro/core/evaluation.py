@@ -23,7 +23,6 @@ from repro.logging_utils import get_logger
 from repro.mcmc.parameters import MCMCParameters
 from repro.mcmc.preconditioner import MCMCPreconditioner
 from repro.mcmc.walks import TransitionTable
-from repro.parallel.executor import Executor
 from repro.sparse.csr import validate_square
 from repro.sparse.fingerprint import content_hash, matrix_fingerprint
 from repro.sparse.splitting import jacobi_splitting
@@ -150,8 +149,6 @@ class MatrixEvaluator:
     seed:
         Base seed; replication ``r`` of parameter vector ``i`` uses an
         independent stream derived from ``(seed, i, r)``.
-    executor:
-        Optional executor forwarded to the MCMC preconditioner builds.
     cache:
         :class:`~repro.service.cache.ArtifactCache` holding the per-``alpha``
         :class:`TransitionTable` builds.  Defaults to the process-wide
@@ -170,7 +167,6 @@ class MatrixEvaluator:
                  settings: SolverSettings | None = None,
                  rhs: np.ndarray | None = None,
                  seed: int = 0,
-                 executor: Executor | None = None,
                  cache: "ArtifactCache | None" = None,
                  store: "ObservationStore | None" = None) -> None:
         self.matrix = validate_square(matrix)
@@ -183,7 +179,6 @@ class MatrixEvaluator:
                 f"rhs length {self.rhs.size} incompatible with matrix "
                 f"dimension {self.matrix.shape[0]}")
         self.seed = int(seed)
-        self.executor = executor
         self.store = store
         self._cache = cache
         self._baseline_cache: dict[str, int] = {}
@@ -243,7 +238,7 @@ class MatrixEvaluator:
     def measure_once(self, parameters: MCMCParameters, *, seed: int) -> tuple[int, float]:
         """One preconditioner build + solve; returns (iterations, y)."""
         preconditioner = MCMCPreconditioner(
-            self.matrix, parameters, seed=seed, executor=self.executor,
+            self.matrix, parameters, seed=seed,
             transition_table=self._transition_table(parameters.alpha))
         kwargs = self.settings.solver_kwargs(parameters.solver, self.matrix.shape[0])
         iterations = solve(self.matrix, self.rhs, solver=parameters.solver,
@@ -319,7 +314,6 @@ def collect_grid_observations(matrices: dict[str, sp.spmatrix],
                               n_replications: int = 3,
                               settings: SolverSettings | None = None,
                               seed: int = 0,
-                              executor: Executor | None = None,
                               skip_cg_for_nonsymmetric: bool = True,
                               store: "ObservationStore | None" = None,
                               ) -> list[LabelledObservation]:
@@ -347,8 +341,7 @@ def collect_grid_observations(matrices: dict[str, sp.spmatrix],
     observations: list[LabelledObservation] = []
     for matrix_index, (name, matrix) in enumerate(matrices.items()):
         evaluator = MatrixEvaluator(matrix, name, settings=settings,
-                                    seed=seed + 17 * matrix_index,
-                                    executor=executor, store=store)
+                                    seed=seed + 17 * matrix_index, store=store)
         grid = parameter_grid
         if skip_cg_for_nonsymmetric and not is_symmetric(matrix):
             grid = [p for p in parameter_grid if p.solver != "cg"]

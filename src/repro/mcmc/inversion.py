@@ -4,15 +4,16 @@ The estimator decomposes as ``A_hat^{-1} = S D^{-1}`` with ``S = sum_k B^k``
 estimated row-by-row by the walk engine.  This module orchestrates:
 
 1. Jacobi splitting with the ``alpha`` diagonal perturbation,
-2. partitioning of the rows into blocks (one task per block, balanced by nnz),
-3. walk generation per block through an :class:`~repro.parallel.Executor`,
+2. partitioning of the rows into contiguous blocks balanced by nnz,
+3. walk generation, one block after another,
 4. column scaling by ``D^{-1}``,
 5. post-processing: drop entries below the truncation threshold and truncate
    to the target fill factor (the paper fixes these to ``1e-9`` and
    ``2 * phi(A)`` respectively).
 
-Every block draws its randomness from a ``SeedSequence`` stream keyed by the
-block index, so the assembled preconditioner does not depend on the executor.
+The block count is fixed by the dense-buffer memory cap alone, and every block
+draws its randomness from a ``SeedSequence`` stream keyed by the block index,
+so the assembled preconditioner is a function of ``(A, parameters, seed)``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from repro.exceptions import ParameterError
 from repro.logging_utils import get_logger
 from repro.mcmc.parameters import MCMCParameters
 from repro.mcmc.walks import TransitionTable, WalkEngine, WalkStatistics
-from repro.parallel.executor import Executor, SerialExecutor
 from repro.parallel.partition import Partition, partition_by_weight
 from repro.parallel.rng import TaskRNGFactory
 from repro.sparse.csr import (
@@ -82,12 +82,12 @@ _MAX_DENSE_BLOCK_ENTRIES = 5_000_000
 def _estimate_block(block: Partition, engine: WalkEngine, chains_per_row: int,
                     rng_factory: TaskRNGFactory, inverse_diagonal: np.ndarray,
                     drop_tolerance: float) -> tuple[sp.csr_matrix, WalkStatistics]:
-    """Worker: estimate and sparsify the inverse rows of one partition block.
+    """Estimate and sparsify the inverse rows of one partition block.
 
     The dense accumulation buffer only ever covers ``block.size`` rows, which
     bounds peak memory even for large matrices; the column scaling by
-    ``D^{-1}`` and the drop tolerance are applied before sparsification so the
-    worker returns a compact CSR block.
+    ``D^{-1}`` and the drop tolerance are applied before sparsification so
+    only a compact CSR block outlives the call.
     """
     rng = rng_factory.for_task(block.task_id)
     estimate, statistics = engine.estimate_rows(block.indices(), chains_per_row, rng)
@@ -99,8 +99,6 @@ def _estimate_block(block: Partition, engine: WalkEngine, chains_per_row: int,
 
 def estimate_inverse(matrix: sp.spmatrix, parameters: MCMCParameters, *,
                      seed: int | None = 0,
-                     executor: Executor | None = None,
-                     n_tasks: int | None = None,
                      fill_multiple: float = DEFAULT_FILL_MULTIPLE,
                      drop_tolerance: float = DEFAULT_DROP_TOLERANCE,
                      chain_cap: int = 10_000,
@@ -119,10 +117,6 @@ def estimate_inverse(matrix: sp.spmatrix, parameters: MCMCParameters, *,
         ignored here (it only matters to the evaluation layer).
     seed:
         Master seed for the per-block random streams.
-    executor:
-        Parallel executor; the serial executor is used when ``None``.
-    n_tasks:
-        Number of row blocks; defaults to ``executor.workers`` (at least 1).
     fill_multiple:
         The preconditioner keeps at most ``fill_multiple * phi(A)`` fill
         (paper default 2.0).  ``None`` or ``<= 0`` disables the constraint.
@@ -170,27 +164,20 @@ def estimate_inverse(matrix: sp.spmatrix, parameters: MCMCParameters, *,
     engine = WalkEngine(table, weight_cutoff=parameters.delta,
                         max_steps=max_walk_length)
 
-    executor = executor if executor is not None else SerialExecutor()
     n = csr.shape[0]
-    if n_tasks is None:
-        # At least one task per worker, and enough tasks that a single block's
-        # dense accumulation buffer stays below the memory cap.
-        memory_tasks = int(np.ceil(n * n / _MAX_DENSE_BLOCK_ENTRIES))
-        n_tasks = max(executor.workers, memory_tasks, 1)
-    weights = np.maximum(table.row_nnz, 1)
-    blocks = partition_by_weight(weights, n_tasks)
+    # Enough blocks that one block's dense accumulation buffer stays below
+    # the memory cap.
+    n_blocks = max(int(np.ceil(n * n / _MAX_DENSE_BLOCK_ENTRIES)), 1)
+    blocks = partition_by_weight(np.maximum(table.row_nnz, 1), n_blocks)
     rng_factory = TaskRNGFactory(seed)
     inverse_diagonal = 1.0 / diagonal
 
-    results = executor.map_tasks(
-        lambda block: _estimate_block(block, engine, chains_per_row, rng_factory,
-                                      inverse_diagonal, drop_tolerance),
-        blocks,
-    )
-
     statistics = WalkStatistics.empty()
     sparse_blocks: list[sp.csr_matrix] = []
-    for _block, (rows_estimate, block_stats) in zip(blocks, results):
+    for block in blocks:
+        rows_estimate, block_stats = _estimate_block(
+            block, engine, chains_per_row, rng_factory, inverse_diagonal,
+            drop_tolerance)
         sparse_blocks.append(rows_estimate)
         statistics = statistics.merge(block_stats)
 

@@ -20,7 +20,6 @@ from repro.mcmc.inversion import (
 )
 from repro.mcmc.parameters import MCMCParameters
 from repro.mcmc.walks import TransitionTable
-from repro.parallel.executor import Executor
 from repro.precond.base import MatrixPreconditioner
 
 __all__ = ["MCMCPreconditioner"]
@@ -37,8 +36,6 @@ class MCMCPreconditioner(MatrixPreconditioner):
         Algorithmic parameters ``(alpha, eps, delta)`` of the estimator.
     seed:
         Master seed of the per-block random streams (reproducible builds).
-    executor:
-        Optional :class:`~repro.parallel.Executor`; serial when ``None``.
     fill_multiple:
         Retained fill as a multiple of ``phi(A)`` (paper default: 2.0).
     drop_tolerance:
@@ -62,7 +59,6 @@ class MCMCPreconditioner(MatrixPreconditioner):
 
     def __init__(self, matrix: sp.spmatrix, parameters: MCMCParameters, *,
                  seed: int | None = 0,
-                 executor: Executor | None = None,
                  fill_multiple: float = DEFAULT_FILL_MULTIPLE,
                  drop_tolerance: float = DEFAULT_DROP_TOLERANCE,
                  transition_table: TransitionTable | None = None) -> None:
@@ -70,7 +66,6 @@ class MCMCPreconditioner(MatrixPreconditioner):
             matrix,
             parameters,
             seed=seed,
-            executor=executor,
             fill_multiple=fill_multiple,
             drop_tolerance=drop_tolerance,
             transition_table=transition_table,

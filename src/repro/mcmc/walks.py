@@ -17,8 +17,8 @@ chains starting at state ``i``:
 The engine is fully vectorised over walks: all chains of a block of starting
 rows advance simultaneously using a padded per-row transition table, which is
 what keeps a pure-NumPy implementation fast enough for the paper-scale
-matrices.  Determinism is guaranteed by seeding each (row-block) task with its
-own ``SeedSequence`` stream, so the result is independent of the executor.
+matrices.  Determinism is guaranteed by seeding each row block with its own
+``SeedSequence`` stream, keyed by the block index.
 """
 
 from __future__ import annotations

@@ -55,7 +55,7 @@ class PhaseTimings:
     Not thread-safe by design: each solve owns a private instance; the
     ambient recorder a batch merges into is only touched from the thread
     running that batch's solves (the scheduler activates one recorder per
-    group, and a group runs on one executor worker).
+    group, and runs a group's solves in the thread that executes the batch).
     """
 
     __slots__ = ("seconds", "calls")

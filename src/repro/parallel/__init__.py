@@ -1,23 +1,16 @@
-"""Parallel-execution substrate.
+"""Row blocks and per-block random streams of the MCMC inverse.
 
 The reference MCMCMI implementation in the paper is a hybrid MPI+OpenMP code
-run with 2 MPI processes and 4 OpenMP threads per process; every Markov chain
-is independent, so the work decomposes into row blocks distributed over ranks
-and chains executed by threads.  This package reproduces that execution model
-in pure Python:
+run with 2 MPI processes and 4 OpenMP threads per process.  That layout is how
+the authors scheduled the work, not part of any number reproduced here: every
+Markov chain is independent, so the inverse decomposes into row blocks, and
+what fixes the result is which rows a block holds and which stream it draws
+from:
 
-* :mod:`repro.parallel.partition` -- row-range partitioning, optionally
-  balanced by the per-row non-zero count (the dominant cost driver of a walk);
-* :mod:`repro.parallel.rng` -- per-task independent random streams via
-  ``SeedSequence`` spawning, so results are reproducible regardless of the
-  executor and of the number of workers;
-* :mod:`repro.parallel.executor` -- interchangeable executors (serial, thread
-  pool, process pool, and a simulated ``ranks x threads`` hybrid) sharing one
-  ``map_tasks`` interface.
-
-Because the performance metric of the paper is an iteration-count ratio, the
-choice of executor never changes the *numbers*, only the wall-clock time; the
-unit tests assert exactly that equivalence.
+* :mod:`repro.parallel.partition` -- contiguous row blocks, balanced by the
+  per-row non-zero count (the dominant cost driver of a walk);
+* :mod:`repro.parallel.rng` -- one independent random stream per block via
+  ``SeedSequence`` spawning, keyed on ``(master seed, block index)``.
 """
 
 from repro.parallel.partition import (
@@ -25,26 +18,11 @@ from repro.parallel.partition import (
     partition_rows,
     partition_by_weight,
 )
-from repro.parallel.rng import TaskRNGFactory, spawn_task_rngs
-from repro.parallel.executor import (
-    Executor,
-    SerialExecutor,
-    ThreadExecutor,
-    ProcessExecutor,
-    HybridExecutor,
-    get_executor,
-)
+from repro.parallel.rng import TaskRNGFactory
 
 __all__ = [
     "Partition",
     "partition_rows",
     "partition_by_weight",
     "TaskRNGFactory",
-    "spawn_task_rngs",
-    "Executor",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
-    "HybridExecutor",
-    "get_executor",
 ]

@@ -1,7 +1,7 @@
-"""Row-range partitioning for parallel MCMC walk generation.
+"""Row-range partitioning for MCMC walk generation.
 
 A matrix-inversion run estimates every row of the inverse independently, so the
-natural unit of distribution is a contiguous block of rows.  Two strategies are
+natural unit of work is a contiguous block of rows.  Two strategies are
 provided: equal row counts (what a naive MPI decomposition does) and
 weight-balanced blocks where the weight of a row is its non-zero count -- a
 good proxy for the cost of the random walks originating from it.
@@ -21,7 +21,8 @@ __all__ = ["Partition", "partition_rows", "partition_by_weight"]
 
 @dataclass(frozen=True)
 class Partition:
-    """A contiguous block of row indices ``[start, stop)`` owned by one task."""
+    """A contiguous block of row indices ``[start, stop)``; ``task_id`` is the
+    block's index, which keys its random stream."""
 
     task_id: int
     start: int
@@ -45,30 +46,31 @@ class Partition:
         return iter(range(self.start, self.stop))
 
 
-def partition_rows(n_rows: int, n_tasks: int) -> list[Partition]:
-    """Split ``n_rows`` into at most ``n_tasks`` nearly equal contiguous blocks.
+def partition_rows(n_rows: int, n_blocks: int) -> list[Partition]:
+    """Split ``n_rows`` into at most ``n_blocks`` nearly equal contiguous blocks.
 
-    Empty blocks are never produced: when ``n_tasks > n_rows`` only ``n_rows``
+    Empty blocks are never produced: when ``n_blocks > n_rows`` only ``n_rows``
     partitions are returned.
     """
     if n_rows < 0:
         raise ParameterError(f"n_rows must be non-negative, got {n_rows}")
-    if n_tasks < 1:
-        raise ParameterError(f"n_tasks must be >= 1, got {n_tasks}")
+    if n_blocks < 1:
+        raise ParameterError(f"n_blocks must be >= 1, got {n_blocks}")
     if n_rows == 0:
         return []
-    n_tasks = min(n_tasks, n_rows)
-    base, remainder = divmod(n_rows, n_tasks)
+    n_blocks = min(n_blocks, n_rows)
+    base, remainder = divmod(n_rows, n_blocks)
     partitions: list[Partition] = []
     start = 0
-    for task_id in range(n_tasks):
+    for task_id in range(n_blocks):
         size = base + (1 if task_id < remainder else 0)
         partitions.append(Partition(task_id, start, start + size))
         start += size
     return partitions
 
 
-def partition_by_weight(weights: Sequence[float] | np.ndarray, n_tasks: int) -> list[Partition]:
+def partition_by_weight(weights: Sequence[float] | np.ndarray,
+                        n_blocks: int) -> list[Partition]:
     """Split rows into contiguous blocks of approximately equal total weight.
 
     A greedy sweep assigns rows to the current block until its weight reaches
@@ -81,32 +83,30 @@ def partition_by_weight(weights: Sequence[float] | np.ndarray, n_tasks: int) -> 
     if np.any(weight_array < 0):
         raise ParameterError("weights must be non-negative")
     n_rows = weight_array.size
-    if n_tasks < 1:
-        raise ParameterError(f"n_tasks must be >= 1, got {n_tasks}")
+    if n_blocks < 1:
+        raise ParameterError(f"n_blocks must be >= 1, got {n_blocks}")
     if n_rows == 0:
         return []
-    n_tasks = min(n_tasks, n_rows)
+    n_blocks = min(n_blocks, n_rows)
     total = float(weight_array.sum())
     if total == 0.0:
-        return partition_rows(n_rows, n_tasks)
+        return partition_rows(n_rows, n_blocks)
 
     partitions: list[Partition] = []
     start = 0
-    accumulated = 0.0
     consumed = 0.0
-    for task_id in range(n_tasks):
-        remaining_tasks = n_tasks - task_id
-        target = (total - consumed) / remaining_tasks
+    for task_id in range(n_blocks):
+        remaining_blocks = n_blocks - task_id
+        target = (total - consumed) / remaining_blocks
         stop = start
         block_weight = 0.0
-        # Always take at least one row; stop early so later tasks are not starved.
-        max_stop = n_rows - (remaining_tasks - 1)
+        # Always take at least one row; stop early so later blocks are not starved.
+        max_stop = n_rows - (remaining_blocks - 1)
         while stop < max_stop and (block_weight < target or stop == start):
             block_weight += weight_array[stop]
             stop += 1
         partitions.append(Partition(task_id, start, stop))
         consumed += block_weight
-        accumulated += block_weight
         start = stop
     # Any leftover rows (possible due to the max_stop guard) go to the last block.
     if start < n_rows:

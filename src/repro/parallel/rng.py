@@ -1,12 +1,11 @@
 """Reproducible per-task random streams.
 
 Monte Carlo matrix inversion draws an enormous number of random transitions;
-when the work is split across workers each task must use a statistically
-independent stream, and -- crucially for reproducibility -- the streams must
-not depend on *how many* workers execute them.  ``numpy``'s ``SeedSequence``
-spawning provides exactly that: we key every stream on the (master seed,
-task index) pair, so a serial run and an 8-way parallel run of the same
-experiment produce bit-identical preconditioners.
+when the rows are split into blocks each block must use a statistically
+independent stream, and -- crucially for reproducibility -- a block's stream
+must depend only on which block it is.  ``numpy``'s ``SeedSequence`` spawning
+provides exactly that: every stream is keyed on the (master seed, block index)
+pair, whatever order the blocks are estimated in.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import numpy as np
 
 from repro.exceptions import ParameterError
 
-__all__ = ["TaskRNGFactory", "spawn_task_rngs"]
+__all__ = ["TaskRNGFactory"]
 
 
 class TaskRNGFactory:
@@ -44,14 +43,3 @@ class TaskRNGFactory:
         child = np.random.SeedSequence(
             entropy=self._root.entropy, spawn_key=(task_index,))
         return np.random.default_rng(child)
-
-    def for_tasks(self, n_tasks: int) -> list[np.random.Generator]:
-        """Generators for task indices ``0 .. n_tasks - 1``."""
-        if n_tasks < 0:
-            raise ParameterError(f"n_tasks must be non-negative, got {n_tasks}")
-        return [self.for_task(index) for index in range(n_tasks)]
-
-
-def spawn_task_rngs(seed: int | None, n_tasks: int) -> list[np.random.Generator]:
-    """Convenience wrapper equivalent to ``TaskRNGFactory(seed).for_tasks(n)``."""
-    return TaskRNGFactory(seed).for_tasks(n_tasks)

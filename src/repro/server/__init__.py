@@ -15,7 +15,7 @@ and HTTP/JSON traffic (:mod:`repro.server.http` +
 * :mod:`repro.server.queue` — :class:`JobQueue` (admission control,
   priorities, backpressure, graceful drain), :class:`Job`.
 * :mod:`repro.server.scheduler` — :class:`Scheduler` (fingerprint-batched
-  execution over a :class:`repro.parallel.Executor`).
+  execution, one group after another).
 * :mod:`repro.server.policy` — :class:`PreconditionerPolicy`
   (stored reuse → warm start → rule table, deterministic via store
   snapshots).

@@ -312,8 +312,8 @@ class JobQueue:
                error: Exception | None = None) -> None:
         """Report a popped job finished, waking any :meth:`drain` waiters.
 
-        When the job was already completed by the executor (the scheduler
-        sets results directly), this only performs the in-flight accounting.
+        When the job was already completed by the scheduler (which sets
+        results directly), this only performs the in-flight accounting.
         """
         if not job.done():
             job._finish(result, error)

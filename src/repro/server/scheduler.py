@@ -15,9 +15,8 @@ requested preconditioner, rtol, maxiter)``:
 * one **multi-rhs solve** (:func:`repro.krylov.solve_many`) over the group's
   stacked right-hand sides.
 
-Groups run through a :class:`repro.parallel.Executor` via
-:meth:`~repro.parallel.executor.Executor.run_settled`, so one group's failure
-surfaces on its own jobs while every other group completes.
+Groups run one after another; a group that raises fails its own jobs while
+every other group still completes.
 
 Determinism
 -----------
@@ -69,7 +68,6 @@ from repro.mcmc.walks import TransitionTable
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.phases import record_phases
 from repro.obs.trace import NULL_TRACER
-from repro.parallel.executor import Executor, SerialExecutor
 from repro.precond.factory import make_preconditioner
 from repro.server.policy import PolicyDecision, PreconditionerPolicy
 from repro.server.queue import Job
@@ -135,8 +133,6 @@ class Scheduler:
     cache:
         Shared artifact cache for preconditioners, transition tables,
         resolved registry matrices and baseline iteration counts.
-    executor:
-        Runs independent groups concurrently; serial when ``None``.
     telemetry:
         Metrics registry fed by every execution.
     store:
@@ -168,7 +164,6 @@ class Scheduler:
     """
 
     def __init__(self, *, policy: PreconditionerPolicy, cache: ArtifactCache,
-                 executor: Executor | None = None,
                  telemetry: MetricsRegistry | None = None,
                  store: ObservationStore | None = None,
                  record_observations: bool = True,
@@ -178,7 +173,6 @@ class Scheduler:
                  shadow_eval: bool = False) -> None:
         self.policy = policy
         self.cache = cache
-        self.executor = executor if executor is not None else SerialExecutor()
         self.telemetry = telemetry if telemetry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.store = store
@@ -204,9 +198,10 @@ class Scheduler:
             return
         groups = self._group(jobs)
         self.telemetry.histogram("scheduler.groups_per_batch").observe(len(groups))
-        settled = self.executor.run_settled(self._run_group, groups)
-        for group, (_, error) in zip(groups, settled):
-            if error is not None:
+        for group in groups:
+            try:
+                self._run_group(group)
+            except Exception as error:  # noqa: BLE001 - surfaced on the jobs
                 _LOG.warning("group %s failed: %s", group.fingerprint[:8], error)
                 for job in group.jobs:
                     if not job.done():

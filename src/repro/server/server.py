@@ -41,7 +41,6 @@ from repro.mcmc.parameters import DEFAULT_BOUNDS, ParameterBounds
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.prometheus import render_prometheus
 from repro.obs.trace import NULL_TRACER, current_trace_id, new_trace_id
-from repro.parallel.executor import Executor
 from repro.server.policy import PreconditionerPolicy
 from repro.server.queue import Job, JobQueue
 from repro.server.scheduler import Scheduler, end_job_trace
@@ -63,8 +62,6 @@ class SolveServer:
         feedback; ``None`` disables both.
     cache:
         Shared artifact cache; the process-wide cache when ``None``.
-    executor:
-        Executor running independent request groups; serial when ``None``.
     max_queue_depth:
         Admission bound of the queue (backpressure threshold).
     batch_max:
@@ -119,7 +116,6 @@ class SolveServer:
 
     def __init__(self, *, store: ObservationStore | str | None = None,
                  cache: ArtifactCache | None = None,
-                 executor: Executor | None = None,
                  max_queue_depth: int = 256,
                  batch_max: int | None = None,
                  record_observations: bool = True,
@@ -154,7 +150,7 @@ class SolveServer:
                                            surrogate=self.surrogate)
         self.queue = JobQueue(max_depth=max_queue_depth)
         self.scheduler = Scheduler(
-            policy=self.policy, cache=self.cache, executor=executor,
+            policy=self.policy, cache=self.cache,
             telemetry=self.telemetry, store=self.store,
             record_observations=record_observations,
             batch_mode=batch_mode, tracer=self.tracer,
@@ -413,9 +409,10 @@ class SolveServer:
         try:
             self.scheduler.execute(batch)
         except Exception as error:  # noqa: BLE001 - must fail the jobs
-            # An error escaping the scheduler (e.g. an executor that cannot
-            # ship Job objects) must fail the affected jobs; falling through
-            # would mark them DONE with a None result.
+            # An error escaping the scheduler (one raised outside a group,
+            # e.g. while grouping or recording telemetry) must fail the
+            # affected jobs; falling through would mark them DONE with a
+            # None result.
             _LOG.exception("batch execution failed")
             for job in batch:
                 if not job.done():

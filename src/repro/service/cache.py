@@ -103,14 +103,6 @@ class ArtifactCache:
             self._disk_dir = Path(disk_dir)
             self._disk_dir.mkdir(parents=True, exist_ok=True)
 
-    # -- pickling (process-executor workers get a fresh, same-config cache) --
-    def __getstate__(self) -> dict:
-        return {"max_entries": self._max_entries,
-                "disk_dir": None if self._disk_dir is None else str(self._disk_dir)}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(state["max_entries"], disk_dir=state["disk_dir"])
-
     # -- basic mapping interface -------------------------------------------
     @property
     def max_entries(self) -> int:

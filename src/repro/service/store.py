@@ -142,13 +142,6 @@ class ObservationStore:
         self._generation: str | None = None
         self.reload(full=True)
 
-    # -- pickling (ProcessExecutor workers append into the same store) ------
-    def __getstate__(self) -> dict:
-        return {"root": str(self._root)}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(state["root"])
-
     # -- basic queries ------------------------------------------------------
     @property
     def root(self) -> Path:

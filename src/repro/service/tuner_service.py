@@ -20,10 +20,8 @@ Measurements run through :class:`~repro.core.evaluation.MatrixEvaluator`
 instances that share one :class:`~repro.service.cache.ArtifactCache` (so
 requests over the same matrix share ``TransitionTable`` builds) and persist
 into the same :class:`~repro.service.store.ObservationStore` (so every request
-makes future requests cheaper).  The batch is scheduled through a
-:class:`~repro.parallel.Executor`; with a process executor the workers append
-into the same on-disk store and :meth:`ObservationStore.reload` merges their
-writes back into the parent's view.
+makes future requests cheaper).  A batch resolves its requests in order, so
+a later request already sees the records an earlier one stored.
 
 Every recommendation is a :class:`~repro.service.ladder.Proposal`: where the
 winning parameters came from (stored observation, neighbour warm start, or
@@ -45,7 +43,6 @@ from repro.core.evaluation import (
 from repro.exceptions import ParameterError
 from repro.logging_utils import get_logger
 from repro.mcmc.parameters import DEFAULT_BOUNDS, ParameterBounds
-from repro.parallel.executor import Executor, SerialExecutor
 from repro.service import ladder
 from repro.service.cache import ArtifactCache, global_cache
 from repro.service.ladder import Proposal, StoreSnapshot
@@ -103,10 +100,6 @@ class TuningService:
     cache:
         Artifact cache shared by the evaluators; the process-wide cache when
         ``None``.
-    executor:
-        Schedules the requests of a batch; serial when ``None``.  Thread and
-        process executors are both supported (the store merges concurrent
-        writers).
     settings:
         Krylov solver settings shared by all measurements.
     bounds:
@@ -115,26 +108,18 @@ class TuningService:
 
     def __init__(self, store: ObservationStore | str, *,
                  cache: ArtifactCache | None = None,
-                 executor: Executor | None = None,
                  settings: SolverSettings | None = None,
                  bounds: ParameterBounds = DEFAULT_BOUNDS) -> None:
         self.store = (store if isinstance(store, ObservationStore)
                       else ObservationStore(store))
         self.cache = cache if cache is not None else global_cache()
-        self.executor = executor if executor is not None else SerialExecutor()
         self.settings = settings if settings is not None else SolverSettings()
         self.bounds = bounds
 
     # -- the batch front-end ------------------------------------------------
     def tune_batch(self, requests: list[TuningRequest]) -> list[TuningResult]:
         """Resolve a batch of requests, in request order."""
-        if not requests:
-            return []
-        results = self.executor.map_tasks(self.tune_one, requests)
-        # Process workers appended into the store on disk; fold their records
-        # (and any other concurrent writer's) into this process's view.
-        self.store.reload()
-        return results
+        return [self.tune_one(request) for request in requests]
 
     def tune_one(self, request: TuningRequest) -> TuningResult:
         """Resolve a single request; see the module docstring for the policy."""

@@ -115,7 +115,7 @@ class TestInProcessClient:
             job_id = client.submit(SolveRequestV1(matrix="2DFDLaplace_16"))
 
             def boom(batch):
-                raise RuntimeError("executor exploded")
+                raise RuntimeError("scheduler exploded")
 
             monkeypatch.setattr(client.server.scheduler, "execute", boom)
             client.drain(timeout=10.0)

@@ -166,3 +166,30 @@ def test_krylov_solvers_keep_no_matvec_counter(trees):
              if where.startswith("krylov/")]
     assert sorted(where.split(":")[0] for where in found) == [
         "krylov/base.py", "krylov/base.py", "krylov/solve.py"], found
+
+
+def test_no_executor_layer(trees):
+    """Work runs as plain loops: the MCMC row blocks, the tuning batch and
+    the scheduler's groups.  No class is an ``...Executor`` and nothing maps
+    or settles tasks on one's behalf."""
+    assert _where(trees, lambda node: isinstance(node, ast.ClassDef)
+                  and node.name.endswith("Executor")) == []
+    assert _where(trees, lambda node: _defines(
+        node, "get_executor|map_tasks|run_settled")) == []
+
+
+@pytest.mark.parametrize("knob", ["executor", "n_tasks", "n_threads",
+                                  "n_processes", "ranks", "threads_per_rank"])
+def test_no_function_takes_a_worker_count(trees, knob):
+    """How many workers something claims cannot again decide how many
+    blocks the inverse is built from: no function takes one of the options
+    the executor layer had."""
+    def takes_knob(node: ast.AST) -> bool:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return False
+        arguments = node.args
+        return knob in {arg.arg for arg in (*arguments.posonlyargs,
+                                            *arguments.args,
+                                            *arguments.kwonlyargs)}
+
+    assert _where(trees, takes_knob) == []

@@ -1,4 +1,4 @@
-"""Tests for the parallel-execution substrate."""
+"""Tests for the row blocks and per-block random streams of the MCMC inverse."""
 
 from __future__ import annotations
 
@@ -6,23 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.parallel
 from repro.exceptions import ParameterError
 from repro.parallel import (
-    HybridExecutor,
     Partition,
-    ProcessExecutor,
-    SerialExecutor,
     TaskRNGFactory,
-    ThreadExecutor,
-    get_executor,
     partition_by_weight,
     partition_rows,
-    spawn_task_rngs,
 )
-
-
-def _square(value: int) -> int:
-    return value * value
 
 
 class TestPartition:
@@ -76,16 +67,48 @@ class TestPartition:
             partition_by_weight([-1.0, 2.0], 2)
         with pytest.raises(ParameterError):
             partition_by_weight(np.ones((2, 2)), 2)
+        with pytest.raises(ParameterError):
+            partition_by_weight(np.ones(4), 0)
+
+    def test_partition_by_weight_empty(self):
+        assert partition_by_weight(np.zeros(0), 3) == []
+
+    def test_partition_by_weight_more_blocks_than_rows(self):
+        blocks = partition_by_weight(np.ones(3), 8)
+        assert [(block.start, block.stop) for block in blocks] == \
+            [(0, 1), (1, 2), (2, 3)]
+
+    def test_partition_by_weight_task_ids_are_block_indices(self):
+        blocks = partition_by_weight(np.arange(1, 21, dtype=float), 5)
+        assert [block.task_id for block in blocks] == list(range(5))
+
+    def test_partition_rows_sizes_differ_by_at_most_one(self):
+        sizes = [block.size for block in partition_rows(23, 5)]
+        assert sizes == [5, 5, 5, 4, 4]
 
 
 @settings(max_examples=30, deadline=None)
 @given(n_rows=st.integers(min_value=0, max_value=60),
-       n_tasks=st.integers(min_value=1, max_value=10))
-def test_partition_rows_property(n_rows, n_tasks):
+       n_blocks=st.integers(min_value=1, max_value=10))
+def test_partition_rows_property(n_rows, n_blocks):
     """Property: blocks are contiguous, ordered and cover [0, n_rows)."""
-    blocks = partition_rows(n_rows, n_tasks)
+    blocks = partition_rows(n_rows, n_blocks)
     covered = [i for block in blocks for i in block]
     assert covered == list(range(n_rows))
+
+
+@settings(max_examples=30, deadline=None)
+@given(weights=st.lists(st.floats(min_value=0.0, max_value=50.0),
+                        max_size=60),
+       n_blocks=st.integers(min_value=1, max_value=10))
+def test_partition_by_weight_property(weights, n_blocks):
+    """Property: ``min(n_blocks, n_rows)`` non-empty contiguous blocks, in
+    order, indexed ``0 ..``, covering ``[0, n_rows)``."""
+    blocks = partition_by_weight(np.asarray(weights, dtype=float), n_blocks)
+    assert len(blocks) == min(n_blocks, len(weights))
+    assert all(block.size > 0 for block in blocks)
+    assert [block.task_id for block in blocks] == list(range(len(blocks)))
+    assert [i for block in blocks for i in block] == list(range(len(weights)))
 
 
 class TestTaskRNG:
@@ -100,183 +123,41 @@ class TestTaskRNG:
         assert not np.allclose(factory.for_task(0).random(5),
                                factory.for_task(1).random(5))
 
-    def test_for_tasks_count(self):
-        assert len(TaskRNGFactory(1).for_tasks(4)) == 4
-
     def test_invalid_task_index(self):
         with pytest.raises(ParameterError):
             TaskRNGFactory(0).for_task(-1)
 
-    def test_spawn_task_rngs_helper(self):
-        assert len(spawn_task_rngs(0, 3)) == 3
+    def test_stream_independent_of_creation_order(self):
+        """A block's stream is keyed on its index alone, so visiting the
+        blocks in any order draws the same numbers for each."""
+        forward = TaskRNGFactory(4)
+        drawn = [forward.for_task(index).random(3) for index in range(6)]
+        backward = TaskRNGFactory(4)
+        for index in reversed(range(6)):
+            np.testing.assert_array_equal(
+                backward.for_task(index).random(3), drawn[index])
+
+    def test_repeated_requests_restart_the_stream(self):
+        factory = TaskRNGFactory(2)
+        np.testing.assert_array_equal(factory.for_task(1).random(4),
+                                      factory.for_task(1).random(4))
+
+    def test_different_seeds_differ(self):
+        assert not np.allclose(TaskRNGFactory(0).for_task(0).random(5),
+                               TaskRNGFactory(1).for_task(0).random(5))
+
+    def test_seed_property(self):
+        assert TaskRNGFactory(9).seed == 9
+        assert TaskRNGFactory(None).seed is None
+
+    def test_unseeded_factory_is_consistent_with_itself(self):
+        factory = TaskRNGFactory(None)
+        np.testing.assert_array_equal(factory.for_task(2).random(4),
+                                      factory.for_task(2).random(4))
 
 
-class TestExecutors:
-    @pytest.mark.parametrize("executor", [
-        SerialExecutor(),
-        ThreadExecutor(n_threads=2),
-        HybridExecutor(ranks=2, threads_per_rank=2),
-    ])
-    def test_results_in_task_order(self, executor):
-        tasks = list(range(13))
-        assert executor.map_tasks(_square, tasks) == [t * t for t in tasks]
+def test_package_exports_only_blocks_and_streams():
+    """What fixes the numbers of the inverse, and nothing that schedules it."""
+    assert sorted(repro.parallel.__all__) == [
+        "Partition", "TaskRNGFactory", "partition_by_weight", "partition_rows"]
 
-    def test_process_executor(self):
-        executor = ProcessExecutor(n_processes=2)
-        assert executor.map_tasks(_square, [1, 2, 3]) == [1, 4, 9]
-
-    def test_empty_task_list(self):
-        assert ThreadExecutor(2).map_tasks(_square, []) == []
-        assert HybridExecutor(2, 2).map_tasks(_square, []) == []
-
-    def test_workers_property(self):
-        assert SerialExecutor().workers == 1
-        assert ThreadExecutor(3).workers == 3
-        assert HybridExecutor(2, 4).workers == 8
-
-    def test_describe_mentions_configuration(self):
-        assert "ranks=2" in HybridExecutor(2, 4).describe()
-
-    def test_invalid_configuration(self):
-        with pytest.raises(ParameterError):
-            ThreadExecutor(0)
-        with pytest.raises(ParameterError):
-            HybridExecutor(0, 1)
-        with pytest.raises(ParameterError):
-            ProcessExecutor(0)
-
-    def test_factory(self):
-        assert isinstance(get_executor("serial"), SerialExecutor)
-        assert isinstance(get_executor("thread", n_threads=2), ThreadExecutor)
-        assert isinstance(get_executor("hybrid", ranks=1, threads_per_rank=1),
-                          HybridExecutor)
-        with pytest.raises(ParameterError):
-            get_executor("gpu")
-
-
-# -- satellite coverage: ordering, hybrid seeding, process pickling -----------
-
-def _jittered_square(value: int) -> int:
-    """Finish out of submission order to stress result re-ordering."""
-    import time
-
-    time.sleep(0.002 * ((7 - value) % 5))
-    return value * value
-
-
-def _seeded_draw(task) -> float:
-    """First uniform of the per-task stream (seed, index) -> float."""
-    seed, index = task
-    return float(TaskRNGFactory(seed).for_task(index).random(1)[0])
-
-
-def _evaluation_task(task) -> float:
-    """A realistic evaluation payload: MCMC inverse estimate -> residual norm.
-
-    Must live at module level so :class:`ProcessExecutor` can pickle it.
-    """
-    alpha, seed = task
-    import scipy.sparse as sp
-
-    from repro.matrices import laplacian_2d
-    from repro.mcmc.inversion import estimate_inverse
-    from repro.mcmc.parameters import MCMCParameters
-
-    matrix = laplacian_2d(6)
-    parameters = MCMCParameters(alpha=alpha, eps=1.0, delta=0.5)
-    approx = estimate_inverse(matrix, parameters, seed=seed)
-    residual = sp.identity(matrix.shape[0]) - approx @ matrix
-    return float(np.abs(residual.toarray()).sum())
-
-
-class TestExecutorOrdering:
-    """Results must come back in task order under every executor."""
-
-    @pytest.mark.parametrize("executor", [
-        SerialExecutor(),
-        ThreadExecutor(n_threads=3),
-        ProcessExecutor(n_processes=2),
-        HybridExecutor(ranks=2, threads_per_rank=2),
-    ], ids=["serial", "thread", "process", "hybrid"])
-    def test_out_of_order_completion_is_reordered(self, executor):
-        tasks = list(range(11))
-        assert executor.map_tasks(_jittered_square, tasks) == \
-            [t * t for t in tasks]
-
-    @pytest.mark.parametrize("executor", [
-        SerialExecutor(),
-        ThreadExecutor(n_threads=2),
-        ProcessExecutor(n_processes=2),
-        HybridExecutor(ranks=2, threads_per_rank=2),
-    ], ids=["serial", "thread", "process", "hybrid"])
-    def test_single_task(self, executor):
-        assert executor.map_tasks(_jittered_square, [3]) == [9]
-
-
-class TestHybridSeedingDeterminism:
-    """The simulated MPI x OpenMP layout must not change seeded results."""
-
-    def test_rank_thread_layout_independent(self):
-        tasks = [(0, index) for index in range(12)]
-        expected = SerialExecutor().map_tasks(_seeded_draw, tasks)
-        for ranks, threads in [(1, 4), (2, 2), (4, 1), (3, 2)]:
-            executor = HybridExecutor(ranks=ranks, threads_per_rank=threads)
-            assert executor.map_tasks(_seeded_draw, tasks) == expected, \
-                f"layout {ranks}x{threads} changed seeded results"
-
-    def test_repeated_hybrid_runs_identical(self):
-        tasks = [(5, index) for index in range(8)]
-        executor = HybridExecutor(ranks=2, threads_per_rank=2)
-        first = executor.map_tasks(_seeded_draw, tasks)
-        second = executor.map_tasks(_seeded_draw, tasks)
-        assert first == second
-
-
-class TestProcessExecutorPickling:
-    """Evaluation tasks must survive the pickling round-trip to workers."""
-
-    def test_evaluation_tasks_match_serial(self):
-        tasks = [(1.0, 0), (2.0, 1), (4.0, 2)]
-        serial = SerialExecutor().map_tasks(_evaluation_task, tasks)
-        parallel = ProcessExecutor(n_processes=2).map_tasks(
-            _evaluation_task, tasks)
-        assert parallel == serial
-
-    def test_unpicklable_local_function_raises(self):
-        executor = ProcessExecutor(n_processes=2)
-
-        def local(value):  # closures cannot be pickled
-            return value
-
-        with pytest.raises(Exception):
-            executor.map_tasks(local, [1, 2])
-
-
-def _reciprocal(value: float) -> float:
-    return 1.0 / value
-
-
-class TestRunSettled:
-    """Per-task exception capture used by the solve-server scheduler."""
-
-    @pytest.mark.parametrize("executor", [
-        SerialExecutor(),
-        ThreadExecutor(n_threads=2),
-        HybridExecutor(ranks=2, threads_per_rank=2),
-    ])
-    def test_failures_do_not_abort_other_tasks(self, executor):
-        settled = executor.run_settled(_reciprocal, [2.0, 0.0, 4.0])
-        assert settled[0] == (0.5, None)
-        assert settled[2] == (0.25, None)
-        result, error = settled[1]
-        assert result is None
-        assert isinstance(error, ZeroDivisionError)
-
-    def test_process_executor_ships_settled_wrapper(self):
-        settled = ProcessExecutor(n_processes=2).run_settled(
-            _reciprocal, [2.0, 0.0])
-        assert settled[0] == (0.5, None)
-        assert isinstance(settled[1][1], ZeroDivisionError)
-
-    def test_empty_tasks(self):
-        assert SerialExecutor().run_settled(_reciprocal, []) == []

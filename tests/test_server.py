@@ -17,7 +17,6 @@ import scipy.sparse as sp
 
 from repro.krylov import TERMINATIONS, solve
 from repro.matrices import laplacian_2d, pdd_real_sparse, unsteady_advection_diffusion
-from repro.parallel.executor import ThreadExecutor
 from repro.api import SolveRequestV1
 from repro.server import AdmissionError, SolveServer
 from repro.service.cache import ArtifactCache
@@ -40,7 +39,7 @@ class TestSharedBuilds:
     def test_concurrent_same_fingerprint_requests_build_once(self, dominant_matrix):
         """Two queued requests over one matrix: exactly one preconditioner build."""
         cache = ArtifactCache(max_entries=32)
-        server = _server(cache=cache, executor=ThreadExecutor(n_threads=2))
+        server = _server(cache=cache)
         rng = np.random.default_rng(0)
         jobs = server.submit_many([
             SolveRequestV1(matrix=dominant_matrix,
@@ -120,7 +119,7 @@ class TestDeterminism:
                           for request in self._stream()]
         sync_server.shutdown()
 
-        queued_server = _server(executor=ThreadExecutor(n_threads=3))
+        queued_server = _server()
         jobs = queued_server.submit_many(self._stream())
         assert queued_server.drain(timeout=60.0)
         queued_responses = [job.result(timeout=1.0) for job in jobs]
@@ -309,6 +308,57 @@ class TestBackpressureAndFailures:
             bad.result(timeout=1.0)
         server.shutdown()
 
+    def test_every_group_failing_fails_every_job(self, dominant_matrix,
+                                                 monkeypatch):
+        server = _server()
+
+        def sabotage(group):
+            raise RuntimeError(f"group {group.name} failed")
+
+        monkeypatch.setattr(server.scheduler, "_run_group", sabotage)
+        jobs = server.submit_many([
+            SolveRequestV1(matrix=dominant_matrix, tag="a"),
+            SolveRequestV1(matrix=laplacian_2d(6), tag="b"),
+            SolveRequestV1(matrix=laplacian_2d(6), tag="c")])
+        assert server.drain(timeout=30.0)
+        for job in jobs:
+            assert job.state == "failed"
+            with pytest.raises(RuntimeError, match="failed"):
+                job.result(timeout=1.0)
+        assert server.telemetry.counter("jobs_failed").value == 3
+        server.shutdown()
+
+    def test_groups_run_in_submission_order(self, dominant_matrix,
+                                            monkeypatch):
+        server = _server()
+        original = server.scheduler._run_group
+        ran = []
+
+        def record(group):
+            ran.append(group.fingerprint)
+            return original(group)
+
+        monkeypatch.setattr(server.scheduler, "_run_group", record)
+        matrices = [laplacian_2d(6), dominant_matrix, laplacian_2d(5)]
+        jobs = server.submit_many([SolveRequestV1(matrix=matrix)
+                                   for matrix in matrices])
+        assert server.drain(timeout=30.0)
+        assert all(job.result(timeout=1.0).converged for job in jobs)
+        assert ran == [matrix_fingerprint(matrix) for matrix in matrices]
+        server.shutdown()
+
+    def test_empty_batch_runs_no_group(self, monkeypatch):
+        server = _server()
+
+        def refuse(group):
+            raise AssertionError("no group to run")
+
+        monkeypatch.setattr(server.scheduler, "_run_group", refuse)
+        server.scheduler.execute([])
+        assert "scheduler.groups_per_batch" not in \
+            server.telemetry_snapshot()["histograms"]
+        server.shutdown()
+
     def test_telemetry_snapshot_shape(self, dominant_matrix):
         server = _server()
         server.solve(SolveRequestV1(matrix=dominant_matrix))
@@ -334,12 +384,12 @@ class TestReviewRegressions:
         job = server.submit(SolveRequestV1(matrix=dominant_matrix))
 
         def boom(batch):
-            raise RuntimeError("executor exploded")
+            raise RuntimeError("scheduler exploded")
 
         monkeypatch.setattr(server.scheduler, "execute", boom)
         assert server.drain(timeout=10.0)
         assert job.state == "failed"
-        with pytest.raises(RuntimeError, match="executor exploded"):
+        with pytest.raises(RuntimeError, match="scheduler exploded"):
             job.result(timeout=1.0)
         assert server.telemetry.counter("jobs_failed").value == 1
         server.shutdown()

@@ -95,16 +95,6 @@ class TestDiskSpill:
         cache.put("a", 1)
         assert cache.get("a") == 1  # nothing to assert on disk; no crash
 
-    def test_pickle_preserves_config_not_contents(self, tmp_path):
-        import pickle
-
-        cache = ArtifactCache(max_entries=7, disk_dir=tmp_path)
-        cache.put("a", 1)
-        clone = pickle.loads(pickle.dumps(cache))
-        assert clone.max_entries == 7
-        assert len(clone) == 0          # fresh in-memory level
-        assert clone.get("a") == 1      # but the disk level is shared
-
 
 class TestGlobalCache:
     def test_singleton(self):

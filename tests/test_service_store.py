@@ -159,18 +159,6 @@ class TestConcurrentWriters:
         with pytest.raises(ParameterError):
             c.merge_from(tmp_path / "c")
 
-    def test_pickle_round_trip(self, tmp_path):
-        import pickle
-
-        store = ObservationStore(tmp_path)
-        store.put_record("fp1", _record(1.0))
-        clone = pickle.loads(pickle.dumps(store))
-        assert clone.root == store.root
-        assert len(clone) == 1
-        clone.put_record("fp1", _record(2.0))
-        store.reload()
-        assert len(store) == 2
-
 
 class TestSnapshotUnderConcurrentAppend:
     """The online trainer's contract: snapshots taken mid-append are never

@@ -8,7 +8,6 @@ from repro.core.evaluation import MatrixEvaluator, SolverSettings
 from repro.exceptions import ParameterError
 from repro.matrices import laplacian_2d, pdd_real_sparse
 from repro.mcmc.parameters import MCMCParameters
-from repro.parallel.executor import ThreadExecutor
 from repro.service.cache import ArtifactCache
 from repro.service.ladder import (
     ORIGIN_SAMPLED,
@@ -198,10 +197,10 @@ class TestDegenerateStoreWarmStart:
 
 
 class TestBatchExecution:
-    def test_thread_executor_batch(self, tmp_path, settings, small_spd):
+    def test_batch_resolves_requests_in_order(self, tmp_path, settings,
+                                              small_spd):
         service = TuningService(tmp_path / "store",
                                 cache=ArtifactCache(max_entries=8),
-                                executor=ThreadExecutor(n_threads=2),
                                 settings=settings)
         requests = [
             TuningRequest(matrix=small_spd, name="lap-a", budget=2,
@@ -213,6 +212,39 @@ class TestBatchExecution:
         assert [r.name for r in results] == ["lap-a", "lap-b"]
         assert all(r.measurements > 0 for r in results)
         assert len(service.store) == sum(r.measurements for r in results)
+
+    def test_later_request_sees_what_an_earlier_one_stored(self, service,
+                                                           small_spd):
+        request = TuningRequest(matrix=small_spd, name="lap", budget=2,
+                                n_replications=1, seed=0)
+        first, second = service.tune_batch([request, request])
+        assert first.measurements == 2
+        assert second.measurements == 0
+        assert second.reused_observations == 2
+        assert second.recommendation.origin == ORIGIN_STORED
+
+    def test_batch_equals_one_request_at_a_time(self, tmp_path, settings,
+                                                small_spd):
+        requests = [
+            TuningRequest(matrix=small_spd, name="lap-a", budget=2,
+                          n_replications=1, seed=0),
+            TuningRequest(matrix=laplacian_2d(9), name="lap-b", budget=2,
+                          n_replications=1, seed=1),
+        ]
+
+        def service_at(root):
+            return TuningService(root, cache=ArtifactCache(max_entries=8),
+                                 settings=settings)
+
+        batched = service_at(tmp_path / "batched").tune_batch(requests)
+        one_by_one = service_at(tmp_path / "one_by_one")
+        single = [one_by_one.tune_one(request) for request in requests]
+        assert [(r.name, r.measurements, r.reused_observations,
+                 r.recommendation.parameters, r.recommendation.y_mean)
+                for r in batched] == \
+            [(r.name, r.measurements, r.reused_observations,
+              r.recommendation.parameters, r.recommendation.y_mean)
+             for r in single]
 
     def test_same_matrix_twice_in_one_batch_shares_table_builds(
             self, tmp_path, settings, small_spd):
