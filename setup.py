@@ -31,7 +31,10 @@ setup(
     python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages("src"),
-    install_requires=["numpy", "scipy"],
+    # scipy is bounded to the release line whose private ``gstrs`` entry
+    # point and ``spsolve_triangular`` preparation repro.precond.base mirrors;
+    # widening it is a deliberate change, checked by tests/test_precond.py.
+    install_requires=["numpy", "scipy>=1.17,<1.18"],
     entry_points={
         "console_scripts": [
             "repro-serve=repro.server.cli:main",

@@ -1,13 +1,20 @@
 """Restarted GMRES with left preconditioning.
 
 Implements GMRES(m) for the left-preconditioned system ``M A x = M b``:
-Arnoldi with modified Gram--Schmidt builds an orthonormal basis of the Krylov
-space of ``M A``, Givens rotations keep the least-squares problem in
-upper-triangular form so that the preconditioned residual norm is available at
-every inner step without forming the iterate.  The iteration count reported in
-:class:`~repro.krylov.base.SolveResult` is the number of inner Arnoldi steps,
-i.e. the number of applications of ``A`` (and of ``M``), which is the cost the
-paper's performance metric tracks.
+Arnoldi with classical Gram--Schmidt applied twice (CGS2) builds an
+orthonormal basis of the Krylov space of ``M A``, Givens rotations keep the
+least-squares problem in upper-triangular form so that the preconditioned
+residual norm is available at every inner step without forming the iterate.
+The iteration count reported in :class:`~repro.krylov.base.SolveResult` is
+the number of inner Arnoldi steps, i.e. the number of applications of ``A``
+(and of ``M``), which is the cost the paper's performance metric tracks.
+
+Each CGS2 pass is two products with the stored basis (``V w`` and
+``w - (V w) V``) instead of one Python-level step per basis vector, and the
+second pass restores the orthogonality a single classical pass loses
+("twice is enough", Giraud et al.).  The result is orthogonal to working
+precision like modified Gram--Schmidt's but not bit-identical to it; the
+tests hold GMRES to declared tolerances instead.
 """
 
 from __future__ import annotations
@@ -98,11 +105,17 @@ def gmres(matrix, rhs, *, preconditioner=None, x0=None, rtol: float = 1e-8,
             inner_used = j + 1
 
             work = apply_m(apply_a(basis[j]))
-            # Modified Gram--Schmidt orthogonalisation.
+            # Classical Gram--Schmidt, twice (CGS2): each pass is two BLAS
+            # products over the stored basis, and the second restores the
+            # orthogonality one classical pass loses.  The first pass writes
+            # a fresh array, so the operator's output is never modified.
             ortho_start = 0.0 if timings is None else time.perf_counter()
-            for i in range(j + 1):
-                hessenberg[i, j] = float(np.dot(work, basis[i]))
-                work = work - hessenberg[i, j] * basis[i]
+            stored = basis[:j + 1]
+            first = stored @ work
+            work = work - first @ stored
+            second = stored @ work
+            work -= second @ stored
+            hessenberg[:j + 1, j] = first + second
             hessenberg[j + 1, j] = float(np.linalg.norm(work))
             if timings is not None:
                 timings.add(PHASE_ORTHO, time.perf_counter() - ortho_start)

@@ -2,10 +2,11 @@
 
 A Krylov solve spends its time in three places: applications of ``A``
 (*matvec*), applications of the preconditioner (*precond_apply*), and — for
-GMRES-type methods — the Gram--Schmidt *orthogonalization*.  Knowing the
-split per matrix fingerprint is what turns "this solve was slow" into "this
-matrix's preconditioner apply dominates; trade setup cost for a cheaper
-apply".
+GMRES-type methods — the Gram--Schmidt *orthogonalization* (both CGS2
+passes and the norm in GMRES, the block Gram--Schmidt in block GMRES).
+Knowing the split per matrix fingerprint is what turns "this solve was slow"
+into "this matrix's preconditioner apply dominates; trade setup cost for a
+cheaper apply".
 
 The recorder is ambient: :func:`record_phases` activates a
 :class:`PhaseTimings` accumulator through a :mod:`contextvars` variable, and

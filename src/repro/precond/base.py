@@ -13,6 +13,8 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 import scipy.sparse as sp
+# The compiled substitution behind ``scipy.sparse.linalg.spsolve_triangular``.
+from scipy.sparse.linalg._dsolve._superlu import gstrs
 
 from repro.exceptions import PreconditionerError
 from repro.sparse.csr import ensure_csr, validate_square
@@ -106,3 +108,53 @@ class MatrixPreconditioner(Preconditioner):
 
     def describe(self) -> str:
         return f"{self._name}(shape={self.shape}, nnz={self.nnz})"
+
+
+class TriangularSolve:
+    """``x = T⁻¹ b`` for one sparse triangular CSR factor ``T``, prepared once.
+
+    ``scipy.sparse.linalg.spsolve_triangular`` spends most of a call
+    preparing its input (a copy of ``T``, the diagonal scaling,
+    ``sum_duplicates``, index casts) before one compiled SuperLU ``gstrs``
+    substitution.  This does that preparation at construction, step for step
+    as scipy 1.17 does it for a CSR factor, and each call is the same
+    ``gstrs`` on the same arrays: the same arithmetic, so the result is
+    bit-identical to ``spsolve_triangular(T, b, lower, unit_diagonal=...)``
+    (``tests/test_precond.py`` checks it).  The prepared arrays pickle.
+    """
+
+    def __init__(self, factor: sp.csr_matrix, *, lower: bool,
+                 unit_diagonal: bool = False) -> None:
+        # A CSR factor is solved as its CSC transpose, with ``trans="T"``.
+        transposed = factor.T.tocsc(copy=True)
+        n = transposed.shape[0]
+        if unit_diagonal:
+            transposed.setdiag(1)
+            self._scale = None
+        else:
+            diagonal = transposed.diagonal()
+            if np.any(diagonal == 0):
+                raise PreconditionerError("triangular factor has a zero pivot")
+            self._scale = 1 / diagonal
+            transposed = (transposed.T @ sp.diags_array(self._scale)).T
+        transposed.sum_duplicates()
+        # gstrs solves with an "L" (unit diagonal) and a strictly upper "U".
+        if lower:  # the transpose is upper triangular
+            l_slot, u_slot = sp.eye_array(n, format="csc"), transposed
+            u_slot.setdiag(0)
+        else:
+            l_slot, u_slot = transposed, sp.csc_array((n, n))
+        self._factors = tuple(
+            value for part in (l_slot, u_slot)
+            for value in (n, part.nnz, part.data.astype(np.float64),
+                          part.indices.astype(np.intc),
+                          part.indptr.astype(np.intc)))
+
+    def __call__(self, rhs: np.ndarray) -> np.ndarray:
+        solution, info = gstrs("T", *self._factors,
+                               np.array(rhs, dtype=np.float64))
+        if info:
+            raise PreconditionerError("triangular factor is singular")
+        if self._scale is None:
+            return solution
+        return solution * self._scale.reshape(-1, *[1] * (solution.ndim - 1))

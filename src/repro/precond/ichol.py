@@ -2,10 +2,11 @@
 
 For symmetric positive-definite matrices (the 2-D FD Laplacians of the study
 set) ``A ≈ L L^T`` where ``L`` keeps the lower-triangular sparsity pattern of
-``A``.  Application solves ``L y = r`` and ``L^T z = y``.  A diagonal shift is
-applied automatically when a negative pivot appears (the standard remedy for
-matrices that are only weakly positive definite), and the attempted shifts are
-recorded for diagnostics.
+``A``.  Application solves ``L y = r`` and ``L^T z = y``, each through a
+:class:`~repro.precond.base.TriangularSolve` prepared once.  A diagonal
+shift is applied automatically when a negative pivot appears (the standard
+remedy for matrices that are only weakly positive definite), and the
+attempted shifts are recorded for diagnostics.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import PreconditionerError
-from repro.precond.base import Preconditioner
+from repro.precond.base import Preconditioner, TriangularSolve
 from repro.sparse.csr import ensure_csr, is_symmetric, validate_square
 
 __all__ = ["IncompleteCholeskyPreconditioner"]
@@ -115,7 +116,9 @@ class IncompleteCholeskyPreconditioner(Preconditioner):
         else:
             raise PreconditionerError(
                 f"IC(0) failed after {max_shifts} diagonal shifts") from last_error
-        self._upper = self._lower.T.tocsr()
+        self._solve_lower = TriangularSolve(self._lower, lower=True)
+        self._solve_upper = TriangularSolve(self._lower.T.tocsr(),
+                                            lower=False)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -136,8 +139,5 @@ class IncompleteCholeskyPreconditioner(Preconditioner):
         return self._shifts_used
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
-        from scipy.sparse.linalg import spsolve_triangular
-
         array = self._check_vector(vector)
-        intermediate = spsolve_triangular(self._lower, array, lower=True)
-        return spsolve_triangular(self._upper, intermediate, lower=False)
+        return self._solve_upper(self._solve_lower(array))

@@ -4,7 +4,8 @@ The classical algebraic preconditioner of the paper's literature review
 (Saad's ILU family).  The factorisation keeps exactly the sparsity pattern of
 ``A``: ``A ≈ L U`` with ``L`` unit lower triangular and ``U`` upper triangular,
 and entries outside the pattern of ``A`` are discarded.  Application solves the
-two triangular systems ``L y = r``, ``U z = y``.
+two triangular systems ``L y = r``, ``U z = y``, each through a
+:class:`~repro.precond.base.TriangularSolve` prepared once.
 
 The implementation follows the standard IKJ variant of the algorithm operating
 directly on the CSR structure, with an optional diagonal shift to survive the
@@ -18,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import PreconditionerError
-from repro.precond.base import Preconditioner
+from repro.precond.base import Preconditioner, TriangularSolve
 from repro.sparse.csr import ensure_csr, validate_square
 
 __all__ = ["ILU0Preconditioner"]
@@ -97,11 +98,12 @@ class ILU0Preconditioner(Preconditioner):
         csr = validate_square(matrix)
         self._factor = _ilu0_factorise(csr, pivot_shift)
         self._n = csr.shape[0]
-        # Split the compact factor once so that apply() is two triangular solves.
+        # Split the compact factor once; apply() solves with the two halves.
         lower = sp.tril(self._factor, k=-1).tocsr() + sp.identity(self._n, format="csr")
         upper = sp.triu(self._factor, k=0).tocsr()
-        self._lower = lower
-        self._upper = upper
+        self._solve_lower = TriangularSolve(lower, lower=True,
+                                            unit_diagonal=True)
+        self._solve_upper = TriangularSolve(upper, lower=False)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -117,9 +119,5 @@ class ILU0Preconditioner(Preconditioner):
         return self._factor
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
-        from scipy.sparse.linalg import spsolve_triangular
-
         array = self._check_vector(vector)
-        intermediate = spsolve_triangular(self._lower, array, lower=True,
-                                          unit_diagonal=True)
-        return spsolve_triangular(self._upper, intermediate, lower=False)
+        return self._solve_upper(self._solve_lower(array))

@@ -220,7 +220,10 @@ class ArtifactCache:
             with open(tmp, "wb") as handle:
                 pickle.dump((key, value), handle, protocol=pickle.HIGHEST_PROTOCOL)
             tmp.replace(path)
-        except (OSError, pickle.PicklingError) as error:
+        # An object pickle cannot handle raises PicklingError, TypeError (C
+        # objects such as locks) or AttributeError (local classes and
+        # functions).  The entry stays in memory either way.
+        except (OSError, pickle.PicklingError, TypeError, AttributeError) as error:
             _LOG.warning("could not spill cache entry %r to disk: %s", key, error)
             tmp.unlink(missing_ok=True)
 

@@ -334,13 +334,36 @@ class _PoisonedNumpy:
         return np.full(shape, np.nan, dtype=dtype)
 
 
+#: The declared tolerances of the frozen GMRES results.  They were frozen
+#: under modified Gram--Schmidt; GMRES now orthogonalises with CGS2, which is
+#: orthogonal to working precision too but rounds differently.  Measured on
+#: the four cases: solutions agree to 7.8e-12 relative (full_64_steps) and
+#: whole residual histories to 2.7e-11 of their first entry (full_100_steps).
+SOLUTION_RTOL = 1e-10
+HISTORY_RTOL = 1e-9
+#: The one case whose step count CGS2 changes, pinned exactly.
+#: full_100_steps asks rtol 1e-10 of a matrix with condition number 7.9e6,
+#: below what rounding allows: after the 100-step cycle exhausts the space
+#: the true residual is 5.7e-11 under MGS and 1.05e-10 under CGS2, so CGS2
+#: restarts for exactly one more step (101 steps), which costs two more
+#: products with ``A`` (the step and the restart's residual).  Its history
+#: gains that step's entry, which must match the frozen final estimate.
+EXTRA_STEPS = {"full_100_steps": 1}
+
+
 class TestGMRESUninitialisedStorage:
     """The basis and the Hessenberg are allocated without zero-filling, so
     every entry must be written before it is read.  Results are compared
     with ones frozen at the last commit that zero-filled both (4b55391;
     regenerate by running this file as a script *there*) — as allocated,
     and with the "uninitialised" memory poisoned with NaN, which any read of
-    an unwritten entry would carry into the result."""
+    an unwritten entry would carry into the result.
+
+    The comparison is a tolerance fixture, not a bitwise one: step counts
+    and convergence are exact (``full_100_steps`` pinned at its one extra
+    step, see ``EXTRA_STEPS``), solutions and whole residual histories agree
+    to the tolerances declared above.  A NaN read from
+    poisoned storage fails all of them."""
 
     @pytest.mark.parametrize("poisoned", [False, True])
     def test_results_equal_the_zero_filling_implementation(self, poisoned,
@@ -353,10 +376,22 @@ class TestGMRESUninitialisedStorage:
         results = _gmres_storage_cases()
         assert set(results) == set(frozen)
         for label, case in results.items():
-            for field, value in case.items():
-                assert np.array_equal(value, frozen[label][field]), \
-                    f"{label}.{field}"
-
+            expected = frozen[label]
+            extra = EXTRA_STEPS.get(label, 0)
+            assert case["converged"] == expected["converged"], label
+            assert case["iterations"] == expected["iterations"] + extra, label
+            assert case["matvecs"] == expected["matvecs"] + 2 * extra, label
+            solution = np.asarray(case["solution"])
+            reference = np.asarray(expected["solution"])
+            assert np.all(np.isfinite(solution)), label
+            assert (np.linalg.norm(solution - reference)
+                    <= SOLUTION_RTOL * np.linalg.norm(reference)), label
+            history = np.asarray(case["residual_norms"])
+            reference = np.asarray(expected["residual_norms"])
+            reference = np.append(reference, [reference[-1]] * extra)
+            np.testing.assert_allclose(history, reference, rtol=0,
+                                       atol=HISTORY_RTOL * reference[0],
+                                       err_msg=label)
 
 if __name__ == "__main__":
     GMRES_GOLDEN_PATH.write_text(json.dumps(_gmres_storage_cases()) + "\n")

@@ -252,7 +252,7 @@ class TestVectorisedTableEquivalence:
 
     @staticmethod
     def _assert_equivalent(matrix):
-        from repro.reference import LoopTransitionTable
+        from oracles.reference import LoopTransitionTable
 
         table = TransitionTable(matrix)
         reference = LoopTransitionTable(matrix)

@@ -3,7 +3,7 @@
 Covers the engine-owned cross-cutting concerns (buffer release and
 ``retain_graph``, thread-scoped ``no_grad``, tape pruning, in-place gradient
 accumulation) and the bit-exactness contract against the seed closure
-implementation preserved in :mod:`repro.nn.closure_reference`: every
+implementation preserved in ``tests/oracles/closure_reference.py``: every
 operation's gradients, and a multi-step Adam training trajectory of the
 mirror GNN surrogate, must be *identical* -- not merely close.
 """
@@ -17,7 +17,7 @@ import pytest
 
 from repro.exceptions import AutodiffError
 from repro.nn import autograd
-from repro.nn import closure_reference as C
+from oracles import closure_reference as C
 from repro.nn import functional as F
 from repro.nn.autograd import Operation, apply, is_grad_enabled
 from repro.nn.optim import Adam

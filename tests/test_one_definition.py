@@ -193,3 +193,55 @@ def test_no_function_takes_a_worker_count(trees, knob):
                                             *arguments.kwonlyargs)}
 
     assert _where(trees, takes_knob) == []
+
+
+def test_triangular_solves_are_prepared_once(trees):
+    """IC(0) and ILU(0) apply through a plan prepared at construction;
+    nothing calls ``spsolve_triangular``, which redoes that preparation on
+    every call."""
+    def mentions(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Name) and node.id == "spsolve_triangular"
+                or isinstance(node, ast.Attribute)
+                and node.attr == "spsolve_triangular"
+                or isinstance(node, ast.alias)
+                and node.name == "spsolve_triangular")
+
+    assert _where(trees, mentions) == []
+
+
+def test_gmres_orthogonalises_with_whole_basis_products(trees):
+    """CGS2: inside the Arnoldi step no loop walks the basis one row at a
+    time (the Givens loop touches only the Hessenberg)."""
+    def loops_over_basis(node: ast.AST) -> bool:
+        return (isinstance(node, (ast.For, ast.While))
+                and any(isinstance(inner, ast.Name) and inner.id == "basis"
+                        for statement in node.body
+                        for inner in ast.walk(statement)))
+
+    arnoldi_steps = [node for node in ast.walk(trees["krylov/gmres.py"])
+                     if isinstance(node, ast.For)
+                     and any(isinstance(inner, ast.For)
+                             for statement in node.body
+                             for inner in ast.walk(statement))]
+    assert arnoldi_steps
+    for step in arnoldi_steps:
+        inner = [node.lineno for statement in step.body
+                 for node in ast.walk(statement) if loops_over_basis(node)]
+        assert inner == [], f"krylov/gmres.py:{inner}"
+
+
+def test_one_backward_engine(trees):
+    """One autodiff engine ships: the only ``backward`` that seeds a pass
+    with the root ``gradient`` is ``autograd.backward``, and
+    ``Tensor.backward`` delegates to it.  (The seed closure engine is a test
+    oracle under ``tests/oracles/``.)"""
+    def seeds_a_pass(node: ast.AST) -> bool:
+        return (_defines(node, "backward")
+                and "gradient" in {arg.arg for arg in node.args.args})
+
+    found = sorted(where.split(":")[0] for where in _where(trees, seeds_a_pass))
+    assert found == ["nn/autograd.py", "nn/tensor.py"], found
+    tensor_backward = next(node for node in ast.walk(trees["nn/tensor.py"])
+                           if seeds_a_pass(node))
+    assert any(_calls(node, "backward")
+               for node in ast.walk(tensor_backward))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -105,6 +107,33 @@ class TestILU0:
         preconditioner = ILU0Preconditioner(small_nonsym)
         assert preconditioner.nnz == small_nonsym.nnz
 
+    def test_apply_is_the_two_triangular_solves_bit_for_bit(self):
+        preconditioner = ILU0Preconditioner(pdd_real_sparse(80, seed=2))
+        factor = preconditioner.factor
+        lower = sp.tril(factor, k=-1) + sp.identity(factor.shape[0])
+        _assert_apply_is_two_triangular_solves(
+            preconditioner, lower.tocsr(), sp.triu(factor).tocsr())
+
+
+def _assert_apply_is_two_triangular_solves(preconditioner, lower, upper):
+    """``apply`` is scipy's ``spsolve_triangular`` with ``L`` then ``U``,
+    bit for bit: the solve plan prepared once at construction runs the same
+    compiled substitution on the same arrays.  Checked on repeated
+    applications (which reuse the plan), on a stack of vectors, and after a
+    pickle round trip (the cache's disk spill)."""
+    from scipy.sparse.linalg import spsolve_triangular
+
+    unit_lower = isinstance(preconditioner, ILU0Preconditioner)
+    rng = np.random.default_rng(5)
+    reloaded = pickle.loads(pickle.dumps(preconditioner))
+    for shape in (lower.shape[0], lower.shape[0], (lower.shape[0], 3)):
+        vector = rng.standard_normal(shape)
+        expected = spsolve_triangular(
+            upper, spsolve_triangular(lower, vector, lower=True,
+                                      unit_diagonal=unit_lower), lower=False)
+        assert np.array_equal(preconditioner.apply(vector), expected)
+        assert np.array_equal(reloaded.apply(vector), expected)
+
 
 class TestIncompleteCholesky:
     def test_exact_for_tridiagonal_spd(self):
@@ -133,19 +162,10 @@ class TestIncompleteCholesky:
         assert upper_part.nnz == 0
 
     def test_apply_is_the_two_triangular_solves_bit_for_bit(self):
-        """The transpose is built once at construction; applying must equal
-        the per-call ``L.T.tocsr()`` it replaced exactly."""
-        from scipy.sparse.linalg import spsolve_triangular
-
         preconditioner = IncompleteCholeskyPreconditioner(laplacian_2d(12))
         lower = preconditioner.lower_factor
-        rng = np.random.default_rng(5)
-        for _ in range(3):  # repeated applications reuse the stored factor
-            vector = rng.standard_normal(lower.shape[0])
-            expected = spsolve_triangular(
-                lower.T.tocsr(),
-                spsolve_triangular(lower, vector, lower=True), lower=False)
-            assert np.array_equal(preconditioner.apply(vector), expected)
+        _assert_apply_is_two_triangular_solves(preconditioner, lower,
+                                               lower.T.tocsr())
 
 
 class TestSPAI:

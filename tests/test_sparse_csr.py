@@ -145,7 +145,7 @@ class TestTruncateToFillFactor:
 
     def test_matches_seed_loop_selection(self):
         """Equivalence with the seed per-row argpartition loop."""
-        from repro.reference import loop_truncate_to_fill_factor
+        from oracles.reference import loop_truncate_to_fill_factor
 
         for seed, n, density, ratio in [(0, 40, 0.3, 0.5), (1, 25, 0.8, 0.25),
                                         (2, 60, 0.1, 0.6)]:
