@@ -8,8 +8,8 @@ Walks the serving layer's full loop:
    preconditioner build and one multi-rhs solve,
 3. print each response with its policy provenance, then the telemetry
    snapshot (counters, latency histogram, cache statistics),
-4. show block-Krylov batching: a ``batch_mode="block"`` server serves a
-   same-matrix batch through one shared subspace
+4. show block CG batching: a ``batch_mode="block"`` server serves a
+   same-matrix CG batch through one shared subspace
    (:mod:`repro.krylov.block`) and reports far fewer matrix--vector
    products than per-column serving — the same switch the CLI exposes as
    ``repro-serve <matrix> --repeat 8 --rhs random --batch-mode block``,
@@ -68,7 +68,7 @@ def main() -> None:
     print("\n== telemetry ==")
     print(json.dumps(server.telemetry_snapshot(), indent=2))
 
-    print("\n== block-Krylov batching (--batch-mode block) ==")
+    print("\n== block CG batching (--batch-mode block) ==")
     # A same-matrix batch served with batch_mode="block" shares ONE Krylov
     # subspace across every right-hand side instead of solving per column.
     laplace = laplacian_2d(16)

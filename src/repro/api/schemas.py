@@ -89,8 +89,9 @@ class SolveRequestV1:
     batch_mode:
         How a same-fingerprint batch containing this request may be
         executed: ``"loop"`` (bit-identical per-column solves),
-        ``"block"`` (shared Krylov subspace, tolerance-identical answers)
-        or ``"auto"``; ``None`` defers to the server's configured default.
+        ``"block"`` (a CG batch shares one block CG subspace,
+        tolerance-identical answers; other solvers keep the loop) or
+        ``"auto"``; ``None`` defers to the server's configured default.
         Introduced after the v1 freeze as an *optional* field: payloads
         without it (older clients) parse unchanged and mean "server
         default".

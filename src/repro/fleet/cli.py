@@ -68,8 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "replica (default: none)")
     parser.add_argument("--batch-mode", default="loop",
                         choices=("loop", "block", "auto"),
-                        help="multi-rhs batch mode passed to every replica "
-                             "(default: loop)")
+                        help="multi-rhs batch mode passed to every replica; "
+                             "'block' and 'auto' change only CG batches, "
+                             "which block CG serves (default: loop)")
     parser.add_argument("--trace-dir", default=None, metavar="DIR",
                         help="enable tracing on every replica; replica i "
                              "writes to DIR/replica-<i>/ (default: off)")

@@ -15,8 +15,8 @@ Public surface
   counts, residual history, and what the exit measured: ``true_residual``,
   ``termination`` (one of :data:`TERMINATIONS`), ``measured_iterations``.
 * :func:`gmres`, :func:`bicgstab`, :func:`cg` -- the individual solvers.
-* :func:`block_cg`, :func:`block_gmres` -- block-Krylov multi-rhs solvers
-  sharing one subspace across a right-hand-side block (with deflation).
+* :func:`block_cg` -- block CG, the multi-rhs SPD solver sharing one
+  subspace across a right-hand-side block (with deflation).
 * :func:`solve` -- dispatch by solver name (the categorical part of ``x_M``).
 * :func:`solve_many` -- multi-rhs dispatch with ``mode="loop"|"block"|"auto"``.
 """
@@ -29,7 +29,6 @@ from repro.krylov.block import (
     BLOCK_SOLVERS,
     BlockInfo,
     block_cg,
-    block_gmres,
     block_summary,
     total_matvecs,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "bicgstab",
     "cg",
     "block_cg",
-    "block_gmres",
     "block_summary",
     "total_matvecs",
     "BlockInfo",

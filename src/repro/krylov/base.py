@@ -43,12 +43,11 @@ class BlockInfo:
     Attributes
     ----------
     solver:
-        ``"cg"`` or ``"gmres"``.
+        ``"cg"`` (block CG is the only block solver).
     k:
         Number of right-hand-side columns the block solve handled.
     block_iterations:
-        Block iterations (block CG steps, or block Arnoldi inner steps of
-        the longest-running column for GMRES).
+        Block CG steps taken (those of the longest-running column).
     matvecs:
         Total applications of ``A`` across the whole block — the quantity
         block methods reduce versus ``k`` independent solves.
@@ -56,10 +55,10 @@ class BlockInfo:
         Columns retired from the active block *early*, while other columns
         kept iterating (converged-column deflation).
     breakdown:
-        True when the block recursion broke down (rank collapse of the
-        block Gram matrix, or an invariant subspace that left columns
-        unconverged); ``solve_many(mode="auto")`` falls back to the loop
-        path in that case.
+        True when the block recursion broke down (rank collapse of a
+        block Gram matrix) and left columns unconverged;
+        ``solve_many(mode="auto")`` falls back to the loop path in that
+        case.
     """
 
     solver: str

@@ -12,12 +12,7 @@ import numpy as np
 from repro.exceptions import ParameterError
 from repro.krylov.base import SolveResult
 from repro.krylov.bicgstab import bicgstab
-from repro.krylov.block import (
-    BLOCK_SOLVERS,
-    block_cg,
-    block_gmres,
-    block_summary,
-)
+from repro.krylov.block import BLOCK_SOLVERS, block_cg, block_summary
 from repro.krylov.cg import cg
 from repro.krylov.gmres import gmres
 
@@ -36,7 +31,6 @@ BATCH_MODES = ("loop", "block", "auto")
 #: Mapping from solver name to block implementation.
 _BLOCK_IMPLEMENTATIONS = {
     "cg": block_cg,
-    "gmres": block_gmres,
 }
 
 
@@ -112,16 +106,16 @@ def solve_many(matrix, rhs_block, *, solver: str = "gmres", preconditioner=None,
       to ``k`` independent single-rhs calls, which is what makes batched
       serving indistinguishable from synchronous serving.
     * ``"block"`` — one shared Krylov subspace for the whole block
-      (:func:`~repro.krylov.block.block_cg` /
-      :func:`~repro.krylov.block.block_gmres`): far fewer total applications
-      of ``A``, answers agreeing with the loop path to the solve tolerance
-      but *not* bit for bit.  Only ``cg`` and ``gmres`` have block
-      implementations; requesting block mode for any other solver raises
-      :class:`ParameterError`.  A one-column block takes the loop path and
-      matches :func:`solve` exactly.
+      (:func:`~repro.krylov.block.block_cg`): fewer total applications of
+      ``A`` and less wall time, answers agreeing with the loop path to the
+      solve tolerance but *not* bit for bit.  Only ``cg`` has a block
+      implementation; requesting block mode for ``gmres`` or ``bicgstab``
+      raises :class:`ParameterError`.  A one-column block takes the loop
+      path and matches :func:`solve` exactly.
     * ``"auto"`` — block when the block has ``k >= 2`` columns and the
-      solver supports it, loop otherwise; falls back to the loop path when
-      the block recursion breaks down.
+      solver supports it, loop otherwise (so GMRES and BiCGStab are served
+      bit-identically by the loop); falls back to the loop path when the
+      block recursion breaks down.
 
     Malformed blocks (empty, ragged column lengths, wrong dimensionality)
     are rejected here with a typed :class:`ParameterError` — direct callers

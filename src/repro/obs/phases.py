@@ -2,8 +2,8 @@
 
 A Krylov solve spends its time in three places: applications of ``A``
 (*matvec*), applications of the preconditioner (*precond_apply*), and — for
-GMRES-type methods — the Gram--Schmidt *orthogonalization* (both CGS2
-passes and the norm in GMRES, the block Gram--Schmidt in block GMRES).
+GMRES — the Gram--Schmidt *orthogonalization* (both CGS2 passes and the
+norm).
 Knowing the split per matrix fingerprint is what turns "this solve was slow"
 into "this matrix's preconditioner apply dominates; trade setup cost for a
 cheaper apply".

@@ -88,11 +88,11 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("loop", "block", "auto"),
                         help="multi-rhs execution of same-matrix batches: "
                              "'loop' solves per column (bit-identical to "
-                             "sequential solves), 'block' shares one Krylov "
-                             "subspace across the batch (fewer matvecs), "
-                             "'auto' picks block when the batch and solver "
-                             "allow it (default: loop; applies to one-shot "
-                             "and --http serving alike)")
+                             "sequential solves); 'block' and 'auto' serve "
+                             "a CG batch with block CG (fewer matvecs, less "
+                             "wall time) and every other solver with the "
+                             "loop (default: loop; applies to one-shot and "
+                             "--http serving alike)")
     parser.add_argument("--rtol", type=float, default=1e-8,
                         help="relative residual tolerance (default: 1e-8)")
     parser.add_argument("--maxiter", type=int, default=1000,

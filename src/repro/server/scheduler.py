@@ -27,13 +27,14 @@ default ``batch_mode="loop"`` — the multi-rhs solve is arithmetically
 identical to independent single-rhs solves.  Serving a seeded request stream
 synchronously or through the queue therefore yields bit-identical solutions.
 
-``batch_mode="block"``/``"auto"`` opt a group into the block-Krylov path
-(:mod:`repro.krylov.block`): one shared subspace for the whole batch, far
-fewer total matvecs, answers that agree with the loop path to the solve
-tolerance but depend on which requests were batched together.  The mode
-actually used is recorded on every response (``batch_mode`` provenance) and
-in the ``solve.block_used`` / ``solve.deflated_columns`` /
-``solve.matvecs_total`` telemetry.
+``batch_mode="block"``/``"auto"`` opt a CG group into block CG
+(:mod:`repro.krylov.block`): one shared subspace for the whole batch, fewer
+total matvecs and less wall time, answers that agree with the loop path to
+the solve tolerance but depend on which requests were batched together.
+GMRES and BiCGStab groups are always served by the loop, bit-identical to
+synchronous serving.  The mode actually used is recorded on every response
+(``batch_mode`` provenance) and in the ``solve.block_used`` /
+``solve.deflated_columns`` / ``solve.matvecs_total`` telemetry.
 
 When an :class:`~repro.service.store.ObservationStore` is attached, MCMC
 solves additionally measure the unpreconditioned baseline (cached per
@@ -143,11 +144,11 @@ class Scheduler:
         (:func:`repro.krylov.solve_many`'s ``mode``), overridable per
         request via :attr:`SolveRequestV1.batch_mode`.  ``"loop"`` (the
         default) keeps batched serving bit-identical to synchronous
-        serving; ``"block"``/``"auto"`` share one Krylov subspace across a
-        group — far fewer matvecs, answers identical to the solve
-        tolerance rather than to the bit.  Requests demanding block mode
-        for a solver without a block implementation are served through the
-        loop path (recorded in the ``solve.block_unsupported`` counter).
+        serving; ``"block"``/``"auto"`` serve a CG group with block CG —
+        one Krylov subspace across the group, fewer matvecs, answers
+        identical to the solve tolerance rather than to the bit.  Every
+        other solver is served by the loop under any mode; a group that
+        demands ``"block"`` for one counts in ``solve.block_unsupported``.
     matrix_bank:
         Optional :class:`~repro.learn.trainer.MatrixBank` (anything with a
         ``put(name, matrix)``): every matrix that produces a store record
@@ -373,8 +374,7 @@ class Scheduler:
             if not result.converged:
                 self.telemetry.counter("solves_not_converged").add(1)
             self.telemetry.histogram("solve.iterations").observe(result.iterations)
-            # Per-fingerprint iteration counts: what block-auto width
-            # selection and the surrogate-policy loop consume.
+            # Per-fingerprint iteration counts, exposed on the metrics endpoints.
             self.telemetry.histogram(
                 "solve.iterations", solver=decision.solver,
                 fingerprint=group.fingerprint[:12]).observe(result.iterations)

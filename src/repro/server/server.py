@@ -21,9 +21,10 @@ seeded from matrix fingerprints, a seeded request stream produces
 bit-identical solutions in either mode — batching is purely an efficiency
 lever, never a semantic one.  That contract holds for the default
 ``batch_mode="loop"``; opting a server (or a request) into ``"block"`` /
-``"auto"`` trades it for block-Krylov amortisation: answers then agree with
-the loop path to the solve tolerance instead of to the bit (see
-:mod:`repro.krylov.block`).
+``"auto"`` trades it, for CG groups only, for block CG amortisation: their
+answers then agree with the loop path to the solve tolerance instead of to
+the bit (see :mod:`repro.krylov.block`).  GMRES and BiCGStab groups keep
+the loop, and the contract, under every mode.
 """
 
 from __future__ import annotations
@@ -82,10 +83,10 @@ class SolveServer:
     batch_mode:
         Default multi-rhs execution mode of a same-fingerprint group:
         ``"loop"`` (default; batched serving stays bit-identical to
-        synchronous serving), ``"block"`` or ``"auto"`` (shared
-        block-Krylov subspace per group — far fewer matvecs, answers
-        identical to the solve tolerance, *not* to the bit).  Requests may
-        override it individually via
+        synchronous serving), ``"block"`` or ``"auto"`` (a CG group shares
+        one block CG subspace — fewer matvecs, answers identical to the
+        solve tolerance, *not* to the bit; other solvers keep the loop).
+        Requests may override it individually via
         :attr:`~repro.api.schemas.SolveRequestV1.batch_mode`.
     tracer:
         A :class:`repro.obs.trace.Tracer` to record per-request span trees

@@ -1,5 +1,6 @@
-"""Block-Krylov solver tests: block CG / block GMRES, degenerate block
-shapes, `solve_many` mode dispatch, and the typed validation contract."""
+"""Block-Krylov solver tests: block CG, degenerate block shapes,
+`solve_many` mode dispatch (GMRES and BiCGStab always take the loop), and
+the typed validation contract."""
 
 from __future__ import annotations
 
@@ -10,7 +11,6 @@ from repro.exceptions import ParameterError
 from repro.krylov import (
     BLOCK_SOLVERS,
     block_cg,
-    block_gmres,
     block_summary,
     solve,
     solve_many,
@@ -77,33 +77,6 @@ class TestBlockCG:
             assert residual <= 10 * 1e-10 * np.linalg.norm(block[:, j])
 
 
-class TestBlockGMRES:
-    def test_converges_and_matches_loop_to_tolerance(self, nonsym_matrix):
-        block = _block(nonsym_matrix, 5, seed=1)
-        results = block_gmres(nonsym_matrix, block, rtol=1e-10)
-        assert all(result.converged for result in results)
-        for j, result in enumerate(results):
-            single = solve(nonsym_matrix, block[:, j], solver="gmres",
-                           rtol=1e-10)
-            np.testing.assert_allclose(result.solution, single.solution,
-                                       atol=1e-6)
-
-    def test_restart_cycles_still_converge(self, nonsym_matrix):
-        block = _block(nonsym_matrix, 3, seed=2)
-        results = block_gmres(nonsym_matrix, block, rtol=1e-8, restart=4,
-                              maxiter=2000)
-        assert all(result.converged for result in results)
-        for j, result in enumerate(results):
-            residual = np.linalg.norm(
-                nonsym_matrix @ result.solution - block[:, j])
-            assert residual <= 1e-5 * np.linalg.norm(block[:, j])
-
-    def test_per_column_iterations_bounded_by_maxiter(self, nonsym_matrix):
-        block = _block(nonsym_matrix, 3, seed=5)
-        results = block_gmres(nonsym_matrix, block, rtol=1e-14, maxiter=7)
-        assert all(result.iterations <= 7 for result in results)
-
-
 class TestDegenerateBlockShapes:
     def test_k1_block_takes_the_loop_path_bitwise(self, spd_matrix):
         """A one-column block must match a standalone solve exactly."""
@@ -120,39 +93,34 @@ class TestDegenerateBlockShapes:
     def test_duplicated_columns_deflate_without_nan(self, spd_matrix):
         rhs = _block(spd_matrix, 2)
         block = np.column_stack([rhs[:, 0], rhs[:, 0], rhs[:, 1], rhs[:, 0]])
-        for implementation in (block_cg, block_gmres):
-            results = implementation(spd_matrix, block, rtol=1e-10)
-            assert all(np.isfinite(result.solution).all()
-                       for result in results)
-            assert all(result.converged for result in results)
-            # duplicated columns converge to the same answer
-            np.testing.assert_allclose(results[0].solution,
-                                       results[1].solution, atol=1e-8)
-            np.testing.assert_allclose(results[0].solution,
-                                       results[3].solution, atol=1e-8)
+        results = block_cg(spd_matrix, block, rtol=1e-10)
+        assert all(np.isfinite(result.solution).all() for result in results)
+        assert all(result.converged for result in results)
+        # duplicated columns converge to the same answer
+        np.testing.assert_allclose(results[0].solution,
+                                   results[1].solution, atol=1e-8)
+        np.testing.assert_allclose(results[0].solution,
+                                   results[3].solution, atol=1e-8)
 
     def test_zero_column_solved_exactly_with_no_work(self, spd_matrix):
         n = spd_matrix.shape[0]
         block = np.column_stack([np.zeros(n), _block(spd_matrix, 1)[:, 0]])
-        for implementation in (block_cg, block_gmres):
-            results = implementation(spd_matrix, block, rtol=1e-10)
-            assert results[0].converged and results[0].iterations == 0
-            np.testing.assert_allclose(results[0].solution, 0.0)
-            assert results[0].final_residual == 0.0
-            assert results[1].converged
+        results = block_cg(spd_matrix, block, rtol=1e-10)
+        assert results[0].converged and results[0].iterations == 0
+        np.testing.assert_allclose(results[0].solution, 0.0)
+        assert results[0].final_residual == 0.0
+        assert results[1].converged
 
     def test_wider_than_n_block(self):
         matrix = laplacian_2d(4)  # n = 9
         n = matrix.shape[0]
         block = _block(matrix, n + 5, seed=7)
-        for implementation in (block_cg, block_gmres):
-            results = implementation(matrix, block, rtol=1e-10)
-            assert len(results) == n + 5
-            assert all(result.converged for result in results)
-            for j, result in enumerate(results):
-                residual = np.linalg.norm(
-                    matrix @ result.solution - block[:, j])
-                assert residual <= 1e-7 * np.linalg.norm(block[:, j])
+        results = block_cg(matrix, block, rtol=1e-10)
+        assert len(results) == n + 5
+        assert all(result.converged for result in results)
+        for j, result in enumerate(results):
+            residual = np.linalg.norm(matrix @ result.solution - block[:, j])
+            assert residual <= 1e-7 * np.linalg.norm(block[:, j])
         summary = block_summary(results)
         assert summary is not None and summary.k == n + 5
 
@@ -195,9 +163,25 @@ class TestSolveManyModes:
         assert all(result.converged for result in results)
 
     def test_block_mode_rejects_unsupported_solver(self, nonsym_matrix):
-        with pytest.raises(ParameterError):
-            solve_many(nonsym_matrix, _block(nonsym_matrix, 2),
-                       solver="bicgstab", mode="block")
+        for solver in ("bicgstab", "gmres"):
+            with pytest.raises(ParameterError):
+                solve_many(nonsym_matrix, _block(nonsym_matrix, 2),
+                           solver=solver, mode="block")
+
+    @pytest.mark.parametrize("k", ["2", "5", "n+1"])
+    def test_auto_serves_gmres_with_the_loop_bitwise(self, nonsym_matrix, k):
+        """GMRES has no block implementation: ``auto`` is the loop, to the
+        bit, however wide the block."""
+        n = nonsym_matrix.shape[0]
+        block = _block(nonsym_matrix, n + 1 if k == "n+1" else int(k), seed=6)
+        auto = solve_many(nonsym_matrix, block, solver="gmres", mode="auto")
+        loop = solve_many(nonsym_matrix, block, solver="gmres", mode="loop")
+        assert len(auto) == len(loop) == block.shape[1]
+        assert all(result.block_info is None for result in auto)
+        assert total_matvecs(auto) == total_matvecs(loop)
+        for ours, theirs in zip(auto, loop):
+            assert ours.converged and ours.iterations == theirs.iterations
+            assert np.array_equal(ours.solution, theirs.solution)
 
     def test_unknown_mode_rejected(self, spd_matrix):
         with pytest.raises(ParameterError):
@@ -274,7 +258,5 @@ class TestTypedValidation:
             solve_many(spd_matrix, [object()])
 
     def test_block_functions_reject_empty_blocks(self, spd_matrix):
-        for implementation in (block_cg, block_gmres):
-            with pytest.raises(ParameterError):
-                implementation(spd_matrix,
-                               np.empty((spd_matrix.shape[0], 0)))
+        with pytest.raises(ParameterError):
+            block_cg(spd_matrix, np.empty((spd_matrix.shape[0], 0)))

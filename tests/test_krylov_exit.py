@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.krylov import (bicgstab, block_cg, block_gmres, cg, gmres, solve,
-                          solve_many)
+from repro.krylov import bicgstab, block_cg, cg, gmres, solve, solve_many
 from repro.matrices import laplacian_2d, unsteady_advection_diffusion
 from repro.precond import (ILU0Preconditioner, IncompleteCholeskyPreconditioner,
                            JacobiPreconditioner)
@@ -27,18 +26,17 @@ EXIT_GOLDEN_PATH = Path(__file__).parent / "data" / "krylov_exit_golden.json"
 #: Products the exit adds to each golden case's ``matvecs``: one per CG /
 #: BiCGStab solve that iterated (their recurrence residual is not ``b - A x``),
 #: one block product — a matvec per column — for block CG, none where the
-#: solver already holds ``b - A x`` (early exits, block GMRES).
+#: solver already holds ``b - A x`` (early exits).
 EXIT_PRODUCTS = {
     "cg_plain": 1, "cg_ic0": 1, "cg_maxiter": 1,
     "cg_exact_guess": 0, "cg_zero_rhs": 0,
     "bicgstab_plain": 1, "bicgstab_ilu0": 1, "bicgstab_maxiter": 1,
     "block_cg": 4, "block_cg_jacobi": 4,
-    "block_gmres": 0, "block_gmres_jacobi": 0,
 }
 
 
 def _exit_cases() -> dict[str, dict]:
-    """CG, BiCGStab and both block solvers over their exits (converged,
+    """CG, BiCGStab and block CG over their exits (converged,
     budget exhausted, exact initial guess, zero right-hand side, a block
     with a duplicated and a zero column).  Uses only what the solvers
     offered before ``SolveRun`` existed, so it runs unchanged there."""
@@ -62,10 +60,6 @@ def _exit_cases() -> dict[str, dict]:
         "block_cg": block_cg(spd, block, rtol=1e-10),
         "block_cg_jacobi": block_cg(spd, block, rtol=1e-10,
                                     preconditioner=JacobiPreconditioner(spd)),
-        "block_gmres": block_gmres(general, block, rtol=1e-10, restart=5),
-        "block_gmres_jacobi": block_gmres(
-            general, block, rtol=1e-10,
-            preconditioner=JacobiPreconditioner(general)),
     }
     cases = {}
     for label, outcome in results.items():
@@ -185,17 +179,6 @@ class TestVanishingPreconditionedRhs:
                        preconditioner=self.annihilate)
         assert result.converged and result.termination == "converged"
         assert result.true_residual == 0.0
-
-    def test_block_gmres_reports_breakdown_per_column(self, spd_system):
-        matrix, rhs = spd_system
-        block = np.column_stack([rhs, np.zeros_like(rhs), 2.0 * rhs])
-        results = block_gmres(matrix, block, preconditioner=self.annihilate)
-        assert [result.termination for result in results] == [
-            "breakdown", "converged", "breakdown"]
-        assert [result.converged for result in results] == [False, True, False]
-        assert [result.true_residual for result in results] == [1.0, 0.0, 1.0]
-        assert all(result.iterations == 0 for result in results)
-        assert results[0].block_info.breakdown
 
     def test_auto_mode_does_not_hide_it_behind_the_fallback(self, spd_system):
         matrix, rhs = spd_system

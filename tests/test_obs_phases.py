@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.krylov.bicgstab import bicgstab
-from repro.krylov.block import block_cg, block_gmres
+from repro.krylov.block import block_cg
 from repro.krylov.cg import cg
 from repro.krylov.gmres import gmres
 from repro.matrices import laplacian_2d
@@ -87,7 +87,7 @@ def test_sequential_solvers_record_phases(solver):
     assert recorder.calls[PHASE_MATVEC] > 0
 
 
-@pytest.mark.parametrize("solver", [block_cg, block_gmres])
+@pytest.mark.parametrize("solver", [block_cg])
 def test_block_solvers_record_shared_phases(solver):
     matrix, rhs = _system(k=4)
     with record_phases() as recorder:
@@ -98,8 +98,6 @@ def test_block_solvers_record_shared_phases(solver):
         assert result.phase_timings[PHASE_MATVEC] > 0.0
     # one block solve: every column reports the same shared timing dict
     assert len({id(r.phase_timings) for r in results}) == 1
-    if solver is block_gmres:
-        assert results[0].phase_timings[PHASE_ORTHO] > 0.0
     assert recorder.seconds[PHASE_MATVEC] > 0.0
 
 
@@ -123,7 +121,7 @@ def test_phase_timers_are_bit_neutral_sequential(solver):
         "phase timers changed the arithmetic"
 
 
-@pytest.mark.parametrize("solver", [block_cg, block_gmres])
+@pytest.mark.parametrize("solver", [block_cg])
 def test_phase_timers_are_bit_neutral_block(solver):
     matrix, rhs = _system(k=3, seed=4)
     plain = solver(matrix, rhs, rtol=1e-10, maxiter=2000)

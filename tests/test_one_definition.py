@@ -245,3 +245,14 @@ def test_one_backward_engine(trees):
                            if seeds_a_pass(node))
     assert any(_calls(node, "backward")
                for node in ast.walk(tensor_backward))
+
+
+def test_block_cg_is_the_only_block_solver(trees):
+    """Block mode is block CG: no ``block_gmres`` is defined, imported or
+    named anywhere under ``src/repro``, and ``solve_many`` serves every
+    other solver with the loop."""
+    from repro.krylov import BLOCK_SOLVERS
+
+    assert BLOCK_SOLVERS == ("cg",)
+    assert [name for name in trees
+            if "block_gmres" in (SRC / name).read_text()] == []

@@ -250,6 +250,33 @@ class TestStoreIntegration:
         assert best.y_mean == good_record.y_mean < bad_record.y_mean
         server.shutdown()
 
+    def test_auto_mode_gmres_group_feeds_the_learning_loop(self, tmp_path):
+        """``auto`` serves a GMRES group with the loop, so every request in
+        it writes its store record and observes ``policy.regret`` — the
+        loop-only gates of the store and the regret signal see it."""
+        matrix = self._mcmc_matrix()
+        store = ObservationStore(tmp_path / "store")
+        server = _server(store=store, batch_mode="auto")
+        server.scheduler.shadow_eval = True
+        rng = np.random.default_rng(4)
+        jobs = server.submit_many([
+            SolveRequestV1(matrix=matrix, rhs=rng.standard_normal(30),
+                           solver="gmres", preconditioner="mcmc",
+                           maxiter=200, tag=f"g{index}")
+            for index in range(2)])
+        assert server.drain(timeout=60.0)
+        responses = [job.result(timeout=1.0) for job in jobs]
+        assert all(response.batch_size == 2 for response in responses)
+        assert all(response.provenance["built_family"] == "mcmc"
+                   for response in responses)
+        assert server.telemetry.counter("store.records_written").value == 2
+        assert len(ObservationStore(tmp_path / "store")) == 2
+        origin = responses[0].provenance["origin"]
+        regret = server.telemetry.histogram("policy.regret", origin=origin)
+        assert regret.summary()["count"] == 2
+        assert all(response.batch_mode == "loop" for response in responses)
+        server.shutdown()
+
     def test_served_records_feed_future_policy_decisions(self, tmp_path):
         matrix = self._mcmc_matrix()
         store = ObservationStore(tmp_path / "store")

@@ -1,16 +1,23 @@
 """Serving-layer block-mode tests: the scheduler's group-level mode
-decision, telemetry, response provenance, and request-level overrides."""
+decision, telemetry, response provenance, request-level overrides, and
+GMRES batches served by the loop on every transport."""
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 import pytest
 
+from repro.client import HTTPClient, InProcessClient
 from repro.exceptions import ParameterError
+from repro.fleet.replica import InProcessReplica, ReplicaFleet
+from repro.fleet.router import FleetRouter
 from repro.krylov import solve
 from repro.matrices import laplacian_2d, pdd_real_sparse
 from repro.api import SolveRequestV1
 from repro.server import SolveServer
+from repro.server.http import SolveHTTPServer
 from repro.service.cache import ArtifactCache
 
 
@@ -131,15 +138,18 @@ class TestServerBlockMode:
 
     def test_block_with_unsupported_solver_degrades_to_loop(self):
         matrix = pdd_real_sparse(40, density=0.2, dominance=3.0, seed=1)
-        server = _server(batch_mode="block")
-        jobs = server.submit_many(
-            _requests(matrix, 3, solver="bicgstab", preconditioner="none"))
-        assert server.drain(timeout=60.0)
-        responses = [job.result(timeout=1.0) for job in jobs]
-        assert all(response.converged for response in responses)
-        assert all(response.batch_mode == "loop" for response in responses)
-        assert server.telemetry.counter("solve.block_unsupported").value == 1
-        server.shutdown()
+        for solver in ("bicgstab", "gmres"):
+            server = _server(batch_mode="block")
+            jobs = server.submit_many(
+                _requests(matrix, 3, solver=solver, preconditioner="none"))
+            assert server.drain(timeout=60.0)
+            responses = [job.result(timeout=1.0) for job in jobs]
+            assert all(response.converged for response in responses)
+            assert all(response.batch_mode == "loop"
+                       for response in responses), solver
+            assert server.telemetry.counter(
+                "solve.block_unsupported").value == 1, solver
+            server.shutdown()
 
     def test_single_request_group_reports_loop(self, spd_matrix):
         """A batch of one cannot share a subspace; provenance says loop."""
@@ -189,3 +199,61 @@ class TestServerBlockMode:
                                        batch_mode="vectorised"))
         assert excinfo.value.reason == "invalid"
         server.shutdown()
+
+
+@contextlib.contextmanager
+def _transport(kind: str, batch_mode: str):
+    """A client of ``kind`` and the :class:`SolveServer` that serves it; the
+    server queues without a worker, so the test's drain forms the batch."""
+    cache = ArtifactCache(max_entries=8)
+    if kind == "in_process":
+        with InProcessClient(cache=cache, background=False,
+                             batch_mode=batch_mode) as client:
+            yield client, client.server
+    elif kind == "http":
+        with SolveHTTPServer(port=0, cache=cache, background=False,
+                             batch_mode=batch_mode) as http_server:
+            yield HTTPClient(http_server.url), http_server.solve_server
+    else:
+        replica = InProcessReplica("r0", cache=cache, background=False,
+                                   batch_mode=batch_mode)
+        fleet = ReplicaFleet([replica], health_interval=30.0, restart=False)
+        fleet.start()
+        router = FleetRouter(fleet).start()
+        try:
+            yield HTTPClient(router.url), replica.http_server.solve_server
+        finally:
+            router.shutdown()
+            fleet.drain()
+
+
+@pytest.mark.parametrize("batch_mode", ["block", "auto"])
+@pytest.mark.parametrize("transport", ["in_process", "http", "fleet"])
+def test_gmres_batch_is_served_by_the_loop_on_every_transport(transport,
+                                                              batch_mode):
+    """GMRES has no block solver: a same-matrix GMRES batch under ``block``
+    or ``auto`` answers ``batch_mode="loop"``, bit-identical to synchronous
+    serving, whichever transport carried it.  Only ``block`` asked for what
+    the solver lacks, so only it counts ``solve.block_unsupported``."""
+    matrix = pdd_real_sparse(40, density=0.2, dominance=3.0, seed=1)
+    requests = _requests(matrix, 3, seed=2, solver="gmres",
+                         preconditioner="jacobi")
+    synchronous = _server()
+    reference = [synchronous.solve(request) for request in requests]
+    synchronous.shutdown()
+
+    with _transport(transport, batch_mode) as (client, server):
+        job_ids = [client.submit(request) for request in requests]
+        assert server.drain(timeout=60.0)
+        responses = [client.result(job_id, timeout=60.0)
+                     for job_id in job_ids]
+        unsupported = server.telemetry.counter(
+            "solve.block_unsupported").value
+
+    for response, expected in zip(responses, reference):
+        assert response.converged
+        assert response.batch_size == 3
+        assert response.batch_mode == "loop"
+        assert response.iterations == expected.iterations
+        assert np.array_equal(response.solution, expected.solution)
+    assert unsupported == (1 if batch_mode == "block" else 0)

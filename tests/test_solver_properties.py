@@ -224,6 +224,31 @@ class TestBlockLoopAgreement:
                     f"{kind} column {j}")
 
 
+@pytest.mark.parametrize("family", ("none", "jacobi", "neumann", "ilu0"))
+@pytest.mark.parametrize("solver", ("bicgstab", "gmres"))
+@pytest.mark.parametrize("kind", MATRIX_KINDS)
+def test_auto_mode_is_the_loop_without_a_block_solver(drawn_systems, kind,
+                                                      solver, family):
+    """A solver with no block implementation (GMRES, BiCGStab) is served by
+    the loop under ``auto``: bit for bit what ``mode="loop"`` returns."""
+    matrix, rhs = drawn_systems[kind]
+    preconditioner = _build_preconditioner(family, matrix)
+    rng = np.random.default_rng(_case_seed(kind, solver, family, "auto"))
+    block = np.column_stack(
+        [rhs] + [rng.standard_normal(rhs.size) for _ in range(4)])
+    loop = solve_many(matrix, block, solver=solver,
+                      preconditioner=preconditioner, rtol=RTOL, mode="loop")
+    auto = solve_many(matrix, block, solver=solver,
+                      preconditioner=preconditioner, rtol=RTOL, mode="auto")
+    for j, (ours, theirs) in enumerate(zip(auto, loop)):
+        assert ours.block_info is None
+        assert (ours.iterations, ours.termination) == (
+            theirs.iterations, theirs.termination)
+        assert np.array_equal(ours.solution, theirs.solution), (
+            f"auto mode left the loop for {solver}/{family} on {kind} "
+            f"column {j}")
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_property_block_cg_many_seeds(seed):
     """Block CG across random SPD draws: converged => residual property."""
@@ -236,21 +261,6 @@ def test_property_block_cg_many_seeds(seed):
         _assert_exit_contract(matrix, block[:, j], result)
         achieved = np.linalg.norm(matrix @ result.solution - block[:, j])
         assert achieved <= 50 * RTOL * np.linalg.norm(block[:, j])
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_property_block_gmres_many_seeds(seed):
-    """Block GMRES across random general draws: same property."""
-    matrix = random_unsymmetric(seed=500 + seed)
-    rng = np.random.default_rng(600 + seed)
-    block = rng.standard_normal((matrix.shape[0], 3 + seed % 3))
-    results = solve_many(matrix, block, solver="gmres", mode="block",
-                         rtol=RTOL)
-    assert all(result.converged for result in results)
-    for j, result in enumerate(results):
-        _assert_exit_contract(matrix, block[:, j], result)
-        achieved = np.linalg.norm(matrix @ result.solution - block[:, j])
-        assert achieved <= 100 * RTOL * np.linalg.norm(block[:, j])
 
 
 #: The declared tolerance: the worst ``true_residual / rtol`` a solve that
