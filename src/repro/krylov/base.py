@@ -115,8 +115,8 @@ class SolveResult:
         single-rhs solve.
     phase_timings:
         ``{phase: seconds}`` wall-time split of this solve (``matvec``,
-        ``precond_apply``, and — for GMRES-type methods —
-        ``orthogonalization``), populated only while a
+        ``precond_apply``, and — for GMRES — ``orthogonalization`` and
+        ``lsq``, its least-squares update), populated only while a
         :func:`repro.obs.phases.record_phases` context is active; ``None``
         otherwise.  For block solves the dict is shared by every column of
         the block, mirroring how the work itself is shared.

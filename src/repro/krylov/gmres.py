@@ -15,6 +15,16 @@ second pass restores the orthogonality a single classical pass loses
 ("twice is enough", Giraud et al.).  The result is orthogonal to working
 precision like modified Gram--Schmidt's but not bit-identical to it; the
 tests hold GMRES to declared tolerances instead.
+
+The least-squares side runs on Python floats: each step takes the new
+Hessenberg column as a list once, applies the earlier rotations to it entry
+by entry, and writes it into the Hessenberg once.  Python's float ``*``, ``+`` and ``/`` are the same
+IEEE double operations numpy's float64 scalars perform, so this is
+bit-identical to rotating the array in place (``tests/test_gmres_bitwise.py``
+holds it to a ``float.hex`` fixture).  The new rotation's norm stays
+``np.hypot``: ``math.hypot`` rounds differently on some inputs.  Under
+:func:`repro.obs.phases.record_phases` the rotations, the back-substitution
+and the iterate update are timed as the ``lsq`` phase.
 """
 
 from __future__ import annotations
@@ -23,8 +33,9 @@ import time
 
 import numpy as np
 
+from repro.exceptions import ParameterError
 from repro.krylov.base import SolveResult, SolveRun
-from repro.obs.phases import PHASE_ORTHO
+from repro.obs.phases import PHASE_LSQ, PHASE_ORTHO
 
 __all__ = ["gmres"]
 
@@ -49,7 +60,8 @@ def gmres(matrix, rhs, *, preconditioner=None, x0=None, rtol: float = 1e-8,
     maxiter:
         Maximum number of inner iterations (matrix--vector products).
     restart:
-        Restart length ``m`` of GMRES(m).
+        Restart length ``m`` of GMRES(m), an integer >= 1; lengths beyond
+        ``min(n, maxiter)`` run full GMRES.
 
     Returns
     -------
@@ -59,7 +71,9 @@ def gmres(matrix, rhs, *, preconditioner=None, x0=None, rtol: float = 1e-8,
     run = SolveRun("gmres", matrix, rhs, x0, maxiter, rtol, preconditioner)
     b, x, n, maxiter = run.b, run.x, run.n, run.maxiter
     apply_a, apply_m, timings = run.apply_a, run.apply_m, run.timings
-    restart = int(max(1, min(restart, n, maxiter)))
+    if restart < 1 or restart != int(restart):
+        raise ParameterError(f"restart must be an integer >= 1, got {restart}")
+    restart = int(min(restart, n, maxiter))
 
     preconditioned_rhs_norm = float(np.linalg.norm(apply_m(b)))
     if preconditioned_rhs_norm == 0.0:
@@ -90,12 +104,14 @@ def gmres(matrix, rhs, *, preconditioner=None, x0=None, rtol: float = 1e-8,
         # column j at step j — so results are bit-identical to zero-filling.
         basis = np.empty((restart + 1, n), dtype=np.float64)
         hessenberg = np.empty((restart + 1, restart), dtype=np.float64)
-        givens_cos = np.zeros(restart, dtype=np.float64)
-        givens_sin = np.zeros(restart, dtype=np.float64)
-        rhs_small = np.zeros(restart + 1, dtype=np.float64)
+        # The least-squares side lives in Python floats: the rotations so
+        # far, and the rotated right-hand side, whose last entry is the
+        # residual estimate.
+        cosines: list[float] = []
+        sines: list[float] = []
+        rhs_small = [residual_norm]
 
         basis[0] = residual / residual_norm
-        rhs_small[0] = residual_norm
         inner_used = 0
 
         for j in range(restart):
@@ -115,34 +131,42 @@ def gmres(matrix, rhs, *, preconditioner=None, x0=None, rtol: float = 1e-8,
             work = work - first @ stored
             second = stored @ work
             work -= second @ stored
-            hessenberg[:j + 1, j] = first + second
-            hessenberg[j + 1, j] = float(np.linalg.norm(work))
+            projections = first + second
+            subdiagonal = float(np.linalg.norm(work))
             if timings is not None:
                 timings.add(PHASE_ORTHO, time.perf_counter() - ortho_start)
-            lucky_breakdown = hessenberg[j + 1, j] <= 1e-14 * max(residual_norm, 1.0)
+            lucky_breakdown = subdiagonal <= 1e-14 * max(residual_norm, 1.0)
             if not lucky_breakdown:
-                basis[j + 1] = work / hessenberg[j + 1, j]
+                basis[j + 1] = work / subdiagonal
 
-            # Apply the accumulated Givens rotations to the new column.
-            for i in range(j):
-                temp = givens_cos[i] * hessenberg[i, j] + givens_sin[i] * hessenberg[i + 1, j]
-                hessenberg[i + 1, j] = (-givens_sin[i] * hessenberg[i, j]
-                                        + givens_cos[i] * hessenberg[i + 1, j])
-                hessenberg[i, j] = temp
-            # New rotation annihilating the subdiagonal entry.
-            denom = float(np.hypot(hessenberg[j, j], hessenberg[j + 1, j]))
+            # Apply the accumulated Givens rotations to the new column, on
+            # Python floats (bit-identical, see the module docstring).
+            # ``upper`` carries entry i + 1 as rotation i leaves it.
+            lsq_start = 0.0 if timings is None else time.perf_counter()
+            column = projections.tolist()
+            rotated = []
+            upper = column[0]
+            for c, s, lower in zip(cosines, sines, column[1:]):
+                rotated.append(c * upper + s * lower)
+                upper = -s * upper + c * lower
+            # New rotation annihilating the subdiagonal entry (``np.hypot``,
+            # not ``math.hypot``).
+            denom = float(np.hypot(upper, subdiagonal))
             if denom == 0.0:
-                givens_cos[j], givens_sin[j] = 1.0, 0.0
+                c, s = 1.0, 0.0
             else:
-                givens_cos[j] = hessenberg[j, j] / denom
-                givens_sin[j] = hessenberg[j + 1, j] / denom
-            hessenberg[j, j] = denom
-            hessenberg[j + 1, j] = 0.0
-            rhs_small[j + 1] = -givens_sin[j] * rhs_small[j]
-            rhs_small[j] = givens_cos[j] * rhs_small[j]
+                c, s = upper / denom, subdiagonal / denom
+            cosines.append(c)
+            sines.append(s)
+            rotated += (denom, 0.0)
+            hessenberg[:j + 2, j] = rotated
+            rhs_small.append(-s * rhs_small[j])
+            rhs_small[j] = c * rhs_small[j]
+            if timings is not None:
+                timings.add(PHASE_LSQ, time.perf_counter() - lsq_start)
 
             residual_norm = abs(rhs_small[j + 1])
-            residual_history.append(float(residual_norm))
+            residual_history.append(residual_norm)
             if residual_norm <= tolerance or lucky_breakdown:
                 # End the cycle; convergence is only declared below, after the
                 # true preconditioned residual is recomputed.  A "lucky"
@@ -152,6 +176,7 @@ def gmres(matrix, rhs, *, preconditioner=None, x0=None, rtol: float = 1e-8,
                 break
 
         # --- Solve the small triangular system and update the iterate --------
+        lsq_start = 0.0 if timings is None else time.perf_counter()
         k = inner_used
         if k > 0:
             y = np.zeros(k, dtype=np.float64)
@@ -162,6 +187,8 @@ def gmres(matrix, rhs, *, preconditioner=None, x0=None, rtol: float = 1e-8,
                     continue
                 y[i] = (rhs_small[i] - np.dot(hessenberg[i, i + 1:k], y[i + 1:k])) / diagonal
             x = x + basis[:k].T @ y
+        if timings is not None:
+            timings.add(PHASE_LSQ, time.perf_counter() - lsq_start)
 
         true = b - apply_a(x)
         residual = apply_m(true)

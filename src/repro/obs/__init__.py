@@ -8,7 +8,8 @@ so any layer (the Krylov solvers included) may depend on them:
   nesting, per-request trace IDs, JSONL streaming, and Chrome trace-event
   export.  :data:`NULL_TRACER` is the zero-cost default when tracing is off.
 * :mod:`repro.obs.phases` — ambient per-solve phase timers (matvec,
-  preconditioner apply, orthogonalization) for the Krylov solvers.
+  preconditioner apply, orthogonalization, GMRES's least-squares update)
+  for the Krylov solvers.
 * :mod:`repro.obs.metrics` — the metrics registry (counters, gauges,
   histograms, optionally labeled), its JSON snapshot, and the one label
   codec (``render_label_key`` / ``parse_label_key``).
@@ -17,6 +18,7 @@ so any layer (the Krylov solvers included) may depend on them:
 """
 
 from repro.obs.phases import (
+    PHASE_LSQ,
     PHASE_MATVEC,
     PHASE_ORTHO,
     PHASE_PRECOND,
@@ -54,6 +56,7 @@ __all__ = [
     "PHASE_MATVEC",
     "PHASE_PRECOND",
     "PHASE_ORTHO",
+    "PHASE_LSQ",
     "PhaseTimings",
     "record_phases",
     "solve_phase_timings",

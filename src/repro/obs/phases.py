@@ -1,9 +1,10 @@
 """Per-solve phase timers for the Krylov solvers.
 
-A Krylov solve spends its time in three places: applications of ``A``
-(*matvec*), applications of the preconditioner (*precond_apply*), and — for
-GMRES — the Gram--Schmidt *orthogonalization* (both CGS2 passes and the
-norm).
+A Krylov solve spends its time in applications of ``A`` (*matvec*) and of
+the preconditioner (*precond_apply*); GMRES adds two more phases: the
+Gram--Schmidt *orthogonalization* (both CGS2 passes and the norm) and the
+least-squares update *lsq* (the Givens rotations of each Arnoldi step, and
+each restart cycle's back-substitution and iterate update).
 Knowing the split per matrix fingerprint is what turns "this solve was slow"
 into "this matrix's preconditioner apply dominates; trade setup cost for a
 cheaper apply".
@@ -35,6 +36,7 @@ __all__ = [
     "PHASE_MATVEC",
     "PHASE_PRECOND",
     "PHASE_ORTHO",
+    "PHASE_LSQ",
     "PhaseTimings",
     "record_phases",
     "solve_phase_timings",
@@ -45,6 +47,7 @@ __all__ = [
 PHASE_MATVEC = "matvec"
 PHASE_PRECOND = "precond_apply"
 PHASE_ORTHO = "orthogonalization"
+PHASE_LSQ = "lsq"
 
 _PHASE_RECORDER: ContextVar["PhaseTimings | None"] = ContextVar(
     "repro_phase_recorder", default=None)

@@ -104,6 +104,22 @@ class TestGMRES:
         true_residual = np.linalg.norm(rhs - matrix @ result.solution)
         assert true_residual > 1e-10 * np.linalg.norm(rhs)
 
+    @pytest.mark.parametrize("restart", [0, -3, 2.7])
+    def test_invalid_restart_rejected(self, spd_system, restart):
+        """``restart`` is not clamped into range: 0 and -3 used to run
+        GMRES(1) and 2.7 GMRES(2)."""
+        matrix, rhs, _ = spd_system
+        with pytest.raises(ParameterError, match="restart"):
+            gmres(matrix, rhs, restart=restart)
+
+    def test_restart_beyond_dimension_is_full_gmres(self, spd_system):
+        matrix, rhs, _ = spd_system
+        n = matrix.shape[0]
+        full = gmres(matrix, rhs, rtol=1e-10, restart=n)
+        longer = gmres(matrix, rhs, rtol=1e-10, restart=10 * n)
+        assert longer.iterations == full.iterations
+        assert np.array_equal(longer.solution, full.solution)
+
     def test_lucky_breakdown_with_convergence_still_converges(self):
         """On ``A = I`` the first Arnoldi step breaks down *and* solves."""
         matrix = sp.identity(5, format="csr")

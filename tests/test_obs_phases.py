@@ -1,5 +1,9 @@
 """Solver-phase timers: recorded when asked for, absent and free otherwise."""
 
+import math
+import sys
+import types
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,7 @@ from repro.krylov.cg import cg
 from repro.krylov.gmres import gmres
 from repro.matrices import laplacian_2d
 from repro.obs.phases import (
+    PHASE_LSQ,
     PHASE_MATVEC,
     PHASE_ORTHO,
     PHASE_PRECOND,
@@ -82,6 +87,9 @@ def test_sequential_solvers_record_phases(solver):
     assert result.phase_timings[PHASE_PRECOND] > 0.0
     if solver is gmres:
         assert result.phase_timings[PHASE_ORTHO] > 0.0
+        assert result.phase_timings[PHASE_LSQ] > 0.0
+    else:
+        assert PHASE_LSQ not in result.phase_timings
     # the ambient recorder aggregated the same phases
     assert recorder.seconds[PHASE_MATVEC] > 0.0
     assert recorder.calls[PHASE_MATVEC] > 0
@@ -99,6 +107,31 @@ def test_block_solvers_record_shared_phases(solver):
     # one block solve: every column reports the same shared timing dict
     assert len({id(r.phase_timings) for r in results}) == 1
     assert recorder.seconds[PHASE_MATVEC] > 0.0
+
+
+@pytest.mark.parametrize("restart", [10, 50])
+def test_gmres_times_every_least_squares_update(restart):
+    """One ``lsq`` interval per Arnoldi step (the rotations) and one per
+    restart cycle (the back-substitution and the iterate update)."""
+    matrix, rhs = _system(seed=1)
+    with record_phases() as recorder:
+        result = gmres(matrix, rhs, rtol=1e-10, restart=restart, maxiter=2000)
+    assert result.converged
+    cycles = math.ceil(result.iterations / restart)
+    assert cycles > 1
+    assert recorder.calls[PHASE_LSQ] == result.iterations + cycles
+    assert recorder.seconds[PHASE_LSQ] > 0.0
+
+
+def test_untimed_gmres_reads_no_clock(monkeypatch):
+    def no_clock():
+        raise AssertionError("the untimed path read the clock")
+
+    module = sys.modules["repro.krylov.gmres"]
+    monkeypatch.setattr(module, "time",
+                        types.SimpleNamespace(perf_counter=no_clock))
+    matrix, rhs = _system()
+    assert gmres(matrix, rhs, rtol=1e-10, restart=10, maxiter=2000).converged
 
 
 @pytest.mark.parametrize("solver", [cg, bicgstab, gmres])
@@ -119,6 +152,23 @@ def test_phase_timers_are_bit_neutral_sequential(solver):
     assert plain.iterations == timed.iterations
     assert np.array_equal(plain.solution, timed.solution), \
         "phase timers changed the arithmetic"
+
+
+@pytest.mark.parametrize("restart", [10, 256])
+def test_gmres_lsq_timer_is_bit_neutral(restart):
+    """Timing the least-squares side changes no bit of GMRES's solution or
+    residual history, across restart cycles and at full GMRES."""
+    matrix, rhs = _system(seed=5)
+    preconditioner = make_preconditioner("jacobi", matrix)
+    plain = gmres(matrix, rhs, preconditioner=preconditioner, rtol=1e-10,
+                  restart=restart, maxiter=2000)
+    with record_phases() as recorder:
+        timed = gmres(matrix, rhs, preconditioner=preconditioner, rtol=1e-10,
+                      restart=restart, maxiter=2000)
+    assert recorder.calls[PHASE_LSQ] > 0
+    assert (timed.iterations, timed.matvecs) == (plain.iterations, plain.matvecs)
+    assert np.array_equal(timed.solution, plain.solution)
+    assert np.array_equal(timed.residual_norms, plain.residual_norms)
 
 
 @pytest.mark.parametrize("solver", [block_cg])

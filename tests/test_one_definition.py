@@ -209,25 +209,49 @@ def test_triangular_solves_are_prepared_once(trees):
     assert _where(trees, mentions) == []
 
 
+def _gmres_arnoldi_steps(trees) -> list[ast.For]:
+    """GMRES's Arnoldi step: the ``for`` loop with a loop inside it."""
+    steps = [node for node in ast.walk(trees["krylov/gmres.py"])
+             if isinstance(node, ast.For)
+             and any(isinstance(inner, ast.For)
+                     for statement in node.body
+                     for inner in ast.walk(statement))]
+    assert steps
+    return steps
+
+
 def test_gmres_orthogonalises_with_whole_basis_products(trees):
     """CGS2: inside the Arnoldi step no loop walks the basis one row at a
-    time (the Givens loop touches only the Hessenberg)."""
+    time (the Givens loop touches only the least-squares side)."""
     def loops_over_basis(node: ast.AST) -> bool:
         return (isinstance(node, (ast.For, ast.While))
                 and any(isinstance(inner, ast.Name) and inner.id == "basis"
                         for statement in node.body
                         for inner in ast.walk(statement)))
 
-    arnoldi_steps = [node for node in ast.walk(trees["krylov/gmres.py"])
-                     if isinstance(node, ast.For)
-                     and any(isinstance(inner, ast.For)
-                             for statement in node.body
-                             for inner in ast.walk(statement))]
-    assert arnoldi_steps
-    for step in arnoldi_steps:
+    for step in _gmres_arnoldi_steps(trees):
         inner = [node.lineno for statement in step.body
                  for node in ast.walk(statement) if loops_over_basis(node)]
         assert inner == [], f"krylov/gmres.py:{inner}"
+
+
+def test_gmres_rotates_the_new_column_on_python_floats(trees):
+    """The Givens loop of the Arnoldi step rotates a Python-float copy of the
+    new Hessenberg column, written back once per step: no ``hessenberg[...]``
+    subscript (one numpy scalar per entry) appears inside it."""
+    def subscripts_hessenberg(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Subscript)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "hessenberg")
+
+    rotation_loops = [inner for step in _gmres_arnoldi_steps(trees)
+                      for statement in step.body
+                      for inner in ast.walk(statement)
+                      if isinstance(inner, ast.For)]
+    assert rotation_loops
+    found = [node.lineno for loop in rotation_loops
+             for node in ast.walk(loop) if subscripts_hessenberg(node)]
+    assert found == [], f"krylov/gmres.py:{found}"
 
 
 def test_one_backward_engine(trees):

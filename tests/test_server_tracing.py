@@ -229,6 +229,21 @@ def test_prometheus_endpoint_round_trips_over_http():
     assert snapshot.counters["requests_admitted"] >= 1
 
 
+@pytest.mark.parametrize("solver", ["gmres", "cg"])
+def test_only_gmres_solve_spans_carry_the_lsq_phase(solver):
+    tracer = Tracer()
+    matrix = laplacian_2d(12)
+    request = SolveRequestV1(matrix=matrix, rhs=np.ones(matrix.shape[0]),
+                             solver=solver, preconditioner="jacobi")
+    with SolveServer(background=False, tracer=tracer) as server:
+        response = server.solve(request)
+    assert response.converged and response.solver == solver
+    solve = next(span for span in tracer.spans(trace_id=response.trace_id)
+                 if span.name == "solve")
+    assert ("phase.lsq_ms" in solve.attributes) == (solver == "gmres")
+    assert "phase.matvec_ms" in solve.attributes
+
+
 def test_labeled_solve_metrics_recorded_per_fingerprint():
     tracer = Tracer()
     with SolveServer(background=False, tracer=tracer) as server:
