@@ -5,15 +5,17 @@ estimated row-by-row by the walk engine.  This module orchestrates:
 
 1. Jacobi splitting with the ``alpha`` diagonal perturbation,
 2. partitioning of the rows into contiguous blocks balanced by nnz,
-3. walk generation, one block after another,
+3. walk generation, one block after another, each block's deposits summed
+   straight into a sparse row block (memory follows the walk steps, not
+   ``n**2``),
 4. column scaling by ``D^{-1}``,
 5. post-processing: drop entries below the truncation threshold and truncate
    to the target fill factor (the paper fixes these to ``1e-9`` and
    ``2 * phi(A)`` respectively).
 
-The block count is fixed by the dense-buffer memory cap alone, and every block
-draws its randomness from a ``SeedSequence`` stream keyed by the block index,
-so the assembled preconditioner is a function of ``(A, parameters, seed)``.
+The block count depends on ``n`` alone, and every block draws its randomness
+from a ``SeedSequence`` stream keyed by the block index, so the assembled
+preconditioner is a function of ``(A, parameters, seed)``.
 """
 
 from __future__ import annotations
@@ -75,26 +77,30 @@ class InversionReport:
                 f"phi(P)={self.fill_factor:.4f}")
 
 
-#: Upper bound on the number of dense entries a single block may materialise.
-_MAX_DENSE_BLOCK_ENTRIES = 5_000_000
+#: The inverse is built from ``max(ceil(n**2 / _ROW_BLOCK_ENTRIES), 1)`` row
+#: blocks.  This is not a memory cap (no block holds ``n``-wide rows): each
+#: block draws from the ``SeedSequence`` stream of its index, so the count
+#: fixes the inverse, and changing it changes the paper's numbers.
+_ROW_BLOCK_ENTRIES = 5_000_000
 
 
 def _estimate_block(block: Partition, engine: WalkEngine, chains_per_row: int,
                     rng_factory: TaskRNGFactory, inverse_diagonal: np.ndarray,
                     drop_tolerance: float) -> tuple[sp.csr_matrix, WalkStatistics]:
-    """Estimate and sparsify the inverse rows of one partition block.
+    """Estimate the inverse rows of one partition block as CSR.
 
-    The dense accumulation buffer only ever covers ``block.size`` rows, which
-    bounds peak memory even for large matrices; the column scaling by
-    ``D^{-1}`` and the drop tolerance are applied before sparsification so
-    only a compact CSR block outlives the call.
+    The walk engine returns the block's row sums already sparse; the column
+    scaling by ``D^{-1}`` and the drop tolerance act on the stored entries
+    alone, and ``eliminate_zeros`` then removes the dropped entries and any
+    sum that cancelled to zero, so only non-zeros are stored.
     """
     rng = rng_factory.for_task(block.task_id)
     estimate, statistics = engine.estimate_rows(block.indices(), chains_per_row, rng)
-    estimate *= inverse_diagonal[None, :]
-    if drop_tolerance and drop_tolerance > 0.0:
-        estimate[np.abs(estimate) < drop_tolerance] = 0.0
-    return sp.csr_matrix(estimate), statistics
+    estimate.data *= inverse_diagonal[estimate.indices]
+    if drop_tolerance:
+        estimate.data[np.abs(estimate.data) < drop_tolerance] = 0.0
+    estimate.eliminate_zeros()
+    return estimate, statistics
 
 
 def estimate_inverse(matrix: sp.spmatrix, parameters: MCMCParameters, *,
@@ -119,9 +125,11 @@ def estimate_inverse(matrix: sp.spmatrix, parameters: MCMCParameters, *,
         Master seed for the per-block random streams.
     fill_multiple:
         The preconditioner keeps at most ``fill_multiple * phi(A)`` fill
-        (paper default 2.0).  ``None`` or ``<= 0`` disables the constraint.
+        (paper default 2.0).  ``None`` or ``0`` disables the constraint.
     drop_tolerance:
-        Entries below this magnitude are dropped (paper default ``1e-9``).
+        Entries below this magnitude are dropped (paper default ``1e-9``);
+        ``None`` or ``0`` keeps every non-zero.  A negative or NaN value of
+        either option raises :class:`ParameterError`.
     chain_cap, walk_length_cap:
         Safety caps for pathological parameter values during BO exploration.
     transition_table:
@@ -136,8 +144,10 @@ def estimate_inverse(matrix: sp.spmatrix, parameters: MCMCParameters, *,
         When true, also return an :class:`InversionReport`.
     """
     csr = validate_square(matrix)
-    if fill_multiple is not None and fill_multiple < 0:
-        raise ParameterError(f"fill_multiple must be >= 0, got {fill_multiple}")
+    for name, value in (("fill_multiple", fill_multiple),
+                        ("drop_tolerance", drop_tolerance)):
+        if value is not None and not value >= 0:
+            raise ParameterError(f"{name} must be >= 0, got {value}")
 
     if transition_table is None:
         split: SplittingResult = jacobi_splitting(csr, parameters.alpha)
@@ -165,9 +175,7 @@ def estimate_inverse(matrix: sp.spmatrix, parameters: MCMCParameters, *,
                         max_steps=max_walk_length)
 
     n = csr.shape[0]
-    # Enough blocks that one block's dense accumulation buffer stays below
-    # the memory cap.
-    n_blocks = max(int(np.ceil(n * n / _MAX_DENSE_BLOCK_ENTRIES)), 1)
+    n_blocks = max(int(np.ceil(n * n / _ROW_BLOCK_ENTRIES)), 1)
     blocks = partition_by_weight(np.maximum(table.row_nnz, 1), n_blocks)
     rng_factory = TaskRNGFactory(seed)
     inverse_diagonal = 1.0 / diagonal

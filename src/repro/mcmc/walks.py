@@ -331,35 +331,51 @@ class WalkEngine:
 
     def estimate_rows(self, start_rows: np.ndarray, chains_per_row: int,
                       rng: np.random.Generator
-                      ) -> tuple[np.ndarray, WalkStatistics]:
+                      ) -> tuple[sp.csr_matrix, WalkStatistics]:
         """Estimate the Neumann-sum rows ``S[start_rows, :]``.
+
+        Every deposit is kept as a flat key ``walk_row * n + state`` beside
+        its weight, in step order.  ``np.unique`` sorts the keys into CSR
+        order and ``np.bincount`` sums each key's weights in input order from
+        0.0 -- the additions ``np.add.at`` into a dense ``(rows, n)`` buffer
+        makes -- so every sum is bitwise the same while memory scales with
+        the walk steps instead of ``rows * n``.
 
         Returns
         -------
         estimates:
-            Dense array of shape ``(len(start_rows), n)`` holding the Monte
+            ``csr_matrix`` of shape ``(len(start_rows), n)`` holding the Monte
             Carlo estimate of ``sum_k B^k`` restricted to the requested rows.
+            Every entry some walk deposited into is stored, including sums
+            that cancelled to zero.
         statistics:
             Aggregate :class:`WalkStatistics` for the batch.
         """
         start_rows = np.asarray(start_rows, dtype=np.int64).ravel()
-        if chains_per_row < 1:
+        if (isinstance(chains_per_row, bool)
+                or not isinstance(chains_per_row, (int, np.integer))
+                or chains_per_row < 1):
             raise ParameterError(
-                f"chains_per_row must be >= 1, got {chains_per_row}")
+                f"chains_per_row must be an integer >= 1, got {chains_per_row!r}")
         n_rows = start_rows.size
         n = self._table.dimension
-        estimates = np.zeros((n_rows, n), dtype=np.float64)
         if n_rows == 0:
-            return estimates, WalkStatistics.empty()
+            return sp.csr_matrix((0, n), dtype=np.float64), WalkStatistics.empty()
+        if start_rows.min() < 0 or start_rows.max() >= n:
+            raise ParameterError(
+                f"start rows must lie in [0, {n}), got {start_rows.min()} "
+                f"to {start_rows.max()}")
 
         # One walk per (row, chain) pair, all advanced in lock-step.
-        walk_row = np.repeat(np.arange(n_rows, dtype=np.int64), chains_per_row)
+        row_keys = np.repeat(np.arange(n_rows, dtype=np.int64) * n,
+                             chains_per_row)
         states = np.repeat(start_rows, chains_per_row)
         weights = np.ones(states.size, dtype=np.float64)
         n_walks = states.size
 
         # Step 0 contribution: the identity term of the Neumann series.
-        np.add.at(estimates, (walk_row, states), weights)
+        keys = [row_keys + states]
+        deposits = [weights.copy()]
 
         lengths = np.zeros(n_walks, dtype=np.int64)
         truncated_weight = 0
@@ -385,9 +401,8 @@ class WalkEngine:
             lengths[active_indices] = step
 
             # Deposit the contribution of this step.
-            np.add.at(estimates,
-                      (walk_row[active_indices], next_states),
-                      new_weights)
+            keys.append(row_keys[active_indices] + next_states)
+            deposits.append(new_weights)
 
             # Decide which walks keep going.  Termination attribution follows
             # the documented priority order absorbed > exploded >
@@ -407,14 +422,19 @@ class WalkEngine:
         # Walks surviving to the step cap were truncated by length.
         truncated_length += int(active_indices.size)
 
-        estimates /= float(chains_per_row)
+        keys, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+        sums = np.bincount(inverse, weights=np.concatenate(deposits),
+                           minlength=keys.size)
+        sums /= float(chains_per_row)
         # Divergent parameter regimes can still overflow within a single step;
         # scrub non-finite values so downstream code sees a (useless but
         # well-formed) preconditioner rather than NaNs.
-        if not np.all(np.isfinite(estimates)):
-            estimates = np.nan_to_num(estimates, nan=0.0,
-                                      posinf=self.WEIGHT_EXPLOSION_CAP,
-                                      neginf=-self.WEIGHT_EXPLOSION_CAP)
+        if not np.all(np.isfinite(sums)):
+            sums = np.nan_to_num(sums, nan=0.0,
+                                 posinf=self.WEIGHT_EXPLOSION_CAP,
+                                 neginf=-self.WEIGHT_EXPLOSION_CAP)
+        indptr = np.searchsorted(keys, np.arange(n_rows + 1, dtype=np.int64) * n)
+        estimates = sp.csr_matrix((sums, keys % n, indptr), shape=(n_rows, n))
         statistics = WalkStatistics(
             n_walks=n_walks,
             total_steps=int(lengths.sum()),

@@ -68,8 +68,8 @@ def _cases() -> dict[str, dict]:
 def _frozen(case: dict, seed: int) -> dict:
     case = dict(case)
     matrix = case.pop("matrix")
-    cap = case.pop("block_cap", inversion._MAX_DENSE_BLOCK_ENTRIES)
-    with mock.patch.object(inversion, "_MAX_DENSE_BLOCK_ENTRIES", cap), \
+    cap = case.pop("block_cap", inversion._ROW_BLOCK_ENTRIES)
+    with mock.patch.object(inversion, "_ROW_BLOCK_ENTRIES", cap), \
             mock.patch.object(inversion, "_estimate_block",
                               wraps=inversion._estimate_block) as block, \
             np.errstate(over="ignore", invalid="ignore"):

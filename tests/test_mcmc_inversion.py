@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -35,8 +36,8 @@ INVERSE_CASES = [(grid, seed) for grid in (10, 49) for seed in (0, 7)]
 def _inverse_case(grid: int, seed: int) -> dict:
     """Row-block count and content hash of the served default MCMC inverse.
 
-    ``laplacian_2d(10)`` (n = 81) fits one dense block; ``laplacian_2d(49)``
-    (n = 2304, past the ``n**2`` dense-entry cap) is built from two.  Uses
+    ``laplacian_2d(10)`` (n = 81) is one row block; ``laplacian_2d(49)``
+    (n = 2304, ``n**2`` past ``_ROW_BLOCK_ENTRIES``) is built from two.  Uses
     only what ``estimate_inverse`` offered before its block loop was inlined,
     so it runs unchanged there.
     """
@@ -127,6 +128,30 @@ class TestEstimateInverse:
         with pytest.raises(ParameterError):
             estimate_inverse(small_spd, params, fill_multiple=-1.0)
 
+    @pytest.mark.parametrize("tolerance", [-1e-9, float("nan")])
+    def test_invalid_drop_tolerance(self, small_spd, tolerance):
+        """A negative or NaN tolerance used to mean "drop nothing"."""
+        params = MCMCParameters(alpha=1.0, eps=0.5, delta=0.5)
+        with pytest.raises(ParameterError):
+            estimate_inverse(small_spd, params, drop_tolerance=tolerance)
+
+    def test_invalid_nan_fill_multiple(self, small_spd):
+        params = MCMCParameters(alpha=1.0, eps=0.5, delta=0.5)
+        with pytest.raises(ParameterError):
+            estimate_inverse(small_spd, params, fill_multiple=float("nan"))
+
+    def test_peak_memory_follows_the_walks_not_n_squared(self):
+        """n = 3969: a dense ``(rows, n)`` accumulation buffer peaks near
+        70 MB; summing the deposits sparsely stays under 16 MB."""
+        matrix = laplacian_2d(64)
+        tracemalloc.start()
+        try:
+            estimate_inverse(matrix, DEFAULT_MCMC_PARAMETERS, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, peak
+
     def test_prebuilt_transition_table_gives_identical_result(self, small_spd):
         """A prebuilt table (eps/delta sweep reuse) must not change the result."""
         from repro.mcmc import TransitionTable
@@ -155,8 +180,8 @@ class TestEstimateInverse:
 
 
 class TestRowBlocks:
-    """The inverse is one loop over nnz-balanced row blocks.  Lowering the
-    dense-entry cap forces several blocks on a small matrix (n = 49)."""
+    """The inverse is one loop over nnz-balanced row blocks.  Lowering
+    ``_ROW_BLOCK_ENTRIES`` forces several blocks on a small matrix (n = 49)."""
 
     PARAMS = MCMCParameters(alpha=1.0, eps=0.5, delta=0.25)
 
@@ -166,14 +191,14 @@ class TestRowBlocks:
                                                       monkeypatch, cap,
                                                       expected):
         """``max(ceil(n**2 / cap), 1)`` blocks, never more than one per row."""
-        monkeypatch.setattr(inversion, "_MAX_DENSE_BLOCK_ENTRIES", cap)
+        monkeypatch.setattr(inversion, "_ROW_BLOCK_ENTRIES", cap)
         calls = _recorded_blocks(monkeypatch)
         estimate_inverse(small_spd, self.PARAMS, seed=0)
         assert len(calls) == expected
 
     def test_blocks_run_in_row_order_and_cover_every_row(self, small_spd,
                                                          monkeypatch):
-        monkeypatch.setattr(inversion, "_MAX_DENSE_BLOCK_ENTRIES", 500)
+        monkeypatch.setattr(inversion, "_ROW_BLOCK_ENTRIES", 500)
         calls = _recorded_blocks(monkeypatch)
         estimate_inverse(small_spd, self.PARAMS, seed=0)
         blocks = [args[0] for args, _ in calls]
@@ -185,7 +210,7 @@ class TestRowBlocks:
                                                        monkeypatch):
         """Re-estimating the blocks alone, last first, reproduces every one:
         the order the loop visits them in cannot change the inverse."""
-        monkeypatch.setattr(inversion, "_MAX_DENSE_BLOCK_ENTRIES", 500)
+        monkeypatch.setattr(inversion, "_ROW_BLOCK_ENTRIES", 500)
         original = inversion._estimate_block
         calls = _recorded_blocks(monkeypatch)
         estimate_inverse(small_spd, self.PARAMS, seed=3)
@@ -195,7 +220,7 @@ class TestRowBlocks:
             assert again_statistics == statistics
 
     def test_blocks_are_stacked_in_row_order(self, small_spd, monkeypatch):
-        monkeypatch.setattr(inversion, "_MAX_DENSE_BLOCK_ENTRIES", 500)
+        monkeypatch.setattr(inversion, "_ROW_BLOCK_ENTRIES", 500)
         calls = _recorded_blocks(monkeypatch)
         approx = estimate_inverse(small_spd, self.PARAMS, seed=0,
                                   fill_multiple=0.0)
@@ -204,7 +229,7 @@ class TestRowBlocks:
 
     def test_report_merges_the_walks_of_every_block(self, small_spd,
                                                     monkeypatch):
-        monkeypatch.setattr(inversion, "_MAX_DENSE_BLOCK_ENTRIES", 1200)
+        monkeypatch.setattr(inversion, "_ROW_BLOCK_ENTRIES", 1200)
         calls = _recorded_blocks(monkeypatch)
         _, report = estimate_inverse(small_spd, self.PARAMS, seed=0,
                                      return_report=True)
@@ -215,14 +240,14 @@ class TestRowBlocks:
         assert merged.n_walks == small_spd.shape[0] * report.chains_per_row
 
     def test_several_blocks_are_reproducible(self, small_spd, monkeypatch):
-        monkeypatch.setattr(inversion, "_MAX_DENSE_BLOCK_ENTRIES", 500)
+        monkeypatch.setattr(inversion, "_ROW_BLOCK_ENTRIES", 500)
         a = estimate_inverse(small_spd, self.PARAMS, seed=11)
         b = estimate_inverse(small_spd, self.PARAMS, seed=11)
         assert (a != b).nnz == 0
 
     def test_block_count_is_the_same_for_every_seed(self, small_spd,
                                                     monkeypatch):
-        monkeypatch.setattr(inversion, "_MAX_DENSE_BLOCK_ENTRIES", 1200)
+        monkeypatch.setattr(inversion, "_ROW_BLOCK_ENTRIES", 1200)
         calls = _recorded_blocks(monkeypatch)
         counts = []
         for seed in (0, 1, None):

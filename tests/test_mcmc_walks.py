@@ -110,7 +110,7 @@ class TestWalkEngine:
                                                 np.random.default_rng(0))
         # A walk on c*I always stays on the diagonal with weight c^k: the
         # estimate is deterministic regardless of the chain count.
-        np.testing.assert_allclose(np.diag(estimates), 1.0 / (1.0 - c), rtol=1e-5)
+        np.testing.assert_allclose(estimates.diagonal(), 1.0 / (1.0 - c), rtol=1e-5)
         assert stats.n_walks == 6
 
     def test_estimates_converge_with_more_chains(self, small_spd):
@@ -155,12 +155,48 @@ class TestWalkEngine:
         engine = WalkEngine(TransitionTable(b_matrix), weight_cutoff=1e-8,
                             max_steps=500)
         estimates, _ = engine.estimate_rows(np.arange(2), 4, np.random.default_rng(0))
-        assert np.all(np.isfinite(estimates))
+        assert np.all(np.isfinite(estimates.toarray()))
 
     def test_invalid_chain_count(self, small_spd):
         _, _, engine = _engine_for(small_spd, 1.0)
         with pytest.raises(ParameterError):
             engine.estimate_rows(np.arange(3), 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("start_rows", [[-1], [0, 49], [3, 50]])
+    def test_start_rows_outside_the_matrix_are_rejected(self, small_spd,
+                                                        start_rows):
+        """Row -1 used to return row n-1's estimate, and row >= n an
+        ``IndexError``; with flat ``row * n + state`` keys a stray row would
+        corrupt a neighbour's entries."""
+        _, _, engine = _engine_for(small_spd, 1.0)
+        with pytest.raises(ParameterError):
+            engine.estimate_rows(np.array(start_rows), 2,
+                                 np.random.default_rng(0))
+
+    @pytest.mark.parametrize("chains", [2.5, 2.0, True])
+    def test_non_integer_chain_count_is_rejected(self, small_spd, chains):
+        """2.5 used to run two walks a row and divide their sums by 2.5."""
+        _, _, engine = _engine_for(small_spd, 1.0)
+        with pytest.raises(ParameterError):
+            engine.estimate_rows(np.arange(3), chains, np.random.default_rng(0))
+
+    def test_numpy_integer_chain_count_is_accepted(self, small_spd):
+        _, _, engine = _engine_for(small_spd, 1.0)
+        plain, _ = engine.estimate_rows(np.arange(3), 2,
+                                        np.random.default_rng(0))
+        numpy, _ = engine.estimate_rows(np.arange(3), np.int64(2),
+                                        np.random.default_rng(0))
+        assert (plain != numpy).nnz == 0
+
+    def test_estimate_is_canonical_csr(self, small_spd):
+        """Sorted, duplicate-free columns per row: the sums need no later
+        ``sum_duplicates`` / ``sort_indices`` pass."""
+        _, _, engine = _engine_for(small_spd, 1.0)
+        estimates, _ = engine.estimate_rows(np.array([5, 0, 5]), 3,
+                                            np.random.default_rng(4))
+        assert isinstance(estimates, sp.csr_matrix)
+        assert estimates.shape == (3, small_spd.shape[0])
+        assert estimates.has_canonical_format
 
     def test_empty_row_selection(self, small_spd):
         _, _, engine = _engine_for(small_spd, 1.0)
@@ -304,7 +340,7 @@ class TestBatchedUniformDraws:
                             rng_block_size=block_size)
         estimates, stats = engine.estimate_rows(
             np.arange(table.dimension), 4, np.random.default_rng(11))
-        np.testing.assert_array_equal(estimates, reference)
+        np.testing.assert_array_equal(estimates.toarray(), reference.toarray())
         assert stats == ref_stats
 
     def test_matches_manual_per_step_stream(self, small_spd):
@@ -340,7 +376,7 @@ class TestBatchedUniformDraws:
                      | (np.abs(new_weights) > WalkEngine.WEIGHT_EXPLOSION_CAP))
             active = active[keep]
         manual /= float(chains)
-        np.testing.assert_array_equal(estimates, manual)
+        np.testing.assert_array_equal(estimates.toarray(), manual)
 
     def test_step_uniform_validation(self):
         table = TransitionTable(sp.identity(3, format="csr") * 0.5)

@@ -280,3 +280,33 @@ def test_block_cg_is_the_only_block_solver(trees):
     assert BLOCK_SOLVERS == ("cg",)
     assert [name for name in trees
             if "block_gmres" in (SRC / name).read_text()] == []
+
+
+def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_walk_deposits_are_summed_sparsely(trees):
+    """``WalkEngine.estimate_rows`` keeps its deposits as keys and weights
+    and sums them with ``unique`` + ``bincount``: no ``np.add.at`` scatter
+    and no two-dimensional ``np.zeros`` / ``np.empty`` buffer."""
+    def scatters_or_buffers(node: ast.AST) -> bool:
+        if (isinstance(node, ast.Attribute) and node.attr == "at"
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "add"):
+            return True
+        return ((_calls(node, "zeros") or _calls(node, "empty"))
+                and bool(node.args) and isinstance(node.args[0], ast.Tuple))
+
+    estimate_rows = _function(trees["mcmc/walks.py"], "estimate_rows")
+    assert [node.lineno for node in ast.walk(estimate_rows)
+            if scatters_or_buffers(node)] == []
+
+
+def test_inverse_blocks_are_never_densified(trees):
+    """``_estimate_block`` scales and drops the stored entries of the CSR
+    the walk engine returns; it never re-sparsifies with ``csr_matrix``."""
+    estimate_block = _function(trees["mcmc/inversion.py"], "_estimate_block")
+    assert [node.lineno for node in ast.walk(estimate_block)
+            if _calls(node, "csr_matrix")] == []
