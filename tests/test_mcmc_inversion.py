@@ -128,17 +128,15 @@ class TestEstimateInverse:
         with pytest.raises(ParameterError):
             estimate_inverse(small_spd, params, fill_multiple=-1.0)
 
-    @pytest.mark.parametrize("tolerance", [-1e-9, float("nan")])
-    def test_invalid_drop_tolerance(self, small_spd, tolerance):
-        """A negative or NaN tolerance used to mean "drop nothing"."""
+    @pytest.mark.parametrize("option, value", [
+        ("drop_tolerance", -1e-9), ("drop_tolerance", float("nan")),
+        ("fill_multiple", float("nan"))])
+    def test_negative_or_nan_option_is_rejected(self, small_spd, option,
+                                                value):
+        """These used to mean "drop nothing" / "truncate nothing"."""
         params = MCMCParameters(alpha=1.0, eps=0.5, delta=0.5)
         with pytest.raises(ParameterError):
-            estimate_inverse(small_spd, params, drop_tolerance=tolerance)
-
-    def test_invalid_nan_fill_multiple(self, small_spd):
-        params = MCMCParameters(alpha=1.0, eps=0.5, delta=0.5)
-        with pytest.raises(ParameterError):
-            estimate_inverse(small_spd, params, fill_multiple=float("nan"))
+            estimate_inverse(small_spd, params, **{option: value})
 
     def test_peak_memory_follows_the_walks_not_n_squared(self):
         """n = 3969: a dense ``(rows, n)`` accumulation buffer peaks near
