@@ -4,17 +4,19 @@ For symmetric positive-definite matrices (the 2-D FD Laplacians of the study
 set) ``A ≈ L L^T`` where ``L`` keeps the lower-triangular sparsity pattern of
 ``A``.  Application solves ``L y = r`` and ``L^T z = y``, each through a
 :class:`~repro.precond.base.TriangularSolve` prepared once.  A diagonal
-shift is applied automatically when a negative pivot appears (the standard
-remedy for matrices that are only weakly positive definite), and the
-attempted shifts are recorded for diagnostics.
+shift is applied automatically when a pivot is not positive or a factor row
+is not finite (the standard remedy for matrices that are only weakly
+positive definite), and the attempted shifts are recorded for diagnostics.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
-from repro.exceptions import PreconditionerError
+from repro.exceptions import ParameterError, PreconditionerError
 from repro.precond.base import Preconditioner, TriangularSolve
 from repro.sparse.csr import ensure_csr, is_symmetric, validate_square
 
@@ -22,60 +24,73 @@ __all__ = ["IncompleteCholeskyPreconditioner"]
 
 
 def _ic0_factorise(matrix: sp.csr_matrix) -> sp.csr_matrix:
-    """IC(0) on the lower-triangular pattern; raises on a non-positive pivot."""
-    lower_pattern = sp.tril(matrix, k=0).tocsr()
-    n = matrix.shape[0]
-    lil = lower_pattern.tolil()
-    rows_cols = [np.asarray(lil.rows[i], dtype=np.int64) for i in range(n)]
-    rows_vals = [np.asarray(lil.data[i], dtype=np.float64) for i in range(n)]
-    column_positions = [
-        {int(col): pos for pos, col in enumerate(cols)} for cols in rows_cols
-    ]
-    diag = np.zeros(n, dtype=np.float64)
+    """IC(0) on the lower-triangular pattern; raises on a pivot that is not
+    positive or a row that is not finite.
+
+    One up-looking pass over the sorted CSR arrays on Python floats: row
+    ``i``'s columns are scattered into ``where`` (column -> position) while
+    the row is computed, and ``diag_pos[k]`` locates the pivot of each
+    finished row ``k``.  Python float ``*``, ``-``, ``/`` and ``sqrt`` are
+    the same IEEE operations as numpy's float64 scalars, taken in the same
+    order.  The pivot's sum of squares is added in order from ``0.0`` below
+    eight terms, which is what ``np.sum`` does there; from eight terms up
+    ``np.sum`` adds with eight accumulators, so it is called as before.
+    """
+    lower = sp.tril(matrix, k=0).tocsr()
+    lower.sum_duplicates()
+    n = lower.shape[0]
+    indptr = lower.indptr.tolist()
+    indices = lower.indices.tolist()
+    data = lower.data.tolist()
+    where = [-1] * n
+    diag_pos = [0] * n
 
     for i in range(n):
-        cols_i = rows_cols[i]
-        vals_i = rows_vals[i]
-        for pos_k, k in enumerate(cols_i):
+        start, end = indptr[i], indptr[i + 1]
+        for pos in range(start, end):
+            where[indices[pos]] = pos
+        for pos_k in range(start, end):
+            k = indices[pos_k]
             if k >= i:
                 break
             # L[i, k] = (A[i, k] - sum_{j<k} L[i, j] L[k, j]) / L[k, k]
-            accumulator = vals_i[pos_k]
-            cols_k = rows_cols[k]
-            vals_k = rows_vals[k]
-            positions_i = column_positions[i]
-            for pos_j in range(len(cols_k)):
-                j = cols_k[pos_j]
-                if j >= k:
-                    break
-                target = positions_i.get(int(j))
-                if target is not None:
-                    accumulator -= vals_i[target] * vals_k[pos_j]
-            if diag[k] == 0.0:
+            accumulator = data[pos_k]
+            for pos_j in range(indptr[k], diag_pos[k]):
+                target = where[indices[pos_j]]
+                if target >= 0:
+                    accumulator -= data[target] * data[pos_j]
+            pivot_k = data[diag_pos[k]]
+            if pivot_k == 0.0:
                 raise PreconditionerError(
                     f"IC(0) breakdown: zero pivot at row {k}")
-            vals_i[pos_k] = accumulator / diag[k]
-        position_diag = column_positions[i].get(i)
-        if position_diag is None:
+            data[pos_k] = accumulator / pivot_k
+        position_diag = where[i]
+        if position_diag < 0:
             raise PreconditionerError(
                 f"IC(0) requires a structurally non-zero diagonal (row {i})")
-        pivot = vals_i[position_diag]
-        if position_diag:
-            # Only the strictly-lower entries of row i contribute to the pivot.
-            strictly_lower = vals_i[:position_diag]
-            pivot = vals_i[position_diag] - float(np.sum(strictly_lower ** 2))
-        if pivot <= 0.0:
+        # Only the strictly-lower entries of row i contribute to the pivot.
+        if position_diag - start < 8:
+            squares = 0.0
+            for pos in range(start, position_diag):
+                squares += data[pos] * data[pos]
+        else:
+            squares = float(np.sum(np.array(data[start:position_diag]) ** 2))
+        pivot = data[position_diag] - squares
+        if not pivot > 0.0:
             raise PreconditionerError(
                 f"IC(0) breakdown: non-positive pivot {pivot:.3e} at row {i}")
-        vals_i[position_diag] = np.sqrt(pivot)
-        diag[i] = vals_i[position_diag]
-        rows_vals[i] = vals_i
+        # Every strictly-lower entry enters the pivot squared, so a finite
+        # pivot leaves only an infinite diagonal to catch.
+        if pivot == math.inf:
+            raise PreconditionerError(
+                f"IC(0) breakdown: non-finite entry in row {i}")
+        data[position_diag] = math.sqrt(pivot)
+        diag_pos[i] = position_diag
+        for pos in range(start, end):
+            where[indices[pos]] = -1
 
-    out = lower_pattern.tolil()
-    for i in range(n):
-        out.rows[i] = list(map(int, rows_cols[i]))
-        out.data[i] = list(map(float, rows_vals[i]))
-    return ensure_csr(out.tocsr())
+    lower.data = np.array(data, dtype=np.float64)
+    return ensure_csr(lower)
 
 
 class IncompleteCholeskyPreconditioner(Preconditioner):
@@ -88,14 +103,23 @@ class IncompleteCholeskyPreconditioner(Preconditioner):
         raised when the input is not symmetric.
     shift_step:
         Relative diagonal shift added (repeatedly) when the factorisation
-        encounters a non-positive pivot.
+        encounters a pivot that is not positive or a row that is not finite;
+        must be finite and > 0.
     max_shifts:
-        Maximum number of shift attempts before giving up.
+        Maximum number of shift attempts before giving up, an integer >= 0.
     """
 
     def __init__(self, matrix: sp.spmatrix, *, shift_step: float = 1e-3,
                  max_shifts: int = 8) -> None:
         csr = validate_square(matrix)
+        if not 0.0 < shift_step < math.inf:
+            raise ParameterError(
+                f"shift_step must be finite and > 0, got {shift_step!r}")
+        if (isinstance(max_shifts, bool)
+                or not isinstance(max_shifts, (int, np.integer))
+                or max_shifts < 0):
+            raise ParameterError(
+                f"max_shifts must be an integer >= 0, got {max_shifts!r}")
         if not is_symmetric(csr, tol=1e-10):
             raise PreconditionerError(
                 "Incomplete Cholesky requires a symmetric matrix")

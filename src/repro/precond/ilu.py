@@ -15,10 +15,12 @@ the weakness the paper cites as motivation for stochastic preconditioners.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 
-from repro.exceptions import PreconditionerError
+from repro.exceptions import ParameterError, PreconditionerError
 from repro.precond.base import Preconditioner, TriangularSolve
 from repro.sparse.csr import ensure_csr, validate_square
 
@@ -30,57 +32,63 @@ def _ilu0_factorise(matrix: sp.csr_matrix, pivot_shift: float) -> sp.csr_matrix:
 
     The strict lower triangle holds ``L`` (unit diagonal implied) and the upper
     triangle including the diagonal holds ``U`` -- the classic compact storage.
+    One pass over the sorted CSR arrays on Python floats (the same IEEE
+    operations as numpy's float64 scalars, in the same order): row ``i``'s
+    columns are scattered into ``where`` (column -> position) while the row is
+    eliminated, and ``diag_pos[k]`` locates the pivot of each finished row.
+    Raises when an entry overflowed to a non-finite value, naming the first
+    row that holds one (a missing diagonal, found during the pass, is
+    reported instead).
     """
-    n = matrix.shape[0]
-    factor = matrix.copy().tolil()
-    # Work on dense rows of the pattern for clarity; the pattern is sparse so
-    # each row touches only its own non-zeros.
-    rows_cols = [np.asarray(factor.rows[i], dtype=np.int64) for i in range(n)]
-    rows_vals = [np.asarray(factor.data[i], dtype=np.float64) for i in range(n)]
-
-    diag_value = np.zeros(n, dtype=np.float64)
-    column_positions: list[dict[int, int]] = [
-        {int(col): pos for pos, col in enumerate(cols)} for cols in rows_cols
-    ]
+    factor = matrix.copy()
+    factor.sum_duplicates()
+    n = factor.shape[0]
+    indptr = factor.indptr.tolist()
+    indices = factor.indices.tolist()
+    data = factor.data.tolist()
+    where = [-1] * n
+    diag_pos = [0] * n
+    replacement = float(pivot_shift) if pivot_shift > 0 else 1e-14
 
     for i in range(n):
-        cols_i = rows_cols[i]
-        vals_i = rows_vals[i]
+        start, end = indptr[i], indptr[i + 1]
+        for pos in range(start, end):
+            where[indices[pos]] = pos
         # Eliminate using previously factorised rows k < i present in row i.
-        for pos_k, k in enumerate(cols_i):
+        for pos_k in range(start, end):
+            k = indices[pos_k]
             if k >= i:
                 break
-            pivot = diag_value[k]
+            pivot = data[diag_pos[k]]
             if pivot == 0.0:
                 raise PreconditionerError(
                     f"ILU(0) breakdown: zero pivot at row {k}")
-            multiplier = vals_i[pos_k] / pivot
-            vals_i[pos_k] = multiplier
+            multiplier = data[pos_k] / pivot
+            data[pos_k] = multiplier
             # Subtract multiplier * U[k, j] for j in pattern(i), j > k.
-            cols_k = rows_cols[k]
-            vals_k = rows_vals[k]
-            positions_i = column_positions[i]
-            for pos_j in range(len(cols_k)):
-                j = cols_k[pos_j]
-                if j <= k:
-                    continue
-                target = positions_i.get(int(j))
-                if target is not None:
-                    vals_i[target] -= multiplier * vals_k[pos_j]
-        position_diag = column_positions[i].get(i)
-        if position_diag is None:
+            for pos_j in range(diag_pos[k] + 1, indptr[k + 1]):
+                target = where[indices[pos_j]]
+                if target >= 0:
+                    data[target] -= multiplier * data[pos_j]
+        position_diag = where[i]
+        if position_diag < 0:
             raise PreconditionerError(
                 f"ILU(0) requires a structurally non-zero diagonal (row {i})")
-        if abs(vals_i[position_diag]) < 1e-14:
-            vals_i[position_diag] = pivot_shift if pivot_shift > 0 else 1e-14
-        diag_value[i] = vals_i[position_diag]
-        rows_vals[i] = vals_i
+        if abs(data[position_diag]) < 1e-14:
+            data[position_diag] = replacement
+        diag_pos[i] = position_diag
+        for pos in range(start, end):
+            where[indices[pos]] = -1
 
-    out = matrix.copy().tolil()
-    for i in range(n):
-        out.rows[i] = list(map(int, rows_cols[i]))
-        out.data[i] = list(map(float, rows_vals[i]))
-    return ensure_csr(out.tocsr())
+    values = np.array(data, dtype=np.float64)
+    finite = np.isfinite(values)
+    if not finite.all():
+        row = int(np.searchsorted(factor.indptr, np.argmin(finite),
+                                  side="right")) - 1
+        raise PreconditionerError(
+            f"ILU(0) breakdown: non-finite entry in row {row}")
+    factor.data = values
+    return ensure_csr(factor)
 
 
 class ILU0Preconditioner(Preconditioner):
@@ -91,11 +99,16 @@ class ILU0Preconditioner(Preconditioner):
     matrix:
         Square sparse matrix with a structurally non-zero diagonal.
     pivot_shift:
-        Replacement value for (near-)zero pivots; ``0`` keeps a tiny epsilon.
+        Replacement value for (near-)zero pivots, finite and >= 0; ``0``
+        keeps a tiny epsilon.  A factor entry that overflows to a non-finite
+        value raises :class:`~repro.exceptions.PreconditionerError`.
     """
 
     def __init__(self, matrix: sp.spmatrix, *, pivot_shift: float = 0.0) -> None:
         csr = validate_square(matrix)
+        if not 0.0 <= pivot_shift < math.inf:
+            raise ParameterError(
+                f"pivot_shift must be finite and >= 0, got {pivot_shift!r}")
         self._factor = _ilu0_factorise(csr, pivot_shift)
         self._n = csr.shape[0]
         # Split the compact factor once; apply() solves with the two halves.

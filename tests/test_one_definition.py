@@ -310,3 +310,13 @@ def test_inverse_blocks_are_never_densified(trees):
     estimate_block = _function(trees["mcmc/inversion.py"], "_estimate_block")
     assert [node.lineno for node in ast.walk(estimate_block)
             if _calls(node, "csr_matrix")] == []
+
+
+@pytest.mark.parametrize("module, name", [("precond/ichol.py", "_ic0_factorise"),
+                                          ("precond/ilu.py", "_ilu0_factorise")])
+def test_incomplete_factorisations_run_on_the_csr_arrays(trees, module, name):
+    """IC(0) and ILU(0) run over the CSR arrays with one scatter row: no
+    ``lil`` round trip and no per-row ``{column: position}`` dict."""
+    factorise = _function(trees[module], name)
+    assert [node.lineno for node in ast.walk(factorise)
+            if _calls(node, "tolil") or isinstance(node, ast.DictComp)] == []

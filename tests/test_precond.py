@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.exceptions import PreconditionerError
+from repro.exceptions import ParameterError, PreconditionerError
 from repro.krylov import cg, gmres
 from repro.matrices import laplacian_2d, pdd_real_sparse
 from repro.precond import (
@@ -133,6 +133,75 @@ def _assert_apply_is_two_triangular_solves(preconditioner, lower, upper):
                                       unit_diagonal=unit_lower), lower=False)
         assert np.array_equal(preconditioner.apply(vector), expected)
         assert np.array_equal(reloaded.apply(vector), expected)
+
+
+@pytest.mark.parametrize("kind, option, value", [
+    (IncompleteCholeskyPreconditioner, "shift_step", 0.0),
+    (IncompleteCholeskyPreconditioner, "shift_step", -1e-3),
+    (IncompleteCholeskyPreconditioner, "shift_step", float("nan")),
+    (IncompleteCholeskyPreconditioner, "shift_step", float("inf")),
+    (IncompleteCholeskyPreconditioner, "max_shifts", -1),
+    (IncompleteCholeskyPreconditioner, "max_shifts", 2.5),
+    (IncompleteCholeskyPreconditioner, "max_shifts", True),
+    (ILU0Preconditioner, "pivot_shift", -1e-3),
+    (ILU0Preconditioner, "pivot_shift", float("nan")),
+    (ILU0Preconditioner, "pivot_shift", float("inf"))])
+def test_invalid_factorisation_option_is_rejected(small_spd, kind, option,
+                                                  value):
+    """These used to reject a healthy matrix (``max_shifts=-1``), raise a
+    bare ``TypeError``, return a NaN factor or become ``1e-14``."""
+    with pytest.raises(ParameterError):
+        kind(small_spd, **{option: value})
+
+
+def test_boundary_factorisation_options_are_accepted(small_spd):
+    assert IncompleteCholeskyPreconditioner(small_spd,
+                                            max_shifts=0).shifts_used == 0
+    assert IncompleteCholeskyPreconditioner(
+        small_spd, max_shifts=np.int64(3)).shifts_used == 0
+    assert ILU0Preconditioner(small_spd, pivot_shift=0).nnz == small_spd.nnz
+
+
+class TestNonFiniteFactors:
+    """A factor entry that overflows raises instead of being returned: the
+    apply of such a factor is NaN.  IC(0) treats it as a breakdown and tries
+    its diagonal shifts first."""
+
+    def test_ilu0_overflow_raises(self):
+        matrix = sp.csr_matrix(np.array([[1e-200, 1e200], [1e200, 1e-200]]))
+        with pytest.raises(PreconditionerError,
+                           match="non-finite entry in row 1"):
+            ILU0Preconditioner(matrix)
+
+    def test_ic0_nan_pivot_is_a_breakdown(self):
+        """Row 3's multiplier sums ``-inf + inf``: the pivot is NaN, which
+        ``pivot <= 0`` let through as an all-NaN row."""
+        dense = np.diag([1.0, 1.0, 1e201, 1.0])
+        for (row, col), value in {(2, 0): 1e100, (2, 1): -1e100,
+                                  (3, 0): 1e250, (3, 1): 1e250,
+                                  (3, 2): 1.0}.items():
+            dense[row, col] = dense[col, row] = value
+        with pytest.raises(PreconditionerError) as raised:
+            IncompleteCholeskyPreconditioner(sp.csr_matrix(dense),
+                                             max_shifts=0)
+        assert str(raised.value.__cause__) == (
+            "IC(0) breakdown: non-positive pivot nan at row 3")
+
+    def test_ic0_infinite_diagonal_runs_out_of_shifts(self):
+        """The mean diagonal overflows, so every shift is infinite; the
+        shifted factor used to come back as ``diag(inf, inf)``."""
+        matrix = sp.csr_matrix(np.array([[1e308, 1.7e308], [1.7e308, 1e308]]))
+        with pytest.raises(PreconditionerError,
+                           match="failed after 8 diagonal shifts") as raised, \
+                np.errstate(over="ignore"):
+            IncompleteCholeskyPreconditioner(matrix)
+        assert str(raised.value.__cause__) == (
+            "IC(0) breakdown: non-finite entry in row 0")
+
+    def test_nan_shift_step_is_rejected_before_it_reaches_the_factor(self):
+        shifted = (laplacian_2d(8) - 3.5 * sp.identity(49)).tocsr()
+        with pytest.raises(ParameterError):
+            IncompleteCholeskyPreconditioner(shifted, shift_step=float("nan"))
 
 
 class TestIncompleteCholesky:
