@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from repro.exceptions import AcquisitionError
 
@@ -29,6 +29,23 @@ __all__ = ["expected_improvement", "expected_improvement_gradients",
 
 #: Sigma floor below which the posterior is treated as (numerically) deterministic.
 _SIGMA_FLOOR = 1e-12
+
+_SQRT_2PI = np.sqrt(2 * np.pi)
+
+
+def _norm_pdf(z) -> np.ndarray:
+    """Standard normal density as a 1-D array, as ``scipy.stats.norm.pdf``
+    computes it.
+
+    ``ndtr`` and this are the functions behind ``norm.cdf`` / ``norm.pdf``
+    (scipy's ``_norm_cdf`` / ``_norm_pdf``), called without the distribution
+    machinery that costs ~100x more per call, so the values are
+    bit-identical.  ``norm.pdf`` evaluates a scalar as a 1-D array too, and
+    a numpy scalar's ``z**2`` can differ from the array loop's in the last
+    bit.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=np.float64))
+    return np.exp(-z**2 / 2.0) / _SQRT_2PI
 
 
 def expected_improvement(mu: np.ndarray | float, sigma: np.ndarray | float,
@@ -45,8 +62,8 @@ def expected_improvement(mu: np.ndarray | float, sigma: np.ndarray | float,
     positive_sigma = sigma_array > _SIGMA_FLOOR
     if np.any(positive_sigma):
         z = improvement[positive_sigma] / sigma_array[positive_sigma]
-        values[positive_sigma] = (improvement[positive_sigma] * norm.cdf(z)
-                                  + sigma_array[positive_sigma] * norm.pdf(z))
+        values[positive_sigma] = (improvement[positive_sigma] * ndtr(z)
+                                  + sigma_array[positive_sigma] * _norm_pdf(z))
     values = np.maximum(values, 0.0)
     return float(values[0]) if scalar_input else values
 
@@ -64,7 +81,7 @@ def expected_improvement_gradients(mu: float, sigma: float, y_min: float,
         improvement = y_min - mu - xi
         return (-1.0 if improvement > 0 else 0.0), 0.0
     z = (y_min - mu - xi) / sigma
-    return float(-norm.cdf(z)), float(norm.pdf(z))
+    return float(-ndtr(z)), float(_norm_pdf(z)[0])
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ combined in a single backward pass through the surrogate down to its ``x_M``
 input, then chained through the (linear) standardiser.
 
 The graph embedding of the target matrix does not depend on ``x_M``, so it is
-computed once per proposal call and reused for every objective evaluation.
+computed once per proposal call, with the rest of the ``x_M``-free branch, and
+every objective evaluation runs the surrogate's :class:`ParameterHead`: the
+``x_M`` part of the network as plain operation calls, with no autodiff tape.
 """
 
 from __future__ import annotations
@@ -22,17 +24,23 @@ import scipy.sparse as sp
 from repro.config import default_rng
 from repro.core.acquisition import ExpectedImprovement
 from repro.core.dataset import SurrogateDataset, encode_parameters
-from repro.core.surrogate import GraphNeuralSurrogate
+from repro.core.surrogate import GraphNeuralSurrogate, ParameterHead
 from repro.exceptions import AcquisitionError
 from repro.gnn.graph import GraphBatch, graph_from_matrix
 from repro.logging_utils import get_logger
 from repro.matrices.features import feature_vector
 from repro.mcmc.parameters import DEFAULT_BOUNDS, MCMCParameters, ParameterBounds
-from repro.nn.tensor import Tensor
 
 __all__ = ["Candidate", "AcquisitionOptimizer"]
 
 _LOG = get_logger("core.optimize")
+
+
+def _check_count(name: str, value) -> None:
+    """``value`` is an integer >= 1 (not a bool, a float or NaN)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < 1):
+        raise AcquisitionError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -71,8 +79,7 @@ class AcquisitionOptimizer:
                  bounds: ParameterBounds = DEFAULT_BOUNDS,
                  n_restarts: int = 4,
                  seed: int | np.random.Generator | None = 0) -> None:
-        if n_restarts < 1:
-            raise AcquisitionError(f"n_restarts must be >= 1, got {n_restarts}")
+        _check_count("n_restarts", n_restarts)
         self.model = model
         self.dataset = dataset
         self.bounds = bounds
@@ -95,8 +102,8 @@ class AcquisitionOptimizer:
         return embedding, x_a
 
     # -- objective ------------------------------------------------------------------
-    def _ei_and_gradient(self, x_raw: np.ndarray, embedding: np.ndarray,
-                         x_a: np.ndarray, acquisition: ExpectedImprovement,
+    def _ei_and_gradient(self, x_raw: np.ndarray, head: ParameterHead,
+                         acquisition: ExpectedImprovement,
                          solver: str) -> tuple[float, np.ndarray, float, float]:
         """EI value, gradient w.r.t. raw ``(alpha, eps, delta)``, mu and sigma."""
         parameters = MCMCParameters.from_array(np.clip(
@@ -104,23 +111,15 @@ class AcquisitionOptimizer:
         x_m_raw = encode_parameters(parameters)
         x_m_standardised = self.dataset.standardize_parameters(x_m_raw)
 
-        x_m_tensor = Tensor(x_m_standardised[None, :], requires_grad=True)
-        mu_tensor, sigma_tensor = self.model.forward_from_embedding(
-            embedding, np.array([0], dtype=np.int64), x_a, x_m_tensor)
-        mu = float(mu_tensor.data[0])
-        sigma = float(sigma_tensor.data[0])
+        mu_array, sigma_array = head.forward(x_m_standardised[None, :])
+        mu = float(mu_array[0])
+        sigma = float(sigma_array[0])
         d_mu, d_sigma = acquisition.gradients(mu, sigma)
 
-        # Single backward pass of the weighted head combination yields
+        # One backward pass of the weighted head combination yields
         # d(EI)/d(x_M standardised); the chain rule through the standardiser is
         # a division by the per-column scale.
-        combined = mu_tensor * Tensor(np.array([d_mu])) \
-            + sigma_tensor * Tensor(np.array([d_sigma]))
-        combined_sum = combined.sum()
-        combined_sum.backward()
-        grad_standardised = (x_m_tensor.grad[0]
-                             if x_m_tensor.grad is not None
-                             else np.zeros_like(x_m_standardised))
+        grad_standardised = head.input_gradient(d_mu, d_sigma)[0]
         grad_raw_full = self.dataset.xm_standardizer.transform_gradient(grad_standardised)
         gradient = grad_raw_full[:3]
 
@@ -171,8 +170,7 @@ class AcquisitionOptimizer:
         ``y_min=None`` selects the incumbent automatically via
         :meth:`reference_y_min`.
         """
-        if n_candidates < 1:
-            raise AcquisitionError(f"n_candidates must be >= 1, got {n_candidates}")
+        _check_count("n_candidates", n_candidates)
         was_training = self.model.training
         self.model.eval()
         try:
@@ -181,6 +179,7 @@ class AcquisitionOptimizer:
                 y_min = self.reference_y_min(embedding, x_a,
                                              matrix_name=matrix_name, solver=solver)
             acquisition = ExpectedImprovement(y_min=y_min, xi=xi)
+            head = ParameterHead(self.model, embedding, x_a)
             lower, upper = self.bounds.as_arrays()
             scipy_bounds = self.bounds.as_scipy_bounds()
 
@@ -188,7 +187,7 @@ class AcquisitionOptimizer:
 
             def objective(x_raw: np.ndarray) -> tuple[float, np.ndarray]:
                 ei, gradient, _mu, _sigma = self._ei_and_gradient(
-                    x_raw, embedding, x_a, acquisition, solver)
+                    x_raw, head, acquisition, solver)
                 return -ei, -gradient
 
             total_starts = max(self.n_restarts * n_candidates, n_candidates)
@@ -199,7 +198,7 @@ class AcquisitionOptimizer:
                     bounds=scipy_bounds, options={"maxiter": 60})
                 x_optimal = np.clip(result.x, lower, upper)
                 ei, _grad, mu, sigma = self._ei_and_gradient(
-                    x_optimal, embedding, x_a, acquisition, solver)
+                    x_optimal, head, acquisition, solver)
                 evaluated.append((x_optimal, ei, mu, sigma))
 
             # Greedy selection of the distinct optima with the highest EI.
@@ -216,7 +215,7 @@ class AcquisitionOptimizer:
             while len(selected) < n_candidates:
                 random_point = self._rng.uniform(lower, upper)
                 ei, _grad, mu, sigma = self._ei_and_gradient(
-                    random_point, embedding, x_a, acquisition, solver)
+                    random_point, head, acquisition, solver)
                 selected.append((random_point, ei, mu, sigma))
 
             candidates = [

@@ -26,10 +26,10 @@ from repro.gnn.graph import GraphBatch
 from repro.gnn.layers import build_conv_layer
 from repro.gnn.pooling import global_mean_pool
 from repro.nn import functional as F
-from repro.nn.layers import Dropout, Linear, MLP, Module
+from repro.nn.layers import Dropout, Linear, MLP, Module, OperationChain
 from repro.nn.tensor import Tensor, no_grad
 
-__all__ = ["SurrogateConfig", "GraphNeuralSurrogate"]
+__all__ = ["SurrogateConfig", "GraphNeuralSurrogate", "ParameterHead"]
 
 
 @dataclass(frozen=True)
@@ -190,3 +190,55 @@ class GraphNeuralSurrogate(Module):
         """Prediction for a :class:`repro.core.dataset.SampleBatch`."""
         return self.predict(batch.graph_batch, batch.sample_graph_index,
                             batch.x_a, batch.x_m)
+
+
+class ParameterHead:
+    """``(mu, sigma)`` at one matrix as a function of ``x_M``, with no tape.
+
+    The acquisition optimiser evaluates the surrogate about a thousand times
+    a proposal at one graph, varying only ``x_M``, and needs the gradient
+    with respect to ``x_M`` only.  The ``x_M``-free branch of
+    :meth:`GraphNeuralSurrogate.forward_from_embedding` (the graph embedding
+    row and ``h_A``) is computed once here.  :meth:`forward` runs the
+    ``x_M`` stack, the combined stack and both heads as
+    :class:`~repro.nn.layers.OperationChain` s of the model's own modules,
+    and :meth:`input_gradient` backpropagates ``d_mu * mu + d_sigma * sigma``
+    to ``x_M`` alone: no graph, no weight gradients, the model untouched.
+    The values and the gradient are the tape's at batch size 1, bit for
+    bit.
+
+    ``graph_embedding`` is the ``(1, graph_hidden)`` embedding of the
+    matrix and ``x_a`` its ``(1, xa_dim)`` standardised features; the model
+    must be in evaluation mode (dropout is the identity).
+    """
+
+    def __init__(self, model: GraphNeuralSurrogate, graph_embedding: np.ndarray,
+                 x_a: np.ndarray) -> None:
+        with no_grad():
+            h_a = model.xa_mlp(Tensor(np.atleast_2d(x_a))).data
+        self._constant = (np.atleast_2d(graph_embedding), h_a)
+        self._xm = OperationChain(model.xm_mlp.operations())
+        self._combined = OperationChain(model.combined_mlp.operations()
+                                        + model.dropout.operations())
+        reshape = [(F.Reshape((-1,)), ())]
+        self._mu = OperationChain(model.mu_head.operations()
+                                  + [(F.ReLU(), ())] + reshape)
+        self._sigma = OperationChain(model.sigma_head.operations()
+                                     + [(F.Softplus(), ())] + reshape)
+        self._concat = F.Concat(axis=-1)
+
+    def forward(self, x_m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(mu, sigma)`` as 1-entry arrays at a ``(1, xm_dim)`` standardised
+        ``x_m``."""
+        combined = self._concat.forward(*self._constant, self._xm.forward(x_m))
+        hidden = self._combined.forward(combined)
+        return self._mu.forward(hidden), self._sigma.forward(hidden)
+
+    def input_gradient(self, d_mu: float, d_sigma: float) -> np.ndarray:
+        """Gradient of ``d_mu * mu + d_sigma * sigma`` with respect to the
+        ``x_m`` of the latest :meth:`forward`, shaped like it."""
+        grad_hidden = (self._mu.backward(np.array([d_mu], dtype=np.float64))
+                       + self._sigma.backward(np.array([d_sigma],
+                                                       dtype=np.float64)))
+        grad_combined = self._combined.backward(grad_hidden)
+        return self._xm.backward(self._concat.backward(grad_combined, 2))

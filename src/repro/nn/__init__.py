@@ -15,7 +15,8 @@ required machinery from scratch on top of NumPy:
   each an :class:`Operation` subclass;
 * :mod:`repro.nn.gradcheck` -- central finite-difference gradient checking;
 * :mod:`repro.nn.layers` -- ``Module`` base class, ``Linear``, ``MLP``,
-  ``LayerNorm``, ``Dropout``, ``Sequential``;
+  ``LayerNorm``, ``Dropout``, ``Sequential``, and ``OperationChain`` (a
+  layer stack's operations run forward / backward without the tape);
 * :mod:`repro.nn.optim` -- SGD and Adam (with decoupled weight decay);
 * :mod:`repro.nn.init` -- Glorot/He initialisers;
 * :mod:`repro.nn.serialization` -- ``state_dict`` save/load round-trips.
@@ -38,6 +39,7 @@ from repro.nn.layers import (
     Dropout,
     ReLU,
     Softplus,
+    OperationChain,
 )
 from repro.nn.optim import SGD, Adam, Optimizer
 from repro.nn.init import xavier_uniform, kaiming_uniform, zeros, ones
@@ -59,6 +61,7 @@ __all__ = [
     "Dropout",
     "ReLU",
     "Softplus",
+    "OperationChain",
     "Optimizer",
     "SGD",
     "Adam",

@@ -36,6 +36,7 @@ then gate it with :func:`repro.nn.gradcheck.gradcheck` (see
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.exceptions import AutodiffError
 from repro.nn.autograd import Operation, apply, unbroadcast
@@ -474,6 +475,41 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor, *, eps: float = 1e-5) -> 
 # Indexing and segment reductions (message passing primitives)
 # --------------------------------------------------------------------------
 
+def _checked_ids(ids, count: int, rows: int | None, what: str) -> np.ndarray:
+    """``ids`` as int64, each in ``[0, count)`` and, when ``rows`` is given,
+    one per row: a negative id would wrap to the end, so it is an error."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if rows is not None and ids.shape[0] != rows:
+        raise AutodiffError(
+            f"{what} length {ids.shape[0]} does not match rows {rows}")
+    if ids.size and (ids.min() < 0 or ids.max() >= count):
+        raise AutodiffError(
+            f"{what} must lie in [0, {count}), got values in "
+            f"[{ids.min()}, {ids.max()}]")
+    return ids
+
+
+def _scatter_add(values: np.ndarray, ids: np.ndarray, count: int) -> np.ndarray:
+    """Rows of ``values`` summed into ``count`` buckets by ``ids``.
+
+    The sum is a product with a ``(count x rows)`` CSR incidence of ones
+    whose row ``s`` lists, in row order, the rows with id ``s`` (a stable
+    ``argsort`` of the ids; ``indptr`` from a ``bincount``).  scipy's CSR
+    product adds each bucket's rows in that order from 0.0, as the
+    unbuffered ``np.add.at`` scatter does, and ``1.0 * x`` is exact, so the
+    result is bit-identical to ``np.add.at`` (``np.add.reduceat`` is not).
+    """
+    rows = values.shape[0]
+    indptr = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ids, minlength=count), out=indptr[1:])
+    incidence = sp.csr_matrix(
+        (np.ones(rows), np.argsort(ids, kind="stable"), indptr),
+        shape=(count, rows))
+    width = int(np.prod(values.shape[1:]))
+    summed = incidence @ values.reshape(rows, width)
+    return summed.reshape((count,) + values.shape[1:])
+
+
 class GatherRows(Operation):
     def __init__(self, indices: np.ndarray) -> None:
         self.indices = indices
@@ -483,9 +519,7 @@ class GatherRows(Operation):
         return a[self.indices]
 
     def backward(self, grad, index):
-        grad_a = np.zeros(self.in_shape, dtype=np.float64)
-        np.add.at(grad_a, self.indices, grad)
-        return grad_a
+        return _scatter_add(grad, self.indices, self.in_shape[0])
 
 
 class SegmentSum(Operation):
@@ -494,9 +528,7 @@ class SegmentSum(Operation):
         self.num_segments = num_segments
 
     def forward(self, a):
-        out = np.zeros((self.num_segments,) + a.shape[1:], dtype=np.float64)
-        np.add.at(out, self.segment_ids, a)
-        return out
+        return _scatter_add(a, self.segment_ids, self.num_segments)
 
     def backward(self, grad, index):
         return grad[self.segment_ids]
@@ -518,9 +550,8 @@ class SegmentMax(Operation):
         # Winner mask: an element wins if it equals the segment maximum; ties
         # share the gradient equally.
         self.winners = (a == out[self.segment_ids]).astype(np.float64)
-        winner_counts = np.zeros((self.num_segments,) + feature_shape,
-                                 dtype=np.float64)
-        np.add.at(winner_counts, self.segment_ids, self.winners)
+        winner_counts = _scatter_add(self.winners, self.segment_ids,
+                                     self.num_segments)
         self.winner_counts = np.maximum(winner_counts, 1.0)
         return out
 
@@ -529,29 +560,34 @@ class SegmentMax(Operation):
 
 
 def gather_rows(a: Tensor, indices: np.ndarray) -> Tensor:
-    """Select rows ``a[indices]`` (differentiable scatter-add in the backward)."""
-    indices = np.asarray(indices, dtype=np.int64)
+    """Select rows ``a[indices]`` (differentiable scatter-add in the backward).
+
+    Every index must lie in ``[0, rows)``: negative indices do not wrap.
+    """
+    a = _ensure_tensor(a)
+    indices = _checked_ids(indices, a.data.shape[0], None, "indices")
     return apply(GatherRows(indices), a)
 
 
 def segment_sum(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """Sum rows of ``a`` into ``num_segments`` buckets given by ``segment_ids``."""
+    """Sum rows of ``a`` into ``num_segments`` buckets given by ``segment_ids``.
+
+    Every id must lie in ``[0, num_segments)``.
+    """
     a = _ensure_tensor(a)
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    if segment_ids.shape[0] != a.data.shape[0]:
-        raise AutodiffError(
-            f"segment_ids length {segment_ids.shape[0]} does not match rows "
-            f"{a.data.shape[0]}")
+    segment_ids = _checked_ids(segment_ids, num_segments, a.data.shape[0],
+                               "segment_ids")
     return apply(SegmentSum(segment_ids, num_segments), a)
 
 
 def segment_mean(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
     """Mean of rows per segment (empty segments yield zeros)."""
     a = _ensure_tensor(a)
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
+    segment_ids = _checked_ids(segment_ids, num_segments, a.data.shape[0],
+                               "segment_ids")
     counts = np.bincount(segment_ids, minlength=num_segments).astype(np.float64)
     safe_counts = np.maximum(counts, 1.0)
-    summed = segment_sum(a, segment_ids, num_segments)
+    summed = apply(SegmentSum(segment_ids, num_segments), a)
     scale = Tensor((1.0 / safe_counts)[:, None] if a.data.ndim > 1 else 1.0 / safe_counts)
     return mul(summed, scale)
 
@@ -563,7 +599,8 @@ def segment_max(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor
     segment/feature pair, matching the convention of deep-learning frameworks.
     """
     a = _ensure_tensor(a)
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
+    segment_ids = _checked_ids(segment_ids, num_segments, a.data.shape[0],
+                               "segment_ids")
     return apply(SegmentMax(segment_ids, num_segments), a)
 
 

@@ -5,6 +5,10 @@ eval mode switching and ``state_dict`` round-trips; the concrete layers cover
 exactly what the paper's surrogate needs: linear layers, ReLU / softplus
 activations, layer normalisation, dropout, and the small MLP stacks used for
 the auxiliary inputs ``x_A`` and ``x_M``.
+
+The chain-shaped layers list their forward pass once, as
+:meth:`Module.operations`; their forward runs that list on the tape and
+:class:`OperationChain` runs it without one.
 """
 
 from __future__ import annotations
@@ -15,11 +19,16 @@ import numpy as np
 
 from repro.exceptions import SurrogateError
 from repro.nn import functional as F
+from repro.nn.autograd import Operation, apply
 from repro.nn.init import kaiming_uniform, ones, xavier_uniform, zeros
 from repro.nn.tensor import Tensor
 
 __all__ = ["Module", "Linear", "Sequential", "MLP", "LayerNorm", "Dropout",
-           "ReLU", "Softplus"]
+           "ReLU", "Softplus", "OperationChain"]
+
+#: A module's forward as ``(operation, constant operands)`` steps: the input
+#: enters each operation as its first operand.
+Steps = list[tuple[Operation, tuple[Tensor, ...]]]
 
 
 class Module:
@@ -117,11 +126,28 @@ class Module:
         """Compute the module output (must be overridden)."""
         raise NotImplementedError
 
+    def operations(self) -> Steps:
+        """Fresh operation nodes of the forward pass, in order, each with its
+        constant operands (the parameters).  Only chain-shaped layers have
+        them; :class:`OperationChain` runs them without the tape."""
+        raise SurrogateError(
+            f"{type(self).__name__} is not a chain of operations")
+
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)
 
 
-class Linear(Module):
+class _Chain(Module):
+    """A layer whose forward is its :meth:`operations` run on the tape."""
+
+    def forward(self, inputs: Tensor) -> Tensor:
+        output = inputs
+        for operation, operands in self.operations():
+            output = apply(operation, output, *operands)
+        return output
+
+
+class Linear(_Chain):
     """Affine layer ``y = x W + b``."""
 
     def __init__(self, in_features: int, out_features: int, *, bias: bool = True,
@@ -144,28 +170,28 @@ class Linear(Module):
         self.in_features = in_features
         self.out_features = out_features
 
-    def forward(self, inputs: Tensor) -> Tensor:
-        output = F.matmul(inputs, self.weight)
+    def operations(self) -> Steps:
+        steps: Steps = [(F.MatMul(), (self.weight,))]
         if self.bias is not None:
-            output = F.add(output, self.bias)
-        return output
+            steps.append((F.Add(), (self.bias,)))
+        return steps
 
 
-class ReLU(Module):
+class ReLU(_Chain):
     """ReLU activation as a module (for use inside :class:`Sequential`)."""
 
-    def forward(self, inputs: Tensor) -> Tensor:
-        return F.relu(inputs)
+    def operations(self) -> Steps:
+        return [(F.ReLU(), ())]
 
 
-class Softplus(Module):
+class Softplus(_Chain):
     """Softplus activation as a module."""
 
-    def forward(self, inputs: Tensor) -> Tensor:
-        return F.softplus(inputs)
+    def operations(self) -> Steps:
+        return [(F.Softplus(), ())]
 
 
-class LayerNorm(Module):
+class LayerNorm(_Chain):
     """Layer normalisation over the last dimension with learnable affine."""
 
     def __init__(self, normalized_shape: int, *, eps: float = 1e-5) -> None:
@@ -177,8 +203,8 @@ class LayerNorm(Module):
         self.beta = Tensor(zeros((normalized_shape,)), requires_grad=True, name="beta")
         self.eps = eps
 
-    def forward(self, inputs: Tensor) -> Tensor:
-        return F.layer_norm(inputs, self.gamma, self.beta, eps=self.eps)
+    def operations(self) -> Steps:
+        return [(F.LayerNorm(self.eps), (self.gamma, self.beta))]
 
 
 class Dropout(Module):
@@ -191,6 +217,14 @@ class Dropout(Module):
         self.p = p
         self._rng = rng if rng is not None else np.random.default_rng(0)
 
+    def operations(self) -> Steps:
+        """The evaluation-mode identity; a training-mode mask is drawn per
+        input, so it is no fixed chain."""
+        if self.training and self.p > 0.0:
+            raise SurrogateError("dropout in training mode is not a chain of "
+                                 "operations; call eval() first")
+        return [(F.Identity(), ())]
+
     def forward(self, inputs: Tensor) -> Tensor:
         return F.dropout(inputs, self.p, training=self.training, rng=self._rng)
 
@@ -201,6 +235,9 @@ class Sequential(Module):
     def __init__(self, *modules: Module) -> None:
         super().__init__()
         self.layers = list(modules)
+
+    def operations(self) -> Steps:
+        return [step for layer in self.layers for step in layer.operations()]
 
     def forward(self, inputs: Tensor) -> Tensor:
         output = inputs
@@ -250,5 +287,37 @@ class MLP(Module):
         self.in_features = in_features
         self.out_features = out_features
 
+    def operations(self) -> Steps:
+        return self.body.operations()
+
     def forward(self, inputs: Tensor) -> Tensor:
         return self.body(inputs)
+
+
+class OperationChain:
+    """Operation steps run as plain ``forward`` / ``backward`` calls.
+
+    The ``Function`` idiom: :meth:`forward` maps an array through the steps'
+    ``Operation.forward`` (each node keeps what its backward needs) and
+    :meth:`backward` maps an output gradient back through their
+    ``Operation.backward`` to the chain's *input* only.  No tape is built and
+    no parameter gradient is computed.  These are the operation classes and
+    calls the tape makes for the same modules, so the values are the tape's
+    bit for bit.  Each :meth:`backward` belongs to the latest
+    :meth:`forward`.
+    """
+
+    def __init__(self, steps: Steps) -> None:
+        self.steps = [(operation, tuple(operand.data for operand in operands))
+                      for operation, operands in steps]
+
+    def forward(self, inputs: np.ndarray) -> np.ndarray:
+        output = inputs
+        for operation, operands in self.steps:
+            output = operation.forward(output, *operands)
+        return output
+
+    def backward(self, grad: np.ndarray) -> np.ndarray:
+        for operation, _operands in reversed(self.steps):
+            grad = operation.backward(grad, 0)
+        return grad

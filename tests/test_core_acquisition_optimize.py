@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import norm
 
 from repro.core.acquisition import (
     ExpectedImprovement,
@@ -62,6 +63,34 @@ class TestExpectedImprovementGradients:
     def test_degenerate_sigma(self):
         d_mu, d_sigma = expected_improvement_gradients(0.5, 0.0, y_min=1.0, xi=0.0)
         assert d_mu == -1.0 and d_sigma == 0.0
+
+
+def _scipy_stats_ei(mu, sigma, y_min, xi):
+    """EI and its partials through ``scipy.stats.norm``: the oracle the
+    ``ndtr`` / closed-form density path must match bit for bit."""
+    improvement = y_min - mu - xi
+    if sigma <= 1e-12:
+        return max(improvement, 0.0), ((-1.0 if improvement > 0 else 0.0), 0.0)
+    z = improvement / sigma
+    value = improvement * norm.cdf(np.atleast_1d(z)) \
+        + sigma * norm.pdf(np.atleast_1d(z))
+    return max(float(value[0]), 0.0), (float(-norm.cdf(z)), float(norm.pdf(z)))
+
+
+def test_expected_improvement_matches_scipy_stats_bit_for_bit():
+    rng = np.random.default_rng(1)
+    mu = rng.uniform(-1.0, 3.0, 4000)
+    sigma = np.abs(rng.standard_normal(4000)) * rng.choice([0.0, 1e-3, 0.1, 1.0],
+                                                           4000)
+    oracle = [_scipy_stats_ei(m, s, 0.5, 0.05) for m, s in zip(mu, sigma)]
+    for (m, s), (value, gradients) in zip(zip(mu, sigma), oracle):
+        # numpy scalars and Python floats take different `**` paths.
+        for m_, s_ in ((m, s), (float(m), float(s))):
+            assert expected_improvement(m_, s_, 0.5, 0.05) == value
+            assert expected_improvement_gradients(m_, s_, 0.5,
+                                                  0.05) == gradients
+    np.testing.assert_array_equal(expected_improvement(mu, sigma, 0.5, 0.05),
+                                  [value for value, _ in oracle])
 
 
 class TestExpectedImprovementObject:
@@ -137,6 +166,32 @@ class TestAcquisitionOptimizer:
         optimizer = AcquisitionOptimizer(trained_tiny_surrogate, tiny_dataset, seed=0)
         with pytest.raises(AcquisitionError):
             optimizer.propose(small_spd, "laplace_tiny", n_candidates=0)
+
+    @pytest.mark.parametrize("count", [2.5, 2.0, float("nan"), True, "2",
+                                       -1])
+    def test_non_integer_counts_rejected_up_front(
+            self, trained_tiny_surrogate, tiny_dataset, small_spd, count,
+            monkeypatch):
+        with pytest.raises(AcquisitionError, match="n_restarts"):
+            AcquisitionOptimizer(trained_tiny_surrogate, tiny_dataset,
+                                 n_restarts=count)
+        optimizer = AcquisitionOptimizer(trained_tiny_surrogate, tiny_dataset,
+                                         seed=0)
+
+        def embedded(*args):
+            raise AssertionError("the target was embedded before the check")
+
+        monkeypatch.setattr(optimizer, "_prepare_target", embedded)
+        with pytest.raises(AcquisitionError, match="n_candidates"):
+            optimizer.propose(small_spd, "laplace_tiny", n_candidates=count)
+
+    def test_numpy_integer_counts_accepted(self, trained_tiny_surrogate,
+                                           tiny_dataset, small_spd):
+        optimizer = AcquisitionOptimizer(trained_tiny_surrogate, tiny_dataset,
+                                         n_restarts=np.int64(1), seed=0)
+        candidates = optimizer.propose(small_spd, "laplace_tiny",
+                                       n_candidates=np.int32(2))
+        assert len(candidates) == 2
 
     def test_reference_y_min_uses_observations_when_available(
             self, trained_tiny_surrogate, tiny_dataset, small_spd):

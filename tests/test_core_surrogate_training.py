@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.surrogate import GraphNeuralSurrogate, SurrogateConfig
+from repro.core.surrogate import GraphNeuralSurrogate, ParameterHead, SurrogateConfig
 from repro.core.training import Trainer, TrainingConfig, surrogate_loss
 from repro.exceptions import SurrogateError
 from repro.nn.tensor import Tensor
@@ -107,6 +107,83 @@ class TestSurrogateForward:
         mu.sum().backward()
         assert x_m.grad is not None
         assert np.abs(x_m.grad).sum() > 0.0
+
+
+def _half_live_mean_head(model, embedding, x_a, points):
+    """Shift the mean head's bias so that its ReLU is live at about half of
+    ``points``: the comparison then crosses both of its branches."""
+    from repro.nn.tensor import no_grad
+
+    model.mu_head.bias.data[:] = 1e3
+    with no_grad():
+        mu, _sigma = model.forward_from_embedding(
+            embedding, np.zeros(len(points), dtype=np.int64),
+            np.repeat(x_a, len(points), axis=0), points)
+    model.mu_head.bias.data[:] = 1e3 - np.median(mu.data)
+
+
+def _tape(model, embedding, x_a, x_m, d_mu, d_sigma):
+    """The taped objective of the acquisition step at batch size 1."""
+    x_m_tensor = Tensor(x_m[None, :], requires_grad=True)
+    mu, sigma = model.forward_from_embedding(embedding, np.array([0]), x_a,
+                                             x_m_tensor)
+    (mu * Tensor(np.array([d_mu])) + sigma * Tensor(np.array([d_sigma]))
+     ).sum().backward()
+    return mu.data, sigma.data, x_m_tensor.grad
+
+
+_HEAD_CASES = (
+    [dict(conv_type=conv, aggregation=aggregation)
+     for conv in ("edge", "gcn", "gine")
+     for aggregation in ("sum", "mean", "max", "multi")]
+    # GATv2 aggregates its attention-weighted messages by sum whatever the
+    # configured aggregation says.
+    + [dict(conv_type="gatv2", aggregation="sum")]
+    + [dict(xm_layers=layers, dropout=dropout, combined_layers=combined)
+       for layers in (1, 2, 3) for dropout in (0.0, 0.3)
+       for combined in (1, 2)])
+
+
+class TestParameterHead:
+    """The acquisition step's tape-free head equals the tape bit for bit."""
+
+    @pytest.mark.parametrize(
+        "overrides", _HEAD_CASES,
+        ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
+    def test_matches_the_tape_at_batch_size_one(self, tiny_dataset,
+                                                tiny_surrogate_config,
+                                                overrides):
+        from dataclasses import replace
+
+        model = GraphNeuralSurrogate(replace(tiny_surrogate_config, **overrides))
+        rng = np.random.default_rng(0)
+        points = rng.standard_normal((12, tiny_dataset.xm_dim)) * 2.0
+        model.eval()
+        embedding = model.embed_graphs_numpy(tiny_dataset.graph_batch)[[1]]
+        x_a = tiny_dataset.full_batch().x_a[:1]
+        _half_live_mean_head(model, embedding, x_a, points)
+        head = ParameterHead(model, embedding, x_a)
+        live = 0
+        for x_m in points:
+            d_mu, d_sigma = rng.choice([-1.0, 0.0, -0.3]), rng.uniform(0, 0.4)
+            mu, sigma = head.forward(x_m[None, :])
+            gradient = head.input_gradient(d_mu, d_sigma)
+            tape_mu, tape_sigma, tape_gradient = _tape(
+                model, embedding, x_a, x_m, d_mu, d_sigma)
+            np.testing.assert_array_equal(mu, tape_mu)
+            np.testing.assert_array_equal(sigma, tape_sigma)
+            np.testing.assert_array_equal(gradient, tape_gradient)
+            live += mu[0] > 0.0
+        assert 0 < live < len(points)
+
+    def test_needs_evaluation_mode(self, tiny_dataset, tiny_surrogate_config):
+        from dataclasses import replace
+
+        model = GraphNeuralSurrogate(replace(tiny_surrogate_config, dropout=0.2))
+        embedding = model.embed_graphs_numpy(tiny_dataset.graph_batch)[[0]]
+        model.train()
+        with pytest.raises(SurrogateError, match="eval"):
+            ParameterHead(model, embedding, tiny_dataset.full_batch().x_a[:1])
 
 
 class TestTrainer:

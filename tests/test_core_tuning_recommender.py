@@ -138,6 +138,29 @@ class TestMCMCTuner:
         best = tuner.best_parameters(records)
         assert isinstance(best, MCMCParameters)
 
+    def test_recommend_leaves_the_model_untouched(self, tiny_observations,
+                                                 tiny_matrices, small_spd,
+                                                 tiny_surrogate_config):
+        """The acquisition objective differentiates with respect to the
+        parameters only: no weight gains or loses a gradient."""
+        tuner = MCMCTuner.from_observations(
+            list(tiny_observations), dict(tiny_matrices),
+            surrogate_config=tiny_surrogate_config,
+            training_config=TrainingConfig(epochs=2, batch_size=8, patience=5,
+                                           learning_rate=5e-3, seed=0))
+        tuner.fit()
+        parameters = tuner.model.parameters()
+        before = [None if p.grad is None else p.grad.copy() for p in parameters]
+        weights = tuner.model.state_dict()
+        tuner.recommend(small_spd, "unseen", n_candidates=1)
+        for parameter, grad in zip(parameters, before):
+            if grad is None:
+                assert parameter.grad is None
+            else:
+                np.testing.assert_array_equal(parameter.grad, grad)
+        for name, values in tuner.model.state_dict().items():
+            np.testing.assert_array_equal(values, weights[name])
+
     def test_recommend_before_fit_raises(self, tiny_observations, tiny_matrices,
                                          small_spd):
         tuner = MCMCTuner.from_observations(list(tiny_observations),

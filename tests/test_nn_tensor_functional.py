@@ -189,6 +189,24 @@ class TestSegmentEdgeCases:
         out_max = F.segment_max(values, np.array([0, 0]), 3)
         np.testing.assert_allclose(out_max.data, [[2.0], [0.0], [0.0]])
 
+    @pytest.mark.parametrize("reduction", [F.segment_sum, F.segment_mean,
+                                           F.segment_max])
+    @pytest.mark.parametrize("ids", [[0, -1, 1], [0, 2, 1], [5, 0, 0]])
+    def test_segment_ids_outside_the_segments_rejected(self, reduction, ids):
+        values = Tensor(np.arange(6.0).reshape(3, 2))
+        with pytest.raises(AutodiffError, match=r"\[0, 2\)"):
+            reduction(values, np.array(ids), 2)
+
+    @pytest.mark.parametrize("indices", [[0, -1], [3], [-3, 0]])
+    def test_gather_indices_outside_the_rows_rejected(self, indices):
+        with pytest.raises(AutodiffError, match=r"\[0, 3\)"):
+            F.gather_rows(Tensor(np.ones((3, 2))), np.array(indices))
+
+    def test_empty_ids_accepted(self):
+        out = F.segment_sum(Tensor(np.ones((0, 2))), np.array([], dtype=int), 2)
+        np.testing.assert_array_equal(out.data, np.zeros((2, 2)))
+        assert F.gather_rows(Tensor(np.ones((3, 2))), []).shape == (0, 2)
+
     def test_concat_empty_list(self):
         with pytest.raises(AutodiffError):
             F.concat([], axis=0)

@@ -287,14 +287,18 @@ def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
                 if isinstance(node, ast.FunctionDef) and node.name == name)
 
 
+def _scatters_with_add_at(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "at"
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "add")
+
+
 def test_walk_deposits_are_summed_sparsely(trees):
     """``WalkEngine.estimate_rows`` keeps its deposits as keys and weights
     and sums them with ``unique`` + ``bincount``: no ``np.add.at`` scatter
     and no two-dimensional ``np.zeros`` / ``np.empty`` buffer."""
     def scatters_or_buffers(node: ast.AST) -> bool:
-        if (isinstance(node, ast.Attribute) and node.attr == "at"
-                and isinstance(node.value, ast.Attribute)
-                and node.value.attr == "add"):
+        if _scatters_with_add_at(node):
             return True
         return ((_calls(node, "zeros") or _calls(node, "empty"))
                 and bool(node.args) and isinstance(node.args[0], ast.Tuple))
@@ -320,3 +324,47 @@ def test_incomplete_factorisations_run_on_the_csr_arrays(trees, module, name):
     factorise = _function(trees[module], name)
     assert [node.lineno for node in ast.walk(factorise)
             if _calls(node, "tolil") or isinstance(node, ast.DictComp)] == []
+
+
+def _method(tree: ast.Module, owner: str, name: str) -> ast.FunctionDef:
+    cls = next(node for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and node.name == owner)
+    return _function(cls, name)
+
+
+@pytest.mark.parametrize("owner, name", [("SegmentSum", "forward"),
+                                         ("GatherRows", "backward")])
+def test_segment_sums_use_the_incidence_product(trees, owner, name):
+    """Segment sums and gather backwards multiply by a CSR incidence: no
+    unbuffered ``np.add.at`` scatter."""
+    method = _method(trees["nn/functional.py"], owner, name)
+    assert [node.lineno for node in ast.walk(method)
+            if _scatters_with_add_at(node)] == []
+
+
+def test_core_does_not_import_scipy_stats(trees):
+    """Expected Improvement calls ``ndtr`` and the closed-form density, not
+    the ``scipy.stats`` distribution machinery."""
+    def imports_stats(node: ast.AST) -> bool:
+        if isinstance(node, ast.ImportFrom):
+            return (node.module or "").startswith("scipy.stats") or (
+                node.module == "scipy"
+                and any(alias.name == "stats" for alias in node.names))
+        return isinstance(node, ast.Import) and any(
+            alias.name.startswith("scipy.stats") for alias in node.names)
+
+    assert _where({name: tree for name, tree in trees.items()
+                   if name.startswith("core/")}, imports_stats) == []
+
+
+def test_acquisition_objective_builds_no_tape(trees):
+    """Each objective call runs the surrogate's tape-free head: it
+    constructs no ``Tensor`` and starts no ``.backward(`` pass."""
+    objective = _method(trees["core/optimize.py"], "AcquisitionOptimizer",
+                        "_ei_and_gradient")
+
+    def tapes(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Name) and node.id == "Tensor"
+                or _calls(node, "backward"))
+
+    assert [node.lineno for node in ast.walk(objective) if tapes(node)] == []
