@@ -220,11 +220,10 @@ class ParameterHead:
         self._xm = OperationChain(model.xm_mlp.operations())
         self._combined = OperationChain(model.combined_mlp.operations()
                                         + model.dropout.operations())
-        reshape = [(F.Reshape((-1,)), ())]
-        self._mu = OperationChain(model.mu_head.operations()
-                                  + [(F.ReLU(), ())] + reshape)
-        self._sigma = OperationChain(model.sigma_head.operations()
-                                     + [(F.Softplus(), ())] + reshape)
+        self._mu = OperationChain(model.mu_head.operations() + [
+            (F.ReLU(), ()), (F.Reshape((-1,)), ())])
+        self._sigma = OperationChain(model.sigma_head.operations() + [
+            (F.Softplus(), ()), (F.Reshape((-1,)), ())])
         self._concat = F.Concat(axis=-1)
 
     def forward(self, x_m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
