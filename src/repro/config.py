@@ -39,22 +39,6 @@ def default_rng(seed: int | np.random.Generator | None = None) -> np.random.Gene
     return np.random.default_rng(seed)
 
 
-def spawn_rngs(seed: int | np.random.Generator | None, n: int) -> list[np.random.Generator]:
-    """Spawn ``n`` statistically independent generators from ``seed``.
-
-    Uses :class:`numpy.random.SeedSequence` spawning so that the generators
-    draw non-overlapping streams.
-    """
-    if n < 0:
-        raise ValueError(f"cannot spawn a negative number of generators: {n}")
-    if isinstance(seed, np.random.Generator):
-        seq = seed.bit_generator.seed_seq  # type: ignore[attr-defined]
-        children = seq.spawn(n)
-    else:
-        children = np.random.SeedSequence(seed).spawn(n)
-    return [np.random.default_rng(child) for child in children]
-
-
 def active_profile(default: str = "smoke") -> str:
     """Return the experiment profile selected via ``REPRO_PROFILE``.
 

@@ -217,18 +217,6 @@ class SurrogateDataset:
         """Dimensionality of the encoded ``x_M``."""
         return PARAMETER_VECTOR_DIM
 
-    def graph_index_of(self, matrix_name: str) -> int:
-        """Index of ``matrix_name`` within :attr:`graph_batch`."""
-        try:
-            return self._graph_index[matrix_name]
-        except KeyError as exc:
-            raise DatasetError(f"unknown matrix {matrix_name!r}") from exc
-
-    def standardized_features(self, matrix_name: str) -> np.ndarray:
-        """Standardised ``x_A`` for one matrix."""
-        return self.xa_standardizer.transform(
-            self.features_raw[matrix_name][None, :])[0]
-
     def standardize_parameters(self, x_m_raw: np.ndarray) -> np.ndarray:
         """Standardise an encoded ``x_M`` (vector or matrix of rows)."""
         x_m_raw = np.asarray(x_m_raw, dtype=np.float64)

@@ -25,7 +25,6 @@ from repro.mcmc.preconditioner import MCMCPreconditioner
 from repro.mcmc.walks import TransitionTable
 from repro.sparse.csr import validate_square
 from repro.sparse.fingerprint import content_hash, matrix_fingerprint
-from repro.sparse.splitting import jacobi_splitting
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid an import cycle
     from repro.service.cache import ArtifactCache
@@ -224,15 +223,10 @@ class MatrixEvaluator:
         while the LRU bound keeps the dense padded tables from accumulating
         when BO proposes continuous ``alpha`` values.
         """
-        key_alpha = float(alpha)
-        from repro.service.cache import transition_table_key
+        from repro.service.cache import cached_transition_table
 
-        def build() -> TransitionTable:
-            split = jacobi_splitting(self.matrix, key_alpha)
-            return TransitionTable(split.iteration_matrix)
-
-        return self.cache.get_or_build(
-            transition_table_key(self.fingerprint, key_alpha), build)
+        return cached_transition_table(self.cache, self.fingerprint,
+                                       self.matrix, alpha)
 
     # -- measurements -----------------------------------------------------------
     def measure_once(self, parameters: MCMCParameters, *, seed: int) -> tuple[int, float]:

@@ -21,24 +21,6 @@ class MatrixFormatError(ReproError):
     """
 
 
-class ConvergenceError(ReproError):
-    """An iterative algorithm failed to converge within its budget.
-
-    Attributes
-    ----------
-    iterations:
-        Number of iterations performed before giving up.
-    residual_norm:
-        Norm of the final residual (if available, otherwise ``None``).
-    """
-
-    def __init__(self, message: str, iterations: int | None = None,
-                 residual_norm: float | None = None) -> None:
-        super().__init__(message)
-        self.iterations = iterations
-        self.residual_norm = residual_norm
-
-
 class ParameterError(ReproError):
     """An algorithmic parameter was outside its admissible range."""
 

@@ -182,7 +182,8 @@ class GATv2Conv(MessagePassingLayer):
                                 Tensor(1e-12)))
 
         messages = F.mul(transformed_source, attention)
-        aggregated = aggregate_neighbours(messages, target_index, num_nodes, "sum")
+        aggregated = aggregate_neighbours(messages, target_index, num_nodes,
+                                          self.aggregation)
         if self.output_projection is not None:
             aggregated = self.output_projection(aggregated)
         return F.relu(self.norm(aggregated))

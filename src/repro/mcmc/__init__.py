@@ -21,7 +21,6 @@ Modules
 ``regenerative``    -- regenerative Ulam--von Neumann variant (single budget
                         parameter; the paper cites it as the most recent
                         algorithmic advance).
-``diagnostics``     -- chain statistics and accuracy diagnostics.
 """
 
 from repro.mcmc.parameters import (
@@ -37,11 +36,6 @@ from repro.mcmc.walks import WalkEngine, WalkStatistics, TransitionTable
 from repro.mcmc.inversion import estimate_inverse, InversionReport
 from repro.mcmc.preconditioner import MCMCPreconditioner
 from repro.mcmc.regenerative import RegenerativePreconditioner, regenerative_inverse
-from repro.mcmc.diagnostics import (
-    inversion_error,
-    preconditioned_condition_estimate,
-    chain_length_profile,
-)
 
 __all__ = [
     "MCMCParameters",
@@ -59,7 +53,4 @@ __all__ = [
     "MCMCPreconditioner",
     "RegenerativePreconditioner",
     "regenerative_inverse",
-    "inversion_error",
-    "preconditioned_condition_estimate",
-    "chain_length_profile",
 ]

@@ -13,9 +13,12 @@ estimated row-by-row by the walk engine.  This module orchestrates:
    to the target fill factor (the paper fixes these to ``1e-9`` and
    ``2 * phi(A)`` respectively).
 
-The block count depends on ``n`` alone, and every block draws its randomness
-from a ``SeedSequence`` stream keyed by the block index, so the assembled
-preconditioner is a function of ``(A, parameters, seed)``.
+The block count depends on ``n`` alone, and block ``i`` draws its randomness
+from child ``i`` of ``SeedSequence(seed).spawn(n_blocks)``, a stream keyed by
+the block index alone, so the assembled preconditioner is a function of
+``(A, parameters, seed)``.  The paper's reference code runs the blocks as
+hybrid MPI+OpenMP tasks; here they only fix which rows share a stream, and
+the loop visits them in row order.
 """
 
 from __future__ import annotations
@@ -29,8 +32,6 @@ from repro.exceptions import ParameterError
 from repro.logging_utils import get_logger
 from repro.mcmc.parameters import MCMCParameters
 from repro.mcmc.walks import TransitionTable, WalkEngine, WalkStatistics
-from repro.parallel.partition import Partition, partition_by_weight
-from repro.parallel.rng import TaskRNGFactory
 from repro.sparse.csr import (
     ensure_csr,
     fill_factor,
@@ -84,18 +85,55 @@ class InversionReport:
 _ROW_BLOCK_ENTRIES = 5_000_000
 
 
-def _estimate_block(block: Partition, engine: WalkEngine, chains_per_row: int,
-                    rng_factory: TaskRNGFactory, inverse_diagonal: np.ndarray,
+def _row_blocks(row_nnz: np.ndarray, n_blocks: int) -> list[range]:
+    """Split the rows into ``min(n_blocks, n)`` contiguous, non-empty blocks
+    of about equal total weight, a row weighing ``max(row_nnz, 1)`` (the
+    cost of the walks that start there).
+
+    A greedy sweep adds rows to the current block until it reaches its share
+    of the weight still unassigned, always taking at least one row and
+    leaving one for each later block, so a block overshoots its share by at
+    most one row.  The weights are integers, so the last block's share is
+    exactly the weight of the rows left and it ends at row ``n``.
+    """
+    weights = np.maximum(row_nnz, 1).tolist()
+    n_rows = len(weights)
+    n_blocks = min(n_blocks, n_rows)
+    total = sum(weights)
+    blocks: list[range] = []
+    start = 0
+    consumed = 0
+    for index in range(n_blocks):
+        remaining_blocks = n_blocks - index
+        target = (total - consumed) / remaining_blocks
+        stop = start
+        block_weight = 0
+        max_stop = n_rows - (remaining_blocks - 1)
+        while stop < max_stop and (block_weight < target or stop == start):
+            block_weight += weights[stop]
+            stop += 1
+        blocks.append(range(start, stop))
+        consumed += block_weight
+        start = stop
+    return blocks
+
+
+def _estimate_block(rows: range, stream: np.random.SeedSequence,
+                    engine: WalkEngine, chains_per_row: int,
+                    inverse_diagonal: np.ndarray,
                     drop_tolerance: float) -> tuple[sp.csr_matrix, WalkStatistics]:
-    """Estimate the inverse rows of one partition block as CSR.
+    """Estimate the inverse ``rows`` as CSR, drawing from ``stream``.
 
     The walk engine returns the block's row sums already sparse; the column
     scaling by ``D^{-1}`` and the drop tolerance act on the stored entries
     alone, and ``eliminate_zeros`` then removes the dropped entries and any
-    sum that cancelled to zero, so only non-zeros are stored.
+    sum that cancelled to zero, so only non-zeros are stored.  A fresh
+    generator is seeded from ``stream`` on every call, so the same arguments
+    give the same block.
     """
-    rng = rng_factory.for_task(block.task_id)
-    estimate, statistics = engine.estimate_rows(block.indices(), chains_per_row, rng)
+    estimate, statistics = engine.estimate_rows(
+        np.arange(rows.start, rows.stop, dtype=np.int64), chains_per_row,
+        np.random.default_rng(stream))
     estimate.data *= inverse_diagonal[estimate.indices]
     if drop_tolerance:
         estimate.data[np.abs(estimate.data) < drop_tolerance] = 0.0
@@ -107,8 +145,6 @@ def estimate_inverse(matrix: sp.spmatrix, parameters: MCMCParameters, *,
                      seed: int | None = 0,
                      fill_multiple: float = DEFAULT_FILL_MULTIPLE,
                      drop_tolerance: float = DEFAULT_DROP_TOLERANCE,
-                     chain_cap: int = 10_000,
-                     walk_length_cap: int = 512,
                      transition_table: TransitionTable | None = None,
                      return_report: bool = False,
                      ) -> sp.csr_matrix | tuple[sp.csr_matrix, InversionReport]:
@@ -130,8 +166,6 @@ def estimate_inverse(matrix: sp.spmatrix, parameters: MCMCParameters, *,
         Entries below this magnitude are dropped (paper default ``1e-9``);
         ``None`` or ``0`` keeps every non-zero.  A negative or NaN value of
         either option raises :class:`ParameterError`.
-    chain_cap, walk_length_cap:
-        Safety caps for pathological parameter values during BO exploration.
     transition_table:
         Optional pre-built :class:`TransitionTable` for this ``(A, alpha)``
         pair.  The table only depends on the Jacobi splitting — not on
@@ -169,22 +203,22 @@ def estimate_inverse(matrix: sp.spmatrix, parameters: MCMCParameters, *,
                 "Jacobi splitting requires a non-zero diagonal; "
                 "increase alpha or re-order the matrix")
         norm_inf_b = table.norm_inf_b
-    chains_per_row = parameters.num_chains(cap=chain_cap)
-    max_walk_length = parameters.max_walk_length(norm_inf_b, cap=walk_length_cap)
+    chains_per_row = parameters.num_chains()
+    max_walk_length = parameters.max_walk_length(norm_inf_b)
     engine = WalkEngine(table, weight_cutoff=parameters.delta,
                         max_steps=max_walk_length)
 
     n = csr.shape[0]
     n_blocks = max(int(np.ceil(n * n / _ROW_BLOCK_ENTRIES)), 1)
-    blocks = partition_by_weight(np.maximum(table.row_nnz, 1), n_blocks)
-    rng_factory = TaskRNGFactory(seed)
+    blocks = _row_blocks(table.row_nnz, n_blocks)
+    streams = np.random.SeedSequence(seed).spawn(len(blocks))
     inverse_diagonal = 1.0 / diagonal
 
     statistics = WalkStatistics.empty()
     sparse_blocks: list[sp.csr_matrix] = []
-    for block in blocks:
+    for rows, stream in zip(blocks, streams):
         rows_estimate, block_stats = _estimate_block(
-            block, engine, chains_per_row, rng_factory, inverse_diagonal,
+            rows, stream, engine, chains_per_row, inverse_diagonal,
             drop_tolerance)
         sparse_blocks.append(rows_estimate)
         statistics = statistics.merge(block_stats)

@@ -17,8 +17,10 @@ chains starting at state ``i``:
 The engine is fully vectorised over walks: all chains of a block of starting
 rows advance simultaneously using a padded per-row transition table, which is
 what keeps a pure-NumPy implementation fast enough for the paper-scale
-matrices.  Determinism is guaranteed by seeding each row block with its own
-``SeedSequence`` stream, keyed by the block index.
+matrices.  The engine draws from whatever generator it is given; the
+inverse (:mod:`repro.mcmc.inversion`) seeds each row block's generator from
+child ``i`` of ``SeedSequence(seed).spawn(n_blocks)``, a stream keyed by the
+block index alone, which is what makes the result deterministic.
 """
 
 from __future__ import annotations

@@ -22,45 +22,6 @@ from repro.sparse.topk import row_topk_mask
 __all__ = ["SPAIPreconditioner"]
 
 
-def _spai_static_loop(matrix: sp.csr_matrix, pattern: sp.csr_matrix) -> sp.csr_matrix:
-    """Reference per-column least-squares loop (kept for the tests).
-
-    One ``lstsq`` per column of ``M``; the vectorised :func:`_spai_static`
-    below must reproduce its result within floating-point roundoff.
-    """
-    n = matrix.shape[0]
-    csc = matrix.tocsc()
-    pattern_csc = pattern.tocsc()
-    columns: list[np.ndarray] = []
-    rows: list[np.ndarray] = []
-    values: list[np.ndarray] = []
-    for j in range(n):
-        support = pattern_csc.indices[pattern_csc.indptr[j]:pattern_csc.indptr[j + 1]]
-        if support.size == 0:
-            continue
-        # Rows touched by the support columns of A.
-        sub = csc[:, support]
-        touched = np.unique(sub.indices)
-        if touched.size == 0:
-            continue
-        dense_block = sub.toarray()[touched, :]
-        rhs = np.zeros(touched.size, dtype=np.float64)
-        position = np.searchsorted(touched, j)
-        if position < touched.size and touched[position] == j:
-            rhs[position] = 1.0
-        solution, *_ = np.linalg.lstsq(dense_block, rhs, rcond=None)
-        columns.append(np.full(support.size, j, dtype=np.int64))
-        rows.append(support.astype(np.int64))
-        values.append(solution)
-    if not values:
-        raise PreconditionerError("SPAI produced an empty preconditioner")
-    coo = sp.coo_matrix(
-        (np.concatenate(values), (np.concatenate(rows), np.concatenate(columns))),
-        shape=(n, n),
-    )
-    return ensure_csr(coo.tocsr())
-
-
 def _spai_static(matrix: sp.csr_matrix, pattern: sp.csr_matrix) -> sp.csr_matrix:
     """Solve the column-wise least-squares problems for a static pattern.
 
@@ -69,8 +30,8 @@ def _spai_static(matrix: sp.csr_matrix, pattern: sp.csr_matrix) -> sp.csr_matrix
     ``(touched rows, support size)``.  Columns are grouped by that shape and
     each group is solved with one batched QR factorisation instead of one
     ``lstsq`` call per column; rank-deficient or underdetermined groups fall
-    back to the reference per-column ``lstsq`` so the minimum-norm semantics
-    are preserved exactly where they matter.
+    back to a per-column ``lstsq`` so the minimum-norm semantics are
+    preserved exactly where they matter.
     """
     n = matrix.shape[0]
     csc = matrix.tocsc()

@@ -65,18 +65,16 @@ from repro.logging_utils import get_logger
 from repro.matrices.features import feature_vector
 from repro.matrices.registry import get_matrix
 from repro.mcmc.preconditioner import MCMCPreconditioner
-from repro.mcmc.walks import TransitionTable
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.phases import record_phases
 from repro.obs.trace import NULL_TRACER
 from repro.precond.factory import make_preconditioner
 from repro.server.policy import PolicyDecision, PreconditionerPolicy
 from repro.server.queue import Job
-from repro.service.cache import ArtifactCache, transition_table_key
+from repro.service.cache import ArtifactCache, cached_transition_table
 from repro.service.store import ObservationStore
 from repro.sparse.csr import validate_square
 from repro.sparse.fingerprint import matrix_fingerprint
-from repro.sparse.splitting import jacobi_splitting
 
 __all__ = ["Scheduler", "end_job_trace"]
 
@@ -444,11 +442,8 @@ class Scheduler:
     def _build(self, group: _Group, decision: PolicyDecision):
         if decision.family == "mcmc":
             parameters = decision.mcmc_parameters()
-            table = self.cache.get_or_build(
-                transition_table_key(group.fingerprint, parameters.alpha),
-                lambda: TransitionTable(
-                    jacobi_splitting(group.matrix,
-                                     parameters.alpha).iteration_matrix))
+            table = cached_transition_table(self.cache, group.fingerprint,
+                                            group.matrix, parameters.alpha)
             return MCMCPreconditioner(
                 group.matrix, parameters,
                 seed=_fingerprint_seed(group.fingerprint),

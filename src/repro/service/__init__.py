@@ -26,6 +26,7 @@ Matrix identity everywhere is the content fingerprint from
 from repro.service.cache import (
     ArtifactCache,
     CacheStats,
+    cached_transition_table,
     configure_global_cache,
     global_cache,
     transition_table_key,
@@ -46,6 +47,7 @@ from repro.service.tuner_service import (
 __all__ = [
     "ArtifactCache",
     "CacheStats",
+    "cached_transition_table",
     "configure_global_cache",
     "global_cache",
     "transition_table_key",

@@ -25,11 +25,13 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any, Callable, Hashable
 
 from repro.exceptions import ParameterError
 from repro.logging_utils import get_logger
+from repro.mcmc.walks import TransitionTable
 from repro.sparse.fingerprint import content_hash
+from repro.sparse.splitting import jacobi_splitting
 
 __all__ = [
     "ArtifactCache",
@@ -37,6 +39,7 @@ __all__ = [
     "global_cache",
     "configure_global_cache",
     "transition_table_key",
+    "cached_transition_table",
 ]
 
 _LOG = get_logger("service.cache")
@@ -72,6 +75,21 @@ class CacheStats:
 def transition_table_key(fingerprint: str, alpha: float) -> tuple:
     """Canonical cache key for a ``TransitionTable`` of ``(matrix, alpha)``."""
     return ("transition_table", fingerprint, float(alpha))
+
+
+def cached_transition_table(cache: "ArtifactCache", fingerprint: str,
+                            matrix: Any, alpha: float) -> TransitionTable:
+    """The ``TransitionTable`` of ``(matrix, alpha)`` from ``cache``, built
+    from the Jacobi splitting on a miss.
+
+    The one place a served or measured table is keyed and built: the table
+    does not depend on ``eps`` / ``delta``, so every build at the same
+    ``alpha`` on the same ``fingerprint`` shares it.
+    """
+    alpha = float(alpha)
+    return cache.get_or_build(
+        transition_table_key(fingerprint, alpha),
+        lambda: TransitionTable(jacobi_splitting(matrix, alpha).iteration_matrix))
 
 
 class ArtifactCache:
@@ -186,16 +204,6 @@ class ArtifactCache:
             self._key_locks.clear()
             if reset_stats:
                 self.stats = CacheStats()
-
-    def evict(self, keys: Iterable[Hashable]) -> int:
-        """Drop specific entries; returns how many were present."""
-        dropped = 0
-        with self._lock:
-            for key in keys:
-                if key in self._entries:
-                    del self._entries[key]
-                    dropped += 1
-        return dropped
 
     # -- internals ----------------------------------------------------------
     def _insert(self, key: Hashable, value: Any) -> None:

@@ -1,21 +1,33 @@
 """Seed per-row loop implementations kept verbatim as equivalence oracles.
 
-The vectorised hot paths (:class:`repro.mcmc.walks.TransitionTable` and
-:func:`repro.sparse.csr.truncate_to_fill_factor`) are pinned against these
-original loop implementations by the equivalence tests
-(``tests/test_mcmc_walks.py``, ``tests/test_sparse_csr.py``).  They are
-intentionally slow and must not be used on any production path; they live in
-one place so a future fix to the oracle semantics cannot silently diverge
-between copies.
+The vectorised hot paths (:class:`repro.mcmc.walks.TransitionTable`,
+:func:`repro.sparse.csr.truncate_to_fill_factor` and SPAI's batched
+least-squares solve) are pinned against these original loop implementations
+by the equivalence tests (``tests/test_mcmc_walks.py``,
+``tests/test_sparse_csr.py``, ``tests/test_precond.py``).  The two dense
+accuracy measures of an approximate inverse (:func:`inversion_error`,
+:func:`preconditioned_condition_estimate`) are here too: only the tests use
+them.  All of this is intentionally slow and must not be used on any
+production path; it lives in one place so a future fix to the oracle
+semantics cannot silently diverge between copies.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
-from repro.sparse.csr import ensure_csr
+from repro.exceptions import ParameterError, PreconditionerError
+from repro.sparse.csr import ensure_csr, validate_square
+from repro.sparse.norms import condition_number
+from repro.sparse.splitting import perturb_diagonal
 
-__all__ = ["LoopTransitionTable", "loop_truncate_to_fill_factor"]
+__all__ = [
+    "LoopTransitionTable",
+    "loop_truncate_to_fill_factor",
+    "inversion_error",
+    "preconditioned_condition_estimate",
+]
 
 
 class LoopTransitionTable:
@@ -91,3 +103,78 @@ def loop_truncate_to_fill_factor(matrix, target_fill: float):
     out.data = np.where(keep_mask, out.data, 0.0)
     out.eliminate_zeros()
     return out
+
+
+def _spai_static_loop(matrix: sp.csr_matrix, pattern: sp.csr_matrix) -> sp.csr_matrix:
+    """Seed SPAI solve: one ``lstsq`` per column of ``M``.
+
+    The batched ``repro.precond.spai._spai_static`` must reproduce its result
+    within floating-point roundoff.
+    """
+    n = matrix.shape[0]
+    csc = matrix.tocsc()
+    pattern_csc = pattern.tocsc()
+    columns: list[np.ndarray] = []
+    rows: list[np.ndarray] = []
+    values: list[np.ndarray] = []
+    for j in range(n):
+        support = pattern_csc.indices[pattern_csc.indptr[j]:pattern_csc.indptr[j + 1]]
+        if support.size == 0:
+            continue
+        # Rows touched by the support columns of A.
+        sub = csc[:, support]
+        touched = np.unique(sub.indices)
+        if touched.size == 0:
+            continue
+        dense_block = sub.toarray()[touched, :]
+        rhs = np.zeros(touched.size, dtype=np.float64)
+        position = np.searchsorted(touched, j)
+        if position < touched.size and touched[position] == j:
+            rhs[position] = 1.0
+        solution, *_ = np.linalg.lstsq(dense_block, rhs, rcond=None)
+        columns.append(np.full(support.size, j, dtype=np.int64))
+        rows.append(support.astype(np.int64))
+        values.append(solution)
+    if not values:
+        raise PreconditionerError("SPAI produced an empty preconditioner")
+    coo = sp.coo_matrix(
+        (np.concatenate(values), (np.concatenate(rows), np.concatenate(columns))),
+        shape=(n, n),
+    )
+    return ensure_csr(coo.tocsr())
+
+
+def inversion_error(matrix: sp.spmatrix, approximate_inverse: sp.spmatrix, *,
+                    alpha: float = 0.0, ord: str = "fro") -> float:
+    """Relative error of ``P`` as an inverse of the perturbed matrix.
+
+    Computes ``||P A_hat - I|| / ||I||`` with ``A_hat = A + alpha * diag(A)``;
+    the Frobenius norm is the default.  Only sensible for small matrices since
+    the product is formed explicitly.
+    """
+    csr = validate_square(matrix)
+    approx = ensure_csr(approximate_inverse)
+    if approx.shape != csr.shape:
+        raise ParameterError(
+            f"shape mismatch: A is {csr.shape}, P is {approx.shape}")
+    perturbed = perturb_diagonal(csr, alpha)
+    n = csr.shape[0]
+    residual = (approx @ perturbed - sp.identity(n, format="csr")).tocsr()
+    if ord == "fro":
+        return float(sp.linalg.norm(residual, "fro") / np.sqrt(n))
+    if ord == "inf":
+        return float(np.abs(residual).sum(axis=1).max())
+    raise ParameterError(f"unsupported norm {ord!r}; use 'fro' or 'inf'")
+
+
+def preconditioned_condition_estimate(matrix: sp.spmatrix,
+                                      approximate_inverse: sp.spmatrix) -> float:
+    """Condition number of the left-preconditioned operator ``P A``.
+
+    Dense computation -- intended for the small matrices of the study set to
+    verify that a successful preconditioner indeed lowers ``kappa``.
+    """
+    csr = validate_square(matrix)
+    approx = ensure_csr(approximate_inverse)
+    product = (approx @ csr).tocsr()
+    return condition_number(product)

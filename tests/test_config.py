@@ -11,7 +11,6 @@ from repro.config import (
     PROFILE_ENV_VAR,
     active_profile,
     default_rng,
-    spawn_rngs,
 )
 
 
@@ -27,31 +26,6 @@ class TestDefaultRng:
     def test_generator_passthrough(self):
         generator = np.random.default_rng(1)
         assert default_rng(generator) is generator
-
-
-class TestSpawnRngs:
-    def test_spawned_streams_are_independent(self):
-        streams = spawn_rngs(0, 3)
-        draws = [stream.random(4) for stream in streams]
-        assert not np.allclose(draws[0], draws[1])
-        assert not np.allclose(draws[1], draws[2])
-
-    def test_spawn_is_reproducible(self):
-        first = [g.random(3) for g in spawn_rngs(7, 2)]
-        second = [g.random(3) for g in spawn_rngs(7, 2)]
-        for a, b in zip(first, second):
-            np.testing.assert_allclose(a, b)
-
-    def test_zero_children(self):
-        assert spawn_rngs(0, 0) == []
-
-    def test_negative_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_spawn_from_generator(self):
-        streams = spawn_rngs(np.random.default_rng(3), 2)
-        assert len(streams) == 2
 
 
 class TestActiveProfile:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,21 @@ class TestSurrogateForward:
         assert sigma.shape == (batch.size,)
         assert np.all(mu >= 0.0)       # ReLU head (Eq. 1)
         assert np.all(sigma > 0.0)     # softplus head (Eq. 1)
+
+    @pytest.mark.parametrize("aggregation", ["mean", "sum", "max", "multi"])
+    def test_gatv2_surrogate_trains_with_every_aggregation(
+            self, tiny_dataset, tiny_surrogate_config, aggregation):
+        """The full HPO space pairs ``gatv2`` with every aggregation; each
+        pair predicts and back-propagates into its graph layer."""
+        model = GraphNeuralSurrogate(replace(tiny_surrogate_config,
+                                             conv_type="gatv2",
+                                             aggregation=aggregation))
+        batch = tiny_dataset.full_batch()
+        Trainer.batch_loss(model, batch).backward()
+        mu, sigma = model.predict_batch(batch)
+        assert np.isfinite(mu).all() and np.all(sigma > 0.0)
+        assert any(parameter.grad is not None and np.abs(parameter.grad).sum() > 0
+                   for parameter in model.conv_layers[0].parameters())
 
     def test_prediction_deterministic_in_eval_mode(self, tiny_dataset,
                                                    tiny_surrogate_config):

@@ -174,6 +174,25 @@ class TestConvLayers:
                     Tensor(batch.edge_features))
         assert out.shape == (graph.num_nodes, 5)
 
+    @pytest.mark.parametrize("conv_type", sorted(KNOWN_CONV_TYPES))
+    def test_every_aggregation_runs_and_is_used(self, conv_type):
+        """Each layer aggregates its messages the configured way: ``multi``
+        runs forward, and ``mean`` / ``max`` differ from ``sum``."""
+        graph = graph_from_matrix(pdd_real_sparse(20, seed=0), name="g")
+        batch = GraphBatch.from_graphs([graph])
+        outputs = {}
+        for aggregation in ("sum", "mean", "max", "multi"):
+            layer = build_conv_layer(conv_type, graph.node_feature_dim, 6,
+                                     edge_dim=graph.edge_feature_dim,
+                                     aggregation=aggregation,
+                                     rng=np.random.default_rng(0))
+            out = layer(Tensor(batch.node_features), batch.edge_index,
+                        Tensor(batch.edge_features))
+            assert out.shape == (graph.num_nodes, 6)
+            outputs[aggregation] = out.data
+        assert not np.array_equal(outputs["mean"], outputs["sum"])
+        assert not np.array_equal(outputs["max"], outputs["sum"])
+
     def test_invalid_dimensions(self):
         with pytest.raises(GraphConstructionError):
             EdgeConv(0, 4)

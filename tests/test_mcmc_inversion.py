@@ -11,6 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ParameterError
 from repro.matrices import laplacian_2d
@@ -18,14 +19,12 @@ from repro.mcmc import (
     MCMCParameters,
     MCMCPreconditioner,
     estimate_inverse,
-    inversion_error,
-    preconditioned_condition_estimate,
-    chain_length_profile,
 )
 from repro.mcmc import inversion
 from repro.mcmc.walks import WalkStatistics
 from repro.server.policy import DEFAULT_MCMC_PARAMETERS
 from repro.sparse import condition_number, fill_factor, perturb_diagonal
+from oracles.reference import inversion_error, preconditioned_condition_estimate
 
 INVERSE_GOLDEN_PATH = Path(__file__).parent / "data" / "mcmc_inverse_golden.json"
 
@@ -177,6 +176,29 @@ class TestEstimateInverse:
             estimate_inverse(small_spd, params, transition_table=wrong)
 
 
+@pytest.mark.parametrize("parameters", [
+    MCMCParameters(alpha=1.0, eps=0.0625, delta=0.0625),
+    MCMCParameters(alpha=2.0, eps=0.25, delta=0.25),
+    MCMCParameters(alpha=0.5, eps=1.0, delta=1.0),
+    MCMCParameters(alpha=0.05, eps=0.5, delta=0.125),
+], ids=lambda parameters: parameters.describe())
+def test_report_carries_the_chain_profile(small_spd, parameters):
+    """Chains per row and walk length are the parameters' own (no cap of
+    ``estimate_inverse``'s), and the walk statistics account for every
+    chain of every row."""
+    _, report = estimate_inverse(small_spd, parameters, seed=0,
+                                 return_report=True)
+    assert report.chains_per_row == parameters.num_chains()
+    assert report.max_walk_length == \
+        parameters.max_walk_length(report.norm_inf_b)
+    statistics = report.statistics
+    assert statistics.n_walks == small_spd.shape[0] * report.chains_per_row
+    assert (statistics.truncated_by_weight + statistics.truncated_by_length
+            + statistics.exploded + statistics.absorbed
+            + statistics.still_active) == statistics.n_walks
+    assert statistics.max_length <= report.max_walk_length
+
+
 class TestRowBlocks:
     """The inverse is one loop over nnz-balanced row blocks.  Lowering
     ``_ROW_BLOCK_ENTRIES`` forces several blocks on a small matrix (n = 49)."""
@@ -200,18 +222,22 @@ class TestRowBlocks:
         calls = _recorded_blocks(monkeypatch)
         estimate_inverse(small_spd, self.PARAMS, seed=0)
         blocks = [args[0] for args, _ in calls]
-        assert [block.task_id for block in blocks] == list(range(len(blocks)))
+        streams = [args[1] for args, _ in calls]
+        assert [stream.spawn_key for stream in streams] == \
+            [(index,) for index in range(len(blocks))]
         assert [row for block in blocks for row in block] == \
             list(range(small_spd.shape[0]))
 
+    @pytest.mark.parametrize("seed", [3, None])
     def test_each_block_depends_only_on_its_own_stream(self, small_spd,
-                                                       monkeypatch):
+                                                       monkeypatch, seed):
         """Re-estimating the blocks alone, last first, reproduces every one:
-        the order the loop visits them in cannot change the inverse."""
+        the order the loop visits them in cannot change the inverse (with
+        fresh entropy too, since the recorded stream carries it)."""
         monkeypatch.setattr(inversion, "_ROW_BLOCK_ENTRIES", 500)
         original = inversion._estimate_block
         calls = _recorded_blocks(monkeypatch)
-        estimate_inverse(small_spd, self.PARAMS, seed=3)
+        estimate_inverse(small_spd, self.PARAMS, seed=seed)
         for args, (rows, statistics) in reversed(calls):
             again, again_statistics = original(*args)
             assert (rows != again).nnz == 0
@@ -255,6 +281,83 @@ class TestRowBlocks:
         assert counts == [3, 3, 3]
 
 
+class TestRowBlockSplit:
+    """``_row_blocks``: contiguous blocks balanced by ``max(row_nnz, 1)``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(row_nnz=st.lists(st.integers(min_value=0, max_value=50),
+                            max_size=60),
+           n_blocks=st.integers(min_value=1, max_value=10))
+    def test_blocks_are_contiguous_ordered_and_cover_every_row(
+            self, row_nnz, n_blocks):
+        """``min(n_blocks, n)`` non-empty contiguous ranges, in order,
+        covering ``[0, n)``; rows with no non-zeros included."""
+        blocks = inversion._row_blocks(np.asarray(row_nnz, dtype=np.int64),
+                                       n_blocks)
+        assert len(blocks) == min(n_blocks, len(row_nnz))
+        assert all(len(block) > 0 and block.step == 1 for block in blocks)
+        assert [row for block in blocks for row in block] == \
+            list(range(len(row_nnz)))
+
+    def test_one_heavy_row_of_slack(self):
+        row_nnz = np.array([1] * 8 + [20, 20])
+        blocks = inversion._row_blocks(row_nnz, 2)
+        totals = [int(row_nnz[block.start:block.stop].sum()) for block in blocks]
+        assert abs(totals[0] - totals[1]) <= 20
+
+    def test_more_blocks_than_rows_gives_one_row_a_block(self):
+        assert inversion._row_blocks(np.ones(3, dtype=np.int64), 8) == \
+            [range(0, 1), range(1, 2), range(2, 3)]
+
+    def test_rows_without_non_zeros_weigh_one(self):
+        assert inversion._row_blocks(np.zeros(6, dtype=np.int64), 3) == \
+            [range(0, 2), range(2, 4), range(4, 6)]
+        assert inversion._row_blocks(np.array([0, 0, 0, 0, 4]), 2) == \
+            [range(0, 4), range(4, 5)]
+
+
+class TestBlockStreams:
+    """Block ``i`` draws from child ``i`` of ``SeedSequence(seed)``."""
+
+    PARAMS = MCMCParameters(alpha=1.0, eps=0.5, delta=0.25)
+
+    @pytest.mark.parametrize("seed", [0, 7, 123456789, 2**40, None])
+    def test_streams_are_keyed_by_block_index_alone(self, small_spd,
+                                                    monkeypatch, seed):
+        """Every block's stream carries the master entropy and its own index,
+        and the same index names the same stream whatever the block count."""
+        calls = _recorded_blocks(monkeypatch)
+        monkeypatch.setattr(inversion, "_ROW_BLOCK_ENTRIES", 500)
+        estimate_inverse(small_spd, self.PARAMS, seed=seed)
+        five = [args[1] for args, _ in calls]
+        del calls[:]
+        monkeypatch.setattr(inversion, "_ROW_BLOCK_ENTRIES", 1200)
+        estimate_inverse(small_spd, self.PARAMS, seed=seed)
+        three = [args[1] for args, _ in calls]
+        assert (len(five), len(three)) == (5, 3)
+        assert [stream.spawn_key for stream in five] == \
+            [(index,) for index in range(5)]
+        assert len({stream.entropy for stream in five}) == 1
+        if seed is not None:
+            assert {stream.entropy for stream in five + three} == {seed}
+            for index, stream in enumerate(three):
+                np.testing.assert_array_equal(stream.generate_state(8),
+                                              five[index].generate_state(8))
+
+    @pytest.mark.parametrize("seed", [0, 7, 123456789, 2**40, None])
+    def test_spawned_streams_are_the_per_index_streams(self, seed):
+        """``spawn`` gives the stream ``SeedSequence(entropy=seed,
+        spawn_key=(i,))`` -- the derivation the MCMC goldens were frozen
+        under -- draw for draw."""
+        root = np.random.SeedSequence(seed)
+        for index, child in enumerate(root.spawn(6)):
+            keyed = np.random.SeedSequence(entropy=root.entropy,
+                                           spawn_key=(index,))
+            np.testing.assert_array_equal(
+                np.random.default_rng(child).random(16),
+                np.random.default_rng(keyed).random(16))
+
+
 class TestMCMCPreconditioner:
     def test_interface(self, small_spd, default_parameters):
         preconditioner = MCMCPreconditioner(small_spd, default_parameters, seed=0)
@@ -293,15 +396,6 @@ class TestDiagnostics:
         assert inversion_error(small_spd, approx, alpha=2.0, ord="inf") > 0.0
         with pytest.raises(ParameterError):
             inversion_error(small_spd, approx, alpha=2.0, ord="two")
-
-    def test_chain_length_profile_keys(self, small_spd, default_parameters):
-        profile = chain_length_profile(small_spd, default_parameters, sample_rows=10)
-        expected = {"chains_per_row", "max_walk_length", "norm_inf_b", "mean_length",
-                    "observed_max_length", "fraction_truncated_by_weight",
-                    "fraction_truncated_by_length", "fraction_absorbed",
-                    "fraction_exploded"}
-        assert expected <= set(profile)
-        assert profile["chains_per_row"] == default_parameters.num_chains()
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ import pytest
 
 from repro.exceptions import ParameterError
 from repro.mcmc import RegenerativePreconditioner, regenerative_inverse
-from repro.mcmc.diagnostics import inversion_error
+from oracles.reference import inversion_error
 
 
 class TestRegenerativeInverse:

@@ -316,6 +316,37 @@ def test_inverse_blocks_are_never_densified(trees):
             if _calls(node, "csr_matrix")] == []
 
 
+def test_one_mcmc_build_path(trees):
+    """The row blocks and their streams live in ``mcmc/inversion.py``: there
+    is no ``repro.parallel`` package, one ``SeedSequence(`` under
+    ``src/repro``, and a ``TransitionTable`` is built only by the two
+    estimators and by the one function that keys and builds the served and
+    measured tables."""
+    assert not (SRC / "parallel").exists()
+    seeds = _where(trees, lambda node: _calls(node, "SeedSequence"))
+    assert len(seeds) == 1 and seeds[0].startswith("mcmc/inversion.py:"), seeds
+
+    def builds_table(node: ast.AST) -> bool:
+        return _calls(node, "TransitionTable")
+
+    cached = _function(trees["service/cache.py"], "cached_transition_table")
+    inside = sum(builds_table(node) for node in ast.walk(cached))
+    found = _where(trees, builds_table)
+    assert sorted({where.split(":")[0] for where in found}) == [
+        "mcmc/inversion.py", "mcmc/regenerative.py", "service/cache.py"], found
+    assert inside == sum(where.startswith("service/cache.py:")
+                         for where in found) == 1, found
+
+
+def test_estimate_inverse_restates_no_parameter_default(trees):
+    """Chain count and walk length come from ``MCMCParameters`` alone:
+    ``estimate_inverse`` takes no cap of its own."""
+    estimate = _function(trees["mcmc/inversion.py"], "estimate_inverse")
+    assert [arg.arg for arg in estimate.args.kwonlyargs] == [
+        "seed", "fill_multiple", "drop_tolerance", "transition_table",
+        "return_report"]
+
+
 @pytest.mark.parametrize("module, name", [("precond/ichol.py", "_ic0_factorise"),
                                           ("precond/ilu.py", "_ilu0_factorise")])
 def test_incomplete_factorisations_run_on_the_csr_arrays(trees, module, name):

@@ -302,7 +302,8 @@ class TestSPAI:
         assert result.converged
 
     def test_batched_matches_reference_loop(self, small_spd, small_nonsym):
-        from repro.precond.spai import _spai_static, _spai_static_loop
+        from oracles.reference import _spai_static_loop
+        from repro.precond.spai import _spai_static
         rng = np.random.default_rng(7)
         dense = rng.standard_normal((20, 20))
         dense[np.abs(dense) < 1.2] = 0.0
@@ -327,7 +328,8 @@ class TestSPAI:
         # Duplicated columns make every local least-squares block rank
         # deficient; the batched kernel must fall back to per-column lstsq
         # and reproduce the minimum-norm solutions of the reference loop.
-        from repro.precond.spai import _spai_static, _spai_static_loop
+        from oracles.reference import _spai_static_loop
+        from repro.precond.spai import _spai_static
         matrix = sp.csr_matrix(np.array([[1.0, 1.0, 0.0],
                                          [2.0, 2.0, 0.0],
                                          [0.0, 0.0, 1.0]]))
@@ -338,7 +340,8 @@ class TestSPAI:
                                    rtol=1e-12, atol=1e-12)
 
     def test_batched_handles_zero_diagonal_columns(self):
-        from repro.precond.spai import _spai_static, _spai_static_loop
+        from oracles.reference import _spai_static_loop
+        from repro.precond.spai import _spai_static
         matrix = sp.csr_matrix(np.array([[0.0, 1.0, 0.0],
                                          [1.0, 0.0, 0.0],
                                          [0.0, 0.0, 0.5]]))

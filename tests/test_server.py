@@ -55,6 +55,34 @@ class TestSharedBuilds:
         assert server.telemetry.counter("precond.requests").value >= 1
         server.shutdown()
 
+    def test_served_and_measured_mcmc_builds_share_one_table(self):
+        """An MCMC build on the server and a ``MatrixEvaluator`` over the
+        same matrix and cache key and build the transition table the same
+        way, so the evaluator's request is a hit."""
+        from repro.core.evaluation import MatrixEvaluator, SolverSettings
+        from repro.server.policy import DEFAULT_MCMC_PARAMETERS
+        from repro.service.cache import cached_transition_table
+
+        dense = np.random.default_rng(0).standard_normal((30, 30))
+        np.fill_diagonal(dense, 0.05)
+        matrix = sp.csr_matrix(dense)
+        cache = ArtifactCache(max_entries=32)
+        server = _server(cache=cache)
+        response = server.solve(SolveRequestV1(
+            matrix=matrix, rhs=np.ones(30), solver="gmres",
+            preconditioner="mcmc", maxiter=200))
+        assert response.provenance["built_family"] == "mcmc"
+        builds = cache.stats.builds
+        evaluator = MatrixEvaluator(matrix, "fragile",
+                                    settings=SolverSettings(maxiter=200),
+                                    cache=cache)
+        table = evaluator._transition_table(DEFAULT_MCMC_PARAMETERS.alpha)
+        assert cache.stats.builds == builds
+        assert table is cached_transition_table(
+            cache, matrix_fingerprint(matrix), matrix,
+            DEFAULT_MCMC_PARAMETERS.alpha)
+        server.shutdown()
+
     def test_second_batch_hits_the_cache(self, dominant_matrix):
         cache = ArtifactCache(max_entries=32)
         server = _server(cache=cache)

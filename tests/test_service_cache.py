@@ -10,12 +10,15 @@ import pytest
 from repro.core.evaluation import MatrixEvaluator, SolverSettings
 from repro.exceptions import ParameterError
 from repro.mcmc.parameters import MCMCParameters
+from repro.mcmc.walks import TransitionTable
 from repro.service.cache import (
     ArtifactCache,
+    cached_transition_table,
     configure_global_cache,
     global_cache,
     transition_table_key,
 )
+from repro.sparse.splitting import jacobi_splitting
 
 
 class TestLRUSemantics:
@@ -176,6 +179,28 @@ class TestSharedTransitionTables:
         evaluator._transition_table(1.0)
         key = transition_table_key(evaluator.fingerprint, 1.0)
         assert key in cache
+
+    def test_evaluator_and_server_share_one_table(self, small_spd):
+        """The evaluator and the scheduler both go through
+        ``cached_transition_table``: one key, one build, whatever number
+        type ``alpha`` arrives as."""
+        cache = ArtifactCache(max_entries=8)
+        evaluator = MatrixEvaluator(small_spd, "lap",
+                                    settings=SolverSettings(maxiter=200),
+                                    cache=cache)
+        table = evaluator._transition_table(1.0)
+        assert cached_transition_table(cache, evaluator.fingerprint,
+                                       small_spd, 1) is table
+        assert cached_transition_table(cache, evaluator.fingerprint,
+                                       small_spd, np.float64(1.0)) is table
+        assert cache.stats.builds == 1
+
+    def test_cached_table_is_the_jacobi_table(self, small_spd):
+        table = cached_transition_table(ArtifactCache(max_entries=2), "lap",
+                                        small_spd, 0.5)
+        fresh = TransitionTable(jacobi_splitting(small_spd, 0.5).iteration_matrix)
+        np.testing.assert_array_equal(table.row_nnz, fresh.row_nnz)
+        assert table.norm_inf_b == fresh.norm_inf_b
 
     def test_different_alpha_different_entry(self, small_spd):
         cache = ArtifactCache(max_entries=8)
