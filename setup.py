@@ -28,7 +28,7 @@ setup(
     description=("Fast linear solvers via AI-tuned MCMC-based matrix "
                  "inversion — reproduction with a tuning service and "
                  "solve server"),
-    python_requires=">=3.10",
+    python_requires=">=3.11",
     package_dir={"": "src"},
     packages=find_packages("src"),
     # scipy is bounded to the release line whose private ``gstrs`` entry

@@ -368,8 +368,12 @@ class SurrogateTrainer:
             state, meta = checkpoint
             if all(meta.get(key) == value for key, value in lineage.items()):
                 try:
+                    epoch = int(meta.get("epoch", -1))
+                    if not -1 <= epoch < training.epochs:
+                        raise LearnError(f"checkpoint epoch {epoch} outside "
+                                         f"[-1, {training.epochs - 1}]")
                     model.load_state_dict(state)
-                    start_epoch = int(meta.get("epoch", -1)) + 1
+                    start_epoch = epoch + 1
                     _LOG.info("resuming training from checkpoint epoch %d",
                               start_epoch)
                 except Exception as exc:

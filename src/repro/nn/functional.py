@@ -421,11 +421,16 @@ class LayerNorm(Operation):
     def __init__(self, eps: float) -> None:
         self.eps = eps
 
+    # The row statistics are numpy's ``mean`` / ``var`` spelled out (sum,
+    # divide by the count, squared deviations from that mean), so the values
+    # are theirs bit for bit, but each row's mean is taken once and the
+    # centred rows are reused for the output.
     def forward(self, a, gamma, beta):
-        mu = a.mean(axis=-1, keepdims=True)
-        var = a.var(axis=-1, keepdims=True)
+        n = a.shape[-1]
+        centred = a - np.add.reduce(a, -1, keepdims=True) / n
+        var = np.add.reduce(centred * centred, -1, keepdims=True) / n
         self.inv_std = 1.0 / np.sqrt(var + self.eps)
-        self.normalised = (a - mu) * self.inv_std
+        self.normalised = centred * self.inv_std
         self.gamma = gamma
         return gamma * self.normalised + beta
 
@@ -435,11 +440,12 @@ class LayerNorm(Operation):
         if index == 2:  # beta
             return grad
         grad_normalised = grad * self.gamma
+        n = grad_normalised.shape[-1]
         # Standard layer-norm backward (per-row statistics).
         return (grad_normalised
-                - grad_normalised.mean(axis=-1, keepdims=True)
-                - self.normalised * (grad_normalised * self.normalised
-                                     ).mean(axis=-1, keepdims=True)
+                - np.add.reduce(grad_normalised, -1, keepdims=True) / n
+                - self.normalised * (np.add.reduce(
+                    grad_normalised * self.normalised, -1, keepdims=True) / n)
                 ) * self.inv_std
 
 

@@ -7,7 +7,10 @@ by the equivalence tests (``tests/test_mcmc_walks.py``,
 ``tests/test_sparse_csr.py``, ``tests/test_precond.py``).  The two dense
 accuracy measures of an approximate inverse (:func:`inversion_error`,
 :func:`preconditioned_condition_estimate`) are here too: only the tests use
-them.  All of this is intentionally slow and must not be used on any
+them.  :class:`LayerNorm` is the layer-norm operation as first written, on
+``ndarray.mean`` / ``ndarray.var``; ``tests/test_nn_tensor_functional.py``
+pins the one-pass statistics of :class:`repro.nn.functional.LayerNorm` to
+it byte for byte.  All of this is intentionally slow and must not be used on any
 production path; it lives in one place so a future fix to the oracle
 semantics cannot silently diverge between copies.
 """
@@ -18,6 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import ParameterError, PreconditionerError
+from repro.nn.autograd import Operation
 from repro.sparse.csr import ensure_csr, validate_square
 from repro.sparse.norms import condition_number
 from repro.sparse.splitting import perturb_diagonal
@@ -27,6 +31,7 @@ __all__ = [
     "loop_truncate_to_fill_factor",
     "inversion_error",
     "preconditioned_condition_estimate",
+    "LayerNorm",
 ]
 
 
@@ -178,3 +183,32 @@ def preconditioned_condition_estimate(matrix: sp.spmatrix,
     approx = ensure_csr(approximate_inverse)
     product = (approx @ csr).tocsr()
     return condition_number(product)
+
+
+class LayerNorm(Operation):
+    # gamma/beta gradients come back in the row-broadcast shape.
+    broadcastable = True
+
+    def __init__(self, eps: float) -> None:
+        self.eps = eps
+
+    def forward(self, a, gamma, beta):
+        mu = a.mean(axis=-1, keepdims=True)
+        var = a.var(axis=-1, keepdims=True)
+        self.inv_std = 1.0 / np.sqrt(var + self.eps)
+        self.normalised = (a - mu) * self.inv_std
+        self.gamma = gamma
+        return gamma * self.normalised + beta
+
+    def backward(self, grad, index):
+        if index == 1:  # gamma (engine un-broadcasts to its shape)
+            return grad * self.normalised
+        if index == 2:  # beta
+            return grad
+        grad_normalised = grad * self.gamma
+        # Standard layer-norm backward (per-row statistics).
+        return (grad_normalised
+                - grad_normalised.mean(axis=-1, keepdims=True)
+                - self.normalised * (grad_normalised * self.normalised
+                                     ).mean(axis=-1, keepdims=True)
+                ) * self.inv_std

@@ -10,6 +10,7 @@ import pytest
 from repro.core.surrogate import GraphNeuralSurrogate, ParameterHead, SurrogateConfig
 from repro.core.training import Trainer, TrainingConfig, surrogate_loss
 from repro.exceptions import SurrogateError
+from repro.gnn import KNOWN_AGGREGATIONS, KNOWN_CONV_TYPES
 from repro.nn.tensor import Tensor
 
 
@@ -60,6 +61,26 @@ class TestSurrogateForward:
         assert np.isfinite(mu).all() and np.all(sigma > 0.0)
         assert any(parameter.grad is not None and np.abs(parameter.grad).sum() > 0
                    for parameter in model.conv_layers[0].parameters())
+
+    @pytest.mark.parametrize("aggregation", sorted(KNOWN_AGGREGATIONS))
+    @pytest.mark.parametrize("conv_type", sorted(KNOWN_CONV_TYPES))
+    def test_graph_embedding_is_the_same_in_train_and_eval_mode(
+            self, tiny_dataset, tiny_surrogate_config, conv_type, aggregation):
+        """The message-passing stack has no dropout: a taped training-mode
+        embedding holds the evaluation-mode values byte for byte and draws
+        nothing from the dropout generator.  ``Trainer.fit`` validates on
+        the embedding its next step trains on because of this."""
+        model = GraphNeuralSurrogate(replace(
+            tiny_surrogate_config, conv_type=conv_type, aggregation=aggregation,
+            graph_layers=2, dropout=0.3))
+        generator_state = model.dropout._rng.bit_generator.state
+        model.train()
+        taped = model.embed_graphs(tiny_dataset.graph_batch)
+        assert taped._op is not None
+        assert model.dropout._rng.bit_generator.state == generator_state
+        evaluated = model.embed_graphs_numpy(tiny_dataset.graph_batch)
+        assert taped.data.shape == evaluated.shape
+        assert taped.data.tobytes() == evaluated.tobytes()
 
     def test_prediction_deterministic_in_eval_mode(self, tiny_dataset,
                                                    tiny_surrogate_config):
@@ -151,11 +172,8 @@ def _tape(model, embedding, x_a, x_m, d_mu, d_sigma):
 
 _HEAD_CASES = (
     [dict(conv_type=conv, aggregation=aggregation)
-     for conv in ("edge", "gcn", "gine")
+     for conv in ("edge", "gcn", "gine", "gatv2")
      for aggregation in ("sum", "mean", "max", "multi")]
-    # GATv2 aggregates its attention-weighted messages by sum whatever the
-    # configured aggregation says.
-    + [dict(conv_type="gatv2", aggregation="sum")]
     + [dict(xm_layers=layers, dropout=dropout, combined_layers=combined)
        for layers in (1, 2, 3) for dropout in (0.0, 0.3)
        for combined in (1, 2)])
@@ -246,6 +264,44 @@ class TestTrainer:
         model = GraphNeuralSurrogate(tiny_surrogate_config)
         with pytest.raises(SurrogateError):
             Trainer(TrainingConfig(epochs=0)).fit(model, tiny_dataset)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(epochs=2.5), dict(epochs=True), dict(epochs="3"),
+        dict(batch_size=0), dict(batch_size=-4), dict(batch_size=2.5),
+        dict(batch_size=True), dict(batch_size=None)],
+        ids=lambda o: ",".join(f"{k}={v!r}" for k, v in o.items()))
+    def test_rejects_what_it_cannot_run(self, tiny_dataset, tiny_surrogate_config,
+                                        overrides):
+        model = GraphNeuralSurrogate(tiny_surrogate_config)
+        before = model.state_dict()
+        config = replace(TrainingConfig(epochs=3, batch_size=8), **overrides)
+        with pytest.raises(SurrogateError, match=next(iter(overrides))):
+            Trainer(config).fit(model, tiny_dataset)
+        for name, value in model.state_dict().items():
+            np.testing.assert_array_equal(value, before[name])
+
+    @pytest.mark.parametrize("start_epoch", [-2, -1, 4, 5, 1.0, True, "1"])
+    def test_rejects_a_start_epoch_outside_the_fit(self, tiny_dataset,
+                                                   tiny_surrogate_config,
+                                                   start_epoch):
+        model = GraphNeuralSurrogate(tiny_surrogate_config)
+        epochs = []
+        with pytest.raises(SurrogateError, match="start_epoch"):
+            Trainer(TrainingConfig(epochs=3, batch_size=8)).fit(
+                model, tiny_dataset, start_epoch=start_epoch,
+                on_epoch=epochs.append)
+        assert epochs == []
+
+    @pytest.mark.parametrize("start_epoch", [0, 2, 3, np.int64(1)])
+    def test_accepts_every_start_epoch_of_the_fit(self, tiny_dataset,
+                                                  tiny_surrogate_config,
+                                                  start_epoch):
+        model = GraphNeuralSurrogate(tiny_surrogate_config)
+        epochs = []
+        history = Trainer(TrainingConfig(epochs=3, batch_size=8)).fit(
+            model, tiny_dataset, start_epoch=start_epoch, on_epoch=epochs.append)
+        assert epochs == list(range(start_epoch, 3))
+        assert history.best_epoch <= 2
 
     def test_paper_training_config(self):
         config = TrainingConfig.paper()

@@ -278,6 +278,34 @@ class TestCrashSafety:
         restarted.train_generation()
         assert min(epochs) == 0  # restarted from scratch, not from epoch 4
 
+    @pytest.mark.parametrize("epoch", [-3, 10, 25])
+    def test_checkpoint_epoch_out_of_range_restarts_fresh(self, tmp_path, epoch):
+        """A checkpoint whose epoch no fit of this length can have written is
+        not resumed: its weights are not loaded and the fit starts at epoch
+        0, publishing what a trainer with no checkpoint publishes."""
+        store = seed_store(tmp_path / "store")
+        config = fast_config(checkpoint_every=2)
+        fresh_registry = ModelRegistry(tmp_path / "fresh")
+        SurrogateTrainer(store, fresh_registry, config=config).train_generation()
+        registry = ModelRegistry(tmp_path / "models")
+        trainer = SurrogateTrainer(store, registry, config=config)
+        trainer._epoch_hook = lambda e: e >= 3 and trainer._stop.set()
+        with pytest.raises(TrainingAborted):
+            trainer.train_generation()
+        state, meta = registry.load_checkpoint()
+        assert meta["epochs"] == 10
+        registry.save_checkpoint(state, {**meta, "epoch": epoch})
+        epochs = []
+        restarted = SurrogateTrainer(store, registry, config=config)
+        restarted._epoch_hook = epochs.append
+        restarted.train_generation()
+        assert epochs == list(range(10))
+        published, _ = registry.load()
+        expected, _ = fresh_registry.load()
+        assert published.keys() == expected.keys()
+        for name, value in expected.items():
+            np.testing.assert_array_equal(published[name], value)
+
     def test_background_stop_leaves_consistent_state(self, tmp_path):
         store = seed_store(tmp_path / "store")
         registry = ModelRegistry(tmp_path / "models")

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.exceptions import AutodiffError
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor, no_grad
+from oracles.reference import LayerNorm as MeanVarLayerNorm
 
 
 def finite_difference_check(function, x0, *, eps=1e-6, atol=1e-6):
@@ -238,3 +239,37 @@ def test_add_broadcast_gradient_shape_property(shape):
     F.sum(F.add(a, b)).backward()
     assert a.grad.shape == a.shape
     assert b.grad.shape == b.shape
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.sampled_from([(1, 16), (1, 32), (3, 5), (64, 16), (514, 32),
+                              (2, 5, 8)]),
+       exponent=st.sampled_from([-150, -8, 0, 8, 150]),
+       special=st.sampled_from([None, np.nan, np.inf, -np.inf, "constant"]),
+       fortran=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_layer_norm_one_pass_statistics_match_mean_var_bitwise(
+        shape, exponent, special, fortran, seed):
+    """Property: the one-pass row statistics of ``LayerNorm`` reproduce the
+    ``ndarray.mean`` / ``ndarray.var`` operation byte for byte, forward and
+    backward to every input, whatever the magnitude, the non-finite entries
+    or the memory order."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shape) * 10.0 ** exponent
+    if special == "constant":
+        a[..., :] = a[..., :1]
+    elif special is not None:
+        a.flat[rng.integers(a.size)] = special
+    if fortran:
+        a = np.asfortranarray(a)
+    gamma = rng.standard_normal(shape[-1])
+    beta = rng.standard_normal(shape[-1])
+    grad = rng.standard_normal(shape)
+    new, old = F.LayerNorm(1e-5), MeanVarLayerNorm(1e-5)
+    with np.errstate(all="ignore"):
+        outputs = [(new.forward(a, gamma, beta), old.forward(a, gamma, beta))]
+        outputs += [(new.backward(grad, index), old.backward(grad, index))
+                    for index in range(3)]
+    for got, expected in outputs:
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()

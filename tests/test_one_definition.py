@@ -2,7 +2,9 @@
 
 Several PRs each replaced parallel copies of one idea by a single definition
 and checked the result with ``grep``.  This walks the syntax trees of
-``src/repro`` instead, so a second copy cannot regrow unnoticed.
+``src/repro`` instead, so a second copy cannot regrow unnoticed.  One guard
+counts calls at run time instead: a fit embeds the graphs once per weight
+state.
 """
 
 from __future__ import annotations
@@ -12,6 +14,11 @@ import re
 from pathlib import Path
 
 import pytest
+
+from repro.core.surrogate import GraphNeuralSurrogate
+from repro.core.training import Trainer, TrainingConfig
+from repro.nn.optim import Adam
+from repro.nn.tensor import is_grad_enabled
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -399,3 +406,47 @@ def test_acquisition_objective_builds_no_tape(trees):
                 or _calls(node, "backward"))
 
     assert [node.lineno for node in ast.walk(objective) if tapes(node)] == []
+
+
+@pytest.mark.parametrize("batches, epochs, start_epoch, stops_early", [
+    (1, 6, 0, False), (3, 6, 0, False), (3, 6, 4, False), (1, 6, 4, False),
+    (3, 40, 0, True)])
+def test_a_fit_embeds_once_per_weight_state(monkeypatch, tiny_dataset,
+                                            tiny_surrogate_config, batches,
+                                            epochs, start_epoch, stops_early):
+    """``Trainer.fit`` embeds the graphs optimiser steps + 1 times: once at
+    the start and once after each step, validation sharing the embedding the
+    next step trains on.  Every embedding is taped except the one after the
+    last step of the last epoch, which no step consumes."""
+    train_indices, validation_indices = tiny_dataset.split(0.2, seed=0)
+    batch_size = -(-train_indices.size // batches)
+    assert -(-train_indices.size // batch_size) == batches
+    model = GraphNeuralSurrogate(tiny_surrogate_config)
+    taped: list[bool] = []
+    steps = []
+    embed_graphs = model.embed_graphs
+    adam_step = Adam.step
+
+    def counting_embed(batch):
+        taped.append(is_grad_enabled())
+        return embed_graphs(batch)
+
+    def counting_step(self):
+        steps.append(len(taped))
+        return adam_step(self)
+
+    monkeypatch.setattr(model, "embed_graphs", counting_embed)
+    monkeypatch.setattr(Adam, "step", counting_step)
+    config = TrainingConfig(epochs=epochs, batch_size=batch_size,
+                            learning_rate=0.5 if stops_early else 1e-3,
+                            patience=1 if stops_early else 100, min_epochs=1)
+    history = Trainer(config).fit(model, tiny_dataset,
+                                  train_indices=train_indices,
+                                  validation_indices=validation_indices,
+                                  start_epoch=start_epoch)
+
+    assert history.stopped_early == stops_early
+    assert len(steps) == history.epochs_run * batches
+    assert len(taped) == len(steps) + 1
+    assert steps == list(range(1, len(steps) + 1))  # one embedding per step
+    assert taped == [True] * len(steps) + [stops_early]
