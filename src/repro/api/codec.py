@@ -3,7 +3,7 @@
 Solutions, right-hand sides and raw CSR matrices cross the wire as
 little-endian raw bytes in base64, each payload carrying a *content
 fingerprint* computed over exactly the bytes that travel.  Decoders recompute
-the fingerprint and refuse corrupted or tampered payloads with
+the fingerprint and refuse corrupted or tampered messages with
 :class:`~repro.api.errors.IntegrityError` — for matrices the fingerprint is
 the same :func:`~repro.sparse.fingerprint.matrix_fingerprint` the scheduler
 batches by, so integrity and identity are one check.

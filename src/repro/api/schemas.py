@@ -11,7 +11,7 @@ The transport-agnostic contract between any client and any server:
 * :class:`TelemetrySnapshot` — the server's metrics (``/v1/metrics``).
 
 Every schema round-trips strictly through ``to_json_dict`` /
-``from_json_dict``: payloads are stamped (see :mod:`repro.api.versioning`),
+``from_json_dict``: messages are stamped (see :mod:`repro.api.versioning`),
 numpy blocks are fingerprinted base64 (see :mod:`repro.api.codec`), and the
 encoding is lossless, so a request or response survives the wire
 bit-identically.  :func:`validate_request` is the single admission-boundary
@@ -92,7 +92,7 @@ class SolveRequestV1:
         ``"block"`` (a CG batch shares one block CG subspace,
         tolerance-identical answers; other solvers keep the loop) or
         ``"auto"``; ``None`` defers to the server's configured default.
-        Introduced after the v1 freeze as an *optional* field: payloads
+        Introduced after the v1 freeze as an *optional* field: messages
         without it (older clients) parse unchanged and mean "server
         default".
     """
@@ -384,7 +384,7 @@ class SolveResponseV1:
     ``trace_id`` is optional observability metadata: the id of the request's
     trace when the server ran with tracing enabled (also carried by the
     ``X-Repro-Trace-Id`` response header over HTTP), ``None`` otherwise.
-    Like ``batch_mode`` it is a post-freeze optional field — payloads
+    Like ``batch_mode`` it is a post-freeze optional field — messages
     without it parse unchanged.
 
     ``termination`` (``converged`` / ``maxiter`` / ``breakdown`` /

@@ -5,7 +5,7 @@ Every top-level wire payload carries a *stamp*::
     {"schema": "repro.solve", "kind": "solve_request", "version": 1, ...}
 
 :func:`negotiate` is the single entry point decoders go through: it checks
-the schema family and kind, then *migrates* old payloads forward one version
+the schema family and kind, then *migrates* old messages forward one version
 at a time through hooks registered with :func:`register_migration`.  This is
 how the protocol evolves without flag days — a server on version N accepts
 clients on any version for which a migration chain to N exists, and rejects
@@ -47,7 +47,7 @@ def version_stamp(kind: str, version: int = SCHEMA_VERSION) -> dict:
 
 def register_migration(kind: str, from_version: int,
                        migrate: Callable[[dict], dict]) -> None:
-    """Register an upgrade hook for payloads of ``kind`` at ``from_version``."""
+    """Register an upgrade hook for messages of ``kind`` at ``from_version``."""
     _MIGRATIONS[(kind, int(from_version))] = migrate
 
 
@@ -59,10 +59,10 @@ def clear_migrations() -> None:
 def negotiate(payload: dict, kind: str) -> dict:
     """Validate a payload's stamp and migrate it to :data:`SCHEMA_VERSION`.
 
-    Raises :class:`SchemaError` for payloads that are not stamped, belong to
+    Raises :class:`SchemaError` for messages that are not stamped, belong to
     a different schema family, or are of the wrong kind, and
     :class:`UnsupportedVersionError` when no migration chain reaches the
-    current version (including payloads from the *future*).
+    current version (including messages from the *future*).
     """
     if not isinstance(payload, dict):
         raise SchemaError(

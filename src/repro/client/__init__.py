@@ -3,7 +3,7 @@
 * :class:`Client` — the ABC callers program against.
 * :class:`InProcessClient` — wraps a
   :class:`~repro.server.server.SolveServer` directly (optionally
-  round-tripping payloads through the lossless wire codec).
+  round-tripping messages through the lossless wire codec).
 * :class:`HTTPClient` — speaks the versioned HTTP/JSON wire protocol of
   :mod:`repro.api` over urllib.
 

@@ -4,7 +4,7 @@ Wraps a :class:`~repro.server.server.SolveServer` directly — no sockets, no
 serialisation cost — while still honouring the wire contract.  With
 ``wire_fidelity=True`` (the default) every request and response is
 round-tripped through the JSON codec before/after serving, so the in-process
-client observes *exactly* the bytes-equivalent payloads an HTTP client
+client observes *exactly* the bytes-equivalent messages an HTTP client
 observes; because the codec is lossless this costs a copy, never a bit.
 That is what makes the cross-transport equivalence test meaningful rather
 than vacuous.

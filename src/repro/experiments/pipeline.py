@@ -343,7 +343,7 @@ def run_pipeline(profile: ExperimentProfile | None = None, *,
 #: training matrices, the full dataset and two trained models, so the memo
 #: must not grow with every profile variation a session tries; the LRU bound
 #: keeps at most a handful alive and :func:`clear_pipeline_cache` releases
-#: the payloads outright.
+#: the cached results outright.
 _PIPELINE_CACHE = ArtifactCache(max_entries=4)
 
 
@@ -367,5 +367,5 @@ def run_pipeline_cached(profile: ExperimentProfile | None = None, *,
 
 
 def clear_pipeline_cache() -> None:
-    """Release every memoised pipeline result (and its model/dataset payloads)."""
+    """Release every memoised pipeline result (and its model and dataset)."""
     _PIPELINE_CACHE.clear()

@@ -40,7 +40,7 @@ out across a :class:`~repro.fleet.replica.ReplicaFleet`:
 
 Job ids are namespaced by the router: ``POST /v1/submit`` records
 ``router_id -> (replica, remote_id)`` and rewrites the id in job-status
-payloads, so polling a job hits the replica that queued it even though
+responses, so polling a job hits the replica that queued it even though
 remote ids collide across replicas.
 
 Tracing: the inbound ``X-Repro-Trace-Id`` header is forwarded on the proxied

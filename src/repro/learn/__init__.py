@@ -7,7 +7,7 @@ applied continuously inside the solve server:
   snapshots with atomic publish and a crash-safe trainer checkpoint;
 * :class:`~repro.learn.trainer.SurrogateTrainer` — background training from
   :class:`~repro.service.store.ObservationStore` snapshots, incremental via
-  the store's generation header;
+  the store's append-only index;
 * :class:`~repro.learn.policy.SurrogatePolicy` — the serving-side decision
   stage that proposes MCMC parameters by maximising EI under the latest
   published model, falling back gracefully when none is ready.

@@ -12,9 +12,10 @@ Crash safety is the whole point of the layout:
       CURRENT                         # text file naming the live version
       checkpoint.npz                  # trainer's in-progress resume state
 
-A publish stages the whole version directory under a temporary name, fsyncs
-its files, renames the directory into place (atomic on POSIX) and only then
-rewrites ``CURRENT`` via the same write-temp-then-:func:`os.replace` dance.
+A publish stages the whole version directory under a temporary name, writes
+each file with :func:`repro.nn.serialization.atomic_write` (temp file, fsync,
+:func:`os.replace`), renames the directory into place (atomic on POSIX) and
+only then rewrites ``CURRENT`` the same way.
 ``CURRENT`` therefore never names a partially written version: a trainer
 killed at any instant leaves either the previous version live or the new one,
 never a torn model.
@@ -35,7 +36,8 @@ import numpy as np
 
 from repro.exceptions import LearnError
 from repro.logging_utils import get_logger
-from repro.nn.serialization import load_state_dict, save_state_dict
+from repro.nn.serialization import (atomic_write, load_state_dict,
+                                    save_state_dict)
 from repro.sparse.fingerprint import content_hash
 
 __all__ = ["ModelRegistry"]
@@ -45,21 +47,8 @@ _LOG = get_logger("learn.registry")
 _CHECKPOINT_META_KEY = "__checkpoint_meta__"
 
 
-def _fsync_file(path: Path) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
 def _atomic_write_text(path: Path, text: str) -> None:
-    temp = path.with_name(path.name + f".tmp-{os.getpid()}")
-    with open(temp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp, path)
+    atomic_write(path, lambda handle: handle.write(text.encode("utf-8")))
 
 
 class ModelRegistry:
@@ -129,11 +118,8 @@ class ModelRegistry:
             save_state_dict(state, staging / "model.npz")
             meta = dict(meta)
             meta["version"] = version
-            with open(staging / "meta.json", "w", encoding="utf-8") as handle:
-                json.dump(meta, handle, indent=2, sort_keys=True)
-                handle.flush()
-                os.fsync(handle.fileno())
-            _fsync_file(staging / "model.npz")
+            _atomic_write_text(staging / "meta.json",
+                               json.dumps(meta, indent=2, sort_keys=True))
             final = self.versions_dir / version
             os.replace(staging, final)
         except BaseException:
@@ -179,7 +165,7 @@ class ModelRegistry:
         payload = dict(state)
         payload[_CHECKPOINT_META_KEY] = np.frombuffer(
             json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
-        save_state_dict(payload, self.checkpoint_path, atomic=True)
+        save_state_dict(payload, self.checkpoint_path)
 
     def load_checkpoint(self) -> tuple[dict[str, np.ndarray], dict] | None:
         """The last checkpoint as ``(state_dict, meta)``, or ``None``."""

@@ -8,11 +8,11 @@ turns that stream into versioned surrogate models:
   seen by the server, keyed by the name recorded in the store (records alone
   cannot rebuild graphs; the bank closes that gap, with the static matrix
   registry as fallback for registry-named traffic).
-* :class:`SurrogateTrainer` — snapshots the store (its generation header
-  makes ``reload()`` a cheap no-op when nothing changed), builds a
-  :class:`SurrogateDataset`, trains the surrogate with
-  :meth:`repro.core.training.Trainer.fit` — checkpointing atomically from
-  its per-epoch callback and resuming through its ``start_epoch`` — and
+* :class:`SurrogateTrainer` — snapshots the store (``reload()`` reads only
+  the index lines appended since the last one, so it is a cheap no-op when
+  nothing changed), builds a :class:`SurrogateDataset`, trains the surrogate
+  with :meth:`repro.core.training.Trainer.fit` — checkpointing atomically
+  from its per-epoch callback and resuming through its ``start_epoch`` — and
   publishes each completed generation to the :class:`ModelRegistry`.
 
 Crash safety: checkpoints are single atomic files keyed by a hash of the

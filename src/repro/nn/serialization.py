@@ -9,23 +9,43 @@ reloaded and reused without retraining.
 from __future__ import annotations
 
 import os
+from typing import BinaryIO, Callable
 
 import numpy as np
 
 from repro.exceptions import SurrogateError
 
-__all__ = ["save_state_dict", "load_state_dict"]
+__all__ = ["atomic_write", "save_state_dict", "load_state_dict"]
 
 
-def save_state_dict(state: dict[str, np.ndarray], path: str | os.PathLike, *,
-                    atomic: bool = False) -> str:
+def atomic_write(path: str | os.PathLike,
+                 write: Callable[[BinaryIO], object]) -> None:
+    """Write ``path`` through ``write(handle)``; a crash never tears it.
+
+    The bytes go to a same-directory temporary file, which is flushed,
+    fsynced and moved into place with :func:`os.replace`.  ``path`` thus
+    holds either its previous content or all of the new one.
+    """
+    path = os.fspath(path)
+    temp_path = path + f".tmp-{os.getpid()}"
+    try:
+        with open(temp_path, "wb") as handle:
+            write(handle)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp_path, path)
+    finally:
+        if os.path.exists(temp_path):
+            os.unlink(temp_path)
+
+
+def save_state_dict(state: dict[str, np.ndarray],
+                    path: str | os.PathLike) -> str:
     """Write a state dictionary to ``path`` (``.npz`` appended if missing).
 
-    With ``atomic=True`` the archive is written to a same-directory temporary
-    file, flushed to disk, and moved into place with :func:`os.replace`, so a
-    crash mid-write can never leave a truncated archive at ``path`` — the
-    contract the online trainer's checkpoints and the model registry's
-    publishes rely on.
+    The archive is written with :func:`atomic_write`, so a crash mid-write
+    never leaves a truncated archive at ``path`` — the contract the online
+    trainer's checkpoints and the model registry's publishes rely on.
     """
     if not state:
         raise SurrogateError("refusing to save an empty state dict")
@@ -35,19 +55,7 @@ def save_state_dict(state: dict[str, np.ndarray], path: str | os.PathLike, *,
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
-    if not atomic:
-        np.savez_compressed(path, **state)
-        return path
-    temp_path = path + f".tmp-{os.getpid()}"
-    try:
-        with open(temp_path, "wb") as handle:
-            np.savez_compressed(handle, **state)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp_path, path)
-    finally:
-        if os.path.exists(temp_path):
-            os.unlink(temp_path)
+    atomic_write(path, lambda handle: np.savez_compressed(handle, **state))
     return path
 
 

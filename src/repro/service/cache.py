@@ -14,23 +14,20 @@ tuples — by convention ``(kind, matrix_fingerprint, ...)`` with the
 fingerprint from :func:`repro.sparse.fingerprint.matrix_fingerprint`.  A
 process-wide instance is available through :func:`global_cache`, which is what
 :class:`MatrixEvaluator` uses by default; pass ``cache=ArtifactCache(...)`` to
-isolate a component, or ``disk_dir=...`` to additionally spill evicted
-artifacts to disk (pickle) and transparently reload them on a later miss.
+isolate a component.  The cache lives in memory only: an entry is rebuilt
+after eviction or in a new process, from the same inputs, to the same value.
 """
 
 from __future__ import annotations
 
-import pickle
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Callable, Hashable
 
 from repro.exceptions import ParameterError
 from repro.logging_utils import get_logger
 from repro.mcmc.walks import TransitionTable
-from repro.sparse.fingerprint import content_hash
 from repro.sparse.splitting import jacobi_splitting
 
 __all__ = [
@@ -52,7 +49,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    disk_hits: int = 0
     builds: int = 0
 
     @property
@@ -68,8 +64,8 @@ class CacheStats:
     def as_dict(self) -> dict[str, float | int]:
         """Plain-dict form for JSON reports and benchmarks."""
         return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions, "disk_hits": self.disk_hits,
-                "builds": self.builds, "hit_rate": self.hit_rate}
+                "evictions": self.evictions, "builds": self.builds,
+                "hit_rate": self.hit_rate}
 
 
 def transition_table_key(fingerprint: str, alpha: float) -> tuple:
@@ -93,21 +89,16 @@ def cached_transition_table(cache: "ArtifactCache", fingerprint: str,
 
 
 class ArtifactCache:
-    """Thread-safe LRU cache with optional disk spill.
+    """Thread-safe in-memory LRU cache.
 
     Parameters
     ----------
     max_entries:
-        Maximum number of in-memory entries; the least recently used entry is
-        evicted beyond that.  Must be >= 1.
-    disk_dir:
-        Optional directory for a pickle-based second level.  Entries are
-        written on :meth:`put` and survive process restarts; in-memory misses
-        fall back to disk (counted separately in :attr:`stats`).
+        Maximum number of entries; the least recently used entry is evicted
+        beyond that.  Must be >= 1.
     """
 
-    def __init__(self, max_entries: int = 32, *,
-                 disk_dir: str | Path | None = None) -> None:
+    def __init__(self, max_entries: int = 32) -> None:
         if max_entries < 1:
             raise ParameterError(
                 f"max_entries must be >= 1, got {max_entries}")
@@ -116,15 +107,11 @@ class ArtifactCache:
         self._lock = threading.RLock()
         self._key_locks: dict[Hashable, threading.Lock] = {}
         self.stats = CacheStats()
-        self._disk_dir: Path | None = None
-        if disk_dir is not None:
-            self._disk_dir = Path(disk_dir)
-            self._disk_dir.mkdir(parents=True, exist_ok=True)
 
     # -- basic mapping interface -------------------------------------------
     @property
     def max_entries(self) -> int:
-        """Capacity of the in-memory level."""
+        """Capacity of the cache."""
         return self._max_entries
 
     def __len__(self) -> int:
@@ -136,31 +123,24 @@ class ArtifactCache:
             return key in self._entries
 
     def keys(self) -> list[Hashable]:
-        """Snapshot of the in-memory keys, least recently used first."""
+        """Snapshot of the keys, least recently used first."""
         with self._lock:
             return list(self._entries)
 
     def get(self, key: Hashable, default: Any = None) -> Any:
-        """Look up ``key``, falling back to the disk level, then ``default``."""
+        """The value cached under ``key``, else ``default``."""
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
                 self.stats.hits += 1
                 return self._entries[key]
             self.stats.misses += 1
-        value = self._disk_load(key)
-        if value is not None:
-            with self._lock:
-                self.stats.disk_hits += 1
-                self._insert(key, value)
-            return value
         return default
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert ``key -> value``, evicting the LRU entry beyond capacity."""
         with self._lock:
             self._insert(key, value)
-        self._disk_store(key, value)
 
     def get_or_build(self, key: Hashable, builder: Callable[[], Any]) -> Any:
         """Return the cached value for ``key``, building it at most once.
@@ -194,9 +174,9 @@ class ArtifactCache:
         return value
 
     def clear(self, *, reset_stats: bool = False) -> None:
-        """Release every in-memory entry (disk entries are kept).
+        """Release every entry.
 
-        Dropping the references here is what actually frees the payloads —
+        Dropping the references here is what actually frees the artifacts —
         callers holding no other reference see the memory returned.
         """
         with self._lock:
@@ -213,40 +193,6 @@ class ArtifactCache:
             evicted_key, _ = self._entries.popitem(last=False)
             self.stats.evictions += 1
             _LOG.debug("evicted cache entry %r", evicted_key)
-
-    def _disk_path(self, key: Hashable) -> Path | None:
-        if self._disk_dir is None:
-            return None
-        return self._disk_dir / f"{content_hash(repr(key))}.pkl"
-
-    def _disk_store(self, key: Hashable, value: Any) -> None:
-        path = self._disk_path(key)
-        if path is None:
-            return
-        tmp = path.with_suffix(".tmp")
-        try:
-            with open(tmp, "wb") as handle:
-                pickle.dump((key, value), handle, protocol=pickle.HIGHEST_PROTOCOL)
-            tmp.replace(path)
-        # An object pickle cannot handle raises PicklingError, TypeError (C
-        # objects such as locks) or AttributeError (local classes and
-        # functions).  The entry stays in memory either way.
-        except (OSError, pickle.PicklingError, TypeError, AttributeError) as error:
-            _LOG.warning("could not spill cache entry %r to disk: %s", key, error)
-            tmp.unlink(missing_ok=True)
-
-    def _disk_load(self, key: Hashable) -> Any:
-        path = self._disk_path(key)
-        if path is None or not path.exists():
-            return None
-        try:
-            with open(path, "rb") as handle:
-                stored_key, value = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, ValueError) as error:
-            _LOG.warning("could not load cache entry %r from disk: %s", key, error)
-            return None
-        # repr()-hash collisions are astronomically unlikely but cheap to rule out.
-        return value if stored_key == key else None
 
 
 #: Default capacity of the process-wide cache.  Padded transition tables are
@@ -267,10 +213,10 @@ def global_cache() -> ArtifactCache:
         return _global_cache
 
 
-def configure_global_cache(max_entries: int = _GLOBAL_MAX_ENTRIES, *,
-                           disk_dir: str | Path | None = None) -> ArtifactCache:
+def configure_global_cache(
+        max_entries: int = _GLOBAL_MAX_ENTRIES) -> ArtifactCache:
     """Replace the process-wide cache (dropping the previous contents)."""
     global _global_cache
     with _global_lock:
-        _global_cache = ArtifactCache(max_entries, disk_dir=disk_dir)
+        _global_cache = ArtifactCache(max_entries)
         return _global_cache

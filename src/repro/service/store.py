@@ -8,30 +8,33 @@ durable so that a killed run resumes where it stopped and later sessions
 (including the :class:`~repro.service.tuner_service.TuningService`) warm-start
 from everything measured before.
 
-Layout (one directory per store)::
+Layout (one directory per store, one file in it)::
 
     root/
-      index.jsonl          # one JSON object per line: records + matrix entries
-      payloads/<key>.npz   # replication arrays of each performance record
-      payloads/batch-<hash>.npz   # batched payloads written by compact()
+      index.jsonl   # one JSON object per line: records + matrix entries
 
-Long-lived stores accumulate one small ``.npz`` per record; :meth:`compact`
-folds them into batched payload files (index lines then reference
-``batch-<hash>.npz#<key>``) and rewrites the index atomically.  A
-``{"kind": "meta", "generation": ...}`` header line marks each rewrite so
-open readers detect it and fall back to a full reload — compaction is
-invisible to them.
+A record line carries the whole measurement inline — its ``y_values`` and
+``preconditioned_iterations`` beside the key fields and the ``y_mean`` /
+``y_std`` summary — so the index is the store.  Lines are written with
+:func:`json.dumps` defaults, which print every ``float`` through ``repr``:
+a reopened store holds the same float bits that were put.
 
 Durability model
 ----------------
-A record is written payload-first (atomic ``os.replace`` of a temp file), then
-a single index line is appended with flush + fsync.  A crash can therefore
-only lose the record being written, never corrupt earlier ones; a torn final
-line is skipped on load.  Appends are single ``write`` calls on a file opened
-in append mode, so several *processes* writing into one store interleave at
-line granularity — :meth:`reload` (or re-opening the store) merges what
-concurrent writers appended, and :meth:`merge_from` folds one store into
-another.
+A record is one line, appended with one ``write`` on an append-mode handle
+and made durable with one ``fsync``.  A crash can therefore only lose the
+record being written, never corrupt earlier ones: a torn final line (no
+newline yet) is not read past.  Several *processes* writing into one store
+interleave at line granularity — :meth:`reload` (or re-opening the store)
+merges what concurrent writers appended, and :meth:`merge_from` folds one
+store into another.
+
+A line that is not a JSON object, or a record or matrix line with a missing
+or ill-typed field, is skipped; each :meth:`reload` logs one warning with
+the number of lines it skipped.  Record lines of the older two-file layout
+name a ``payload`` file instead of carrying their arrays, so they take the
+same path: the record is re-measured on demand, and the old files are left
+as they are.
 
 Records are keyed by ``(matrix fingerprint, parameter hash, context)`` where
 the context string captures everything else the measurement depends on
@@ -63,7 +66,6 @@ __all__ = ["ObservationStore", "StoredRecord", "MatrixEntry", "parameter_hash"]
 _LOG = get_logger("service.store")
 
 _INDEX_NAME = "index.jsonl"
-_PAYLOAD_DIR = "payloads"
 
 
 def parameter_hash(parameters: MCMCParameters) -> str:
@@ -131,15 +133,13 @@ class ObservationStore:
 
     def __init__(self, root: str | Path) -> None:
         self._root = Path(root)
-        self._payload_dir = self._root / _PAYLOAD_DIR
-        self._payload_dir.mkdir(parents=True, exist_ok=True)
+        self._root.mkdir(parents=True, exist_ok=True)
         self._index_path = self._root / _INDEX_NAME
         self._lock = threading.RLock()
         self._records: dict[str, StoredRecord] = {}
         self._by_fingerprint: dict[str, list[str]] = {}
         self._matrices: dict[str, MatrixEntry] = {}
         self._index_offset = 0
-        self._generation: str | None = None
         self.reload(full=True)
 
     # -- basic queries ------------------------------------------------------
@@ -189,27 +189,6 @@ class ObservationStore:
         with self._lock:
             if key in self._records:
                 return False
-            payload_name = f"{key}.npz"
-            self._write_payload(payload_name, record)
-            line = {
-                "kind": "record",
-                "key": key,
-                "fingerprint": fingerprint,
-                "context": context,
-                "matrix_name": record.matrix_name,
-                "alpha": record.parameters.alpha,
-                "eps": record.parameters.eps,
-                "delta": record.parameters.delta,
-                "solver": record.parameters.solver,
-                "param_hash": parameter_hash(record.parameters),
-                "baseline_iterations": int(record.baseline_iterations),
-                "y_mean": record.y_mean,
-                "y_std": record.y_std,
-                "payload": payload_name,
-            }
-            self._append_line(line)
-            # Index directly from memory: re-reading the payload written a
-            # moment ago would double the I/O of the hot persist path.
             stored = StoredRecord(
                 key=key,
                 fingerprint=fingerprint,
@@ -221,8 +200,25 @@ class ObservationStore:
                     int(v) for v in record.preconditioned_iterations),
                 y_values=tuple(float(v) for v in record.y_values),
             )
-            self._records[key] = stored
-            self._by_fingerprint.setdefault(fingerprint, []).append(key)
+            self._append_line({
+                "kind": "record",
+                "key": key,
+                "fingerprint": fingerprint,
+                "context": context,
+                "matrix_name": record.matrix_name,
+                "alpha": record.parameters.alpha,
+                "eps": record.parameters.eps,
+                "delta": record.parameters.delta,
+                "solver": record.parameters.solver,
+                "param_hash": parameter_hash(record.parameters),
+                "baseline_iterations": stored.baseline_iterations,
+                "y_mean": record.y_mean,
+                "y_std": record.y_std,
+                "y_values": list(stored.y_values),
+                "preconditioned_iterations": list(
+                    stored.preconditioned_iterations),
+            })
+            self._add(stored)
         return True
 
     def register_matrix(self, fingerprint: str, name: str,
@@ -234,12 +230,12 @@ class ObservationStore:
             line = {
                 "kind": "matrix",
                 "fingerprint": fingerprint,
-                "name": name,
+                "name": str(name),
                 "features": (None if features is None
                              else [float(v) for v in np.ravel(features)]),
             }
             self._append_line(line)
-            self._ingest_matrix_line(line)
+            self._matrices[fingerprint] = _parse_matrix(line)
         return True
 
     # -- reads --------------------------------------------------------------
@@ -285,29 +281,22 @@ class ObservationStore:
         Lines written by concurrent writers (other threads or processes
         appending to the same directory) become visible here.  Returns the
         number of new records ingested.  ``full=True`` re-reads from the
-        beginning (used by the constructor).
-
-        A rewrite of the index by another process's :meth:`compact` is
-        detected (the generation header changed, or the file shrank below
-        the read offset) and triggers an automatic full re-read, so open
-        readers survive compaction transparently.
+        beginning (used by the constructor); so does an index that shrank
+        below the read offset (replaced by hand, say).
         """
         with self._lock:
             if not self._index_path.exists():
                 if full:
                     self._reset_view()
                 return 0
-            # "New" means new relative to the pre-reload view — a forced
-            # full re-read after a compaction rewrite re-ingests everything
-            # but reports only genuinely unseen records.
+            # "New" means new relative to the pre-reload view — a full
+            # re-read re-ingests everything but reports only unseen records.
             previous_keys = set(self._records)
+            skipped = 0
             with open(self._index_path, "rb") as handle:
-                generation = self._peek_generation(handle)
                 size = os.fstat(handle.fileno()).st_size
-                if (full or generation != self._generation
-                        or size < self._index_offset):
+                if full or size < self._index_offset:
                     self._reset_view()
-                    self._generation = generation
                 handle.seek(self._index_offset)
                 for raw_bytes in handle:
                     if not raw_bytes.endswith(b"\n"):
@@ -316,119 +305,12 @@ class ObservationStore:
                         break
                     self._index_offset += len(raw_bytes)
                     raw = raw_bytes.decode("utf-8", errors="replace").strip()
-                    if not raw:
-                        continue
-                    try:
-                        line = json.loads(raw)
-                    except json.JSONDecodeError:
-                        _LOG.warning("skipping corrupt index line in %s",
-                                     self._index_path)
-                        continue
-                    if line.get("kind") == "record":
-                        self._ingest_record_line(line)
-                    elif line.get("kind") == "matrix":
-                        self._ingest_matrix_line(line)
+                    if raw and not self._ingest(raw):
+                        skipped += 1
+            if skipped:
+                _LOG.warning("skipped %d malformed index line(s) in %s",
+                             skipped, self._index_path)
             return len(set(self._records) - previous_keys)
-
-    def compact(self, *, batch_size: int = 512) -> dict:
-        """Fold per-record payload files into batched ``.npz`` files.
-
-        Long-lived stores accumulate one small payload file per record; this
-        rewrites the payload layout into files of up to ``batch_size``
-        records each (index lines then reference ``batch-<hash>.npz#<key>``)
-        and replaces the index atomically.  The logical contents are
-        untouched: a reload before and after compaction yields identical
-        records, and open readers detect the rewrite via the generation
-        header (see :meth:`reload`).
-
-        Same-process writers are serialised by the store lock.  Compaction
-        is a store-owner maintenance operation: another *process* appending
-        concurrently can race the index rewrite and should be quiesced
-        first (appends made after the rewrite land in the new index and are
-        picked up normally).
-
-        Returns a summary dict (record/batch-file counts, files removed).
-        """
-        if batch_size < 1:
-            raise ParameterError(
-                f"batch_size must be >= 1, got {batch_size}")
-        with self._lock:
-            # Fold in anything concurrent writers appended before rewriting.
-            self.reload()
-            records = list(self._records.values())
-            payload_of: dict[str, str] = {}
-            batch_files: list[str] = []
-            for start in range(0, len(records), batch_size):
-                chunk = records[start:start + batch_size]
-                arrays: dict[str, np.ndarray] = {}
-                for stored in chunk:
-                    arrays[f"y__{stored.key}"] = np.asarray(
-                        stored.y_values, dtype=np.float64)
-                    arrays[f"it__{stored.key}"] = np.asarray(
-                        stored.preconditioned_iterations, dtype=np.int64)
-                name = f"batch-{content_hash(*[r.key for r in chunk])}.npz"
-                path = self._payload_dir / name
-                tmp = path.with_suffix(".tmp")
-                with open(tmp, "wb") as handle:
-                    np.savez(handle, **arrays)
-                os.replace(tmp, path)
-                batch_files.append(name)
-                for stored in chunk:
-                    payload_of[stored.key] = f"{name}#{stored.key}"
-
-            generation = content_hash(
-                "generation", str(len(records)), *sorted(payload_of.values()))
-            lines: list[dict] = [{"kind": "meta", "generation": generation}]
-            for entry in self._matrices.values():
-                lines.append({
-                    "kind": "matrix",
-                    "fingerprint": entry.fingerprint,
-                    "name": entry.name,
-                    "features": (None if entry.features is None else
-                                 [float(v) for v in np.ravel(entry.features)]),
-                })
-            for stored in records:
-                record = stored.to_record()
-                lines.append({
-                    "kind": "record",
-                    "key": stored.key,
-                    "fingerprint": stored.fingerprint,
-                    "context": stored.context,
-                    "matrix_name": stored.matrix_name,
-                    "alpha": stored.parameters.alpha,
-                    "eps": stored.parameters.eps,
-                    "delta": stored.parameters.delta,
-                    "solver": stored.parameters.solver,
-                    "param_hash": parameter_hash(stored.parameters),
-                    "baseline_iterations": stored.baseline_iterations,
-                    "y_mean": record.y_mean,
-                    "y_std": record.y_std,
-                    "payload": payload_of[stored.key],
-                })
-            tmp_index = self._index_path.with_suffix(".jsonl.tmp")
-            with open(tmp_index, "w", encoding="utf-8") as handle:
-                for line in lines:
-                    handle.write(json.dumps(line, separators=(",", ":")) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_index, self._index_path)
-            self._index_offset = self._index_path.stat().st_size
-            self._generation = generation
-
-            keep = set(batch_files)
-            removed = 0
-            for path in self._payload_dir.glob("*.npz"):
-                if path.name not in keep:
-                    path.unlink(missing_ok=True)
-                    removed += 1
-            _LOG.info("compacted %s: %d records into %d batch file(s), "
-                      "%d payload file(s) removed",
-                      self._root, len(records), len(batch_files), removed)
-            return {
-                "records": len(records),
-                "batch_files": len(batch_files),
-                "payload_files_removed": removed,
-            }
 
     def merge_from(self, other: "ObservationStore | str | Path") -> int:
         """Fold every record of ``other`` into this store; returns new count."""
@@ -451,40 +333,14 @@ class ObservationStore:
         self._by_fingerprint.clear()
         self._matrices.clear()
         self._index_offset = 0
-        self._generation = None
 
-    @staticmethod
-    def _peek_generation(handle) -> str | None:
-        """Generation id from the index header line, ``None`` pre-compaction.
-
-        Leaves the handle position unspecified; callers seek afterwards.
-        """
-        handle.seek(0)
-        first = handle.readline()
-        if not first.endswith(b"\n"):
-            return None
-        try:
-            line = json.loads(first.decode("utf-8", errors="replace"))
-        except json.JSONDecodeError:
-            return None
-        if isinstance(line, dict) and line.get("kind") == "meta":
-            return line.get("generation")
-        return None
-
-    def _write_payload(self, payload_name: str, record: PerformanceRecord) -> None:
-        path = self._payload_dir / payload_name
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "wb") as handle:
-            np.savez(
-                handle,
-                y_values=np.asarray(record.y_values, dtype=np.float64),
-                preconditioned_iterations=np.asarray(
-                    record.preconditioned_iterations, dtype=np.int64),
-            )
-        os.replace(tmp, path)
+    def _add(self, stored: StoredRecord) -> None:
+        self._records[stored.key] = stored
+        self._by_fingerprint.setdefault(stored.fingerprint, []).append(
+            stored.key)
 
     def _append_line(self, line: dict) -> None:
-        blob = json.dumps(line, separators=(",", ":")) + "\n"
+        blob = json.dumps(line) + "\n"
         # A single write on an append-mode handle: concurrent writers from
         # other processes interleave at line granularity on POSIX.  The read
         # offset is deliberately NOT advanced here — another process may have
@@ -495,62 +351,62 @@ class ObservationStore:
             handle.flush()
             os.fsync(handle.fileno())
 
-    def _load_payload(self, payload_name: str) -> tuple[tuple[float, ...],
-                                                        tuple[int, ...]] | None:
-        # Two reference forms: "<key>.npz" (one file per record, the append
-        # path) and "batch-<hash>.npz#<key>" (written by compact()).
-        key = None
-        if "#" in payload_name:
-            payload_name, key = payload_name.split("#", 1)
-        path = self._payload_dir / payload_name
-        if not path.exists():
-            return None
-        y_name = "y_values" if key is None else f"y__{key}"
-        it_name = ("preconditioned_iterations" if key is None
-                   else f"it__{key}")
+    def _ingest(self, raw: str) -> bool:
+        """Fold one index line into the view; False when it is malformed."""
         try:
-            with np.load(path) as payload:
-                y_values = tuple(float(v) for v in payload[y_name])
-                iterations = tuple(int(v) for v in payload[it_name])
-        except (OSError, ValueError, KeyError) as error:
-            _LOG.warning("skipping record with unreadable payload %s: %s",
-                         path, error)
-            return None
-        return y_values, iterations
+            line = json.loads(raw)
+            kind = line.get("kind")
+            if kind == "record":
+                stored = _parse_record(line)
+                if stored.key not in self._records:
+                    self._add(stored)
+            elif kind == "matrix":
+                entry = _parse_matrix(line)
+                self._matrices.setdefault(entry.fingerprint, entry)
+            else:
+                return False
+        except (AttributeError, KeyError, OverflowError, TypeError,
+                ValueError, ParameterError):
+            return False
+        return True
 
-    def _ingest_record_line(self, line: dict) -> None:
-        key = line["key"]
-        if key in self._records:
-            return
-        payload = self._load_payload(line["payload"])
-        if payload is None:
-            return
-        y_values, iterations = payload
-        parameters = MCMCParameters(alpha=float(line["alpha"]),
-                                    eps=float(line["eps"]),
-                                    delta=float(line["delta"]),
-                                    solver=str(line["solver"]))
-        stored = StoredRecord(
-            key=key,
-            fingerprint=line["fingerprint"],
-            context=line.get("context", ""),
-            matrix_name=line["matrix_name"],
-            parameters=parameters,
-            baseline_iterations=int(line["baseline_iterations"]),
-            preconditioned_iterations=iterations,
-            y_values=y_values,
-        )
-        self._records[key] = stored
-        self._by_fingerprint.setdefault(stored.fingerprint, []).append(key)
 
-    def _ingest_matrix_line(self, line: dict) -> None:
-        fingerprint = line["fingerprint"]
-        if fingerprint in self._matrices:
-            return
-        features = line.get("features")
-        self._matrices[fingerprint] = MatrixEntry(
-            fingerprint=fingerprint,
-            name=str(line.get("name", "")),
-            features=(None if features is None
-                      else np.asarray(features, dtype=np.float64)),
-        )
+def _typed(value, kind: type | tuple[type, ...]):
+    """``value`` when it is a ``kind`` (never a JSON boolean), else TypeError."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"expected {kind}, got {value!r}")
+    return value
+
+
+def _number(value) -> float:
+    return float(_typed(value, (int, float)))
+
+
+def _parse_record(line: dict) -> StoredRecord:
+    """The record an index line describes; raises on a missing/ill-typed field."""
+    return StoredRecord(
+        key=_typed(line["key"], str),
+        fingerprint=_typed(line["fingerprint"], str),
+        context=_typed(line.get("context", ""), str),
+        matrix_name=_typed(line["matrix_name"], str),
+        parameters=MCMCParameters(alpha=_number(line["alpha"]),
+                                  eps=_number(line["eps"]),
+                                  delta=_number(line["delta"]),
+                                  solver=_typed(line["solver"], str)),
+        baseline_iterations=_typed(line["baseline_iterations"], int),
+        preconditioned_iterations=tuple(
+            _typed(v, int)
+            for v in _typed(line["preconditioned_iterations"], list)),
+        y_values=tuple(_number(v) for v in _typed(line["y_values"], list)),
+    )
+
+
+def _parse_matrix(line: dict) -> MatrixEntry:
+    """The matrix entry an index line describes; raises when malformed."""
+    features = line.get("features")
+    return MatrixEntry(
+        fingerprint=_typed(line["fingerprint"], str),
+        name=_typed(line.get("name", ""), str),
+        features=(None if features is None else np.asarray(
+            [_number(v) for v in _typed(features, list)], dtype=np.float64)),
+    )

@@ -366,8 +366,7 @@ def _golden_snapshot() -> dict:
     snapshot["queue"] = {"depth": 3, "inflight": 1, "admitted": 7,
                          "max_depth": 256, "closed": False}
     snapshot["artifact_cache"] = {"hits": 5, "misses": 2, "evictions": 0,
-                                  "disk_hits": 0, "builds": 2,
-                                  "hit_rate": 5 / 7}
+                                  "builds": 2, "hit_rate": 5 / 7}
     return snapshot
 
 
@@ -390,8 +389,6 @@ repro_solves_total 6
 repro_weird_name_x_total{path="a\\b\"c\nd"} 1
 # TYPE repro_artifact_cache_builds gauge
 repro_artifact_cache_builds 2
-# TYPE repro_artifact_cache_disk_hits gauge
-repro_artifact_cache_disk_hits 0
 # TYPE repro_artifact_cache_evictions gauge
 repro_artifact_cache_evictions 0
 # TYPE repro_artifact_cache_hit_rate gauge

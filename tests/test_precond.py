@@ -120,7 +120,7 @@ def _assert_apply_is_two_triangular_solves(preconditioner, lower, upper):
     bit for bit: the solve plan prepared once at construction runs the same
     compiled substitution on the same arrays.  Checked on repeated
     applications (which reuse the plan), on a stack of vectors, and after a
-    pickle round trip (the cache's disk spill)."""
+    pickle round trip (the preconditioners stay picklable)."""
     from scipy.sparse.linalg import spsolve_triangular
 
     unit_lower = isinstance(preconditioner, ILU0Preconditioner)

@@ -84,63 +84,6 @@ class TestLRUSemantics:
         assert len(build_count) == 1
 
 
-def _local_function():
-    def local():
-        return None
-
-    return local
-
-
-class TestDiskSpill:
-    def test_disk_backing_survives_new_cache(self, tmp_path):
-        cache = ArtifactCache(max_entries=2, disk_dir=tmp_path)
-        cache.put(("table", "fp", 1.0), np.arange(5.0))
-        fresh = ArtifactCache(max_entries=2, disk_dir=tmp_path)
-        loaded = fresh.get(("table", "fp", 1.0))
-        np.testing.assert_array_equal(loaded, np.arange(5.0))
-        assert fresh.stats.disk_hits == 1
-
-    @pytest.mark.parametrize(
-        "unpicklable", [threading.Lock(), _local_function()],
-        ids=["c_object", "local_function"])
-    def test_unpicklable_value_stays_in_memory(self, tmp_path, caplog,
-                                               unpicklable):
-        cache = ArtifactCache(max_entries=2, disk_dir=tmp_path)
-        with caplog.at_level("WARNING", logger="repro.service.cache"):
-            cache.put("key", unpicklable)
-        assert "could not spill cache entry" in caplog.text
-        assert list(tmp_path.iterdir()) == []  # no .tmp, no .pkl
-        assert cache.get("key") is unpicklable
-
-    def test_triangular_preconditioners_round_trip_through_disk(self,
-                                                                tmp_path):
-        """IC(0) and ILU(0) spill, are evicted, reload, and apply exactly as
-        the originals do."""
-        from repro.matrices import laplacian_2d, pdd_real_sparse
-        from repro.precond import (ILU0Preconditioner,
-                                   IncompleteCholeskyPreconditioner)
-
-        originals = {"ic0": IncompleteCholeskyPreconditioner(laplacian_2d(10)),
-                     "ilu0": ILU0Preconditioner(pdd_real_sparse(81, seed=1))}
-        cache = ArtifactCache(max_entries=1, disk_dir=tmp_path)
-        for key, preconditioner in originals.items():
-            cache.put(key, preconditioner)
-        assert cache.stats.evictions == 1 and "ic0" not in cache
-        vector = np.random.default_rng(0).standard_normal(81)
-        for hits, (key, preconditioner) in enumerate(originals.items(), 1):
-            # each get evicts the other entry, so both reload from disk
-            reloaded = cache.get(key)
-            assert cache.stats.disk_hits == hits
-            assert reloaded is not preconditioner
-            assert np.array_equal(reloaded.apply(vector),
-                                  preconditioner.apply(vector))
-
-    def test_memory_only_cache_has_no_disk(self):
-        cache = ArtifactCache(max_entries=2)
-        cache.put("a", 1)
-        assert cache.get("a") == 1  # nothing to assert on disk; no crash
-
-
 class TestGlobalCache:
     def test_singleton(self):
         assert global_cache() is global_cache()

@@ -22,6 +22,19 @@ def _record(alpha: float = 1.0, *, name: str = "m",
         y_values=list(y_values))
 
 
+_DROP = object()
+
+
+def _record_line(**changes) -> dict:
+    """A well-formed record index line, with fields changed or dropped."""
+    line = {"kind": "record", "key": "k", "fingerprint": "fp9",
+            "context": "", "matrix_name": "m", "alpha": 1.0, "eps": 0.5,
+            "delta": 0.5, "solver": "gmres", "baseline_iterations": 10,
+            "y_values": [0.5], "preconditioned_iterations": [5]}
+    line.update(changes)
+    return {name: value for name, value in line.items() if value is not _DROP}
+
+
 class TestParameterHash:
     def test_distinguishes_parameters(self):
         a = MCMCParameters(alpha=1.0, eps=0.5, delta=0.5)
@@ -71,6 +84,37 @@ class TestRoundTrip:
         assert entry.name == "m"
         np.testing.assert_array_equal(entry.features, np.arange(3.0))
 
+    def test_values_round_trip_exactly_through_a_reopen(self, tmp_path):
+        """Every float bit and every iteration count survives the one file."""
+        rng = np.random.default_rng(3)
+        replications = rng.standard_normal(50) * np.exp2(
+            rng.integers(-1000, 1000, 50))
+        y_vectors = {1.0: [1 / 3, 5e-324, 1e308, -0.0],
+                     2.0: [float(v) for v in replications]}
+        store = ObservationStore(tmp_path)
+        for alpha, y_values in y_vectors.items():
+            with np.errstate(over="ignore"):  # y_std of 1e308 is inf
+                record = PerformanceRecord(
+                    parameters=MCMCParameters(alpha=alpha, eps=0.5,
+                                              delta=0.5),
+                    matrix_name="m", baseline_iterations=np.int64(10),
+                    preconditioned_iterations=[
+                        np.int64(7 + i) for i in range(len(y_values))],
+                    y_values=y_values)
+                store.put_record("fp1", record)
+        reopened = ObservationStore(tmp_path)
+        assert len(reopened) == 2
+        for alpha, y_values in y_vectors.items():
+            loaded = reopened.get_record(
+                "fp1", MCMCParameters(alpha=alpha, eps=0.5, delta=0.5))
+            assert ([v.hex() for v in loaded.y_values]
+                    == [v.hex() for v in y_values])
+            assert loaded.preconditioned_iterations == list(
+                range(7, 7 + len(y_values)))
+            assert all(type(v) is int
+                       for v in loaded.preconditioned_iterations)
+            assert type(loaded.baseline_iterations) is int
+
     def test_observations_for(self, tmp_path):
         store = ObservationStore(tmp_path)
         store.put_record("fp1", _record(1.0))
@@ -114,14 +158,75 @@ class TestCrashSafety:
         reopened = ObservationStore(tmp_path)
         assert len(reopened) == 2
 
-    def test_missing_payload_is_skipped(self, tmp_path):
+    @pytest.mark.parametrize("line", [
+        3,
+        [1, 2],
+        None,
+        {"kind": "record", "key": "k"},
+        {"kind": "matrix"},
+        {"kind": "matrix", "fingerprint": 7},
+        {"kind": "matrix", "fingerprint": "fp9", "features": ["a"]},
+        {"kind": "meta", "generation": "g"},
+        _record_line(y_values="0.5"),
+        _record_line(y_values=[True]),
+        _record_line(alpha="1.0"),
+        _record_line(eps=2.0),
+        _record_line(preconditioned_iterations=[5.5]),
+        _record_line(baseline_iterations=_DROP),
+        _record_line(key=7),
+        _record_line(y_values=_DROP, preconditioned_iterations=_DROP,
+                     payload="k.npz"),
+    ], ids=["int", "list", "null", "record_without_fields",
+            "matrix_without_fingerprint", "matrix_fingerprint_not_str",
+            "matrix_features_not_numbers", "unknown_kind",
+            "y_values_not_a_list", "y_value_boolean", "alpha_string",
+            "eps_out_of_range", "iterations_not_int",
+            "baseline_iterations_missing", "key_not_str",
+            "two_file_layout_record"])
+    def test_malformed_line_is_skipped(self, tmp_path, caplog, line):
         store = ObservationStore(tmp_path)
+        store.put_record("fp1", _record(1.0))
+        with open(tmp_path / "index.jsonl", "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(line) + "\n")
+        store.put_record("fp1", _record(2.0))
+        with caplog.at_level("WARNING", logger="repro.service.store"):
+            reopened = ObservationStore(tmp_path)
+        assert len(reopened) == 2
+        assert reopened.fingerprints() == {"fp1"}
+        assert reopened.matrix_entries() == {}
+        assert "skipped 1 malformed index line(s)" in caplog.text
+
+    def test_well_formed_hand_written_line_is_read(self, tmp_path):
+        """The control for the malformed cases: the unchanged template."""
+        (tmp_path / "index.jsonl").write_text(
+            json.dumps(_record_line()) + "\n", encoding="utf-8")
+        [stored] = ObservationStore(tmp_path)
+        assert (stored.key, stored.y_values) == ("k", (0.5,))
+        assert stored.preconditioned_iterations == (5,)
+
+    def test_two_file_layout_store_is_remeasured_and_left_untouched(
+            self, tmp_path):
+        """A store of the older layout (index line + payload file) opens
+        empty, takes the re-measured record, and keeps its old files."""
         record = _record(1.0)
-        store.put_record("fp1", record)
-        key = store.record_key("fp1", record.parameters, "")
-        (tmp_path / "payloads" / f"{key}.npz").unlink()
+        key = ObservationStore.record_key("fp1", record.parameters, "")
+        payload = tmp_path / "payloads" / f"{key}.npz"
+        payload.parent.mkdir(parents=True)
+        np.savez(payload, y_values=np.asarray(record.y_values),
+                 preconditioned_iterations=np.asarray(
+                     record.preconditioned_iterations))
+        old_line = _record_line(
+            key=key, fingerprint="fp1", y_values=_DROP,
+            preconditioned_iterations=_DROP, payload=payload.name)
+        (tmp_path / "index.jsonl").write_text(json.dumps(old_line) + "\n",
+                                              encoding="utf-8")
+        payload_bytes = payload.read_bytes()
+        store = ObservationStore(tmp_path)
+        assert store.get_record("fp1", record.parameters) is None
+        assert store.put_record("fp1", record) is True
         reopened = ObservationStore(tmp_path)
-        assert len(reopened) == 0
+        assert reopened.get_record("fp1", record.parameters) == record
+        assert payload.read_bytes() == payload_bytes
 
 
 class TestConcurrentWriters:
@@ -245,4 +350,12 @@ class TestIndexFormat:
         assert lines[0]["kind"] == "record"
         assert lines[0]["alpha"] == 1.0
         assert lines[0]["y_mean"] == pytest.approx(0.5)
-        assert (tmp_path / "payloads" / lines[0]["payload"]).exists()
+        assert lines[0]["y_values"] == [0.4, 0.6]
+        assert lines[0]["preconditioned_iterations"] == [4, 6]
+        assert "payload" not in lines[0]
+
+    def test_store_is_one_file(self, tmp_path):
+        store = ObservationStore(tmp_path)
+        store.put_record("fp1", _record(1.0))
+        store.register_matrix("fp1", "m", np.arange(3.0))
+        assert [path.name for path in tmp_path.iterdir()] == ["index.jsonl"]
