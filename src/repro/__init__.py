@@ -11,7 +11,8 @@ contains the full stack needed by the paper:
 * the matrix study set of Table 1 (:mod:`repro.matrices`),
 * a from-scratch autodiff / GNN stack (:mod:`repro.nn`, :mod:`repro.gnn`),
 * the AI-driven tuning framework -- surrogate, Expected Improvement,
-  Bayesian tuning loop, baselines (:mod:`repro.core`),
+  the tuning round of :class:`~repro.core.MCMCTuner`, the grid baseline
+  (:mod:`repro.core`),
 * hyperparameter optimisation (TPE + ASHA, :mod:`repro.hpo`),
 * statistics for the evaluation figures (:mod:`repro.stats`),
 * experiment drivers regenerating every table and figure

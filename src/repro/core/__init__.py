@@ -12,9 +12,10 @@ graph neural networks) into the framework of Sections 3--4:
 * :mod:`repro.core.training`   -- Adam training with the MSE objective (Eq. 2);
 * :mod:`repro.core.acquisition`-- Expected Improvement (Eq. 3);
 * :mod:`repro.core.optimize`   -- L-BFGS-B maximisation of EI with restarts;
-* :mod:`repro.core.tuning_loop`-- the Bayesian tuning loop (Algorithm 1);
-* :mod:`repro.core.baselines`  -- grid and random search baselines;
-* :mod:`repro.core.recommender`-- the high-level :class:`MCMCTuner` facade.
+* :mod:`repro.core.baselines`  -- the grid-search baseline;
+* :mod:`repro.core.recommender`-- the high-level :class:`MCMCTuner` facade,
+  whose ``recommend`` + ``evaluate_candidates(update_model=True)`` is one
+  round of the Bayesian tuning loop (Algorithm 1).
 """
 
 from repro.core.evaluation import (
@@ -35,8 +36,7 @@ from repro.core.surrogate import SurrogateConfig, GraphNeuralSurrogate
 from repro.core.training import TrainingConfig, TrainingHistory, Trainer
 from repro.core.acquisition import ExpectedImprovement, expected_improvement
 from repro.core.optimize import AcquisitionOptimizer, Candidate
-from repro.core.tuning_loop import BayesianTuningLoop, BORoundResult, bo_round
-from repro.core.baselines import grid_search_candidates, random_search_candidates
+from repro.core.baselines import grid_search_candidates
 from repro.core.recommender import MCMCTuner
 
 __all__ = [
@@ -59,10 +59,6 @@ __all__ = [
     "expected_improvement",
     "AcquisitionOptimizer",
     "Candidate",
-    "BayesianTuningLoop",
-    "BORoundResult",
-    "bo_round",
     "grid_search_candidates",
-    "random_search_candidates",
     "MCMCTuner",
 ]

@@ -1,47 +1,30 @@
-"""Search baselines: the coarse grid and uniform random search.
+"""Search baseline: the paper's coarse grid.
 
-These are the "conventional methods" of the paper's comparison: grid search
-over the 4x4x4 parameter grid (64 evaluations per solver) and random search
-with the same budget.  The BO framework is expected to beat them using half
-the budget (32 evaluations).
+Grid search over the 4x4x4 parameter grid (64 evaluations per solver) is the
+"conventional method" of the paper's comparison; the BO framework is expected
+to beat it using half the budget (32 evaluations).  Uniform random search
+with the same budget is :func:`repro.mcmc.parameters.sample_parameters`.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Sequence
 
-from repro.config import default_rng
-from repro.exceptions import ParameterError
 from repro.mcmc.parameters import (
-    DEFAULT_BOUNDS,
+    PAPER_ALPHA_GRID,
+    PAPER_DELTA_GRID,
+    PAPER_EPS_GRID,
     MCMCParameters,
-    ParameterBounds,
     paper_parameter_grid,
 )
 
-__all__ = ["grid_search_candidates", "random_search_candidates"]
+__all__ = ["grid_search_candidates"]
 
 
 def grid_search_candidates(*, solver: str = "gmres",
-                           alphas=None, epss=None, deltas=None
+                           alphas: Sequence[float] = PAPER_ALPHA_GRID,
+                           epss: Sequence[float] = PAPER_EPS_GRID,
+                           deltas: Sequence[float] = PAPER_DELTA_GRID
                            ) -> list[MCMCParameters]:
     """The paper's coarse grid for a single solver (64 points by default)."""
-    kwargs = {}
-    if alphas is not None:
-        kwargs["alphas"] = alphas
-    if epss is not None:
-        kwargs["epss"] = epss
-    if deltas is not None:
-        kwargs["deltas"] = deltas
-    return paper_parameter_grid(solvers=(solver,), **kwargs)
-
-
-def random_search_candidates(n: int, *, solver: str = "gmres",
-                             bounds: ParameterBounds = DEFAULT_BOUNDS,
-                             seed: int | np.random.Generator | None = 0
-                             ) -> list[MCMCParameters]:
-    """Uniform random search over the continuous parameter box."""
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    rng = default_rng(seed)
-    return [bounds.sample(rng).with_solver(solver) for _ in range(n)]
+    return paper_parameter_grid((solver,), alphas=alphas, epss=epss, deltas=deltas)

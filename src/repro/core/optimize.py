@@ -29,7 +29,12 @@ from repro.exceptions import AcquisitionError
 from repro.gnn.graph import GraphBatch, graph_from_matrix
 from repro.logging_utils import get_logger
 from repro.matrices.features import feature_vector
-from repro.mcmc.parameters import DEFAULT_BOUNDS, MCMCParameters, ParameterBounds
+from repro.mcmc.parameters import (
+    DEFAULT_BOUNDS,
+    MCMCParameters,
+    ParameterBounds,
+    sample_parameters,
+)
 
 __all__ = ["Candidate", "AcquisitionOptimizer"]
 
@@ -138,8 +143,8 @@ class AcquisitionOptimizer:
         this, a dataset containing very small ``y`` values from easy matrices
         would drive EI to zero everywhere on a harder unseen matrix.
         """
-        candidates = [self.bounds.sample(self._rng).with_solver(solver)
-                      for _ in range(max(n_probe, 8))]
+        candidates = sample_parameters(max(n_probe, 8), bounds=self.bounds,
+                                       solver=solver, seed=self._rng)
         x_m_raw = np.stack([encode_parameters(p) for p in candidates])
         x_m = self.dataset.standardize_parameters(x_m_raw)
         x_a_tiled = np.repeat(x_a, len(candidates), axis=0)

@@ -43,7 +43,11 @@ from repro.core.training import Trainer, TrainingConfig
 from repro.exceptions import ExperimentError
 from repro.logging_utils import get_logger
 from repro.matrices.registry import get_spec, test_specs
-from repro.mcmc.parameters import DEFAULT_BOUNDS, MCMCParameters
+from repro.mcmc.parameters import (
+    DEFAULT_BOUNDS,
+    MCMCParameters,
+    paper_parameter_grid,
+)
 from repro.service import ladder
 from repro.service.cache import ArtifactCache
 from repro.service.store import ObservationStore
@@ -166,13 +170,8 @@ class ExperimentProfile:
     # -- derived grids ----------------------------------------------------------
     def training_grid(self) -> list[MCMCParameters]:
         """Parameter grid used to build the training dataset."""
-        return grid_search_candidates(solver="gmres", alphas=self.grid_alphas,
-                                      epss=self.grid_epss, deltas=self.grid_deltas) \
-            if self.solvers == ("gmres",) else [
-                p for solver in self.solvers
-                for p in grid_search_candidates(solver=solver, alphas=self.grid_alphas,
-                                                epss=self.grid_epss,
-                                                deltas=self.grid_deltas)]
+        return paper_parameter_grid(self.solvers, alphas=self.grid_alphas,
+                                    epss=self.grid_epss, deltas=self.grid_deltas)
 
     def evaluation_grid(self, solver: str = "gmres") -> list[MCMCParameters]:
         """Reference grid evaluated on the unseen test matrix (64 points in the paper)."""

@@ -165,7 +165,6 @@ class Scheduler:
     def __init__(self, *, policy: PreconditionerPolicy, cache: ArtifactCache,
                  telemetry: MetricsRegistry | None = None,
                  store: ObservationStore | None = None,
-                 record_observations: bool = True,
                  batch_mode: str = "loop",
                  tracer=None,
                  matrix_bank=None,
@@ -175,7 +174,6 @@ class Scheduler:
         self.telemetry = telemetry if telemetry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.store = store
-        self.record_observations = record_observations
         if batch_mode not in BATCH_MODES:
             raise ParameterError(
                 f"unknown batch_mode {batch_mode!r}; "
@@ -488,8 +486,7 @@ class Scheduler:
         once.  ``iterations`` is ``SolveResult.measured_iterations`` — what
         ``MatrixEvaluator`` would have stored for the same solve.
         """
-        if (self.store is None or not self.record_observations
-                or built_family != "mcmc"):
+        if self.store is None or built_family != "mcmc":
             return
         regime = measurement_regime(settings, rhs)
         baseline = self.cache.get_or_build(

@@ -56,6 +56,9 @@ _LOG = get_logger("server")
 class SolveServer:
     """In-process solve service with admission control and batched scheduling.
 
+    Every scheduling round pops everything pending, so same-fingerprint
+    requests admitted together share one round.
+
     Parameters
     ----------
     store:
@@ -65,12 +68,6 @@ class SolveServer:
         Shared artifact cache; the process-wide cache when ``None``.
     max_queue_depth:
         Admission bound of the queue (backpressure threshold).
-    batch_max:
-        Maximum jobs popped per scheduling round (``None`` = everything
-        pending, maximising fingerprint-sharing within a round).
-    record_observations:
-        Whether MCMC solves are persisted into ``store`` as performance
-        records.
     bounds:
         Parameter box for warm-started MCMC parameters.
     background:
@@ -118,8 +115,6 @@ class SolveServer:
     def __init__(self, *, store: ObservationStore | str | None = None,
                  cache: ArtifactCache | None = None,
                  max_queue_depth: int = 256,
-                 batch_max: int | None = None,
-                 record_observations: bool = True,
                  bounds: ParameterBounds = DEFAULT_BOUNDS,
                  background: bool = True,
                  telemetry: MetricsRegistry | None = None,
@@ -153,14 +148,9 @@ class SolveServer:
         self.scheduler = Scheduler(
             policy=self.policy, cache=self.cache,
             telemetry=self.telemetry, store=self.store,
-            record_observations=record_observations,
             batch_mode=batch_mode, tracer=self.tracer,
             matrix_bank=self._matrix_bank,
             shadow_eval=self.learn_enabled)
-        if batch_max is not None and batch_max < 1:
-            raise ParameterError(
-                f"batch_max must be >= 1 (or None), got {batch_max}")
-        self._batch_max = batch_max
         self._background = bool(background)
         self._worker: threading.Thread | None = None
         self._stop = threading.Event()
@@ -270,7 +260,7 @@ class SolveServer:
             return self.queue.drain(timeout=timeout)
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            batch = self.queue.pop_batch(self._batch_max)
+            batch = self.queue.pop_batch()
             if batch:
                 self._execute(batch)
                 continue
@@ -439,7 +429,7 @@ class SolveServer:
 
     def _worker_loop(self) -> None:
         while not self._stop.is_set():
-            batch = self.queue.pop_batch(self._batch_max, timeout=0.05)
+            batch = self.queue.pop_batch(timeout=0.05)
             if batch:
                 self._execute(batch)
             elif self.queue.closed and self.queue.idle():

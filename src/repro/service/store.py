@@ -14,10 +14,12 @@ Layout (one directory per store, one file in it)::
       index.jsonl   # one JSON object per line: records + matrix entries
 
 A record line carries the whole measurement inline — its ``y_values`` and
-``preconditioned_iterations`` beside the key fields and the ``y_mean`` /
-``y_std`` summary — so the index is the store.  Lines are written with
-:func:`json.dumps` defaults, which print every ``float`` through ``repr``:
-a reopened store holds the same float bits that were put.
+``preconditioned_iterations`` beside the key fields — so the index is the
+store.  Lines are written with :func:`json.dumps` defaults, which print
+every ``float`` through ``repr``: a reopened store holds the same float bits
+that were put.  No summary derived from ``y_values`` is written: a sample
+standard deviation can overflow to ``inf``, which :func:`json.dumps` prints
+as the bare token ``Infinity`` that strict JSON readers reject.
 
 Durability model
 ----------------
@@ -212,8 +214,6 @@ class ObservationStore:
                 "solver": record.parameters.solver,
                 "param_hash": parameter_hash(record.parameters),
                 "baseline_iterations": stored.baseline_iterations,
-                "y_mean": record.y_mean,
-                "y_std": record.y_std,
                 "y_values": list(stored.y_values),
                 "preconditioned_iterations": list(
                     stored.preconditioned_iterations),

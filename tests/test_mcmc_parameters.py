@@ -139,6 +139,17 @@ class TestGridAndSampling:
         with pytest.raises(ParameterError):
             sample_parameters(-1)
 
+    def test_sample_parameters_within_bounds(self):
+        samples = sample_parameters(10, seed=0)
+        assert len(samples) == 10
+        assert all(DEFAULT_BOUNDS.contains(p) for p in samples)
+
+    def test_sample_parameters_same_seed_same_draws(self):
+        assert sample_parameters(5, seed=3) == sample_parameters(5, seed=3)
+
+    def test_sample_parameters_zero_is_empty(self):
+        assert sample_parameters(0) == []
+
 
 @settings(max_examples=40, deadline=None)
 @given(eps=st.floats(min_value=0.01, max_value=1.0),

@@ -58,6 +58,41 @@ def test_one_acquisition_call(trees):
     assert len(found) == 1 and found[0].startswith("service/ladder.py:"), found
 
 
+def _names(node: ast.AST, name: str) -> bool:
+    """``node`` is the variable ``name`` or an attribute ``<...>.name``."""
+    return ((isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name))
+
+
+def test_one_tuning_round(trees):
+    """A tuning round grows a dataset in ``MCMCTuner.evaluate_candidates``;
+    the figures' pipeline runs its own round."""
+    def is_dataset_extend(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "extend"
+                and _names(node.func.value, "dataset"))
+
+    found = _where(trees, is_dataset_extend)
+    assert sorted(place.split(":")[0] for place in found) == [
+        "core/recommender.py", "experiments/pipeline.py"], found
+
+
+def test_one_uniform_parameter_draw(trees):
+    """Uniform parameter vectors are drawn by ``sample_parameters`` only."""
+    def is_sampling_comprehension(node: ast.AST) -> bool:
+        return (isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp,
+                                  ast.DictComp))
+                and any(isinstance(inner, ast.Call)
+                        and isinstance(inner.func, ast.Attribute)
+                        and inner.func.attr == "sample"
+                        and _names(inner.func.value, "bounds")
+                        for inner in ast.walk(node)))
+
+    found = _where(trees, is_sampling_comprehension)
+    assert len(found) == 1 and found[0].startswith("mcmc/parameters.py:"), found
+
+
 def test_one_label_codec(trees):
     """One escape / unescape pair and one label regex, in ``obs/metrics.py``."""
     def is_label_regex(node: ast.AST) -> bool:

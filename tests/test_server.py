@@ -427,12 +427,6 @@ class TestBackpressureAndFailures:
 
 
 class TestReviewRegressions:
-    def test_invalid_batch_max_rejected(self):
-        from repro.exceptions import ParameterError
-
-        with pytest.raises(ParameterError):
-            SolveServer(batch_max=0)
-
     def test_scheduler_crash_fails_jobs_instead_of_none_result(
             self, dominant_matrix, monkeypatch):
         server = _server()

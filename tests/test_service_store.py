@@ -349,10 +349,25 @@ class TestIndexFormat:
                  in (tmp_path / "index.jsonl").read_text().splitlines()]
         assert lines[0]["kind"] == "record"
         assert lines[0]["alpha"] == 1.0
-        assert lines[0]["y_mean"] == pytest.approx(0.5)
         assert lines[0]["y_values"] == [0.4, 0.6]
         assert lines[0]["preconditioned_iterations"] == [4, 6]
         assert "payload" not in lines[0]
+
+    def test_index_is_strict_json_when_the_spread_overflows(self, tmp_path):
+        """Finite ``y_values`` whose standard deviation overflows to ``inf``
+        still give lines a strict reader (no ``Infinity`` / ``NaN``) accepts."""
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        store = ObservationStore(tmp_path)
+        store.put_record("fp1", PerformanceRecord(
+            parameters=MCMCParameters(alpha=1.0, eps=0.5, delta=0.5),
+            matrix_name="m", baseline_iterations=10,
+            preconditioned_iterations=[5, 5], y_values=[1e308, -1e308]))
+        lines = (tmp_path / "index.jsonl").read_text().splitlines()
+        assert lines
+        for line in lines:
+            json.loads(line, parse_constant=reject)
 
     def test_store_is_one_file(self, tmp_path):
         store = ObservationStore(tmp_path)
