@@ -9,7 +9,7 @@ from repro.core.baselines import grid_search_candidates
 from repro.core.evaluation import SolverSettings
 from repro.core.recommender import MCMCTuner
 from repro.core.training import TrainingConfig
-from repro.exceptions import SurrogateError
+from repro.exceptions import AcquisitionError, SurrogateError
 from repro.mcmc.parameters import MCMCParameters
 
 
@@ -93,6 +93,44 @@ class TestMCMCTuner:
                 assert parameter.grad is None
             else:
                 np.testing.assert_array_equal(parameter.grad, grad)
+        for name, values in tuner.model.state_dict().items():
+            np.testing.assert_array_equal(values, weights[name])
+
+    def test_recommend_invalid_candidate_count(self, tiny_observations,
+                                               tiny_matrices, small_spd,
+                                               tiny_surrogate_config):
+        tuner = MCMCTuner.from_observations(
+            list(tiny_observations), dict(tiny_matrices),
+            surrogate_config=tiny_surrogate_config,
+            training_config=TrainingConfig(epochs=1, batch_size=8, patience=5,
+                                           learning_rate=5e-3, seed=0))
+        tuner.fit()
+        with pytest.raises(AcquisitionError):
+            tuner.recommend(small_spd, "laplace_tiny", n_candidates=0)
+
+    def test_evaluate_without_update_leaves_dataset_and_model(
+            self, tiny_observations, tiny_matrices, small_spd,
+            tiny_surrogate_config):
+        """``update_model=False`` only measures: the dataset, the matrix map
+        and the trained surrogate are left as they were."""
+        tuner = MCMCTuner.from_observations(
+            list(tiny_observations), dict(tiny_matrices),
+            surrogate_config=tiny_surrogate_config,
+            training_config=TrainingConfig(epochs=2, batch_size=8, patience=5,
+                                           learning_rate=5e-3, seed=0),
+            solver_settings=SolverSettings(maxiter=200))
+        history = tuner.fit()
+        weights = tuner.model.state_dict()
+        before = len(tuner.dataset)
+        parameters = [MCMCParameters(alpha=1.0, eps=0.5, delta=0.5)]
+        records = tuner.evaluate_candidates(small_spd, "laplace_fresh",
+                                            parameters, n_replications=1)
+        assert len(records) == 1
+        assert records[0].parameters == parameters[0]
+        assert len(tuner.dataset) == before
+        assert "laplace_fresh" not in tuner.dataset.graphs
+        assert "laplace_fresh" not in tuner.matrices
+        assert tuner.history is history
         for name, values in tuner.model.state_dict().items():
             np.testing.assert_array_equal(values, weights[name])
 

@@ -427,6 +427,11 @@ class TestBackpressureAndFailures:
 
 
 class TestReviewRegressions:
+    def test_invalid_max_queue_depth_rejected(self):
+        with pytest.raises(AdmissionError) as excinfo:
+            SolveServer(max_queue_depth=0, background=False)
+        assert excinfo.value.reason == "invalid"
+
     def test_scheduler_crash_fails_jobs_instead_of_none_result(
             self, dominant_matrix, monkeypatch):
         server = _server()
