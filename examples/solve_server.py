@@ -8,12 +8,7 @@ Walks the serving layer's full loop:
    preconditioner build and one multi-rhs solve,
 3. print each response with its policy provenance, then the telemetry
    snapshot (counters, latency histogram, cache statistics),
-4. show block CG batching: a ``batch_mode="block"`` server serves a
-   same-matrix CG batch through one shared subspace
-   (:mod:`repro.krylov.block`) and reports far fewer matrix--vector
-   products than per-column serving — the same switch the CLI exposes as
-   ``repro-serve <matrix> --repeat 8 --rhs random --batch-mode block``,
-5. show backpressure: a queue bounded at depth 2 rejects the third submit
+4. show backpressure: a queue bounded at depth 2 rejects the third submit
    with an explicit reason instead of buffering unboundedly.
 
 Run with ``PYTHONPATH=src python examples/solve_server.py``.
@@ -67,34 +62,6 @@ def main() -> None:
 
     print("\n== telemetry ==")
     print(json.dumps(server.telemetry_snapshot(), indent=2))
-
-    print("\n== block CG batching (--batch-mode block) ==")
-    # A same-matrix batch served with batch_mode="block" shares ONE Krylov
-    # subspace across every right-hand side instead of solving per column.
-    laplace = laplacian_2d(16)
-    matvec_totals = {}
-    for mode in ("loop", "block"):
-        batched = SolveServer(cache=ArtifactCache(max_entries=16),
-                              background=False, batch_mode=mode)
-        mode_jobs = batched.submit_many([
-            SolveRequest(matrix=laplace,
-                         rhs=rng.standard_normal(laplace.shape[0]),
-                         solver="cg", preconditioner="none",
-                         tag=f"{mode}/{index}")
-            for index in range(6)])
-        batched.drain()
-        assert all(job.result().converged for job in mode_jobs)
-        matvec_totals[mode] = batched.telemetry.counter(
-            "solve.matvecs_total").value
-        sample = mode_jobs[0].result()
-        print(f"mode={mode:5s} batch_mode={sample.batch_mode:5s} "
-              f"total matvecs={matvec_totals[mode]:4d} "
-              f"(deflated columns: "
-              f"{batched.telemetry.counter('solve.deflated_columns').value})")
-        batched.shutdown()
-    print(f"block mode saved "
-          f"{matvec_totals['loop'] - matvec_totals['block']} matvecs "
-          f"({matvec_totals['block'] / matvec_totals['loop']:.2f}x of loop)")
 
     print("\n== backpressure ==")
     tiny = SolveServer(cache=cache, max_queue_depth=2, background=False)

@@ -86,15 +86,10 @@ class SolveRequestV1:
         :mod:`repro.server.scheduler`.
     tag:
         Free-form caller label echoed on the response.
-    batch_mode:
-        How a same-fingerprint batch containing this request may be
-        executed: ``"loop"`` (bit-identical per-column solves),
-        ``"block"`` (a CG batch shares one block CG subspace,
-        tolerance-identical answers; other solvers keep the loop) or
-        ``"auto"``; ``None`` defers to the server's configured default.
-        Introduced after the v1 freeze as an *optional* field: messages
-        without it (older clients) parse unchanged and mean "server
-        default".
+
+    A v1 payload that still carries the retired ``batch_mode`` key parses
+    (unknown keys are ignored) and is served like any other request: every
+    same-matrix batch is one solve per right-hand side.
     """
 
     matrix: sp.spmatrix | str
@@ -106,7 +101,6 @@ class SolveRequestV1:
     priority: int = 0
     seed: int = 0
     tag: str = ""
-    batch_mode: str | None = None
 
     def validate(self) -> "SolveRequestV1":
         """Run the admission-boundary validation; returns ``self``."""
@@ -130,8 +124,6 @@ class SolveRequestV1:
             "priority": int(self.priority),
             "seed": int(self.seed),
             "tag": str(self.tag),
-            "batch_mode": (None if self.batch_mode is None
-                           else str(self.batch_mode)),
         })
         return payload
 
@@ -165,7 +157,6 @@ class SolveRequestV1:
             seed = int(payload.get("seed", 0))
         except (TypeError, ValueError) as error:
             raise SchemaError(f"request scalar field malformed: {error}")
-        batch_mode = payload.get("batch_mode")
         return cls(
             matrix=matrix,
             rhs=rhs,
@@ -177,7 +168,6 @@ class SolveRequestV1:
             priority=priority,
             seed=seed,
             tag=str(payload.get("tag", "")),
-            batch_mode=None if batch_mode is None else str(batch_mode),
         )
 
 
@@ -248,14 +238,6 @@ def validate_request(request: SolveRequestV1) -> None:
             raise invalid(
                 f"unknown preconditioner family {request.preconditioner!r}; "
                 f"expected one of {families}")
-    if request.batch_mode is not None:
-        from repro.krylov.solve import BATCH_MODES
-
-        if str(request.batch_mode).strip().lower() not in BATCH_MODES:
-            raise invalid(
-                f"unknown batch_mode {request.batch_mode!r}; "
-                f"expected one of {BATCH_MODES} (or null for the server "
-                f"default)")
     if not isinstance(request.rtol, numbers.Real):
         raise invalid(f"rtol must be a real number, got {request.rtol!r}")
     if not 0.0 < request.rtol < 1.0:
@@ -376,15 +358,14 @@ def _nan_if_none(value) -> float:
 class SolveResponseV1:
     """What the server returns for one request.
 
-    ``batch_mode`` is *provenance*: the execution mode the scheduler
-    actually used for this request's group (``"loop"`` or ``"block"``),
-    whatever was requested.  Payloads from servers predating the field
-    parse with the historical behaviour, ``"loop"``.
+    ``batch_mode`` is always ``"loop"``: every request of a same-matrix
+    batch is its own single-rhs solve.  The field stays on the wire for
+    clients that read it; payloads without it parse as ``"loop"`` too.
 
     ``trace_id`` is optional observability metadata: the id of the request's
     trace when the server ran with tracing enabled (also carried by the
     ``X-Repro-Trace-Id`` response header over HTTP), ``None`` otherwise.
-    Like ``batch_mode`` it is a post-freeze optional field — messages
+    It is a post-freeze optional field — messages
     without it parse unchanged.
 
     ``termination`` (``converged`` / ``maxiter`` / ``breakdown`` /

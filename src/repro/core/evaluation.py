@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 import scipy.sparse as sp
 
-from repro.config import default_rng
 from repro.exceptions import ParameterError
 from repro.krylov import solve
 from repro.logging_utils import get_logger

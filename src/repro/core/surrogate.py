@@ -17,7 +17,7 @@ the paper's hyperparameter optimisation (256 / 64 / 3x16 / 2x128).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

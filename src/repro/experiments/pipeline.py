@@ -29,7 +29,7 @@ import scipy.sparse as sp
 
 from repro.config import active_profile
 from repro.core.baselines import grid_search_candidates
-from repro.core.dataset import SurrogateDataset, encode_parameters
+from repro.core.dataset import SurrogateDataset
 from repro.core.evaluation import (
     LabelledObservation,
     MatrixEvaluator,
@@ -42,7 +42,7 @@ from repro.core.surrogate import GraphNeuralSurrogate, SurrogateConfig
 from repro.core.training import Trainer, TrainingConfig
 from repro.exceptions import ExperimentError
 from repro.logging_utils import get_logger
-from repro.matrices.registry import get_spec, test_specs
+from repro.matrices.registry import get_spec
 from repro.mcmc.parameters import (
     DEFAULT_BOUNDS,
     MCMCParameters,

@@ -66,11 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--store", default=None,
                         help="observation-store directory passed to every "
                              "replica (default: none)")
-    parser.add_argument("--batch-mode", default="loop",
-                        choices=("loop", "block", "auto"),
-                        help="multi-rhs batch mode passed to every replica; "
-                             "'block' and 'auto' change only CG batches, "
-                             "which block CG serves (default: loop)")
     parser.add_argument("--trace-dir", default=None, metavar="DIR",
                         help="enable tracing on every replica; replica i "
                              "writes to DIR/replica-<i>/ (default: off)")
@@ -81,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _replica_args(args: argparse.Namespace, index: int) -> tuple[str, ...]:
     """The extra ``repro-serve`` flags of replica ``index``."""
-    extra: list[str] = ["--batch-mode", args.batch_mode]
+    extra: list[str] = []
     if args.store is not None:
         extra += ["--store", args.store]
     if args.trace_dir is not None:

@@ -81,7 +81,7 @@ class SubprocessReplica:
         Bind address of the worker.
     extra_args:
         Additional ``repro-serve`` flags (``--store``, ``--trace-dir``,
-        ``--batch-mode``, ...).
+        ...).
     startup_timeout:
         Seconds to wait for the announcement line before declaring the
         launch failed.

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.config import default_rng
 from repro.exceptions import SearchSpaceError
-from repro.hpo.space import Choice, IntUniform, SearchSpace
+from repro.hpo.space import IntUniform, SearchSpace
 
 __all__ = ["TPESampler", "tpe_search"]
 

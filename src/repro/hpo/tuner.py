@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
 from repro.core.dataset import SurrogateDataset
 from repro.core.surrogate import GraphNeuralSurrogate, SurrogateConfig
 from repro.core.training import Trainer, TrainingConfig

@@ -15,30 +15,17 @@ Public surface
   counts, residual history, and what the exit measured: ``true_residual``,
   ``termination`` (one of :data:`TERMINATIONS`), ``measured_iterations``.
 * :func:`gmres`, :func:`bicgstab`, :func:`cg` -- the individual solvers.
-* :func:`block_cg` -- block CG, the multi-rhs SPD solver sharing one
-  subspace across a right-hand-side block (with deflation).
 * :func:`solve` -- dispatch by solver name (the categorical part of ``x_M``).
-* :func:`solve_many` -- multi-rhs dispatch with ``mode="loop"|"block"|"auto"``.
+* :func:`solve_many` -- multi-rhs dispatch: one :func:`solve` per column,
+  bit-identical to solving the columns one by one.
 """
 
 from repro.krylov.base import (TERMINATIONS, SolveResult,
                                as_preconditioner_function)
 from repro.krylov.gmres import gmres
 from repro.krylov.bicgstab import bicgstab
-from repro.krylov.block import (
-    BLOCK_SOLVERS,
-    BlockInfo,
-    block_cg,
-    block_summary,
-    total_matvecs,
-)
 from repro.krylov.cg import cg
-from repro.krylov.solve import (
-    BATCH_MODES,
-    KNOWN_SOLVERS,
-    solve,
-    solve_many,
-)
+from repro.krylov.solve import KNOWN_SOLVERS, solve, solve_many
 
 __all__ = [
     "SolveResult",
@@ -47,12 +34,6 @@ __all__ = [
     "gmres",
     "bicgstab",
     "cg",
-    "block_cg",
-    "block_summary",
-    "total_matvecs",
-    "BlockInfo",
-    "BLOCK_SOLVERS",
-    "BATCH_MODES",
     "solve",
     "solve_many",
     "KNOWN_SOLVERS",

@@ -3,11 +3,11 @@
 Every solver accepts the preconditioner in any of three forms (``None``, an
 explicit sparse matrix, or a :class:`~repro.precond.base.Preconditioner`)
 which :func:`as_preconditioner_function` normalises to a plain callable, and
-every solver — single-rhs and block — runs inside one :class:`SolveRun`:
-construction validates the system and binds the timed, self-counting
-operators; :meth:`SolveRun.finish` is the only place a :class:`SolveResult`
-is built, so the true residual, the termination reason, the matvec count and
-the phase timings are each measured in exactly one place.
+every solver runs inside one :class:`SolveRun`: construction validates the
+system and binds the timed, self-counting operators; :meth:`SolveRun.finish`
+is the only place a :class:`SolveResult` is built, so the true residual, the
+termination reason, the matvec count and the phase timings are each
+measured in exactly one place.
 """
 
 from __future__ import annotations
@@ -24,49 +24,16 @@ from repro.obs.phases import (PHASE_MATVEC, PHASE_PRECOND, finish_solve_phases,
 from repro.precond.base import Preconditioner
 from repro.sparse.csr import ensure_csr, validate_square
 
-__all__ = ["TERMINATIONS", "BlockInfo", "SolveResult", "SolveRun",
+__all__ = ["TERMINATIONS", "SolveResult", "SolveRun",
            "as_preconditioner_function", "prepare_system"]
 
 #: Why a solve stopped (:attr:`SolveResult.termination`).  ``converged``: the
 #: solver's own stopping rule was met.  ``maxiter``: the budget ran out first.
 #: ``breakdown``: the recurrence hit a division it cannot perform (``rho == 0``
-#: in BiCGStab, ``(p, A p) == 0`` in CG, ``M b == 0`` with ``b != 0`` in GMRES,
-#: rank collapse of a block).  ``non_finite``: NaN or infinity reached the
-#: iterate or the recurrence (e.g. a preconditioner returning NaN).
+#: in BiCGStab, ``(p, A p) == 0`` in CG, ``M b == 0`` with ``b != 0`` in GMRES).
+#: ``non_finite``: NaN or infinity reached the iterate or the recurrence (e.g.
+#: a preconditioner returning NaN).
 TERMINATIONS = ("converged", "maxiter", "breakdown", "non_finite")
-
-
-@dataclass(frozen=True)
-class BlockInfo:
-    """Shared accounting of one block solve (attached to every column).
-
-    Attributes
-    ----------
-    solver:
-        ``"cg"`` (block CG is the only block solver).
-    k:
-        Number of right-hand-side columns the block solve handled.
-    block_iterations:
-        Block CG steps taken (those of the longest-running column).
-    matvecs:
-        Total applications of ``A`` across the whole block — the quantity
-        block methods reduce versus ``k`` independent solves.
-    deflated_columns:
-        Columns retired from the active block *early*, while other columns
-        kept iterating (converged-column deflation).
-    breakdown:
-        True when the block recursion broke down (rank collapse of a
-        block Gram matrix) and left columns unconverged;
-        ``solve_many(mode="auto")`` falls back to the loop path in that
-        case.
-    """
-
-    solver: str
-    k: int
-    block_iterations: int
-    matvecs: int
-    deflated_columns: int
-    breakdown: bool
 
 
 @dataclass
@@ -101,25 +68,13 @@ class SolveResult:
         The resolved iteration budget the solve ran under.
     matvecs:
         Number of applications of ``A`` this solve performed, the exit's
-        product included.  ``None`` for the columns of a block solve, where
-        the applications are *shared*: the block-level total lives in
-        :attr:`block_info` (:func:`repro.krylov.block.total_matvecs` sums
-        either form correctly).  One deliberate exception: when
-        ``solve_many`` abandons a broken-down block attempt under
-        ``mode="auto"``, the attempt's applications are charged to the first
-        column of the loop re-solve, so the *batch* total stays an honest
-        count of work performed.
-    block_info:
-        :class:`BlockInfo` of the block solve that produced this column
-        (shared by every column of the block), or ``None`` for a standalone
-        single-rhs solve.
+        product included.
     phase_timings:
         ``{phase: seconds}`` wall-time split of this solve (``matvec``,
         ``precond_apply``, and — for GMRES — ``orthogonalization`` and
         ``lsq``, its least-squares update), populated only while a
         :func:`repro.obs.phases.record_phases` context is active; ``None``
-        otherwise.  For block solves the dict is shared by every column of
-        the block, mirroring how the work itself is shared.
+        otherwise.
     """
 
     solution: np.ndarray
@@ -130,8 +85,7 @@ class SolveResult:
     termination: str
     true_residual: float
     maxiter: int
-    matvecs: int | None = None
-    block_info: BlockInfo | None = None
+    matvecs: int
     phase_timings: dict[str, float] | None = None
 
     @property
@@ -205,16 +159,15 @@ def prepare_system(matrix, rhs, x0
 class SolveRun:
     """One Krylov solve from validated entry to its single exit.
 
-    Construction runs ``prepare`` (:func:`prepare_system`, or the block
-    solvers' counterpart), resolves budget and tolerance and binds the
-    phase-timed ``apply_m``; ``apply_a`` is phase-timed too and counts its
-    own applications (an ``(n, w)`` block product counts ``w``).
+    Construction runs :func:`prepare_system`, resolves budget and tolerance
+    and binds the phase-timed ``apply_m``; ``apply_a`` is phase-timed too and
+    counts its own applications.
     """
 
     def __init__(self, solver: str, matrix, rhs, x0, maxiter, rtol,
-                 preconditioner, prepare=prepare_system) -> None:
+                 preconditioner) -> None:
         self.solver = solver
-        self.a, self.b, self.x = prepare(matrix, rhs, x0)
+        self.a, self.b, self.x = prepare_system(matrix, rhs, x0)
         self.n = n = self.a.shape[0]
         if maxiter is None:
             maxiter = min(max(10 * n, 100), 5000)
@@ -233,52 +186,36 @@ class SolveRun:
 
     def apply_a(self, v: np.ndarray) -> np.ndarray:
         # (a method, not a stored closure: the run must not refer to itself)
-        self.matvecs += 1 if v.ndim == 1 else v.shape[1]
+        self.matvecs += 1
         return self._product(v)
 
     def finish(self, x, *, converged, iterations, history, breakdown=False,
-               residual=None, block_iterations=0, deflated=0):
-        """The only exit: one :class:`SolveResult`, or one per block column.
+               residual=None) -> SolveResult:
+        """The only exit: the :class:`SolveResult` of the final iterate ``x``.
 
-        ``x`` is the final iterate: a vector with scalar ``converged`` /
-        ``iterations`` / ``breakdown`` and one ``history`` list, or an
-        ``(n, k)`` block with one entry of each per column (which then share
-        one :class:`BlockInfo`).  ``residual`` is ``b - A x`` where the solver
-        already holds it; otherwise it costs one more *counted* product.  A
-        solver reports what its recurrence saw; the reason is classified here.
+        ``residual`` is ``b - A x`` where the solver already holds it;
+        otherwise it costs one more *counted* product.  A solver reports what
+        its recurrence saw; the reason is classified here.
         """
         if residual is None:
             residual = self.b - self.apply_a(x)
-        single = x.ndim == 1
-        if single:
-            converged, iterations, history, breakdown = (
-                [converged], [iterations], [history], [breakdown])
+        # (n, 1) norms along axis 0, not a 1-D norm: the 1-D reduction can
+        # differ in the last bit, and ``true_residual`` is pinned bitwise.
         b_norms = np.linalg.norm(self.b.reshape(self.n, -1), axis=0)
         true = np.divide(np.linalg.norm(residual.reshape(self.n, -1), axis=0),
                          b_norms, out=np.zeros_like(b_norms),
-                         where=b_norms > 0.0)
-        info = None if single else BlockInfo(
-            solver=self.solver, k=len(history),
-            block_iterations=int(block_iterations), matvecs=self.matvecs,
-            deflated_columns=int(deflated),
-            breakdown=any(b and not c for b, c in zip(breakdown, converged)))
-        finite = np.isfinite(true) & np.isfinite([h[-1] for h in history])
-        phase_timings = finish_solve_phases(self.timings)
-        results = [
-            SolveResult(
-                solution=x if single else x[:, j].copy(),
-                converged=bool(converged[j]),
-                iterations=int(iterations[j]),
-                residual_norms=[float(value) for value in history[j]],
-                solver=self.solver,
-                termination=("converged" if converged[j]
-                             else "non_finite" if not finite[j]
-                             else "breakdown" if breakdown[j] else "maxiter"),
-                true_residual=float(true[j]),
-                maxiter=self.maxiter,
-                matvecs=self.matvecs if single else None,
-                block_info=info,
-                # Shared by every column, like the block work itself.
-                phase_timings=phase_timings)
-            for j in range(len(history))]
-        return results[0] if single else results
+                         where=b_norms > 0.0)[0]
+        finite = np.isfinite(true) and np.isfinite(history[-1])
+        return SolveResult(
+            solution=x,
+            converged=bool(converged),
+            iterations=int(iterations),
+            residual_norms=[float(value) for value in history],
+            solver=self.solver,
+            termination=("converged" if converged
+                         else "non_finite" if not finite
+                         else "breakdown" if breakdown else "maxiter"),
+            true_residual=float(true),
+            maxiter=self.maxiter,
+            matvecs=self.matvecs,
+            phase_timings=finish_solve_phases(self.timings))

@@ -2,7 +2,8 @@
 
 The categorical part of the MCMC parameter vector selects the Krylov solver;
 this module maps the solver name to the implementation, for one right-hand
-side (:func:`solve`) or a block of them (:func:`solve_many`).
+side (:func:`solve`) or a block of them (:func:`solve_many`, one solve per
+column).
 """
 
 from __future__ import annotations
@@ -12,25 +13,16 @@ import numpy as np
 from repro.exceptions import ParameterError
 from repro.krylov.base import SolveResult
 from repro.krylov.bicgstab import bicgstab
-from repro.krylov.block import BLOCK_SOLVERS, block_cg, block_summary
 from repro.krylov.cg import cg
 from repro.krylov.gmres import gmres
 
-__all__ = ["solve", "solve_many", "KNOWN_SOLVERS", "BATCH_MODES"]
+__all__ = ["solve", "solve_many", "KNOWN_SOLVERS"]
 
 #: Mapping from solver name to implementation.
 KNOWN_SOLVERS = {
     "gmres": gmres,
     "bicgstab": bicgstab,
     "cg": cg,
-}
-
-#: Valid ``mode`` values of :func:`solve_many`.
-BATCH_MODES = ("loop", "block", "auto")
-
-#: Mapping from solver name to block implementation.
-_BLOCK_IMPLEMENTATIONS = {
-    "cg": block_cg,
 }
 
 
@@ -98,24 +90,10 @@ def solve_many(matrix, rhs_block, *, solver: str = "gmres", preconditioner=None,
     """Solve ``A X = B`` for every column of a multi-rhs block.
 
     The solve-server scheduler batches concurrent requests over the same
-    matrix into one call here.  Two execution contracts, selected by
-    ``mode``:
-
-    * ``"loop"`` (default) — each column is solved with exactly the same
-      arithmetic as a standalone :func:`solve`; results are **bit-identical**
-      to ``k`` independent single-rhs calls, which is what makes batched
-      serving indistinguishable from synchronous serving.
-    * ``"block"`` — one shared Krylov subspace for the whole block
-      (:func:`~repro.krylov.block.block_cg`): fewer total applications of
-      ``A`` and less wall time, answers agreeing with the loop path to the
-      solve tolerance but *not* bit for bit.  Only ``cg`` has a block
-      implementation; requesting block mode for ``gmres`` or ``bicgstab``
-      raises :class:`ParameterError`.  A one-column block takes the loop
-      path and matches :func:`solve` exactly.
-    * ``"auto"`` — block when the block has ``k >= 2`` columns and the
-      solver supports it, loop otherwise (so GMRES and BiCGStab are served
-      bit-identically by the loop); falls back to the loop path when the
-      block recursion breaks down.
+    matrix into one call here.  Each column is solved with exactly the same
+    arithmetic as a standalone :func:`solve`, so the results are
+    **bit-identical** to ``k`` independent single-rhs calls — which is what
+    makes batched serving indistinguishable from synchronous serving.
 
     Malformed blocks (empty, ragged column lengths, wrong dimensionality)
     are rejected here with a typed :class:`ParameterError` — direct callers
@@ -130,54 +108,17 @@ def solve_many(matrix, rhs_block, *, solver: str = "gmres", preconditioner=None,
     x0:
         Optional initial guess shared by every column (``None`` -> zeros).
     mode:
-        ``"loop"``, ``"block"`` or ``"auto"`` (see above).
+        ``"loop"``, the only execution mode (kept for callers that name it).
 
     Returns
     -------
     list[SolveResult]
-        One result per column, in column order.  Block-mode results carry a
-        shared :class:`~repro.krylov.block.BlockInfo` in ``block_info``.
+        One result per column, in column order.
     """
-    mode_key = str(mode).strip().lower()
-    if mode_key not in BATCH_MODES:
+    if mode != "loop":
         raise ParameterError(
-            f"unknown solve_many mode {mode!r}; expected one of {BATCH_MODES}")
-    solver_key = str(solver).strip().lower()
-    if solver_key not in KNOWN_SOLVERS:
-        raise ParameterError(
-            f"unknown solver {solver!r}; expected one of {sorted(KNOWN_SOLVERS)}")
-    if mode_key == "block" and solver_key not in BLOCK_SOLVERS:
-        raise ParameterError(
-            f"solver {solver!r} has no block implementation; "
-            f"block mode supports {BLOCK_SOLVERS}")
-    columns = _normalise_rhs_block(rhs_block)
-
-    def solve_loop() -> list[SolveResult]:
-        return [solve(matrix, column, solver=solver_key,
-                      preconditioner=preconditioner, x0=x0, rtol=rtol,
-                      maxiter=maxiter, **solver_options)
-                for column in columns]
-
-    use_block = (len(columns) >= 2 and solver_key in BLOCK_SOLVERS
-                 and mode_key in ("block", "auto"))
-    if not use_block:
-        return solve_loop()
-
-    if isinstance(rhs_block, np.ndarray) and rhs_block.ndim == 2:
-        block = rhs_block  # already the validated (n, k) layout; no copy
-    else:
-        block = np.column_stack([np.asarray(column, dtype=np.float64).ravel()
-                                 for column in columns])
-    implementation = _BLOCK_IMPLEMENTATIONS[solver_key]
-    results = implementation(matrix, block, preconditioner=preconditioner,
-                             x0=x0, rtol=rtol, maxiter=maxiter,
-                             **solver_options)
-    summary = block_summary(results)
-    if mode_key == "auto" and summary.breakdown:
-        # Block breakdown under auto mode: serve the batch with the safe,
-        # bit-identical loop path instead of surfacing partial answers.  The
-        # abandoned attempt's A-applications were really paid; charge them to
-        # the batch so matvec accounting stays honest.
-        results = solve_loop()
-        results[0].matvecs += summary.matvecs
-    return results
+            f"unknown solve_many mode {mode!r}; the loop is the only mode")
+    return [solve(matrix, column, solver=solver,
+                  preconditioner=preconditioner, x0=x0, rtol=rtol,
+                  maxiter=maxiter, **solver_options)
+            for column in _normalise_rhs_block(rhs_block)]

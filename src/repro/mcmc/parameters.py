@@ -18,7 +18,7 @@ optimiser, plus the array <-> dataclass conversions the surrogate needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np

@@ -8,7 +8,7 @@ Installed as a console script by ``setup.py``.  Two modes:
 
       repro-serve 2DFDLaplace_16 --repeat 3 --json out.json
       repro-serve a00512 --solver gmres --preconditioner ilu0 --rhs random
-      repro-serve 2DFDLaplace_16 --repeat 8 --rhs random --batch-mode block
+      repro-serve 2DFDLaplace_16 --repeat 8 --rhs random
       repro-serve --list-matrices
 
 * **Wire server** — expose the versioned HTTP/JSON protocol
@@ -84,15 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--preconditioner", default="auto",
                         choices=("auto",) + KNOWN_FAMILIES,
                         help="preconditioner family (default: auto policy)")
-    parser.add_argument("--batch-mode", default="loop",
-                        choices=("loop", "block", "auto"),
-                        help="multi-rhs execution of same-matrix batches: "
-                             "'loop' solves per column (bit-identical to "
-                             "sequential solves); 'block' and 'auto' serve "
-                             "a CG batch with block CG (fewer matvecs, less "
-                             "wall time) and every other solver with the "
-                             "loop (default: loop; applies to one-shot and "
-                             "--http serving alike)")
     parser.add_argument("--rtol", type=float, default=1e-8,
                         help="relative residual tolerance (default: 1e-8)")
     parser.add_argument("--maxiter", type=int, default=1000,
@@ -208,9 +199,7 @@ def _serve_http(args: argparse.Namespace,
     server_kwargs = {} if tracer is None else {"tracer": tracer}
     server_kwargs.update(learn_kwargs or {})
     http_server = SolveHTTPServer(host=args.host, port=args.port,
-                                  store=args.store,
-                                  batch_mode=args.batch_mode,
-                                  **server_kwargs)
+                                  store=args.store, **server_kwargs)
 
     def interrupt(signum, frame):  # noqa: ARG001 - signal API
         raise KeyboardInterrupt
@@ -278,8 +267,7 @@ def main(argv: list[str] | None = None) -> int:
     tracer = _make_tracer(args.trace_dir)
     server_kwargs = {} if tracer is None else {"tracer": tracer}
     server_kwargs.update(learn_kwargs)
-    with SolveServer(store=args.store, batch_mode=args.batch_mode,
-                     **server_kwargs) as server:
+    with SolveServer(store=args.store, **server_kwargs) as server:
         try:
             jobs = server.submit_many([
                 SolveRequestV1(matrix=args.matrix,
@@ -314,8 +302,7 @@ def main(argv: list[str] | None = None) -> int:
               f"origin={response.provenance['origin']}, "
               f"residual={response.final_residual:.3e}, "
               f"true_residual={response.true_residual:.3e}, "
-              f"batched with {response.batch_size - 1} other request(s), "
-              f"mode={response.batch_mode})")
+              f"batched with {response.batch_size - 1} other request(s))")
         if not response.converged:
             exit_code = 1
         report.append({

@@ -22,19 +22,11 @@ Determinism
 -----------
 Every response is a deterministic function of its request alone: the policy
 decides from a store snapshot, shared builds are seeded from the matrix
-fingerprint (never from request seeds or arrival order), and — in the
-default ``batch_mode="loop"`` — the multi-rhs solve is arithmetically
-identical to independent single-rhs solves.  Serving a seeded request stream
-synchronously or through the queue therefore yields bit-identical solutions.
-
-``batch_mode="block"``/``"auto"`` opt a CG group into block CG
-(:mod:`repro.krylov.block`): one shared subspace for the whole batch, fewer
-total matvecs and less wall time, answers that agree with the loop path to
-the solve tolerance but depend on which requests were batched together.
-GMRES and BiCGStab groups are always served by the loop, bit-identical to
-synchronous serving.  The mode actually used is recorded on every response
-(``batch_mode`` provenance) and in the ``solve.block_used`` /
-``solve.deflated_columns`` / ``solve.matvecs_total`` telemetry.
+fingerprint (never from request seeds or arrival order), and the multi-rhs
+solve is one single-rhs solve per column, arithmetically identical to
+independent solves.  Serving a seeded request stream synchronously or
+through the queue therefore yields bit-identical solutions, and every solve
+is a measured iteration count the store and ``policy.regret`` can use.
 
 When an :class:`~repro.service.store.ObservationStore` is attached, MCMC
 solves additionally measure the unpreconditioned baseline (cached per
@@ -58,9 +50,8 @@ from repro.core.evaluation import (
     SolverSettings,
     measurement_regime,
 )
-from repro.exceptions import ParameterError, PreconditionerError
-from repro.krylov.block import BLOCK_SOLVERS, block_summary, total_matvecs
-from repro.krylov.solve import BATCH_MODES, solve, solve_many
+from repro.exceptions import PreconditionerError
+from repro.krylov.solve import solve, solve_many
 from repro.logging_utils import get_logger
 from repro.matrices.features import feature_vector
 from repro.matrices.registry import get_matrix
@@ -97,8 +88,7 @@ def end_job_trace(tracer, job: Job, **attributes) -> None:
 
 @dataclass
 class _Group:
-    """Jobs sharing (fingerprint, solver, preconditioner, rtol, maxiter,
-    batch mode)."""
+    """Jobs sharing (fingerprint, solver, preconditioner, rtol, maxiter)."""
 
     fingerprint: str
     matrix: sp.csr_matrix
@@ -107,7 +97,6 @@ class _Group:
     preconditioner: str | None
     rtol: float
     maxiter: int
-    batch_mode: str = "loop"
     jobs: list[Job] = field(default_factory=list)
 
 
@@ -137,16 +126,6 @@ class Scheduler:
     store:
         Optional observation store: MCMC solves are measured against the
         cached unpreconditioned baseline and persisted.
-    batch_mode:
-        Default multi-rhs execution mode of a group
-        (:func:`repro.krylov.solve_many`'s ``mode``), overridable per
-        request via :attr:`SolveRequestV1.batch_mode`.  ``"loop"`` (the
-        default) keeps batched serving bit-identical to synchronous
-        serving; ``"block"``/``"auto"`` serve a CG group with block CG —
-        one Krylov subspace across the group, fewer matvecs, answers
-        identical to the solve tolerance rather than to the bit.  Every
-        other solver is served by the loop under any mode; a group that
-        demands ``"block"`` for one counts in ``solve.block_unsupported``.
     matrix_bank:
         Optional :class:`~repro.learn.trainer.MatrixBank` (anything with a
         ``put(name, matrix)``): every matrix that produces a store record
@@ -154,9 +133,9 @@ class Scheduler:
         can rebuild graphs for non-registry matrices.  ``None`` when
         learning is off — the scheduler never imports :mod:`repro.learn`.
     shadow_eval:
-        When ``True`` (the ``--learn`` serving mode), every loop-served
-        solve feeds the ``policy.regret`` histogram, labelled by decision
-        origin: the iteration excess over the best count any policy stage
+        When ``True`` (the ``--learn`` serving mode), every solve feeds
+        the ``policy.regret`` histogram, labelled by decision origin: the
+        iteration excess over the best count any policy stage
         has achieved for the same ``(fingerprint, solver, rtol, maxiter)``
         slot.  A surrogate that beats the incumbent records zero regret
         *and* lowers the bar for the rule/warm-start stages it shadows.
@@ -165,7 +144,6 @@ class Scheduler:
     def __init__(self, *, policy: PreconditionerPolicy, cache: ArtifactCache,
                  telemetry: MetricsRegistry | None = None,
                  store: ObservationStore | None = None,
-                 batch_mode: str = "loop",
                  tracer=None,
                  matrix_bank=None,
                  shadow_eval: bool = False) -> None:
@@ -174,11 +152,6 @@ class Scheduler:
         self.telemetry = telemetry if telemetry is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.store = store
-        if batch_mode not in BATCH_MODES:
-            raise ParameterError(
-                f"unknown batch_mode {batch_mode!r}; "
-                f"expected one of {BATCH_MODES}")
-        self.batch_mode = batch_mode
         self.matrix_bank = matrix_bank
         self.shadow_eval = bool(shadow_eval)
         self._incumbent_iterations: dict[tuple, int] = {}
@@ -220,17 +193,17 @@ class Scheduler:
                 end_job_trace(self.tracer, job, outcome="error",
                               error=str(error))
                 continue
-            batch_mode = (self.batch_mode if request.batch_mode is None
-                          else str(request.batch_mode).strip().lower())
-            key = (fingerprint, request.solver, request.preconditioner,
-                   float(request.rtol), int(request.maxiter), batch_mode)
+            # Admission accepts any spelling of a solver name; the policy,
+            # the solver settings and the response see the canonical one.
+            solver = (None if request.solver is None
+                      else str(request.solver).strip().lower())
+            key = (fingerprint, solver, request.preconditioner,
+                   float(request.rtol), int(request.maxiter))
             if key not in groups:
                 groups[key] = _Group(
                     fingerprint=fingerprint, matrix=matrix, name=name,
-                    solver=request.solver,
-                    preconditioner=request.preconditioner,
-                    rtol=float(request.rtol), maxiter=int(request.maxiter),
-                    batch_mode=batch_mode)
+                    solver=solver, preconditioner=request.preconditioner,
+                    rtol=float(request.rtol), maxiter=int(request.maxiter))
             groups[key].jobs.append(job)
         return list(groups.values())
 
@@ -285,22 +258,13 @@ class Scheduler:
         columns = [np.ones(n) if job.request.rhs is None
                    else np.asarray(job.request.rhs, dtype=np.float64).ravel()
                    for job in group.jobs]
-        call_mode = group.batch_mode
-        if call_mode == "block" and decision.solver not in BLOCK_SOLVERS:
-            # The policy (or the request) picked a solver without a block
-            # implementation; serving must degrade to the loop path rather
-            # than fail the whole group.
-            self.telemetry.counter("solve.block_unsupported").add(1)
-            call_mode = "loop"
 
         def run_solve():
             return solve_many(group.matrix, columns, solver=decision.solver,
-                              preconditioner=preconditioner, mode=call_mode,
-                              **kwargs)
+                              preconditioner=preconditioner, **kwargs)
 
         if tr.enabled:
             with tr.span("solve", parent=leader, solver=decision.solver,
-                         mode=call_mode,
                          batch_size=len(group.jobs)) as solve_span:
                 with record_phases() as recorder:
                     results = run_solve()
@@ -324,20 +288,10 @@ class Scheduler:
             results = run_solve()
         elapsed_ms = (time.perf_counter() - start) * 1e3
 
-        summary = block_summary(results)
-        used_block = summary is not None
-        batch_mode_used = "block" if used_block else "loop"
-        if used_block:
-            self.telemetry.counter("solve.block_used").add(1)
-            self.telemetry.counter("solve.deflated_columns").add(
-                summary.deflated_columns)
         self.telemetry.counter("solve.matvecs_total").add(
-            total_matvecs(results))
+            sum(result.matvecs for result in results))
 
-        if self.shadow_eval and not used_block:
-            # Block iteration counts are shared across the batch and not
-            # comparable with single-rhs incumbents; only loop-served solves
-            # feed the regret signal (mirrors the store-feedback gate below).
+        if self.shadow_eval:
             self._record_regret(group, decision, [
                 result.measured_iterations for result in results])
 
@@ -346,7 +300,7 @@ class Scheduler:
         self.telemetry.histogram("solve.batch_size").observe(batch)
         self.telemetry.counter("solve.completed", solver=decision.solver,
                                preconditioner=built_family,
-                               batch_mode=batch_mode_used).add(batch)
+                               batch_mode="loop").add(batch)
         for job, column, result in zip(group.jobs, columns, results):
             response = SolveResponseV1(
                 tag=job.request.tag,
@@ -359,7 +313,6 @@ class Scheduler:
                 solver=decision.solver,
                 provenance=provenance,
                 batch_size=batch,
-                batch_mode=batch_mode_used,
                 trace_id=job.trace_id,
                 termination=result.termination,
                 true_residual=result.true_residual,
@@ -380,13 +333,9 @@ class Scheduler:
             self.telemetry.histogram("solve.latency_ms").observe(elapsed_ms)
             self.telemetry.histogram(
                 "solve.amortised_cost_ms").observe(elapsed_ms / batch)
-            if not used_block:
-                # Block iteration counts are shared across the batch and not
-                # comparable with the single-rhs baseline the performance
-                # metric divides by; only loop-served solves feed the store.
-                self._record_observation(group, decision, built_family,
-                                         settings, column,
-                                         result.measured_iterations)
+            self._record_observation(group, decision, built_family,
+                                     settings, column,
+                                     result.measured_iterations)
             job.finished_at = time.perf_counter()
             job._finish(result=response)
             end_job_trace(tr, job, outcome="ok", solver=decision.solver,

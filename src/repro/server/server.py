@@ -19,12 +19,8 @@ Two serving modes, same arithmetic:
 Because policy decisions come from a store snapshot and shared builds are
 seeded from matrix fingerprints, a seeded request stream produces
 bit-identical solutions in either mode — batching is purely an efficiency
-lever, never a semantic one.  That contract holds for the default
-``batch_mode="loop"``; opting a server (or a request) into ``"block"`` /
-``"auto"`` trades it, for CG groups only, for block CG amortisation: their
-answers then agree with the loop path to the solve tolerance instead of to
-the bit (see :mod:`repro.krylov.block`).  GMRES and BiCGStab groups keep
-the loop, and the contract, under every mode.
+lever, never a semantic one: a batch shares the policy decision and the
+preconditioner build, and each request is still its own single-rhs solve.
 """
 
 from __future__ import annotations
@@ -77,14 +73,6 @@ class SolveServer:
         accumulate first and batch maximally, which is both the
         deterministic mode tests rely on and the highest-throughput mode
         for offline bulk serving.
-    batch_mode:
-        Default multi-rhs execution mode of a same-fingerprint group:
-        ``"loop"`` (default; batched serving stays bit-identical to
-        synchronous serving), ``"block"`` or ``"auto"`` (a CG group shares
-        one block CG subspace — fewer matvecs, answers identical to the
-        solve tolerance, *not* to the bit; other solvers keep the loop).
-        Requests may override it individually via
-        :attr:`~repro.api.schemas.SolveRequestV1.batch_mode`.
     tracer:
         A :class:`repro.obs.trace.Tracer` to record per-request span trees
         (admission → queue wait → policy → preconditioner → solve).
@@ -118,7 +106,6 @@ class SolveServer:
                  bounds: ParameterBounds = DEFAULT_BOUNDS,
                  background: bool = True,
                  telemetry: MetricsRegistry | None = None,
-                 batch_mode: str = "loop",
                  tracer=None,
                  learn: bool = False,
                  model_dir: str | None = None,
@@ -147,8 +134,7 @@ class SolveServer:
         self.queue = JobQueue(max_depth=max_queue_depth)
         self.scheduler = Scheduler(
             policy=self.policy, cache=self.cache,
-            telemetry=self.telemetry, store=self.store,
-            batch_mode=batch_mode, tracer=self.tracer,
+            telemetry=self.telemetry, store=self.store, tracer=self.tracer,
             matrix_bank=self._matrix_bank,
             shadow_eval=self.learn_enabled)
         self._background = bool(background)

@@ -309,6 +309,25 @@ class TestSolveMany:
         with pytest.raises(ParameterError):
             solve_many(matrix, [rhs, rhs[:-1]])
 
+    @pytest.mark.parametrize("block", ["empty sequence", "3-D", "non-numeric"])
+    def test_malformed_blocks_rejected(self, spd_system, block):
+        from repro.krylov import solve_many
+
+        matrix, rhs, _ = spd_system
+        malformed = {"empty sequence": [],
+                     "3-D": np.ones((rhs.size, 2, 2)),
+                     "non-numeric": [object()]}[block]
+        with pytest.raises(ParameterError):
+            solve_many(matrix, malformed)
+
+    @pytest.mark.parametrize("mode", ["block", "auto", "vectorised"])
+    def test_the_loop_is_the_only_mode(self, spd_system, mode):
+        from repro.krylov import solve_many
+
+        matrix, rhs, _ = spd_system
+        with pytest.raises(ParameterError):
+            solve_many(matrix, [rhs, rhs], mode=mode)
+
 
 # -- GMRES uninitialised storage ------------------------------------------------
 GMRES_GOLDEN_PATH = Path(__file__).parent / "data" / "gmres_golden.json"

@@ -16,36 +16,31 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.krylov import bicgstab, block_cg, cg, gmres, solve, solve_many
+from repro.krylov import bicgstab, cg, gmres, solve
 from repro.matrices import laplacian_2d, unsteady_advection_diffusion
-from repro.precond import (ILU0Preconditioner, IncompleteCholeskyPreconditioner,
-                           JacobiPreconditioner)
+from repro.precond import ILU0Preconditioner, IncompleteCholeskyPreconditioner
 
 EXIT_GOLDEN_PATH = Path(__file__).parent / "data" / "krylov_exit_golden.json"
 
 #: Products the exit adds to each golden case's ``matvecs``: one per CG /
 #: BiCGStab solve that iterated (their recurrence residual is not ``b - A x``),
-#: one block product — a matvec per column — for block CG, none where the
-#: solver already holds ``b - A x`` (early exits).
+#: none where the solver already holds ``b - A x`` (early exits).
 EXIT_PRODUCTS = {
     "cg_plain": 1, "cg_ic0": 1, "cg_maxiter": 1,
     "cg_exact_guess": 0, "cg_zero_rhs": 0,
     "bicgstab_plain": 1, "bicgstab_ilu0": 1, "bicgstab_maxiter": 1,
-    "block_cg": 4, "block_cg_jacobi": 4,
 }
 
 
 def _exit_cases() -> dict[str, dict]:
-    """CG, BiCGStab and block CG over their exits (converged,
-    budget exhausted, exact initial guess, zero right-hand side, a block
-    with a duplicated and a zero column).  Uses only what the solvers
+    """CG and BiCGStab over their exits (converged, budget exhausted, exact
+    initial guess, zero right-hand side).  Uses only what the solvers
     offered before ``SolveRun`` existed, so it runs unchanged there."""
     spd = laplacian_2d(7)
     general = unsteady_advection_diffusion(6, order=1, seed=3)
     rng = np.random.default_rng(0)
     n = spd.shape[0]
     b, c, guess = (rng.standard_normal(n) for _ in range(3))
-    block = np.column_stack([b, c, b, np.zeros(n)])
     results = {
         "cg_plain": cg(spd, b, rtol=1e-10),
         "cg_ic0": cg(spd, b, rtol=1e-10,
@@ -57,23 +52,13 @@ def _exit_cases() -> dict[str, dict]:
         "bicgstab_ilu0": bicgstab(general, c, rtol=1e-10,
                                   preconditioner=ILU0Preconditioner(general)),
         "bicgstab_maxiter": bicgstab(general, c, rtol=1e-12, maxiter=2),
-        "block_cg": block_cg(spd, block, rtol=1e-10),
-        "block_cg_jacobi": block_cg(spd, block, rtol=1e-10,
-                                    preconditioner=JacobiPreconditioner(spd)),
     }
-    cases = {}
-    for label, outcome in results.items():
-        columns = outcome if isinstance(outcome, list) else [outcome]
-        cases[label] = {
-            "solution": [column.solution.tolist() for column in columns],
-            "iterations": [column.iterations for column in columns],
-            "converged": [column.converged for column in columns],
-            "residual_norms": [list(column.residual_norms)
-                               for column in columns],
-            "matvecs": (outcome.matvecs if columns[0].block_info is None
-                        else columns[0].block_info.matvecs),
-        }
-    return cases
+    return {label: {"solution": [outcome.solution.tolist()],
+                    "iterations": [outcome.iterations],
+                    "converged": [outcome.converged],
+                    "residual_norms": [list(outcome.residual_norms)],
+                    "matvecs": outcome.matvecs}
+            for label, outcome in results.items()}
 
 
 def test_the_exit_changes_no_number_the_solvers_produce():
@@ -88,7 +73,6 @@ def test_the_exit_changes_no_number_the_solvers_produce():
         for field in ("solution", "iterations", "converged"):
             assert np.array_equal(case[field], frozen[label][field]), \
                 f"{label}.{field}"
-        # (ragged across block columns, so compared column by column)
         assert len(case["residual_norms"]) == len(frozen[label]["residual_norms"])
         for ours, theirs in zip(case["residual_norms"],
                                 frozen[label]["residual_norms"]):
@@ -180,12 +164,6 @@ class TestVanishingPreconditionedRhs:
         assert result.converged and result.termination == "converged"
         assert result.true_residual == 0.0
 
-    def test_auto_mode_does_not_hide_it_behind_the_fallback(self, spd_system):
-        matrix, rhs = spd_system
-        results = solve_many(matrix, [rhs, rhs], solver="gmres", mode="auto",
-                             preconditioner=self.annihilate)
-        assert all(result.termination == "breakdown" for result in results)
-
 
 # -- the exit's own product -----------------------------------------------------
 @pytest.mark.parametrize("solver", ["cg", "bicgstab"])
@@ -205,14 +183,6 @@ def test_exit_product_is_counted_and_timed(spd_system, solver):
     with record_phases() as recorder:
         result = solve(Counting(matrix), rhs, solver=solver)
     assert result.matvecs == applications["count"] == recorder.calls["matvec"]
-
-
-def test_block_columns_share_one_accounting(spd_system):
-    matrix, rhs = spd_system
-    results = block_cg(matrix, np.column_stack([rhs, 2.0 * rhs, rhs + 1.0]))
-    assert all(result.matvecs is None for result in results)
-    assert all(result.block_info is results[0].block_info for result in results)
-    assert all(result.maxiter == 10 * matrix.shape[0] for result in results)
 
 
 if __name__ == "__main__":

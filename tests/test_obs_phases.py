@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.krylov.bicgstab import bicgstab
-from repro.krylov.block import block_cg
 from repro.krylov.cg import cg
 from repro.krylov.gmres import gmres
 from repro.matrices import laplacian_2d
@@ -25,12 +24,10 @@ from repro.obs.phases import (
 from repro.precond.factory import make_preconditioner
 
 
-def _system(n: int = 16, k: int = 1, seed: int = 0):
+def _system(n: int = 16, seed: int = 0):
     matrix = laplacian_2d(n)
     rng = np.random.default_rng(seed)
-    if k == 1:
-        return matrix, rng.standard_normal(matrix.shape[0])
-    return matrix, rng.standard_normal((matrix.shape[0], k))
+    return matrix, rng.standard_normal(matrix.shape[0])
 
 
 # -- primitives ---------------------------------------------------------------
@@ -95,20 +92,6 @@ def test_sequential_solvers_record_phases(solver):
     assert recorder.calls[PHASE_MATVEC] > 0
 
 
-@pytest.mark.parametrize("solver", [block_cg])
-def test_block_solvers_record_shared_phases(solver):
-    matrix, rhs = _system(k=4)
-    with record_phases() as recorder:
-        results = solver(matrix, rhs, rtol=1e-8, maxiter=2000)
-    assert all(r.converged for r in results)
-    for result in results:
-        assert result.phase_timings is not None
-        assert result.phase_timings[PHASE_MATVEC] > 0.0
-    # one block solve: every column reports the same shared timing dict
-    assert len({id(r.phase_timings) for r in results}) == 1
-    assert recorder.seconds[PHASE_MATVEC] > 0.0
-
-
 @pytest.mark.parametrize("restart", [10, 50])
 def test_gmres_times_every_least_squares_update(restart):
     """One ``lsq`` interval per Arnoldi step (the rotations) and one per
@@ -169,15 +152,3 @@ def test_gmres_lsq_timer_is_bit_neutral(restart):
     assert (timed.iterations, timed.matvecs) == (plain.iterations, plain.matvecs)
     assert np.array_equal(timed.solution, plain.solution)
     assert np.array_equal(timed.residual_norms, plain.residual_norms)
-
-
-@pytest.mark.parametrize("solver", [block_cg])
-def test_phase_timers_are_bit_neutral_block(solver):
-    matrix, rhs = _system(k=3, seed=4)
-    plain = solver(matrix, rhs, rtol=1e-10, maxiter=2000)
-    with record_phases():
-        timed = solver(matrix, rhs, rtol=1e-10, maxiter=2000)
-    for ours, theirs in zip(timed, plain):
-        assert ours.iterations == theirs.iterations
-        assert np.array_equal(ours.solution, theirs.solution), \
-            "phase timers changed the block arithmetic"

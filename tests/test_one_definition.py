@@ -192,9 +192,8 @@ def test_one_exit_from_every_krylov_solver(trees):
 
 
 def test_krylov_solvers_keep_no_matvec_counter(trees):
-    """Applications of ``A`` are counted by the operator ``SolveRun`` binds;
-    the only other writes are the loop fallback charging an abandoned block
-    attempt (``solve.py``)."""
+    """Applications of ``A`` are counted by the operator ``SolveRun`` binds:
+    nothing under ``src/repro`` outside ``SolveRun`` writes a ``matvecs``."""
     def writes_matvecs(node: ast.AST) -> bool:
         targets = (node.targets if isinstance(node, ast.Assign)
                    else [node.target] if isinstance(node, ast.AugAssign)
@@ -204,10 +203,13 @@ def test_krylov_solvers_keep_no_matvec_counter(trees):
                         or getattr(target, "attr", None) == "matvecs")
                    for target in targets)
 
-    found = [where for where in _where(trees, writes_matvecs)
-             if where.startswith("krylov/")]
-    assert sorted(where.split(":")[0] for where in found) == [
-        "krylov/base.py", "krylov/base.py", "krylov/solve.py"], found
+    solve_run = next(node for node in ast.walk(trees["krylov/base.py"])
+                     if isinstance(node, ast.ClassDef)
+                     and node.name == "SolveRun")
+    inside = [f"krylov/base.py:{node.lineno}"
+              for node in ast.walk(solve_run) if writes_matvecs(node)]
+    found = _where(trees, writes_matvecs)
+    assert len(inside) == 2 and sorted(found) == sorted(inside), found
 
 
 def test_no_executor_layer(trees):
@@ -313,15 +315,26 @@ def test_one_backward_engine(trees):
                for node in ast.walk(tensor_backward))
 
 
-def test_block_cg_is_the_only_block_solver(trees):
-    """Block mode is block CG: no ``block_gmres`` is defined, imported or
-    named anywhere under ``src/repro``, and ``solve_many`` serves every
-    other solver with the loop."""
-    from repro.krylov import BLOCK_SOLVERS
+def test_one_multi_rhs_path(trees):
+    """A same-matrix batch is one single-rhs solve per column: no block
+    solver module, no name starting with ``block_`` defined or imported
+    under ``src/repro``, and no request field that selects a batch mode."""
+    from dataclasses import fields
 
-    assert BLOCK_SOLVERS == ("cg",)
-    assert [name for name in trees
-            if "block_gmres" in (SRC / name).read_text()] == []
+    from repro.api import SolveRequestV1
+
+    def block_name(node: ast.AST) -> bool:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            return any((alias.asname or alias.name).split(".")[-1]
+                       .startswith("block_") for alias in node.names)
+        return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))
+                and node.name.startswith("block_"))
+
+    assert _where(trees, block_name) == []
+    assert "krylov/block.py" not in trees
+    assert not (SRC / "krylov" / "block.py").exists()
+    assert "batch_mode" not in {field.name for field in fields(SolveRequestV1)}
 
 
 def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
@@ -485,3 +498,54 @@ def test_a_fit_embeds_once_per_weight_state(monkeypatch, tiny_dataset,
     assert len(taped) == len(steps) + 1
     assert steps == list(range(1, len(steps) + 1))  # one embedding per step
     assert taped == [True] * len(steps) + [stops_early]
+
+
+def _annotation_strings(tree: ast.Module):
+    """The names inside string annotations (``"Path | None"``), which the
+    syntax tree holds as constants."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            arguments = node.args
+            annotations = [argument.annotation for argument in (
+                *arguments.posonlyargs, *arguments.args,
+                *arguments.kwonlyargs, arguments.vararg, arguments.kwarg)
+                if argument is not None] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        else:
+            continue
+        for annotation in filter(None, annotations):
+            for constant in ast.walk(annotation):
+                if (isinstance(constant, ast.Constant)
+                        and isinstance(constant.value, str)):
+                    yield from (name.id for name in ast.walk(
+                        ast.parse(constant.value, mode="eval"))
+                        if isinstance(name, ast.Name))
+
+
+def test_no_unused_module_imports(trees):
+    """Every module-level import of a module (packages' ``__init__`` files
+    re-export by design) is referenced in it or listed in its ``__all__``."""
+    unused = []
+    for name, tree in trees.items():
+        if name.endswith("__init__.py"):
+            continue
+        imported = {}
+        for node in tree.body:
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    imported[bound] = node.lineno
+        referenced = {node.id for node in ast.walk(tree)
+                      if isinstance(node, ast.Name)}
+        referenced.update(_annotation_strings(tree))
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(_names(target, "__all__")
+                            for target in node.targets)):
+                referenced.update(ast.literal_eval(node.value))
+        unused += [f"{name}:{line} {bound}"
+                   for bound, line in imported.items()
+                   if bound not in referenced]
+    assert unused == [], unused

@@ -16,7 +16,8 @@ import pytest
 import scipy.sparse as sp
 
 from repro.krylov import TERMINATIONS, solve
-from repro.matrices import laplacian_2d, pdd_real_sparse, unsteady_advection_diffusion
+from repro.matrices import (advection_diffusion, laplacian_2d, pdd_real_sparse,
+                             unsteady_advection_diffusion)
 from repro.api import SolveRequestV1
 from repro.server import AdmissionError, SolveServer
 from repro.service.cache import ArtifactCache
@@ -198,6 +199,62 @@ class TestDeterminism:
         for a, b in zip(inline, background):
             assert np.array_equal(a.solution, b.solution), a.tag
 
+    def test_loop_server_stays_bit_identical_to_sequential_solves(self):
+        """A queued same-matrix batch answers each request with exactly the
+        solution of a plain single-rhs solve."""
+        matrix = laplacian_2d(10)
+        rng = np.random.default_rng(0)
+        requests = [SolveRequestV1(matrix=matrix,
+                                   rhs=rng.standard_normal(matrix.shape[0]),
+                                   solver="cg", preconditioner="none",
+                                   tag=f"r{index}")
+                    for index in range(3)]
+        server = _server()
+        jobs = server.submit_many(requests)
+        assert server.drain(timeout=60.0)
+        for request, job in zip(requests, jobs):
+            response = job.result(timeout=1.0)
+            assert (response.batch_size, response.batch_mode) == (3, "loop")
+            reference = solve(matrix, request.rhs, solver="cg",
+                              rtol=request.rtol, maxiter=request.maxiter)
+            assert np.array_equal(response.solution, reference.solution)
+        server.shutdown()
+
+    def test_single_request_group_reports_loop(self):
+        matrix = laplacian_2d(10)
+        rhs = np.random.default_rng(0).standard_normal(matrix.shape[0])
+        server = _server()
+        response = server.solve(SolveRequestV1(
+            matrix=matrix, rhs=rhs, solver="cg", preconditioner="none"))
+        assert (response.batch_size, response.batch_mode) == (1, "loop")
+        reference = solve(matrix, rhs, solver="cg", rtol=1e-8, maxiter=1000)
+        assert np.array_equal(response.solution, reference.solution)
+        server.shutdown()
+
+    @pytest.mark.parametrize("spelling", ["GMRES", " Gmres "])
+    def test_solver_name_is_normalised_after_admission(self, spelling):
+        """Admission accepts any case and padding of a solver name; the
+        served solve is the canonical solver's, full restart included."""
+        matrix = advection_diffusion(12)
+
+        def serve(solver):
+            server = _server()
+            response = server.solve(SolveRequestV1(
+                matrix=matrix, solver=solver, preconditioner="jacobi",
+                maxiter=5000, tag="t"))
+            server.shutdown()
+            return response
+
+        canonical, spelled = serve("gmres"), serve(spelling)
+        assert spelled.solver == "gmres"
+        for field in dataclasses.fields(canonical):
+            ours = getattr(spelled, field.name)
+            theirs = getattr(canonical, field.name)
+            if isinstance(theirs, np.ndarray):
+                assert np.array_equal(ours, theirs), field.name
+            else:
+                assert ours == theirs, field.name
+
 
 class TestStoreIntegration:
     def _mcmc_matrix(self) -> sp.csr_matrix:
@@ -278,13 +335,12 @@ class TestStoreIntegration:
         assert best.y_mean == good_record.y_mean < bad_record.y_mean
         server.shutdown()
 
-    def test_auto_mode_gmres_group_feeds_the_learning_loop(self, tmp_path):
-        """``auto`` serves a GMRES group with the loop, so every request in
-        it writes its store record and observes ``policy.regret`` — the
-        loop-only gates of the store and the regret signal see it."""
+    def test_gmres_group_feeds_the_learning_loop(self, tmp_path):
+        """Every request of a batched group writes its store record and
+        observes ``policy.regret``."""
         matrix = self._mcmc_matrix()
         store = ObservationStore(tmp_path / "store")
-        server = _server(store=store, batch_mode="auto")
+        server = _server(store=store)
         server.scheduler.shadow_eval = True
         rng = np.random.default_rng(4)
         jobs = server.submit_many([

@@ -10,6 +10,7 @@ unknown endpoint/job) maps to the correct HTTP status + typed envelope.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import threading
 import time
@@ -28,7 +29,10 @@ from repro.api import (
     versioning,
 )
 from repro.client import HTTPClient, InProcessClient
+from repro.fleet.replica import InProcessReplica, ReplicaFleet
+from repro.fleet.router import FleetRouter
 from repro.matrices import laplacian_2d, pdd_real_sparse, unsteady_advection_diffusion
+from repro.server import SolveServer
 from repro.server.http import SolveHTTPServer
 from repro.service.cache import ArtifactCache
 
@@ -335,48 +339,6 @@ class TestCrossTransportDeterminism:
             assert ours.termination == theirs.termination == "converged"
             assert ours.true_residual == theirs.true_residual < 1e-7
 
-    def test_block_batch_matches_in_process_across_transports(self):
-        """An HTTP batch of k same-fingerprint requests served in block mode
-        returns the same solutions (within tolerance) and the same
-        ``batch_mode`` provenance as the in-process client."""
-        matrix = laplacian_2d(8)
-        k = 6
-        rng = np.random.default_rng(7)
-        rhs_columns = [rng.standard_normal(matrix.shape[0])
-                       for _ in range(k)]
-
-        def stream():
-            return [SolveRequestV1(matrix=matrix, rhs=rhs, solver="cg",
-                                   preconditioner="none", tag=f"col{index}")
-                    for index, rhs in enumerate(rhs_columns)]
-
-        with InProcessClient(cache=ArtifactCache(max_entries=8),
-                             background=False,
-                             batch_mode="block") as in_process:
-            job_ids = [in_process.submit(request) for request in stream()]
-            assert in_process.drain(timeout=60.0)
-            local = [in_process.result(job_id) for job_id in job_ids]
-
-        with _http_server(background=False,
-                          batch_mode="block") as http_server:
-            client = HTTPClient(http_server.url)
-            job_ids = [client.submit(request) for request in stream()]
-            http_server.solve_server.drain(timeout=60.0)
-            remote = [client.result(job_id) for job_id in job_ids]
-
-        assert len(local) == len(remote) == k
-        for index, (ours, theirs) in enumerate(zip(local, remote)):
-            assert ours.converged and theirs.converged
-            assert ours.batch_mode == theirs.batch_mode == "block"
-            assert ours.batch_size == theirs.batch_size == k
-            scale = max(float(np.linalg.norm(ours.solution)), 1.0)
-            assert np.linalg.norm(ours.solution - theirs.solution) \
-                <= 1e-8 * scale, f"col{index}"
-            # every column still meets the requested tolerance end to end
-            residual = np.linalg.norm(
-                matrix @ theirs.solution - rhs_columns[index])
-            assert residual <= 1e-7 * np.linalg.norm(rhs_columns[index])
-
     def test_old_schema_client_without_batch_mode_round_trips(self):
         """A client on the previous schema vintage (no ``batch_mode`` field)
         must keep working through the versioning migration hooks, and a
@@ -392,17 +354,14 @@ class TestCrossTransportDeterminism:
             payload = versioning.version_stamp("solve_request", version=0)
             payload.update({"matrix_name": "2DFDLaplace_16", "tag": "legacy"})
             request = SolveRequestV1.from_json_dict(payload)
-            assert request.batch_mode is None  # means "server default"
 
-            with _http_server(background=False,
-                              batch_mode="block") as http_server:
+            with _http_server(background=False) as http_server:
                 status, answer = _raw_exchange(
                     http_server.url, "/v1/solve",
                     json.dumps(request.to_json_dict()).encode())
             assert status == 200
             response = SolveResponseV1.from_json_dict(answer)
             assert response.converged
-            # a batch of one cannot share a subspace: honest loop provenance
             assert response.batch_mode == "loop"
 
             # and a pre-batch_mode *response* payload parses as loop
@@ -412,6 +371,38 @@ class TestCrossTransportDeterminism:
                 stripped).batch_mode == "loop"
         finally:
             versioning.clear_migrations()
+
+    def test_retired_request_batch_mode_key_is_ignored(self):
+        """A v1 request that still carries the retired ``"batch_mode"`` key
+        is answered, in process and over HTTP, bit for bit like the same
+        request without it — by the loop."""
+        matrix = laplacian_2d(8)
+        rhs = np.random.default_rng(11).standard_normal(matrix.shape[0])
+        plain = SolveRequestV1(matrix=matrix, rhs=rhs, solver="cg",
+                               preconditioner="none", tag="compat"
+                               ).to_json_dict()
+        legacy = dict(plain, batch_mode="block")
+
+        with InProcessClient(cache=ArtifactCache(max_entries=8),
+                             background=False,
+                             wire_fidelity=True) as in_process:
+            local = [in_process.solve(SolveRequestV1.from_json_dict(payload))
+                     .to_json_dict() for payload in (plain, legacy)]
+        with _http_server(background=False) as http_server:
+            remote = []
+            for payload in (plain, legacy):
+                status, answer = _raw_exchange(
+                    http_server.url, "/v1/solve", json.dumps(payload).encode())
+                assert status == 200
+                remote.append(answer)
+
+        for answers in (local, remote):
+            for answer in answers:
+                answer.pop("job_id")
+            without_key, with_key = answers
+            assert with_key == without_key
+            assert with_key["batch_mode"] == "loop"
+        assert local == remote
 
     def test_mcmc_build_is_deterministic_across_transports(self):
         # Fragile pivots route to the stochastic MCMC build; its seed comes
@@ -436,3 +427,57 @@ class TestCrossTransportDeterminism:
         assert np.array_equal(local.solution, remote.solution)
         assert (local.termination, local.true_residual) == (
             remote.termination, remote.true_residual)
+
+
+@contextlib.contextmanager
+def _transport(kind: str):
+    """A client of ``kind`` and the :class:`SolveServer` that serves it; the
+    server queues without a worker, so the test's drain forms the batch."""
+    cache = ArtifactCache(max_entries=8)
+    if kind == "in_process":
+        with InProcessClient(cache=cache, background=False) as client:
+            yield client, client.server
+    elif kind == "http":
+        with SolveHTTPServer(port=0, cache=cache,
+                             background=False) as http_server:
+            yield HTTPClient(http_server.url), http_server.solve_server
+    else:
+        replica = InProcessReplica("r0", cache=cache, background=False)
+        fleet = ReplicaFleet([replica], health_interval=30.0, restart=False)
+        fleet.start()
+        router = FleetRouter(fleet).start()
+        try:
+            yield HTTPClient(router.url), replica.http_server.solve_server
+        finally:
+            router.shutdown()
+            fleet.drain()
+
+
+@pytest.mark.parametrize("transport", ["in_process", "http", "fleet"])
+def test_gmres_batch_is_served_by_the_loop_on_every_transport(transport):
+    """A same-matrix GMRES batch answers ``batch_mode="loop"``, bit-identical
+    to synchronous serving, whichever transport carried it."""
+    matrix = pdd_real_sparse(40, density=0.2, dominance=3.0, seed=1)
+    rng = np.random.default_rng(2)
+    requests = [SolveRequestV1(matrix=matrix,
+                               rhs=rng.standard_normal(matrix.shape[0]),
+                               solver="gmres", preconditioner="jacobi",
+                               tag=f"r{index}")
+                for index in range(3)]
+    synchronous = SolveServer(cache=ArtifactCache(max_entries=32),
+                              background=False)
+    reference = [synchronous.solve(request) for request in requests]
+    synchronous.shutdown()
+
+    with _transport(transport) as (client, server):
+        job_ids = [client.submit(request) for request in requests]
+        assert server.drain(timeout=60.0)
+        responses = [client.result(job_id, timeout=60.0)
+                     for job_id in job_ids]
+
+    for response, expected in zip(responses, reference):
+        assert response.converged
+        assert response.batch_size == 3
+        assert response.batch_mode == "loop"
+        assert response.iterations == expected.iterations
+        assert np.array_equal(response.solution, expected.solution)

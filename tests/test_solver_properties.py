@@ -14,8 +14,6 @@ preconditioner family**, asserting:
 * the determinism contract of the serving stack —
   ``solve_many(mode="loop")`` stays **bit-identical** to sequential
   :func:`~repro.krylov.solve` calls for every solver/preconditioner family;
-* block/loop agreement — block mode answers match loop answers to a tight
-  tolerance whenever both converge;
 * the exit contract — whatever the solver and however it stopped,
   ``true_residual`` is ``||b - A x|| / ||b||`` of the returned iterate and
   ``termination`` names the reason from the closed set; over 30 further
@@ -36,8 +34,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.exceptions import PreconditionerError
-from repro.krylov import (BLOCK_SOLVERS, KNOWN_SOLVERS, TERMINATIONS, solve,
-                          solve_many)
+from repro.krylov import KNOWN_SOLVERS, TERMINATIONS, solve, solve_many
 from repro.mcmc.parameters import MCMCParameters
 from repro.precond.factory import KNOWN_FAMILIES, make_preconditioner
 
@@ -190,77 +187,6 @@ class TestSolverPreconditionerMatrix:
             assert np.array_equal(result.solution, single.solution), (
                 f"loop mode diverged from sequential solve for "
                 f"{solver}/{family} on {kind} column {j}")
-
-
-@pytest.mark.parametrize("family", ("none", "jacobi", "neumann", "ilu0"))
-@pytest.mark.parametrize("solver", BLOCK_SOLVERS)
-@pytest.mark.parametrize("kind", MATRIX_KINDS)
-class TestBlockLoopAgreement:
-    """Block answers agree with loop answers wherever both converge."""
-
-    def test_block_matches_loop_within_tolerance(self, drawn_systems, kind,
-                                                 solver, family):
-        if solver == "cg" and kind != "spd":
-            pytest.skip("CG's contract only covers SPD systems")
-        matrix, rhs = drawn_systems[kind]
-        preconditioner = _build_preconditioner(family, matrix)
-        rng = np.random.default_rng(_case_seed(kind, solver, family, "block"))
-        block = np.column_stack(
-            [rhs] + [rng.standard_normal(rhs.size) for _ in range(4)])
-        loop = solve_many(matrix, block, solver=solver,
-                          preconditioner=preconditioner, rtol=1e-10,
-                          mode="loop")
-        blocked = solve_many(matrix, block, solver=solver,
-                             preconditioner=preconditioner, rtol=1e-10,
-                             mode="block")
-        for j, (ours, theirs) in enumerate(zip(blocked, loop)):
-            _assert_exit_contract(matrix, block[:, j], ours)
-            if not (ours.converged and theirs.converged):
-                continue
-            scale = np.linalg.norm(theirs.solution)
-            assert np.linalg.norm(ours.solution - theirs.solution) <= \
-                1e-6 * max(scale, 1.0), (
-                    f"block/loop disagreement for {solver}/{family} on "
-                    f"{kind} column {j}")
-
-
-@pytest.mark.parametrize("family", ("none", "jacobi", "neumann", "ilu0"))
-@pytest.mark.parametrize("solver", ("bicgstab", "gmres"))
-@pytest.mark.parametrize("kind", MATRIX_KINDS)
-def test_auto_mode_is_the_loop_without_a_block_solver(drawn_systems, kind,
-                                                      solver, family):
-    """A solver with no block implementation (GMRES, BiCGStab) is served by
-    the loop under ``auto``: bit for bit what ``mode="loop"`` returns."""
-    matrix, rhs = drawn_systems[kind]
-    preconditioner = _build_preconditioner(family, matrix)
-    rng = np.random.default_rng(_case_seed(kind, solver, family, "auto"))
-    block = np.column_stack(
-        [rhs] + [rng.standard_normal(rhs.size) for _ in range(4)])
-    loop = solve_many(matrix, block, solver=solver,
-                      preconditioner=preconditioner, rtol=RTOL, mode="loop")
-    auto = solve_many(matrix, block, solver=solver,
-                      preconditioner=preconditioner, rtol=RTOL, mode="auto")
-    for j, (ours, theirs) in enumerate(zip(auto, loop)):
-        assert ours.block_info is None
-        assert (ours.iterations, ours.termination) == (
-            theirs.iterations, theirs.termination)
-        assert np.array_equal(ours.solution, theirs.solution), (
-            f"auto mode left the loop for {solver}/{family} on {kind} "
-            f"column {j}")
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_property_block_cg_many_seeds(seed):
-    """Block CG across random SPD draws: converged => residual property."""
-    matrix = random_spd(seed=300 + seed)
-    rng = np.random.default_rng(400 + seed)
-    block = rng.standard_normal((matrix.shape[0], 3 + seed % 3))
-    results = solve_many(matrix, block, solver="cg", mode="block", rtol=RTOL)
-    assert all(result.converged for result in results)
-    for j, result in enumerate(results):
-        _assert_exit_contract(matrix, block[:, j], result)
-        achieved = np.linalg.norm(matrix @ result.solution - block[:, j])
-        assert achieved <= 50 * RTOL * np.linalg.norm(block[:, j])
 
 
 #: The declared tolerance: the worst ``true_residual / rtol`` a solve that
