@@ -39,7 +39,7 @@ def solve(matrix, rhs, *, solver: str = "gmres", preconditioner=None, x0=None,
         Extra keyword arguments forwarded to the specific solver (e.g.
         ``restart`` for GMRES).
     """
-    key = solver.strip().lower()
+    key = str(solver).strip().lower()
     if key not in KNOWN_SOLVERS:
         raise ParameterError(
             f"unknown solver {solver!r}; expected one of {sorted(KNOWN_SOLVERS)}")

@@ -320,6 +320,16 @@ class TestSolveMany:
         with pytest.raises(ParameterError):
             solve_many(matrix, malformed)
 
+    def test_unknown_solver_is_a_parameter_error(self, spd_system):
+        from repro.krylov import solve_many
+
+        matrix, rhs, _ = spd_system
+        for solver in (None, "minres"):
+            with pytest.raises(ParameterError):
+                solve(matrix, rhs, solver=solver)
+            with pytest.raises(ParameterError):
+                solve_many(matrix, [rhs, rhs], solver=solver)
+
     @pytest.mark.parametrize("mode", ["block", "auto", "vectorised"])
     def test_the_loop_is_the_only_mode(self, spd_system, mode):
         from repro.krylov import solve_many
