@@ -330,6 +330,35 @@ class TestSolveMany:
             with pytest.raises(ParameterError):
                 solve_many(matrix, [rhs, rhs], solver=solver)
 
+    @pytest.mark.parametrize("solver", sorted(KNOWN_SOLVERS))
+    def test_single_vector_is_a_one_column_block(self, spd_system, solver):
+        from repro.krylov import solve_many
+
+        matrix, rhs, _ = spd_system
+        (batched,) = solve_many(matrix, rhs, solver=solver, rtol=1e-10)
+        single = solve(matrix, rhs, solver=solver, rtol=1e-10)
+        assert (batched.iterations, batched.matvecs, batched.termination) == (
+            single.iterations, single.matvecs, single.termination)
+        assert np.array_equal(batched.solution, single.solution)
+
+    @pytest.mark.parametrize("solver", sorted(KNOWN_SOLVERS))
+    def test_block_wider_than_n_answers_every_column(self, solver):
+        """More right-hand sides than unknowns: every column is still its
+        own solve (the columns are necessarily linearly dependent)."""
+        from repro.krylov import solve_many
+
+        matrix = laplacian_2d(4)
+        n = matrix.shape[0]
+        block = np.random.default_rng(7).standard_normal((n, n + 3))
+        batched = solve_many(matrix, block, solver=solver, rtol=1e-10)
+        assert len(batched) == n + 3
+        for column_index, result in enumerate(batched):
+            single = solve(matrix, block[:, column_index], solver=solver,
+                           rtol=1e-10)
+            assert result.converged
+            assert result.matvecs == single.matvecs
+            assert np.array_equal(result.solution, single.solution)
+
     @pytest.mark.parametrize("mode", ["block", "auto", "vectorised"])
     def test_the_loop_is_the_only_mode(self, spd_system, mode):
         from repro.krylov import solve_many

@@ -231,11 +231,14 @@ class TestDeterminism:
         assert np.array_equal(response.solution, reference.solution)
         server.shutdown()
 
-    @pytest.mark.parametrize("spelling", ["GMRES", " Gmres "])
+    @pytest.mark.parametrize("spelling",
+                             ["GMRES", " Gmres ", "CG", " BiCGStab "])
     def test_solver_name_is_normalised_after_admission(self, spelling):
         """Admission accepts any case and padding of a solver name; the
-        served solve is the canonical solver's, full restart included."""
+        served solve is the canonical solver's (GMRES's full restart
+        included), grouped and echoed under the canonical name."""
         matrix = advection_diffusion(12)
+        name = spelling.strip().lower()
 
         def serve(solver):
             server = _server()
@@ -245,8 +248,8 @@ class TestDeterminism:
             server.shutdown()
             return response
 
-        canonical, spelled = serve("gmres"), serve(spelling)
-        assert spelled.solver == "gmres"
+        canonical, spelled = serve(name), serve(spelling)
+        assert spelled.solver == name
         for field in dataclasses.fields(canonical):
             ours = getattr(spelled, field.name)
             theirs = getattr(canonical, field.name)
@@ -335,9 +338,10 @@ class TestStoreIntegration:
         assert best.y_mean == good_record.y_mean < bad_record.y_mean
         server.shutdown()
 
-    def test_gmres_group_feeds_the_learning_loop(self, tmp_path):
+    @pytest.mark.parametrize("solver", ["gmres", "cg", "bicgstab"])
+    def test_group_feeds_the_learning_loop(self, tmp_path, solver):
         """Every request of a batched group writes its store record and
-        observes ``policy.regret``."""
+        observes ``policy.regret``, whatever the solver."""
         matrix = self._mcmc_matrix()
         store = ObservationStore(tmp_path / "store")
         server = _server(store=store)
@@ -345,7 +349,7 @@ class TestStoreIntegration:
         rng = np.random.default_rng(4)
         jobs = server.submit_many([
             SolveRequestV1(matrix=matrix, rhs=rng.standard_normal(30),
-                           solver="gmres", preconditioner="mcmc",
+                           solver=solver, preconditioner="mcmc",
                            maxiter=200, tag=f"g{index}")
             for index in range(2)])
         assert server.drain(timeout=60.0)

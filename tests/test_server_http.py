@@ -372,16 +372,18 @@ class TestCrossTransportDeterminism:
         finally:
             versioning.clear_migrations()
 
-    def test_retired_request_batch_mode_key_is_ignored(self):
+    @pytest.mark.parametrize("retired", ["block", "auto", "loop", "vectorised"])
+    def test_retired_request_batch_mode_key_is_ignored(self, retired):
         """A v1 request that still carries the retired ``"batch_mode"`` key
-        is answered, in process and over HTTP, bit for bit like the same
-        request without it — by the loop."""
+        — any value, even one admission used to reject — is answered, in
+        process and over HTTP, bit for bit like the same request without
+        it, by the loop."""
         matrix = laplacian_2d(8)
         rhs = np.random.default_rng(11).standard_normal(matrix.shape[0])
         plain = SolveRequestV1(matrix=matrix, rhs=rhs, solver="cg",
                                preconditioner="none", tag="compat"
                                ).to_json_dict()
-        legacy = dict(plain, batch_mode="block")
+        legacy = dict(plain, batch_mode=retired)
 
         with InProcessClient(cache=ArtifactCache(max_entries=8),
                              background=False,

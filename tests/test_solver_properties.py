@@ -14,6 +14,9 @@ preconditioner family**, asserting:
 * the determinism contract of the serving stack —
   ``solve_many(mode="loop")`` stays **bit-identical** to sequential
   :func:`~repro.krylov.solve` calls for every solver/preconditioner family;
+* per-column accounting — each column of a batch (a zero column and
+  ``maxiter``-cut columns among them) carries its own ``matvecs``,
+  ``termination`` and ``true_residual``, field for field the single solve's;
 * the exit contract — whatever the solver and however it stopped,
   ``true_residual`` is ``||b - A x|| / ||b||`` of the returned iterate and
   ``termination`` names the reason from the closed set; over 30 further
@@ -27,6 +30,7 @@ serving policy's deterministic identity fallback.
 
 from __future__ import annotations
 
+import dataclasses
 import zlib
 
 import numpy as np
@@ -187,6 +191,43 @@ class TestSolverPreconditionerMatrix:
             assert np.array_equal(result.solution, single.solution), (
                 f"loop mode diverged from sequential solve for "
                 f"{solver}/{family} on {kind} column {j}")
+
+    def test_loop_columns_keep_their_own_accounting(
+            self, drawn_systems, kind, solver, family):
+        """Every column of a batch reports its own outcome, field for field
+        the sequential solve's — ``matvecs``, ``termination``,
+        ``true_residual`` and the residual history included — also when the
+        batch mixes a zero column with columns cut short by ``maxiter``."""
+        matrix, rhs = drawn_systems[kind]
+        preconditioner = _build_preconditioner(family, matrix)
+        rng = np.random.default_rng(_case_seed(kind, solver, family, "own"))
+        block = np.column_stack(
+            [rhs, np.zeros(rhs.size), rng.standard_normal(rhs.size)])
+        for maxiter in (None, 2):
+            batched = solve_many(matrix, block, solver=solver,
+                                 preconditioner=preconditioner, rtol=RTOL,
+                                 maxiter=maxiter)
+            assert len(batched) == block.shape[1]
+            for j, result in enumerate(batched):
+                single = solve(matrix, block[:, j], solver=solver,
+                               preconditioner=preconditioner, rtol=RTOL,
+                               maxiter=maxiter)
+                assert type(result.matvecs) is int
+                for field in dataclasses.fields(single):
+                    ours = getattr(result, field.name)
+                    theirs = getattr(single, field.name)
+                    if isinstance(theirs, np.ndarray):
+                        assert np.array_equal(ours, theirs), field.name
+                    else:
+                        assert ours == theirs, (
+                            f"{field.name} of column {j} for "
+                            f"{solver}/{family} on {kind}, maxiter={maxiter}")
+                if j == 1:
+                    assert (result.iterations, result.matvecs) == (0, 0)
+                    assert result.converged and result.true_residual == 0.0
+                    assert not np.any(result.solution)
+                else:
+                    _assert_exit_contract(matrix, block[:, j], result)
 
 
 #: The declared tolerance: the worst ``true_residual / rtol`` a solve that
