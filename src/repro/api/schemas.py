@@ -39,6 +39,7 @@ __all__ = [
     "PolicyProvenance",
     "JobStatusV1",
     "TelemetrySnapshot",
+    "requested_family",
     "validate_request",
 ]
 
@@ -53,6 +54,21 @@ def _known_families() -> tuple[str, ...]:
     from repro.precond.factory import KNOWN_FAMILIES
 
     return KNOWN_FAMILIES
+
+
+def requested_family(preconditioner: str | None) -> str | None:
+    """The family a request names, stripped and lower-cased.
+
+    ``None`` when the request leaves the choice to the policy: no family,
+    or ``"auto"`` in any case or padding.
+
+    >>> [requested_family(name) for name in (" ILU0 ", " Auto ", None)]
+    ['ilu0', None, None]
+    """
+    if preconditioner is None:
+        return None
+    family = str(preconditioner).strip().lower()
+    return None if family == "auto" else family
 
 
 @dataclass(frozen=True)
@@ -73,7 +89,8 @@ class SolveRequestV1:
     preconditioner:
         Explicit preconditioner family (see
         :data:`repro.precond.factory.KNOWN_FAMILIES`), or ``None``/"auto"
-        to let the policy choose.
+        to let the policy choose; any case or padding is admitted (see
+        :func:`requested_family`).
     rtol / maxiter:
         Solver limits shared by every solve of this request.
     priority:
@@ -232,9 +249,10 @@ def validate_request(request: SolveRequestV1) -> None:
             raise invalid(
                 f"unknown solver {request.solver!r}; "
                 f"expected one of {solvers}")
-    if request.preconditioner not in (None, "auto"):
+    family = requested_family(request.preconditioner)
+    if family is not None:
         families = _known_families()
-        if str(request.preconditioner).strip().lower() not in families:
+        if family not in families:
             raise invalid(
                 f"unknown preconditioner family {request.preconditioner!r}; "
                 f"expected one of {families}")

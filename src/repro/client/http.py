@@ -19,12 +19,25 @@ method), and surfaces every connection-level failure as a typed
 ``unavailable`` code, the target address and a ``kind`` of ``"connection"``
 or ``"timeout"`` — a hung replica can no longer hang the caller forever.
 The fleet router keys its failover decision on exactly this surface.
+
+Connections are reused: an exchange that ends with the server keeping the
+HTTP/1.1 connection open returns it to a small pool
+(:data:`MAX_IDLE_CONNECTIONS`), and the next exchange — from any thread —
+takes it back out, so one connection is never used by two threads at once.
+A server may close an idle connection at any time (its idle timeout, a
+restart).  A *reused* connection that fails before any reply arrives is
+therefore stale, not a sign of an unreachable server: the exchange is sent
+once more on a fresh connection, and only that fresh attempt's failure is
+reported — so a stale connection never reads as ``kind="connection"`` and
+never makes the router fail over from a live replica.
+:meth:`HTTPClient.close` closes the pooled connections.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
 from typing import NamedTuple
 from urllib.parse import urlsplit
@@ -50,6 +63,14 @@ TRACE_HEADER = "X-Repro-Trace-Id"
 #: Pause before the single connection-refused retry, giving a restarting
 #: server a beat to bind without turning the retry into a spin.
 RETRY_BACKOFF_S = 0.05
+
+#: Idle keep-alive connections one client holds for reuse; an exchange that
+#: finds the pool full closes its connection instead.
+MAX_IDLE_CONNECTIONS = 8
+
+
+class _StaleConnection(Exception):
+    """A reused connection failed before any reply: the server closed it."""
 
 
 class RawReply(NamedTuple):
@@ -103,6 +124,9 @@ class HTTPClient(Client):
         self._host = parts.hostname
         self._port = parts.port or (443 if parts.scheme == "https" else 80)
         self._path_prefix = parts.path.rstrip("/")
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
+        self._closed = False
 
     # -- reachability failures ----------------------------------------------
     def _unavailable(self, kind: str, error: BaseException) -> "RemoteSolveError":
@@ -115,9 +139,8 @@ class HTTPClient(Client):
             detail={"url": self.base_url, "kind": kind,
                     "error": type(error).__name__}))
 
-    # -- one exchange --------------------------------------------------------
-    def _one_exchange(self, method: str, path: str, body: bytes | None,
-                      headers: dict[str, str]) -> RawReply:
+    # -- connections ---------------------------------------------------------
+    def _connect(self) -> http.client.HTTPConnection:
         connection_cls = (http.client.HTTPSConnection
                           if self._scheme == "https"
                           else http.client.HTTPConnection)
@@ -125,20 +148,70 @@ class HTTPClient(Client):
                                     timeout=self.connect_timeout)
         try:
             connection.connect()
-            if connection.sock is not None:
-                # Connected: further socket waits are governed by the read
-                # timeout (a sync solve legitimately takes a while).
-                connection.sock.settimeout(self.timeout)
-            connection.request(method, self._path_prefix + path,
-                               body=body, headers=headers)
-            reply = connection.getresponse()
-            data = reply.read()
-            return RawReply(reply.status,
-                            {key.lower(): value
-                             for key, value in reply.getheaders()},
-                            data)
-        finally:
+        except BaseException:
             connection.close()
+            raise
+        # Connected: further socket waits are governed by the read timeout
+        # (a sync solve legitimately takes a while).
+        connection.sock.settimeout(self.timeout)
+        return connection
+
+    def _take_idle(self) -> http.client.HTTPConnection | None:
+        # Most recently pooled first: the one least likely to have idled
+        # past the server's timeout.
+        with self._idle_lock:
+            return self._idle.pop() if self._idle else None
+
+    def _release(self, connection: http.client.HTTPConnection) -> None:
+        with self._idle_lock:
+            if not self._closed and len(self._idle) < MAX_IDLE_CONNECTIONS:
+                self._idle.append(connection)
+                return
+        connection.close()
+
+    def _send(self, connection: http.client.HTTPConnection, method: str,
+              path: str, body: bytes | None, headers: dict[str, str], *,
+              reused: bool) -> RawReply:
+        """One request and its reply on ``connection``.
+
+        The connection goes back to the pool when the server keeps it open
+        and is closed otherwise.  A *reused* connection that fails before
+        the reply's status line and headers are read raises
+        :class:`_StaleConnection`: the server closed it while it idled.
+        """
+        try:
+            try:
+                connection.request(method, self._path_prefix + path,
+                                   body=body, headers=headers)
+                reply = connection.getresponse()
+            except ConnectionError as error:
+                if reused:
+                    raise _StaleConnection() from error
+                raise
+            data = reply.read()
+        except BaseException:
+            connection.close()
+            raise
+        if reply.will_close:
+            connection.close()
+        else:
+            self._release(connection)
+        return RawReply(reply.status,
+                        {key.lower(): value
+                         for key, value in reply.getheaders()},
+                        data)
+
+    def _one_exchange(self, method: str, path: str, body: bytes | None,
+                      headers: dict[str, str]) -> RawReply:
+        connection = self._take_idle()
+        if connection is not None:
+            try:
+                return self._send(connection, method, path, body, headers,
+                                  reused=True)
+            except _StaleConnection:
+                pass  # nothing was answered: send again on a fresh one
+        return self._send(self._connect(), method, path, body, headers,
+                          reused=False)
 
     def exchange_raw(self, method: str, path: str, *,
                      body: bytes | None = None,
@@ -151,7 +224,9 @@ class HTTPClient(Client):
         ``unavailable`` envelope when the server cannot be reached at all:
         connection refused (after the bounded retry), connection reset /
         dropped mid-exchange (``kind="connection"``), or a connect/read
-        timeout (``kind="timeout"``).
+        timeout (``kind="timeout"``).  A pooled connection the server closed
+        while it idled is none of these: the exchange goes out again on a
+        fresh connection, and only that attempt's failure is reported.
         """
         headers = dict(headers or {})
         attempts = self.connect_retries + 1
@@ -237,4 +312,14 @@ class HTTPClient(Client):
         return self._exchange("GET", "/v1/healthz")
 
     def close(self) -> None:
-        """Nothing to release: exchanges are one-shot HTTP requests."""
+        """Close the pooled idle connections.
+
+        The client stays usable, but stops pooling: a later exchange opens
+        a fresh connection and closes it when it ends, and so does an
+        exchange that was in flight in another thread.
+        """
+        with self._idle_lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()

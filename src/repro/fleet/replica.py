@@ -160,9 +160,9 @@ class SubprocessReplica:
         """``GET /v1/healthz`` against the worker (raises when unreachable)."""
         if self.url is None:
             raise FleetError(f"replica {self.name} has no URL (not started)")
-        client = HTTPClient(self.url, timeout=timeout,
-                            connect_timeout=timeout, connect_retries=0)
-        return client.health()
+        with HTTPClient(self.url, timeout=timeout, connect_timeout=timeout,
+                        connect_retries=0) as client:
+            return client.health()
 
     def signal_stop(self) -> None:
         """Ask for a graceful drain (SIGTERM → the CLI's clean-exit path)."""
@@ -232,9 +232,9 @@ class InProcessReplica:
         """``GET /v1/healthz`` over HTTP, same as a subprocess replica."""
         if self.url is None:
             raise FleetError(f"replica {self.name} has no URL (not started)")
-        client = HTTPClient(self.url, timeout=timeout,
-                            connect_timeout=timeout, connect_retries=0)
-        return client.health()
+        with HTTPClient(self.url, timeout=timeout, connect_timeout=timeout,
+                        connect_retries=0) as client:
+            return client.health()
 
     def signal_stop(self) -> None:
         """Start a graceful shutdown (drain) without blocking the caller."""

@@ -27,7 +27,10 @@ out across a :class:`~repro.fleet.replica.ReplicaFleet`:
   failures are not failed over: the replica may still be computing, and a
   re-send could double work.  When a shard has no live replica left the
   router degrades honestly: a typed ``unavailable``
-  :class:`~repro.api.errors.ErrorEnvelope` under HTTP 503.
+  :class:`~repro.api.errors.ErrorEnvelope` under HTTP 503.  The proxied hop
+  reuses pooled keep-alive connections; one the replica closed while it
+  idled is re-sent on a fresh connection inside
+  :class:`~repro.client.http.HTTPClient` and is never a failover.
 * **Aggregation.**  ``GET /v1/metrics`` merges every live replica's
   *snapshot* into one (:meth:`FleetRouter.aggregate_snapshot`): replica
   instruments gain a ``replica`` label through the label codec of
@@ -193,7 +196,10 @@ class FleetRouter(WireListener):
     # -- proxied hop ----------------------------------------------------------
     def _client_for(self, url: str) -> HTTPClient:
         """A cached replica client (``connect_retries=0``: the router *is*
-        the retry layer — failover through the ring, not blind re-dials)."""
+        the retry layer — failover through the ring, not blind re-dials).
+
+        One client per replica serves every handler thread: its pool hands
+        each concurrent exchange a connection of its own."""
         with self._clients_lock:
             client = self._clients.get(url)
             if client is None:
@@ -418,3 +424,10 @@ class FleetRouter(WireListener):
     def _banner(self) -> str:
         return (f"fleet router serving on {self.url} "
                 f"({len(self.fleet.ids())} replicas)")
+
+    def _close_owned(self) -> None:
+        """Close the replica clients' pooled connections."""
+        with self._clients_lock:
+            clients, self._clients = list(self._clients.values()), {}
+        for client in clients:
+            client.close()

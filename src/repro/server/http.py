@@ -31,6 +31,11 @@ server's spans join the caller's trace) and echoes the id — the client's, or
 the server-generated one when tracing is on — on the response header and in
 ``SolveResponseV1.trace_id``.
 
+Connections are HTTP/1.1 keep-alive: every accepted socket has
+``TCP_NODELAY`` set, an idle one is closed after :data:`IDLE_TIMEOUT_S`, and
+shutting a listener down half-closes every open one, so idle handler
+threads exit at once while replies in flight still go out.
+
 Failures travel as :class:`~repro.api.errors.ErrorEnvelope` bodies under the
 HTTP status of their code: admission rejections keep their structured reason
 (``invalid`` → 400, ``queue_full`` → 429, ``draining``/``closed`` → 503),
@@ -42,6 +47,7 @@ mismatches to ``unsupported_version`` (400), unknown jobs/paths to
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs
@@ -76,6 +82,12 @@ TRACE_HEADER = "X-Repro-Trace-Id"
 #: for span attributes and logs).
 MAX_TRACE_ID_CHARS = 128
 
+#: Seconds a keep-alive connection may sit idle between requests before its
+#: handler thread closes it.  Clients reuse connections (see
+#: :mod:`repro.client.http`), so without a bound every client that went
+#: away without closing would pin a handler thread for good.
+IDLE_TIMEOUT_S = 30.0
+
 
 class WireHandler(BaseHTTPRequestHandler):
     """Transport plumbing shared by every ``/v1/*`` JSON wire handler.
@@ -93,6 +105,15 @@ class WireHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = f"repro-serve/{__version__}"
 
+    #: ``TCP_NODELAY`` on every accepted connection.  A reply goes out as
+    #: headers, then body; with Nagle on, a reused connection holds the body
+    #: back until the client's delayed ACK of the headers, some 40 ms a reply.
+    disable_nagle_algorithm = True
+
+    #: Socket timeout of the connection: bounds how long it idles between
+    #: requests (and any single read or write within one).
+    timeout = IDLE_TIMEOUT_S
+
     #: Logger of the concrete handler (subclasses override for their own
     #: channel).
     wire_log = _LOG
@@ -100,6 +121,13 @@ class WireHandler(BaseHTTPRequestHandler):
     # -- plumbing ------------------------------------------------------------
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         self.wire_log.debug("%s - %s", self.address_string(), format % args)
+
+    def end_headers(self) -> None:
+        # Tell a keep-alive client when this reply ends the connection (an
+        # unread or unframed body), so it does not pool a closing socket.
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        super().end_headers()
 
     def _send_json(self, status: int, payload: dict,
                    headers: dict[str, str] | None = None) -> None:
@@ -220,7 +248,8 @@ class WireHandler(BaseHTTPRequestHandler):
 
 
 class _HTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that knows the listener it serves."""
+    """ThreadingHTTPServer that knows the listener it serves and the
+    connections it holds open."""
 
     daemon_threads = True
     allow_reuse_address = True
@@ -228,6 +257,34 @@ class _HTTPServer(ThreadingHTTPServer):
     def __init__(self, address, owner: "WireListener") -> None:
         super().__init__(address, owner.handler_class)
         self.owner = owner
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def half_close_connections(self) -> None:
+        """Stop reading from every open connection (``SHUT_RD``).
+
+        A handler waiting for a keep-alive client's next request reads end
+        of stream and exits, closing its socket; one still computing a
+        reply writes it and exits after.  Either way the client's next use
+        of the connection fails before a reply, as against a stopped server.
+        """
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # its handler closed it meanwhile
 
 
 class WireListener:
@@ -294,11 +351,16 @@ class WireListener:
     def _close(self) -> None:
         if self._httpd is not None:
             self._httpd.server_close()
+            self._httpd.half_close_connections()
             self._httpd = None
         self._close_owned()
 
     def shutdown(self) -> None:
-        """Stop accepting connections, then close what the front end owns.
+        """Stop accepting connections, half-close the open ones, then close
+        what the front end owns.
+
+        In-flight replies still finish; handlers idling on a keep-alive
+        connection exit instead of waiting out :data:`IDLE_TIMEOUT_S`.
 
         Only valid from a thread other than the one inside
         :meth:`serve_forever` (the stdlib restriction); the CLIs' blocking

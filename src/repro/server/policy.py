@@ -25,7 +25,9 @@ loop; the policy takes the first proposal of the first stage that answers:
    :func:`~repro.matrices.features.feature_vector` space donates its best
    parameters.
 5. **Rule table** — cold start from
-   :func:`~repro.matrices.features.structural_flags`:
+   :func:`~repro.matrices.features.structural_flags`, memoised by matrix
+   fingerprint (the flags are a pure function of the content the
+   fingerprint hashes, so a repeated matrix is classified once):
 
    ========================  ==========================  =========
    structure                 family                      solver
@@ -58,8 +60,10 @@ import scipy.sparse as sp
 from repro.matrices.features import structural_flags
 from repro.mcmc.parameters import DEFAULT_BOUNDS, MCMCParameters, ParameterBounds
 from repro.api.errors import AdmissionError, REJECT_INVALID
+from repro.api.schemas import requested_family
 from repro.precond.factory import KNOWN_FAMILIES
 from repro.service import ladder
+from repro.service.cache import ArtifactCache
 from repro.service.ladder import ORIGIN_EXPLICIT, ORIGIN_RULE
 from repro.service.store import ObservationStore
 
@@ -76,6 +80,10 @@ FRAGILE_DOMINANCE = 0.5
 
 #: Cold-start MCMC parameters: the centre of the paper's training grid.
 DEFAULT_MCMC_PARAMETERS = MCMCParameters(alpha=2.0, eps=0.25, delta=0.25)
+
+#: Fingerprints whose rule-table flags one policy remembers (least recently
+#: used evicted first).  An entry is a handful of scalars.
+RULE_FLAGS_MEMO_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -146,6 +154,7 @@ class PreconditionerPolicy:
         self.bounds = bounds
         self.surrogate = surrogate
         self._snapshot = ladder.StoreSnapshot()
+        self._flags = ArtifactCache(max_entries=RULE_FLAGS_MEMO_SIZE)
         self.refresh()
 
     def refresh(self) -> None:
@@ -161,10 +170,10 @@ class PreconditionerPolicy:
         """Decide family / parameters / solver for one matrix.
 
         ``solver`` and ``preconditioner`` are the request's explicit choices
-        (``None`` or ``"auto"`` delegate to the policy).
+        (``None`` or ``"auto"``, in any case or padding, delegate to the
+        policy).
         """
-        family = None if preconditioner in (None, "auto") else \
-            preconditioner.strip().lower()
+        family = requested_family(preconditioner)
         if family is not None and family not in KNOWN_FAMILIES:
             raise AdmissionError(
                 REJECT_INVALID,
@@ -194,7 +203,7 @@ class PreconditionerPolicy:
             proposal = next(ladder.warm_start(
                 snapshot, matrix, fingerprint, bounds=self.bounds), None)
         if proposal is None:
-            return self._rule_decision(matrix, solver)
+            return self._rule_decision(matrix, fingerprint, solver)
         return PolicyDecision(
             family="mcmc",
             solver=solver or proposal.parameters.solver,
@@ -204,9 +213,10 @@ class PreconditionerPolicy:
             neighbour_distance=proposal.neighbour_distance,
             model_version=proposal.model_version)
 
-    def _rule_decision(self, matrix: sp.spmatrix,
+    def _rule_decision(self, matrix: sp.spmatrix, fingerprint: str,
                        solver: str | None) -> PolicyDecision:
-        flags = structural_flags(matrix)
+        flags = self._flags.get_or_build(
+            fingerprint, lambda: structural_flags(matrix))
         if flags["spd_like"]:
             return PolicyDecision(
                 family="ic0", solver=solver or "cg", params=(),

@@ -28,6 +28,7 @@ import heapq
 import itertools
 import threading
 import time
+from contextlib import contextmanager
 from typing import Any
 
 from repro.api.errors import (
@@ -74,7 +75,9 @@ class Job:
     completion) — the queue-wait and end-to-end spans of a traced request
     are reconstructed from them.  ``trace_id`` / ``root_span`` carry the
     request's trace across the submit → worker thread boundary; both stay
-    ``None`` when tracing is off.
+    ``None`` when tracing is off.  ``request`` is ``None`` once the job has
+    finished: a job registry keeps finished jobs for their status, and the
+    request's decoded matrix must not stay alive with them.
     """
 
     __slots__ = ("id", "request", "state", "_event", "_result", "_error",
@@ -88,7 +91,7 @@ class Job:
 
     def __init__(self, job_id: int, request: SolveRequestV1) -> None:
         self.id = job_id
-        self.request = request
+        self.request: SolveRequestV1 | None = request
         self.state = Job.PENDING
         self._event = threading.Event()
         self._result: Any = None
@@ -124,6 +127,7 @@ class Job:
                 error: Exception | None = None) -> None:
         self._result = result
         self._error = error
+        self.request = None
         self.state = Job.FAILED if error is not None else Job.DONE
         self._event.set()
 
@@ -206,7 +210,8 @@ class JobQueue:
         self._admitted = 0
         self._closed = False
         self._draining = False
-        self._condition = threading.Condition()
+        # Re-entrant, so :meth:`admit_together` can hold it across submits.
+        self._condition = threading.Condition(threading.RLock())
 
     # -- introspection ------------------------------------------------------
     @property
@@ -282,6 +287,16 @@ class JobQueue:
             self._admitted += 1
             self._condition.notify_all()
             return job
+
+    @contextmanager
+    def admit_together(self):
+        """Hold the queue lock across several :meth:`submit` calls.
+
+        Nothing can be popped until the block exits, so the jobs it admits
+        reach the scheduler together, as one batch.
+        """
+        with self._condition:
+            yield
 
     # -- scheduler side -----------------------------------------------------
     def pop_batch(self, max_jobs: int | None = None,

@@ -44,7 +44,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from repro.api.schemas import PolicyProvenance, SolveResponseV1
+from repro.api.schemas import (
+    PolicyProvenance,
+    SolveResponseV1,
+    requested_family,
+)
 from repro.core.evaluation import (
     PerformanceRecord,
     SolverSettings,
@@ -193,16 +197,18 @@ class Scheduler:
                 end_job_trace(self.tracer, job, outcome="error",
                               error=str(error))
                 continue
-            # Admission accepts any spelling of a solver name; the policy,
-            # the solver settings and the response see the canonical one.
+            # Admission accepts any spelling of a solver or family name; the
+            # grouping, the policy, the solver settings and the response see
+            # the canonical one.
             solver = (None if request.solver is None
                       else str(request.solver).strip().lower())
-            key = (fingerprint, solver, request.preconditioner,
+            family = requested_family(request.preconditioner)
+            key = (fingerprint, solver, family,
                    float(request.rtol), int(request.maxiter))
             if key not in groups:
                 groups[key] = _Group(
                     fingerprint=fingerprint, matrix=matrix, name=name,
-                    solver=solver, preconditioner=request.preconditioner,
+                    solver=solver, preconditioner=family,
                     rtol=float(request.rtol), maxiter=int(request.maxiter))
             groups[key].jobs.append(job)
         return list(groups.values())

@@ -226,8 +226,22 @@ class SolveServer:
         return job
 
     def submit_many(self, requests: list[SolveRequestV1]) -> list[Job]:
-        """Submit several requests; admission failures abort the remainder."""
-        return [self.submit(request) for request in requests]
+        """Submit several requests as one batch.
+
+        The whole list is admitted before the worker may pop any of it, so
+        requests over one matrix share one group (one policy decision, one
+        build).  An admission failure aborts the remainder; what was
+        admitted before it is still served.
+        """
+        jobs: list[Job] = []
+        try:
+            with self.queue.admit_together():
+                for request in requests:
+                    jobs.append(self._admit(request))
+        finally:
+            if jobs and self._background:
+                self._ensure_worker()
+        return jobs
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> None:

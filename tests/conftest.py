@@ -7,6 +7,9 @@ end-to-end code paths.
 
 from __future__ import annotations
 
+import socket
+import threading
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from repro.core.surrogate import GraphNeuralSurrogate, SurrogateConfig
 from repro.core.training import Trainer, TrainingConfig
 from repro.matrices import laplacian_2d, pdd_real_sparse, unsteady_advection_diffusion
 from repro.mcmc.parameters import MCMCParameters, paper_parameter_grid
+from repro.server.http import WireHandler
 
 
 def pytest_configure(config):
@@ -103,3 +107,78 @@ def trained_tiny_surrogate(tiny_dataset, tiny_surrogate_config):
 @pytest.fixture()
 def default_parameters():
     return MCMCParameters(alpha=1.0, eps=0.25, delta=0.25)
+
+
+class ConnectionLog:
+    """What every wire listener's handlers saw: one entry per accepted
+    connection, per request line and per finished connection, each tagged
+    with the listener (``handler.server.owner``) and the peer address."""
+
+    def __init__(self) -> None:
+        self.accepted: list[tuple[object, tuple, bool]] = []
+        self.requests: list[tuple[object, tuple, str]] = []
+        self.finished: list[tuple[object, tuple]] = []
+        self.condition = threading.Condition()
+
+    def _peers(self, listener, path: str | None) -> set[tuple]:
+        if path is None:
+            return {peer for owner, peer, _ in self.accepted
+                    if owner is listener}
+        return {peer for owner, peer, seen in self.requests
+                if owner is listener and seen == path}
+
+    def connections(self, listener, path: str | None = None) -> int:
+        """Connections ``listener`` accepted (that carried ``path``)."""
+        with self.condition:
+            return len(self._peers(listener, path))
+
+    def wait_closed(self, listener, path: str | None = None,
+                    timeout: float = 10.0) -> bool:
+        """Wait until every connection ``listener`` accepted (that carried
+        ``path``) has been closed by its handler."""
+        with self.condition:
+            return self.condition.wait_for(
+                lambda: self._peers(listener, path) <= {
+                    peer for owner, peer in self.finished
+                    if owner is listener},
+                timeout=timeout)
+
+
+@pytest.fixture()
+def connection_log(monkeypatch) -> ConnectionLog:
+    """Record the connections of every wire listener started in the test,
+    with whether ``TCP_NODELAY`` was set on each accepted socket."""
+    log = ConnectionLog()
+    setup = WireHandler.setup
+    parse_request = WireHandler.parse_request
+    finish = WireHandler.finish
+
+    def recording_setup(handler) -> None:
+        setup(handler)
+        nodelay = handler.connection.getsockopt(socket.IPPROTO_TCP,
+                                                socket.TCP_NODELAY)
+        with log.condition:
+            log.accepted.append((handler.server.owner,
+                                 handler.client_address, bool(nodelay)))
+
+    def recording_parse_request(handler) -> bool:
+        parsed = parse_request(handler)
+        with log.condition:
+            log.requests.append((handler.server.owner,
+                                 handler.client_address,
+                                 handler.path.partition("?")[0]))
+        return parsed
+
+    def recording_finish(handler) -> None:
+        try:
+            finish(handler)
+        finally:
+            with log.condition:
+                log.finished.append((handler.server.owner,
+                                     handler.client_address))
+                log.condition.notify_all()
+
+    monkeypatch.setattr(WireHandler, "setup", recording_setup)
+    monkeypatch.setattr(WireHandler, "parse_request", recording_parse_request)
+    monkeypatch.setattr(WireHandler, "finish", recording_finish)
+    return log

@@ -274,6 +274,51 @@ class TestFailover:
         assert snapshot.counters[
             f'fleet.failover{{replica="{owner}"}}'] == 1
 
+    def test_idle_connection_closed_by_a_live_replica_is_not_a_failover(
+            self, connection_log):
+        """The replica closing the router's pooled connection while it idles
+        costs one fresh connection, never a failover or a dead mark."""
+        matrix = _matrix(0)
+        request = SolveRequestV1(matrix=matrix, rhs=np.ones(matrix.shape[0]))
+        with _fleet_router(2) as (fleet, router):
+            owner = _owner_of(router, matrix)
+            server = fleet._replicas[fleet.ids().index(owner)].http_server
+            with HTTPClient(router.url) as client:
+                first = client.solve(request)
+                client.solve(request)
+                assert connection_log.connections(server, "/v1/solve") == 1
+                server._httpd.half_close_connections()
+                assert connection_log.wait_closed(server, "/v1/solve")
+                third = client.solve(request)
+                live = fleet.live_ids()
+                snapshot = client.metrics()
+        assert connection_log.connections(server, "/v1/solve") == 2
+        assert np.array_equal(third.solution, first.solution)
+        assert owner in live
+        assert not [key for key in snapshot.counters
+                    if key.startswith(("fleet.failover",
+                                       "fleet.replica_marked_dead"))]
+
+    def test_stopped_replica_behind_a_pooled_connection_fails_over_once(
+            self, connection_log):
+        matrix = _matrix(1)
+        request = SolveRequestV1(matrix=matrix, rhs=np.ones(matrix.shape[0]))
+        with _fleet_router(2) as (fleet, router):
+            owner = _owner_of(router, matrix)
+            replica = fleet._replicas[fleet.ids().index(owner)]
+            server = replica.http_server
+            with HTTPClient(router.url) as client:
+                first = client.solve(request)
+                client.solve(request)
+                assert connection_log.connections(server, "/v1/solve") == 1
+                replica.kill()
+                moved = client.solve(request)
+                snapshot = client.metrics()
+        assert np.array_equal(moved.solution, first.solution)
+        assert snapshot.counters[f'fleet.failover{{replica="{owner}"}}'] == 1
+        assert snapshot.counters[
+            f'fleet.replica_marked_dead{{replica="{owner}"}}'] == 1
+
     def test_no_request_lost_when_a_replica_dies_under_load(self):
         matrices = [_matrix(seed) for seed in range(8)]
         with _fleet_router(2, subprocess_replicas=True) as (fleet, router):

@@ -259,6 +259,51 @@ class TestDeterminism:
                 assert ours == theirs, field.name
 
 
+    def test_family_spellings_of_one_matrix_form_one_group(
+            self, dominant_matrix):
+        """``"ILU0"`` and ``"ilu0"`` name one family: one group, one policy
+        decision, one multi-rhs solve."""
+        server = _server()
+        jobs = [server.submit(SolveRequestV1(matrix=dominant_matrix,
+                                             preconditioner=spelling,
+                                             tag=spelling))
+                for spelling in ("ILU0", "ilu0")]
+        assert server.drain(timeout=30.0)
+        responses = [job.result(timeout=1.0) for job in jobs]
+        groups = server.telemetry_snapshot()["histograms"][
+            "scheduler.groups_per_batch"]
+        server.shutdown()
+        assert [r.batch_size for r in responses] == [2, 2]
+        assert [r.provenance["family"] for r in responses] == ["ilu0"] * 2
+        assert groups["max"] == 1
+
+    def test_submit_many_is_served_as_one_batch(self, dominant_matrix):
+        """The background worker cannot pop part of a ``submit_many`` list:
+        four same-matrix requests are one group of four."""
+        rng = np.random.default_rng(5)
+        server = _server(background=True)
+        jobs = server.submit_many([
+            SolveRequestV1(matrix=dominant_matrix,
+                           rhs=rng.standard_normal(dominant_matrix.shape[0]),
+                           tag=f"r{index}")
+            for index in range(4)])
+        responses = [job.result(timeout=60.0) for job in jobs]
+        server.shutdown()
+        assert [r.batch_size for r in responses] == [4] * 4
+
+    def test_submit_many_keeps_what_was_admitted_before_a_rejection(
+            self, dominant_matrix):
+        server = _server(max_queue_depth=2)
+        requests = [SolveRequestV1(matrix=dominant_matrix, tag=f"r{index}")
+                    for index in range(3)]
+        with pytest.raises(AdmissionError) as excinfo:
+            server.submit_many(requests)
+        assert excinfo.value.reason == "queue_full"
+        assert server.queue.depth == 2
+        assert server.drain(timeout=30.0)
+        server.shutdown()
+
+
 class TestStoreIntegration:
     def _mcmc_matrix(self) -> sp.csr_matrix:
         rng = np.random.default_rng(0)

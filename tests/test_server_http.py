@@ -483,3 +483,114 @@ def test_gmres_batch_is_served_by_the_loop_on_every_transport(transport):
         assert response.batch_mode == "loop"
         assert response.iterations == expected.iterations
         assert np.array_equal(response.solution, expected.solution)
+
+
+class TestConnectionReuse:
+    """One client, one kept-alive connection per concurrent caller."""
+
+    def test_exchanges_through_one_client_share_one_connection(
+            self, connection_log):
+        request = SolveRequestV1(matrix="2DFDLaplace_16")
+        with _http_server(background=False) as http_server:
+            client = HTTPClient(http_server.url)
+            client.health()
+            client.solve(request)
+            job_id = client.submit(request)
+            assert http_server.solve_server.drain(timeout=60.0)
+            assert client.result(job_id, timeout=60.0).converged
+            client.metrics()
+            client.metrics_prometheus()
+            client.close()
+        assert connection_log.connections(http_server) == 1
+
+    def test_accepted_connections_set_tcp_nodelay(self, connection_log):
+        with _http_server(background=False) as http_server:
+            with HTTPClient(http_server.url) as client:
+                client.health()
+        assert [nodelay for owner, _, nodelay in connection_log.accepted
+                if owner is http_server] == [True]
+
+    def test_concurrent_callers_never_share_a_connection(
+            self, connection_log):
+        """Each thread's replies name its own requests, and the pool never
+        holds more connections than there were callers at once."""
+        import sys
+
+        callers, exchanges = 8, 25
+        errors: list = []
+        with _http_server(background=False) as http_server:
+            client = HTTPClient(http_server.url)
+
+            def call(index: int) -> None:
+                try:
+                    for step in range(exchanges):
+                        job_id = index * 1000 + step
+                        reply = client.exchange_raw("GET",
+                                                    f"/v1/jobs/{job_id}")
+                        message = json.loads(reply.body)["message"]
+                        assert (reply.status, message) == (
+                            404, f"no such job {job_id}")
+                except Exception as error:  # noqa: BLE001 - recorded
+                    errors.append(error)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=call, args=(index,))
+                           for index in range(callers)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            client.close()
+        assert not errors, errors[:3]
+        assert 1 <= connection_log.connections(http_server) <= callers
+
+    def test_shutdown_releases_idle_kept_alive_connections(
+            self, connection_log):
+        """A pooled connection does not keep its handler thread waiting
+        out the idle timeout once the server shuts down."""
+        http_server = _http_server(background=False).start()
+        with HTTPClient(http_server.url) as client:
+            client.health()
+            started = time.monotonic()
+            http_server.shutdown()
+            assert connection_log.wait_closed(http_server, timeout=5.0)
+            assert time.monotonic() - started < 5.0
+            with pytest.raises(RemoteSolveError) as excinfo:
+                client.health()
+        assert excinfo.value.envelope.detail["kind"] == "connection"
+
+
+@pytest.mark.parametrize("spelling", ["AUTO", " Auto "])
+@pytest.mark.parametrize("transport", ["in_process", "wire_fidelity", "http"])
+def test_auto_in_any_spelling_delegates_to_the_policy(transport, spelling):
+    """``"auto"`` is admitted in any case and padding, like a family name,
+    and answered exactly like a request that names no family."""
+    matrix = pdd_real_sparse(40, density=0.2, dominance=3.0, seed=1)
+    rhs = np.random.default_rng(3).standard_normal(matrix.shape[0])
+
+    @contextlib.contextmanager
+    def client_of(kind: str):
+        cache = ArtifactCache(max_entries=8)
+        if kind == "http":
+            with _http_server(cache=cache, background=False) as http_server:
+                with HTTPClient(http_server.url) as client:
+                    yield client
+        else:
+            with InProcessClient(cache=cache, background=False,
+                                 wire_fidelity=kind == "wire_fidelity"
+                                 ) as client:
+                yield client
+
+    with client_of(transport) as client:
+        policy = client.solve(SolveRequestV1(matrix=matrix, rhs=rhs))
+        spelled = client.solve(SolveRequestV1(matrix=matrix, rhs=rhs,
+                                              preconditioner=spelling))
+    assert spelled.provenance == policy.provenance
+    assert spelled.provenance["origin"] == "rule"
+    assert spelled.iterations == policy.iterations
+    assert np.array_equal(spelled.solution, policy.solution)

@@ -84,6 +84,55 @@ class TestRuleTable:
             policy.decide(matrix, matrix_fingerprint(matrix),
                           preconditioner="cholesky_qr")
 
+    @pytest.mark.parametrize("spelling", ["auto", "AUTO", " Auto "])
+    def test_auto_in_any_spelling_is_the_policy_choice(self, spelling):
+        matrix = laplacian_2d(8)
+        policy = PreconditionerPolicy()
+        fingerprint = matrix_fingerprint(matrix)
+        assert policy.decide(matrix, fingerprint,
+                             preconditioner=spelling) == policy.decide(
+            matrix, fingerprint)
+
+    def test_repeated_fingerprint_computes_the_flags_once(self, monkeypatch):
+        """The rule table's input is memoised by fingerprint; a decision
+        from the memo equals the one computed afresh."""
+        from repro.server import policy as policy_module
+
+        calls: list = []
+
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return structural_flags(matrix)
+
+        monkeypatch.setattr(policy_module, "structural_flags", counted)
+        matrices = [laplacian_2d(8), pdd_real_sparse(40, density=0.2,
+                                                     dominance=3.0, seed=1)]
+        policy = PreconditionerPolicy()
+        first = [policy.decide(matrix, matrix_fingerprint(matrix),
+                               solver=solver)
+                 for matrix in matrices for solver in (None, "gmres")]
+        again = [policy.decide(matrix, matrix_fingerprint(matrix),
+                               solver=solver)
+                 for matrix in matrices for solver in (None, "gmres")]
+        fresh = [PreconditionerPolicy().decide(
+                     matrix, matrix_fingerprint(matrix), solver=solver)
+                 for matrix in matrices for solver in (None, "gmres")]
+        assert len(calls) == len(matrices) + len(fresh)
+        assert first == again == fresh
+        assert [d.rule for d in first] == [
+            "spd", "spd", "strong_diagonal_dominance",
+            "strong_diagonal_dominance"]
+
+    def test_flags_memo_is_bounded(self, monkeypatch):
+        from repro.server import policy as policy_module
+
+        monkeypatch.setattr(policy_module, "RULE_FLAGS_MEMO_SIZE", 2)
+        policy = PreconditionerPolicy()
+        for size in (4, 5, 6, 7):
+            matrix = laplacian_2d(size)
+            policy.decide(matrix, matrix_fingerprint(matrix))
+        assert len(policy._flags) == 2
+
     def test_decision_provenance_is_json_friendly(self):
         import json
 

@@ -180,6 +180,29 @@ class TestDrainAndFinish:
             job.result(timeout=0.01)
 
 
+class TestRetention:
+    @pytest.mark.parametrize("error", [None, RuntimeError("boom")])
+    def test_a_finished_job_keeps_its_answer_not_its_request(self, error):
+        """A job registry keeps finished jobs for their status; the
+        request's decoded matrix must not stay alive with them."""
+        import gc
+        import weakref
+
+        queue = JobQueue()
+        request = _request(tag="held")
+        job = queue.submit(request)
+        alive = weakref.ref(request)
+        del request
+        [popped] = queue.pop_batch()
+        assert popped.request.tag == "held"
+        queue.finish(popped, result="answer", error=error)
+        gc.collect()
+        assert job.request is None and alive() is None
+        assert job.exception() is error
+        if error is None:
+            assert job.result(timeout=0) == "answer"
+
+
 class TestTelemetry:
     def test_counter_monotonic(self):
         registry = MetricsRegistry()
