@@ -122,10 +122,21 @@ class WireHandler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         self.wire_log.debug("%s - %s", self.address_string(), format % args)
 
+    def parse_request(self) -> bool:
+        parsed = super().parse_request()
+        if parsed and self.server.closing:
+            # Read after shutdown began, so not in flight: it goes unanswered,
+            # as if the connection had closed first, and the client sends it
+            # again elsewhere (a stale pooled connection, or a failover).
+            self.close_connection = True
+            return False
+        return parsed
+
     def end_headers(self) -> None:
         # Tell a keep-alive client when this reply ends the connection (an
-        # unread or unframed body), so it does not pool a closing socket.
-        if self.close_connection:
+        # unread or unframed body, a listener shutting down), so it does not
+        # pool a closing socket.
+        if self.close_connection or self.server.closing:
             self.send_header("Connection", "close")
         super().end_headers()
 
@@ -257,6 +268,8 @@ class _HTTPServer(ThreadingHTTPServer):
     def __init__(self, address, owner: "WireListener") -> None:
         super().__init__(address, owner.handler_class)
         self.owner = owner
+        #: Set once shutdown begins: requests read after it go unanswered.
+        self.closing = False
         self._connections: set[socket.socket] = set()
         self._connections_lock = threading.Lock()
 
@@ -351,6 +364,7 @@ class WireListener:
     def _close(self) -> None:
         if self._httpd is not None:
             self._httpd.server_close()
+            self._httpd.closing = True
             self._httpd.half_close_connections()
             self._httpd = None
         self._close_owned()
@@ -360,7 +374,9 @@ class WireListener:
         what the front end owns.
 
         In-flight replies still finish; handlers idling on a keep-alive
-        connection exit instead of waiting out :data:`IDLE_TIMEOUT_S`.
+        connection exit instead of waiting out :data:`IDLE_TIMEOUT_S`, and a
+        request read after this point goes unanswered, so its client treats
+        it as sent to a stopped server.
 
         Only valid from a thread other than the one inside
         :meth:`serve_forever` (the stdlib restriction); the CLIs' blocking

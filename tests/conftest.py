@@ -163,10 +163,11 @@ def connection_log(monkeypatch) -> ConnectionLog:
 
     def recording_parse_request(handler) -> bool:
         parsed = parse_request(handler)
-        with log.condition:
-            log.requests.append((handler.server.owner,
-                                 handler.client_address,
-                                 handler.path.partition("?")[0]))
+        if parsed:
+            with log.condition:
+                log.requests.append((handler.server.owner,
+                                     handler.client_address,
+                                     handler.path.partition("?")[0]))
         return parsed
 
     def recording_finish(handler) -> None:
