@@ -3,7 +3,9 @@
 Talks the versioned wire protocol through :class:`repro.client.HTTPClient`:
 
 1. solve a registry matrix synchronously (``POST /v1/solve``),
-2. ship a raw CSR matrix through the fingerprinted base64 codec,
+2. ship a raw CSR matrix through the fingerprinted base64 codec, then solve
+   it again: the server said it holds the matrix, so the second request
+   names it by fingerprint (``{"ref": ...}``) and gets the same solution,
 3. submit a queued job and poll it to completion
    (``POST /v1/submit`` + ``GET /v1/jobs/<id>``),
 4. pin a trace id (``X-Repro-Trace-Id``) and observe the server echo it —
@@ -63,6 +65,19 @@ def run(client: HTTPClient) -> None:
           f"iterations={response.iterations} "
           f"fingerprint={response.fingerprint[:12]}…")
     print(f"provenance: {json.dumps(response.provenance.to_json_dict())}")
+
+    print("\n== POST /v1/solve (the same raw CSR again, by ref) ==")
+    # The first reply said the server holds the matrix, so this request
+    # carries only its fingerprint (or, if the server has since let it go,
+    # is re-sent inline within the same call).
+    by_ref = response.fingerprint in client.held_fingerprints()
+    again = client.solve(SolveRequestV1(matrix=matrix, rhs=rhs,
+                                        tag="pdd/wire/ref"))
+    identical = np.array_equal(again.solution, response.solution)
+    print(f"{again.tag}: sent by ref={by_ref}, "
+          f"solution bit-identical={identical}")
+    if not identical:
+        raise SystemExit("the repeated matrix got a different solution")
 
     print("\n== POST /v1/submit + GET /v1/jobs/<id> ==")
     job_id = client.submit(SolveRequestV1(matrix="2DFDLaplace_16",

@@ -27,12 +27,14 @@ from repro.api.errors import (
     IntegrityError,
     RemoteSolveError,
     SchemaError,
+    UnknownMatrixError,
     UnsupportedVersionError,
     ERROR_BAD_REQUEST,
     ERROR_CODES,
     ERROR_INTERNAL,
     ERROR_NOT_FOUND,
     ERROR_UNAVAILABLE,
+    ERROR_UNKNOWN_MATRIX,
     ERROR_UNSUPPORTED_VERSION,
     HTTP_STATUS_BY_CODE,
     REJECT_CLOSED,
@@ -68,12 +70,14 @@ __all__ = [
     "IntegrityError",
     "RemoteSolveError",
     "SchemaError",
+    "UnknownMatrixError",
     "UnsupportedVersionError",
     "ERROR_BAD_REQUEST",
     "ERROR_CODES",
     "ERROR_INTERNAL",
     "ERROR_NOT_FOUND",
     "ERROR_UNAVAILABLE",
+    "ERROR_UNKNOWN_MATRIX",
     "ERROR_UNSUPPORTED_VERSION",
     "HTTP_STATUS_BY_CODE",
     "REJECT_CLOSED",

@@ -12,20 +12,39 @@ The encoding is *lossless*: float64 values travel as their exact bytes, so a
 request or response that round-trips through the codec is bit-identical to
 the in-process object.  This is load-bearing for the cross-transport
 determinism guarantee (see ``tests/test_server_http.py``).
+
+A matrix the receiver already holds travels *by reference*: given the set of
+fingerprints the server has said it holds, :func:`encode_csr` sends
+``{"ref": <fingerprint>}`` instead of the CSR blocks, and :func:`decode_csr`
+resolves a ref through the receiver's own lookup — which only ever holds
+matrices whose fingerprint an earlier inline decode verified.  A ref is
+exactly :data:`~repro.sparse.fingerprint.DIGEST_LENGTH` lowercase hex
+characters; anything else is a :class:`~repro.api.errors.SchemaError`, and a
+well-formed ref the lookup does not hold is an
+:class:`~repro.api.errors.UnknownMatrixError`.
 """
 
 from __future__ import annotations
 
 import base64
+import re
+from typing import Callable, Container
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.api.errors import IntegrityError, SchemaError
+from repro.api.errors import IntegrityError, SchemaError, UnknownMatrixError
 from repro.sparse.csr import ensure_csr
-from repro.sparse.fingerprint import content_hash, matrix_fingerprint
+from repro.sparse.fingerprint import (
+    DIGEST_LENGTH,
+    content_hash,
+    matrix_fingerprint,
+)
 
 __all__ = ["encode_array", "decode_array", "encode_csr", "decode_csr"]
+
+#: A whole matrix fingerprint: a prefix (a metric label) is not a ref.
+_FINGERPRINT = re.compile(f"[0-9a-f]{{{DIGEST_LENGTH}}}")
 
 
 def _b64(blob: bytes) -> str:
@@ -103,19 +122,25 @@ def decode_array(payload: dict) -> np.ndarray:
     return _from_buffer(blob, "<f8", "array block").copy()
 
 
-def encode_csr(matrix: sp.spmatrix | np.ndarray) -> dict:
-    """Encode a matrix as canonical CSR blocks plus its content fingerprint.
+def encode_csr(matrix: sp.spmatrix | np.ndarray,
+               held: Container[str] = ()) -> dict:
+    """Encode a matrix as canonical CSR blocks plus its content fingerprint,
+    or as ``{"ref": fingerprint}`` when that fingerprint is in ``held``.
 
     The matrix is canonicalised first (:func:`ensure_csr`: float64 data,
     sorted indices, explicit zeros eliminated) so the fingerprint in the
     payload equals the :func:`matrix_fingerprint` the server computes after
     decoding — the identity used for batching and cache keys survives the
-    wire unchanged.
+    wire unchanged.  The fingerprint is computed once, for both the ``held``
+    test and the block.
     """
     if np.iscomplexobj(getattr(matrix, "data", matrix)):
         raise SchemaError(
             "cannot encode a complex matrix into the float64 wire format")
     csr = ensure_csr(matrix)
+    fingerprint = matrix_fingerprint(csr)
+    if fingerprint in held:
+        return {"ref": fingerprint}
     indptr = np.ascontiguousarray(csr.indptr, dtype=np.int64)
     indices = np.ascontiguousarray(csr.indices, dtype=np.int64)
     data = np.ascontiguousarray(csr.data, dtype=np.float64)
@@ -124,15 +149,32 @@ def encode_csr(matrix: sp.spmatrix | np.ndarray) -> dict:
         "indptr": _b64(indptr.tobytes()),
         "indices": _b64(indices.tobytes()),
         "data": _b64(data.tobytes()),
-        "fingerprint": matrix_fingerprint(csr),
+        "fingerprint": fingerprint,
     }
 
 
-def decode_csr(payload: dict) -> sp.csr_matrix:
-    """Decode CSR blocks, verifying shape consistency and the fingerprint."""
+def decode_csr(payload: dict,
+               resolve: Callable[[str], sp.csr_matrix | None] | None = None
+               ) -> sp.csr_matrix:
+    """Decode CSR blocks, verifying shape consistency and the fingerprint.
+
+    A ``{"ref": fingerprint}`` payload is looked up through ``resolve``
+    instead (no lookup: nothing is held); the payload's verified
+    fingerprint is ``payload["ref"]`` or ``payload["fingerprint"]``.
+    """
     if not isinstance(payload, dict):
         raise SchemaError(
             f"expected a CSR block object, got {type(payload).__name__}")
+    if "ref" in payload:
+        ref = payload["ref"]
+        if not (isinstance(ref, str) and _FINGERPRINT.fullmatch(ref)):
+            raise SchemaError(
+                f"matrix ref {ref!r} is not a {DIGEST_LENGTH}-character "
+                f"lowercase hex fingerprint")
+        matrix = None if resolve is None else resolve(ref)
+        if matrix is None:
+            raise UnknownMatrixError(ref)
+        return matrix
     shape = payload.get("shape")
     if not isinstance(shape, (list, tuple)) or len(shape) != 2:
         raise SchemaError(f"CSR block shape {shape!r} is not a pair")

@@ -5,8 +5,9 @@ Every failure that can cross the process boundary is described by an
 ``code`` drawn from :data:`ERROR_CODES`.  The codes mirror the admission
 reasons of the solve server (``invalid`` / ``queue_full`` / ``draining`` /
 ``closed``) and add the transport-level failures a wire protocol needs
-(``bad_request``, ``unsupported_version``, ``not_found``, ``internal``), so
-an HTTP client and an in-process caller see the *same* taxonomy.
+(``bad_request``, ``unsupported_version``, ``not_found``, ``unknown_matrix``,
+``internal``), so an HTTP client and an in-process caller see the *same*
+taxonomy.
 
 :class:`AdmissionError` lives here (not in :mod:`repro.server.queue`) because
 it is part of the API contract: a client must be able to raise and catch it
@@ -25,6 +26,7 @@ __all__ = [
     "SchemaError",
     "UnsupportedVersionError",
     "IntegrityError",
+    "UnknownMatrixError",
     "RemoteSolveError",
     "ErrorEnvelope",
     "ERROR_CODES",
@@ -37,6 +39,7 @@ __all__ = [
     "ERROR_UNSUPPORTED_VERSION",
     "ERROR_NOT_FOUND",
     "ERROR_UNAVAILABLE",
+    "ERROR_UNKNOWN_MATRIX",
     "ERROR_INTERNAL",
 ]
 
@@ -59,21 +62,28 @@ ERROR_NOT_FOUND = "not_found"
 ERROR_UNAVAILABLE = "unavailable"
 ERROR_INTERNAL = "internal"
 
+#: A request named its matrix by a ``ref`` (fingerprint) the server does not
+#: hold.  Not the caller's fault and not a failure of the server: the
+#: client sends the same request once more with the matrix inline.
+ERROR_UNKNOWN_MATRIX = "unknown_matrix"
+
 #: Every code an :class:`ErrorEnvelope` may carry.
 ERROR_CODES: tuple[str, ...] = (
     REJECT_INVALID, REJECT_QUEUE_FULL, REJECT_DRAINING, REJECT_CLOSED,
     ERROR_BAD_REQUEST, ERROR_UNSUPPORTED_VERSION, ERROR_NOT_FOUND,
-    ERROR_UNAVAILABLE, ERROR_INTERNAL,
+    ERROR_UNAVAILABLE, ERROR_UNKNOWN_MATRIX, ERROR_INTERNAL,
 )
 
 #: HTTP status an envelope of each code travels under.  Backpressure maps to
 #: 429 (retry against the same server later), drain/close to 503 (retry
-#: against another replica), schema problems to 400, lookups to 404.
+#: against another replica), schema problems to 400, lookups (a job, a path,
+#: a matrix ref) to 404.
 HTTP_STATUS_BY_CODE: dict[str, int] = {
     REJECT_INVALID: 400,
     ERROR_BAD_REQUEST: 400,
     ERROR_UNSUPPORTED_VERSION: 400,
     ERROR_NOT_FOUND: 404,
+    ERROR_UNKNOWN_MATRIX: 404,
     REJECT_QUEUE_FULL: 429,
     REJECT_DRAINING: 503,
     REJECT_CLOSED: 503,
@@ -100,6 +110,16 @@ class UnsupportedVersionError(SchemaError):
 
 class IntegrityError(SchemaError):
     """A decoded payload failed its content-fingerprint integrity check."""
+
+
+class UnknownMatrixError(SchemaError):
+    """A request's matrix ``ref`` names a fingerprint the server does not
+    hold (never sent, evicted, or held by another replica)."""
+
+    def __init__(self, fingerprint: str) -> None:
+        super().__init__(f"no matrix held under ref {fingerprint!r}; "
+                         f"send it inline")
+        self.fingerprint = fingerprint
 
 
 class RemoteSolveError(ReproError):
@@ -148,12 +168,16 @@ class ErrorEnvelope:
         """Map an exception onto the envelope taxonomy.
 
         :class:`AdmissionError` keeps its reason as the code,
-        schema/version/integrity failures map to their transport codes, and
+        schema/version/integrity/unknown-ref failures map to their transport
+        codes, and
         anything else becomes ``internal`` (the message still travels so a
         remote caller can debug a failed solve).
         """
         if isinstance(error, AdmissionError):
             return cls(code=error.reason, message=str(error))
+        if isinstance(error, UnknownMatrixError):
+            return cls(code=ERROR_UNKNOWN_MATRIX, message=str(error),
+                       detail={"fingerprint": error.fingerprint})
         if isinstance(error, UnsupportedVersionError):
             return cls(code=ERROR_UNSUPPORTED_VERSION, message=str(error))
         if isinstance(error, SchemaError):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Callable, Container, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -107,6 +107,12 @@ class SolveRequestV1:
     A v1 payload that still carries the retired ``batch_mode`` key parses
     (unknown keys are ignored) and is served like any other request: every
     same-matrix batch is one solve per right-hand side.
+
+    ``verified_fingerprint`` is not a constructor argument: only
+    :meth:`from_json_dict` sets it, to the fingerprint the codec verified
+    for a raw matrix (or the ref it resolved), so the server groups and
+    caches by it without hashing the matrix again.  It stays ``None`` on a
+    request built in process, and on one that names a registry matrix.
     """
 
     matrix: sp.spmatrix | str
@@ -118,19 +124,26 @@ class SolveRequestV1:
     priority: int = 0
     seed: int = 0
     tag: str = ""
+    verified_fingerprint: str | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def validate(self) -> "SolveRequestV1":
         """Run the admission-boundary validation; returns ``self``."""
         validate_request(self)
         return self
 
-    def to_json_dict(self) -> dict:
-        """The stamped wire form of this request."""
+    def to_json_dict(self, held: Container[str] = ()) -> dict:
+        """The stamped wire form of this request.
+
+        A raw matrix whose fingerprint is in ``held`` (the fingerprints the
+        receiving server said it holds) travels as ``{"ref": fingerprint}``
+        inside the ``csr`` object instead of as blocks.
+        """
         payload = version_stamp("solve_request")
         if isinstance(self.matrix, str):
             matrix_payload: dict = {"name": self.matrix}
         else:
-            matrix_payload = {"csr": encode_csr(self.matrix)}
+            matrix_payload = {"csr": encode_csr(self.matrix, held)}
         payload.update({
             "matrix": matrix_payload,
             "rhs": None if self.rhs is None else encode_array(self.rhs),
@@ -145,18 +158,29 @@ class SolveRequestV1:
         return payload
 
     @classmethod
-    def from_json_dict(cls, payload: dict) -> "SolveRequestV1":
-        """Parse (and version-negotiate) a wire payload into a request."""
+    def from_json_dict(cls, payload: dict,
+                       resolve: Callable[[str], sp.csr_matrix | None]
+                       | None = None) -> "SolveRequestV1":
+        """Parse (and version-negotiate) a wire payload into a request.
+
+        ``resolve`` looks up a matrix sent by ref (see
+        :func:`~repro.api.codec.decode_csr`); without it a ref is an
+        :class:`~repro.api.errors.UnknownMatrixError`.
+        """
         payload = negotiate(payload, "solve_request")
         matrix_payload = payload.get("matrix")
         if not isinstance(matrix_payload, dict):
             raise SchemaError(
                 f"request matrix must be an object with 'name' or 'csr', "
                 f"got {type(matrix_payload).__name__}")
+        fingerprint = None
         if "name" in matrix_payload:
             matrix: sp.spmatrix | str = str(matrix_payload["name"])
         elif "csr" in matrix_payload:
-            matrix = decode_csr(matrix_payload["csr"])
+            block = matrix_payload["csr"]
+            matrix = decode_csr(block, resolve)
+            # What decode_csr verified, or the ref it resolved.
+            fingerprint = block.get("ref") or block["fingerprint"]
         else:
             raise SchemaError(
                 "request matrix object carries neither 'name' nor 'csr'")
@@ -174,7 +198,7 @@ class SolveRequestV1:
             seed = int(payload.get("seed", 0))
         except (TypeError, ValueError) as error:
             raise SchemaError(f"request scalar field malformed: {error}")
-        return cls(
+        request = cls(
             matrix=matrix,
             rhs=rhs,
             solver=None if solver is None else str(solver),
@@ -186,6 +210,8 @@ class SolveRequestV1:
             seed=seed,
             tag=str(payload.get("tag", "")),
         )
+        object.__setattr__(request, "verified_fingerprint", fingerprint)
+        return request
 
 
 def validate_request(request: SolveRequestV1) -> None:

@@ -31,6 +31,17 @@ once more on a fresh connection, and only that fresh attempt's failure is
 reported — so a stale connection never reads as ``kind="connection"`` and
 never makes the router fail over from a live replica.
 :meth:`HTTPClient.close` closes the pooled connections.
+
+A raw matrix is sent once.  A server that holds a request's matrix says so
+in the reply's ``X-Repro-Matrix-Held`` header, and the client remembers that
+fingerprint (at most :data:`MAX_HELD_FINGERPRINTS`, least recently used out)
+and sends later requests over the same matrix as ``{"ref": fingerprint}``
+instead of its CSR blocks.  A reply without the header makes the client
+forget the fingerprint again.  When the server no longer holds a ref'd
+matrix — evicted, restarted, or the fleet moved the shard to another
+replica — it answers ``unknown_matrix``, and the client sends the request
+once more with the matrix inline, within the same call: a caller never sees
+that code.  A server that never sends the header never receives a ref.
 """
 
 from __future__ import annotations
@@ -39,10 +50,17 @@ import http.client
 import json
 import threading
 import time
+from collections import OrderedDict
 from typing import NamedTuple
 from urllib.parse import urlsplit
 
-from repro.api.errors import ERROR_UNAVAILABLE, ErrorEnvelope, SchemaError
+from repro.api.errors import (
+    ERROR_UNAVAILABLE,
+    ERROR_UNKNOWN_MATRIX,
+    ErrorEnvelope,
+    RemoteSolveError,
+    SchemaError,
+)
 from repro.api.schemas import (
     JobStatusV1,
     SolveRequestV1,
@@ -60,6 +78,10 @@ __all__ = ["HTTPClient", "RawReply"]
 #: (equality is asserted in ``tests/test_server_tracing.py``).
 TRACE_HEADER = "X-Repro-Trace-Id"
 
+#: Mirror of :data:`repro.server.http.MATRIX_HELD_HEADER`, for the same
+#: reason.
+MATRIX_HELD_HEADER = "X-Repro-Matrix-Held"
+
 #: Pause before the single connection-refused retry, giving a restarting
 #: server a beat to bind without turning the retry into a spin.
 RETRY_BACKOFF_S = 0.05
@@ -67,6 +89,9 @@ RETRY_BACKOFF_S = 0.05
 #: Idle keep-alive connections one client holds for reuse; an exchange that
 #: finds the pool full closes its connection instead.
 MAX_IDLE_CONNECTIONS = 8
+
+#: Fingerprints of matrices the server said it holds, remembered per client.
+MAX_HELD_FINGERPRINTS = 256
 
 
 class _StaleConnection(Exception):
@@ -127,11 +152,12 @@ class HTTPClient(Client):
         self._idle: list[http.client.HTTPConnection] = []
         self._idle_lock = threading.Lock()
         self._closed = False
+        # Fingerprints the server holds, least recently confirmed first.
+        self._held: OrderedDict[str, None] = OrderedDict()
+        self._held_lock = threading.Lock()
 
     # -- reachability failures ----------------------------------------------
-    def _unavailable(self, kind: str, error: BaseException) -> "RemoteSolveError":
-        from repro.api.errors import RemoteSolveError
-
+    def _unavailable(self, kind: str, error: BaseException) -> RemoteSolveError:
         return RemoteSolveError(ErrorEnvelope(
             code=ERROR_UNAVAILABLE,
             message=f"{self.base_url} unreachable: {error} "
@@ -250,8 +276,8 @@ class HTTPClient(Client):
                 raise self._unavailable("connection", error) from error
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _exchange_bytes(self, method: str, path: str,
-                        payload: dict | None = None) -> bytes:
+    def _exchange_reply(self, method: str, path: str,
+                        payload: dict | None = None) -> RawReply:
         headers = {"Content-Type": "application/json"}
         # Propagate the ambient trace id so a traced server joins the
         # caller's trace instead of minting a fresh one per request.
@@ -270,26 +296,71 @@ class HTTPClient(Client):
                     f"server answered HTTP {reply.status} without a "
                     f"parseable error envelope: {reply.body[:200]!r}")
             envelope.raise_()
-        return reply.body
+        return reply
 
-    def _exchange(self, method: str, path: str, payload: dict | None = None
-                  ) -> dict:
-        body = self._exchange_bytes(method, path, payload)
+    @staticmethod
+    def _json(body: bytes) -> dict:
         try:
             return json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise SchemaError(
                 f"server answer is not valid JSON ({error}): {body[:200]!r}")
 
+    def _exchange(self, method: str, path: str, payload: dict | None = None
+                  ) -> dict:
+        return self._json(self._exchange_reply(method, path, payload).body)
+
+    # -- matrices by ref ------------------------------------------------------
+    def held_fingerprints(self) -> list[str]:
+        """Fingerprints this client sends by ref, least recently confirmed
+        first."""
+        with self._held_lock:
+            return list(self._held)
+
+    def _note_held(self, fingerprint: str, held: bool) -> None:
+        with self._held_lock:
+            if not held:
+                self._held.pop(fingerprint, None)
+                return
+            self._held[fingerprint] = None
+            self._held.move_to_end(fingerprint)
+            if len(self._held) > MAX_HELD_FINGERPRINTS:
+                self._held.popitem(last=False)
+
+    def _post_request(self, path: str, request: SolveRequestV1) -> dict:
+        """POST a solve request, its matrix by ref when the server holds it.
+
+        An ``unknown_matrix`` answer to a ref re-sends the request once with
+        the matrix inline.  The reply's held-matrix header then records
+        whether the server holds the matrix now.
+        """
+        payload = request.to_json_dict(self._held)
+        block = payload["matrix"].get("csr")
+        try:
+            reply = self._exchange_reply("POST", path, payload)
+        except RemoteSolveError as error:
+            if (block is None or "ref" not in block
+                    or error.envelope.code != ERROR_UNKNOWN_MATRIX):
+                raise
+            self._note_held(block["ref"], False)
+            payload = request.to_json_dict()
+            block = payload["matrix"]["csr"]
+            reply = self._exchange_reply("POST", path, payload)
+        if block is not None:
+            fingerprint = block.get("ref") or block["fingerprint"]
+            self._note_held(fingerprint, reply.headers.get(
+                MATRIX_HELD_HEADER.lower()) == fingerprint)
+        return self._json(reply.body)
+
     # -- Client API ----------------------------------------------------------
     def solve(self, request: SolveRequestV1) -> SolveResponseV1:
         """``POST /v1/solve``: serve one request synchronously."""
-        payload = self._exchange("POST", "/v1/solve", request.to_json_dict())
+        payload = self._post_request("/v1/solve", request)
         return SolveResponseV1.from_json_dict(payload)
 
     def submit(self, request: SolveRequestV1) -> int:
         """``POST /v1/submit``: queue one request, returning its job id."""
-        payload = self._exchange("POST", "/v1/submit", request.to_json_dict())
+        payload = self._post_request("/v1/submit", request)
         return JobStatusV1.from_json_dict(payload).job_id
 
     def job(self, job_id: int) -> JobStatusV1:
@@ -304,8 +375,8 @@ class HTTPClient(Client):
 
     def metrics_prometheus(self) -> str:
         """``GET /v1/metrics?format=prometheus``: text exposition format."""
-        body = self._exchange_bytes("GET", "/v1/metrics?format=prometheus")
-        return body.decode("utf-8")
+        reply = self._exchange_reply("GET", "/v1/metrics?format=prometheus")
+        return reply.body.decode("utf-8")
 
     def health(self) -> dict:
         """``GET /v1/healthz``: liveness + queue state."""

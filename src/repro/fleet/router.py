@@ -7,7 +7,8 @@ out across a :class:`~repro.fleet.replica.ReplicaFleet`:
 
 * **Sharding.**  Solve and submit bodies are routed by the matrix identity
   already embedded in the wire payload — the ``fingerprint`` of a raw CSR
-  matrix, or the registry ``name`` — through a
+  matrix (or the ``ref`` naming one sent before), or the registry ``name``
+  — through a
   :class:`~repro.fleet.ring.HashRing` over the replica names.  Routing
   identity therefore *is* batching identity *is* cache identity: every
   request for a matrix lands on the replica whose artifact cache already
@@ -25,8 +26,11 @@ out across a :class:`~repro.fleet.replica.ReplicaFleet`:
   Solve and submit are idempotent (solves are deterministic; a died
   replica's queue died with it), so the single re-send is safe.  *Timeout*
   failures are not failed over: the replica may still be computing, and a
-  re-send could double work.  When a shard has no live replica left the
-  router degrades honestly: a typed ``unavailable``
+  re-send could double work.  An ``unknown_matrix`` answer is not a
+  failure of the replica: it goes back to the client, which re-sends the
+  request with its matrix inline — after a failover, the new owner holds
+  none of the old owner's matrices.  When a shard has no live replica left
+  the router degrades honestly: a typed ``unavailable``
   :class:`~repro.api.errors.ErrorEnvelope` under HTTP 503.  The proxied hop
   reuses pooled keep-alive connections; one the replica closed while it
   idled is re-sent on a fresh connection inside
@@ -48,7 +52,9 @@ remote ids collide across replicas.
 
 Tracing: the inbound ``X-Repro-Trace-Id`` header is forwarded on the proxied
 hop and the replica's echo is forwarded back, so one trace id follows a
-request through router and replica spans alike.
+request through router and replica spans alike.  The replica's
+``X-Repro-Matrix-Held`` header is forwarded back too, so a client behind
+the router sends refs, and they reach the shard owner that holds them.
 """
 
 from __future__ import annotations
@@ -67,7 +73,12 @@ from repro.fleet.replica import ReplicaFleet
 from repro.fleet.ring import DEFAULT_VNODES, HashRing
 from repro.logging_utils import get_logger
 from repro.obs.metrics import parse_label_key, render_label_key
-from repro.server.http import TRACE_HEADER, WireHandler, WireListener
+from repro.server.http import (
+    MATRIX_HELD_HEADER,
+    TRACE_HEADER,
+    WireHandler,
+    WireListener,
+)
 from repro.server.queue import MAX_TRACKED_JOBS
 from repro.version import __version__
 
@@ -78,25 +89,28 @@ _LOG = get_logger("fleet.router")
 #: Request headers forwarded verbatim on the proxied hop.
 _FORWARDED_HEADERS = ("content-type", TRACE_HEADER.lower())
 
-#: Response headers forwarded verbatim back to the caller.
-_RETURNED_HEADERS = ("content-type", TRACE_HEADER.lower())
+#: Response headers forwarded verbatim back to the caller (besides
+#: ``Content-Type``).
+_RETURNED_HEADERS = (TRACE_HEADER, MATRIX_HELD_HEADER)
 
 
 def shard_key_of(body: bytes) -> str | None:
     """The routing key of a solve/submit body, without decoding the matrix.
 
     The wire codec embeds the matrix ``fingerprint`` inside the CSR block
-    (and registry matrices travel by ``name``), so the shard key — the same
-    identity the server's batcher and artifact cache group by — is plain
-    JSON field access.  Returns ``None`` for bodies that carry neither;
-    such requests route to any live replica, which answers with the typed
-    400 the single server would have produced.
+    — or sends it alone, as the block's ``ref`` — and registry matrices
+    travel by ``name``, so the shard key (the same identity the server's
+    batcher and artifact cache group by) is plain JSON field access: a ref
+    routes where its inline request did.  Returns ``None`` for bodies that
+    carry neither; such requests route to any live replica, which answers
+    with the typed 400 the single server would have produced.
     """
     try:
         payload = json.loads(body.decode("utf-8"))
         matrix = payload["matrix"]
         if "csr" in matrix:
-            return "fp:" + str(matrix["csr"]["fingerprint"])
+            block = matrix["csr"]
+            return "fp:" + str(block.get("ref") or block["fingerprint"])
         if "name" in matrix:
             return "name:" + str(matrix["name"])
     except (UnicodeDecodeError, ValueError, KeyError, TypeError):
@@ -143,9 +157,10 @@ class _RouterHandler(WireHandler):
                                          "application/json")
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(reply.body)))
-        trace_id = reply.headers.get(TRACE_HEADER.lower())
-        if trace_id is not None:
-            self.send_header(TRACE_HEADER, trace_id)
+        for name in _RETURNED_HEADERS:
+            value = reply.headers.get(name.lower())
+            if value is not None:
+                self.send_header(name, value)
         self.end_headers()
         self.wfile.write(reply.body)
 

@@ -31,6 +31,18 @@ server's spans join the caller's trace) and echoes the id — the client's, or
 the server-generated one when tracing is on — on the response header and in
 ``SolveResponseV1.trace_id``.
 
+Matrices by reference: the server keeps the matrices of admitted inline
+requests in a store bounded by bytes (:class:`HeldMatrices`, keyed by the
+fingerprint the decode verified), and a 200/202 reply to a request over a
+raw matrix carries ``X-Repro-Matrix-Held: <fingerprint>`` when the store
+holds it.
+A client that saw the header may send ``{"ref": <fingerprint>}`` in place
+of the CSR blocks; the ref is resolved at decode, so a queued job holds the
+matrix itself.  A ref the store does not hold (evicted, or never sent here)
+answers ``unknown_matrix`` (404) and the client sends the request inline.
+The ``api.matrix_refs`` counter, labelled ``outcome`` (``held`` /
+``unknown``), counts the refs resolved and missed.
+
 Connections are HTTP/1.1 keep-alive: every accepted socket has
 ``TCP_NODELAY`` set, an idle one is closed after :data:`IDLE_TIMEOUT_S`, and
 shutting a listener down half-closes every open one, so idle handler
@@ -41,7 +53,8 @@ HTTP status of their code: admission rejections keep their structured reason
 (``invalid`` → 400, ``queue_full`` → 429, ``draining``/``closed`` → 503),
 malformed JSON and schema violations map to ``bad_request`` (400), version
 mismatches to ``unsupported_version`` (400), unknown jobs/paths to
-``not_found`` (404), and anything unexpected to ``internal`` (500).
+``not_found`` (404), an unheld matrix ref to ``unknown_matrix`` (404), and
+anything unexpected to ``internal`` (500).
 """
 
 from __future__ import annotations
@@ -49,8 +62,11 @@ from __future__ import annotations
 import json
 import socket
 import threading
+from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs
+
+import scipy.sparse as sp
 
 from repro.api.errors import (
     AdmissionError,
@@ -60,13 +76,15 @@ from repro.api.errors import (
 )
 from repro.api.schemas import SolveRequestV1, TelemetrySnapshot
 from repro.logging_utils import get_logger
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.prometheus import render_prometheus
 from repro.obs.trace import use_trace_id
 from repro.server.queue import JobRegistry, job_status
 from repro.server.server import SolveServer
 from repro.version import __version__
 
-__all__ = ["SolveHTTPServer", "WireHandler", "WireListener", "TRACE_HEADER"]
+__all__ = ["SolveHTTPServer", "WireHandler", "WireListener", "HeldMatrices",
+           "TRACE_HEADER", "MATRIX_HELD_HEADER"]
 
 _LOG = get_logger("server.http")
 
@@ -76,6 +94,14 @@ MAX_BODY_BYTES = 256 * 1024 * 1024
 
 #: Header propagating a request's trace id in both directions.
 TRACE_HEADER = "X-Repro-Trace-Id"
+
+#: Reply header naming the fingerprint of a request's raw matrix while the
+#: server holds that matrix, so the client may send it by ref next time.
+MATRIX_HELD_HEADER = "X-Repro-Matrix-Held"
+
+#: Bytes of CSR arrays a server keeps for requests by ref.  Bounded by bytes,
+#: not entries: one inline body may be up to :data:`MAX_BODY_BYTES`.
+MAX_HELD_MATRIX_BYTES = 128 * 1024 * 1024
 
 #: Longest accepted inbound trace id (anything longer is ignored — the
 #: header is client-controlled and must not become an amplification vector
@@ -398,6 +424,59 @@ class WireListener:
         self.shutdown()
 
 
+def _csr_bytes(matrix: sp.csr_matrix) -> int:
+    return matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+
+
+class HeldMatrices:
+    """Decoded inline matrices, by verified fingerprint, within a byte bound.
+
+    Least recently used first out; a matrix larger than the whole bound is
+    not kept.  Only the fingerprint a decode verified is ever a key, so a
+    ref resolves to exactly the matrix that was sent under it.
+    """
+
+    def __init__(self, max_bytes: int, telemetry: MetricsRegistry) -> None:
+        self.max_bytes = int(max_bytes)
+        self.telemetry = telemetry
+        self.nbytes = 0
+        self._matrices: OrderedDict[str, sp.csr_matrix] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._matrices)
+
+    def hold(self, fingerprint: str, matrix: sp.csr_matrix) -> bool:
+        """Hold ``matrix`` under its verified ``fingerprint``; whether it is
+        held (``False`` only for a matrix larger than the whole bound)."""
+        size = _csr_bytes(matrix)
+        if size > self.max_bytes:
+            return False
+        with self._lock:
+            if fingerprint in self._matrices:
+                self._matrices.move_to_end(fingerprint)
+                return True
+            self._matrices[fingerprint] = matrix
+            self.nbytes += size
+            while self.nbytes > self.max_bytes:
+                _, evicted = self._matrices.popitem(last=False)
+                self.nbytes -= _csr_bytes(evicted)
+        return True
+
+    def resolve(self, fingerprint: str) -> sp.csr_matrix | None:
+        """The matrix held under ``fingerprint``, else ``None``; counted as
+        ``api.matrix_refs{outcome="held"|"unknown"}``."""
+        with self._lock:
+            matrix = self._matrices.get(fingerprint)
+            if matrix is not None:
+                self._matrices.move_to_end(fingerprint)
+        self.telemetry.counter(
+            "api.matrix_refs",
+            outcome="unknown" if matrix is None else "held").add(1)
+        return matrix
+
+
 class _Handler(WireHandler):
     """Routes one HTTP exchange onto the owning :class:`SolveHTTPServer`."""
 
@@ -407,7 +486,19 @@ class _Handler(WireHandler):
             payload = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise SchemaError(f"request body is not valid JSON ({error})")
-        return SolveRequestV1.from_json_dict(payload)
+        return SolveRequestV1.from_json_dict(
+            payload, self.server.owner.held_matrices.resolve)
+
+    def _reply_headers(self, request: SolveRequestV1,
+                       trace_id: str | None) -> dict[str, str]:
+        """The trace echo; and, once a raw matrix's request was admitted,
+        the store holds the matrix and the held-matrix header names it."""
+        headers = {} if trace_id is None else {TRACE_HEADER: trace_id}
+        fingerprint = request.verified_fingerprint
+        if fingerprint is not None and self.server.owner.held_matrices.hold(
+                fingerprint, request.matrix):
+            headers[MATRIX_HELD_HEADER] = fingerprint
+        return headers
 
     # -- routes --------------------------------------------------------------
     def do_POST(self) -> None:  # noqa: N802 - http.server API
@@ -441,9 +532,9 @@ class _Handler(WireHandler):
         trace_id = self._request_trace_id()
         with use_trace_id(trace_id):
             response = self.server.owner.solve_server.solve(request)
-        echo = response.trace_id or trace_id
         self._send_json(200, response.to_json_dict(),
-                        headers=None if echo is None else {TRACE_HEADER: echo})
+                        headers=self._reply_headers(
+                            request, response.trace_id or trace_id))
 
     def _post_submit(self) -> None:
         request = self._read_request_schema()
@@ -451,9 +542,9 @@ class _Handler(WireHandler):
         with use_trace_id(trace_id):
             job = self.server.owner.solve_server.submit(request)
         self.server.owner.jobs.track(job)
-        echo = job.trace_id or trace_id
         self._send_json(202, job_status(job).to_json_dict(),
-                        headers=None if echo is None else {TRACE_HEADER: echo})
+                        headers=self._reply_headers(
+                            request, job.trace_id or trace_id))
 
     def _get_job(self, route: str) -> None:
         job_id = self._job_id(route)
@@ -510,6 +601,9 @@ class SolveHTTPServer(WireListener):
                              if solve_server is None else solve_server)
         #: Jobs behind ``GET /v1/jobs/<id>``.
         self.jobs = JobRegistry()
+        #: Matrices behind requests by ref.
+        self.held_matrices = HeldMatrices(MAX_HELD_MATRIX_BYTES,
+                                          self.solve_server.telemetry)
 
     # -- lifecycle (WireListener) --------------------------------------------
     def _banner(self) -> str:

@@ -190,7 +190,7 @@ class Scheduler:
             request = job.request
             try:
                 matrix, name = self._resolve_matrix(request.matrix)
-                fingerprint = self._fingerprint(matrix)
+                fingerprint = self._fingerprint(request, matrix)
             except Exception as error:  # noqa: BLE001 - surfaced on the job
                 self.telemetry.counter("jobs_failed").add(1)
                 job._finish(error=error)
@@ -221,10 +221,11 @@ class Scheduler:
             return resolved, matrix
         return validate_square(matrix), ""
 
-    def _fingerprint(self, matrix: sp.csr_matrix) -> str:
-        # id()-keyed memo would be unsound across gc; fingerprinting is one
-        # pass over the non-zeros and stays far below a solve's cost.
-        return matrix_fingerprint(matrix)
+    def _fingerprint(self, request, matrix: sp.csr_matrix) -> str:
+        """The group key: the fingerprint the wire decode verified (or the
+        ref it resolved), else a hash of the matrix — for a request built in
+        process, or one naming a registry matrix."""
+        return request.verified_fingerprint or matrix_fingerprint(matrix)
 
     # -- one group ----------------------------------------------------------
     def _run_group(self, group: _Group) -> None:

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from repro.api import (
     IntegrityError,
     SchemaError,
+    UnknownMatrixError,
     decode_array,
     decode_csr,
     encode_array,
@@ -109,3 +110,53 @@ class TestCSRBlocks:
             decode_csr("not an object")
         with pytest.raises(SchemaError):
             decode_array([1, 2, 3])
+
+
+class TestMatrixRefs:
+    """A matrix the receiver holds travels as its fingerprint alone."""
+
+    def test_held_fingerprint_encodes_as_a_ref(self):
+        matrix = laplacian_2d(5)
+        fingerprint = matrix_fingerprint(matrix)
+        assert encode_csr(matrix, {fingerprint}) == {"ref": fingerprint}
+        assert encode_csr(matrix, {"0" * 32})["fingerprint"] == fingerprint
+
+    def test_encode_hashes_the_matrix_once(self, monkeypatch):
+        import repro.sparse.fingerprint as fingerprint_module
+
+        calls = []
+        real = fingerprint_module.content_hash
+
+        def counting(*parts):
+            calls.append(parts[0])
+            return real(*parts)
+
+        monkeypatch.setattr(fingerprint_module, "content_hash", counting)
+        encode_csr(laplacian_2d(5), {"0" * 32})
+        assert len(calls) == 1
+
+    def test_ref_resolves_through_the_lookup(self):
+        matrix = laplacian_2d(5)
+        fingerprint = matrix_fingerprint(matrix)
+        held = {fingerprint: matrix}
+        assert decode_csr({"ref": fingerprint}, held.get) is matrix
+        with pytest.raises(UnknownMatrixError) as excinfo:
+            decode_csr({"ref": "0" * 32}, held.get)
+        assert excinfo.value.fingerprint == "0" * 32
+        with pytest.raises(UnknownMatrixError):
+            decode_csr({"ref": fingerprint})  # nothing held without a lookup
+
+    @pytest.mark.parametrize("ref", [7, None, ["a"], "0" * 31, "0" * 33,
+                                     "A" * 32, "g" * 32, " " + "0" * 31])
+    def test_malformed_ref_is_a_schema_error(self, ref):
+        with pytest.raises(SchemaError) as excinfo:
+            decode_csr({"ref": ref}, lambda fingerprint: laplacian_2d(3))
+        assert not isinstance(excinfo.value, UnknownMatrixError)
+
+    def test_fingerprint_prefix_does_not_resolve(self):
+        matrix = laplacian_2d(5)
+        fingerprint = matrix_fingerprint(matrix)
+        held = {fingerprint: matrix}
+        with pytest.raises(SchemaError) as excinfo:
+            decode_csr({"ref": fingerprint[:12]}, held.get)
+        assert not isinstance(excinfo.value, UnknownMatrixError)

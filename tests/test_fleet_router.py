@@ -36,9 +36,11 @@ from repro.fleet.replica import InProcessReplica, ReplicaFleet, SubprocessReplic
 from repro.fleet.router import FleetRouter, shard_key_of
 from repro.matrices import laplacian_2d
 from repro.obs.prometheus import parse_prometheus
+from repro.server import SolveServer
 from repro.server.http import SolveHTTPServer, TRACE_HEADER
 from repro.service.cache import ArtifactCache
 from repro.sparse.fingerprint import matrix_fingerprint
+from test_server_http import _payload_kinds
 
 
 @contextlib.contextmanager
@@ -147,6 +149,35 @@ class TestSharding:
         assert shard_key_of(named) == "name:2DFDLaplace_16"
         assert shard_key_of(b"{not json") is None
         assert shard_key_of(b'{"matrix": 7}') is None
+
+    def test_a_ref_routes_where_its_inline_request_did(self):
+        matrix = _matrix(0)
+        fingerprint = matrix_fingerprint(matrix)
+        request = SolveRequestV1(matrix=matrix, rhs=np.ones(matrix.shape[0]))
+        ref = json.dumps(request.to_json_dict({fingerprint})).encode()
+        assert json.loads(ref)["matrix"] == {"csr": {"ref": fingerprint}}
+        assert shard_key_of(ref) == "fp:" + fingerprint
+
+    def test_held_header_comes_back_through_the_router(self):
+        matrices = [_matrix(seed) for seed in range(4)]
+        with _fleet_router(2) as (fleet, router):
+            with HTTPClient(router.url) as client:
+                kinds = _payload_kinds(client)
+                first = [client.solve(SolveRequestV1(
+                    matrix=matrix, rhs=np.ones(matrix.shape[0])))
+                    for matrix in matrices]
+                again = [client.solve(SolveRequestV1(
+                    matrix=matrix, rhs=np.ones(matrix.shape[0])))
+                    for matrix in matrices]
+                snapshot = client.metrics()
+        assert kinds == ["inline"] * 4 + ["ref"] * 4
+        for one, two in zip(first, again):
+            assert np.array_equal(one.solution, two.solution)
+        # Every ref reached the replica that held its matrix.
+        held = sum(value for key, value in snapshot.counters.items()
+                   if key.startswith('api.matrix_refs{outcome="held"'))
+        assert held == 4
+        assert snapshot.counters['fleet.shard_locality{hit="true"}'] == 8
 
     def test_unroutable_body_still_gets_the_typed_400(self):
         with _fleet_router(2) as (fleet, router):
@@ -318,6 +349,55 @@ class TestFailover:
         assert snapshot.counters[f'fleet.failover{{replica="{owner}"}}'] == 1
         assert snapshot.counters[
             f'fleet.replica_marked_dead{{replica="{owner}"}}'] == 1
+
+    def test_ref_to_a_stopped_owner_fails_over_once_then_goes_inline(self):
+        """The new owner does not hold the matrix: its ``unknown_matrix``
+        goes back to the client (no second failover), and the client's one
+        inline re-send is answered bit-identically to in-process."""
+        matrix = _mcmc_matrix()
+        request = SolveRequestV1(matrix=matrix, maxiter=200, tag="mcmc")
+        with SolveServer(cache=ArtifactCache(max_entries=8),
+                         background=False) as server:
+            reference = server.solve(request)
+        with _fleet_router(2) as (fleet, router):
+            owner = _owner_of(router, matrix)
+            with HTTPClient(router.url) as client:
+                kinds = _payload_kinds(client)
+                client.solve(request)
+                client.solve(request)
+                fleet._replicas[fleet.ids().index(owner)].kill()
+                moved = client.solve(request)
+                snapshot = client.metrics()
+                live = fleet.live_ids()
+        survivor = next(name for name in fleet.ids() if name != owner)
+        assert kinds == ["inline", "ref", "ref", "inline"]
+        failovers = {key: value for key, value in snapshot.counters.items()
+                     if key.startswith("fleet.failover")}
+        assert failovers == {f'fleet.failover{{replica="{owner}"}}': 1}
+        assert snapshot.counters[
+            f'api.matrix_refs{{outcome="unknown",replica="{survivor}"}}'] == 1
+        assert live == {survivor}
+        assert moved.provenance["family"] == "mcmc"
+        assert np.array_equal(moved.solution, reference.solution)
+        assert moved.iterations == reference.iterations
+        assert moved.provenance == reference.provenance
+
+    def test_unknown_matrix_is_answered_not_failed_over(self):
+        payload = SolveRequestV1(matrix=_matrix(0)).to_json_dict()
+        payload["matrix"] = {"csr": {"ref": "0" * 32}}
+        with _fleet_router(2) as (fleet, router):
+            with HTTPClient(router.url) as client:
+                reply = client.exchange_raw(
+                    "POST", "/v1/solve", body=json.dumps(payload).encode(),
+                    headers={"Content-Type": "application/json"})
+                snapshot = client.metrics()
+                live = fleet.live_ids()
+        assert reply.status == 404
+        assert json.loads(reply.body)["code"] == "unknown_matrix"
+        assert live == set(fleet.ids())
+        assert not [key for key in snapshot.counters
+                    if key.startswith(("fleet.failover",
+                                       "fleet.replica_marked_dead"))]
 
     def test_no_request_lost_when_a_replica_dies_under_load(self):
         matrices = [_matrix(seed) for seed in range(8)]

@@ -19,6 +19,7 @@ import urllib.request
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.api import (
     AdmissionError,
@@ -35,6 +36,7 @@ from repro.matrices import laplacian_2d, pdd_real_sparse, unsteady_advection_dif
 from repro.server import SolveServer
 from repro.server.http import SolveHTTPServer
 from repro.service.cache import ArtifactCache
+from repro.sparse.fingerprint import matrix_fingerprint
 
 
 def _http_server(**kwargs) -> SolveHTTPServer:
@@ -594,3 +596,258 @@ def test_auto_in_any_spelling_delegates_to_the_policy(transport, spelling):
     assert spelled.provenance["origin"] == "rule"
     assert spelled.iterations == policy.iterations
     assert np.array_equal(spelled.solution, policy.solution)
+
+
+def _payload_kinds(client: HTTPClient) -> list[str]:
+    """Spy on ``client``'s exchanges: for each request body it sends,
+    ``"ref"`` or ``"inline"`` (raw matrices) or ``"name"``."""
+    kinds: list[str] = []
+    exchange_raw = client.exchange_raw
+
+    def recording(method, path, *, body=None, headers=None):
+        if body is not None:
+            matrix = json.loads(body)["matrix"]
+            kinds.append("name" if "name" in matrix else
+                         "ref" if "ref" in matrix["csr"] else "inline")
+        return exchange_raw(method, path, body=body, headers=headers)
+
+    client.exchange_raw = recording
+    return kinds
+
+
+def _matrix_hashes(monkeypatch) -> list[str]:
+    """Record every matrix fingerprint computed from here on."""
+    import repro.sparse.fingerprint as fingerprint_module
+
+    hashes: list[str] = []
+    content_hash = fingerprint_module.content_hash
+
+    def recording(*parts):
+        digest = content_hash(*parts)
+        if isinstance(parts[0], str) and parts[0].startswith("csr:"):
+            hashes.append(digest)
+        return digest
+
+    monkeypatch.setattr(fingerprint_module, "content_hash", recording)
+    return hashes
+
+
+def _ref_counts(http_server: SolveHTTPServer) -> dict[str, int]:
+    counters = http_server.solve_server.telemetry.snapshot()["counters"]
+    return {outcome: counters.get(f'api.matrix_refs{{outcome="{outcome}"}}', 0)
+            for outcome in ("held", "unknown")}
+
+
+class TestMatrixByRef:
+    """A matrix the server holds is sent once; later requests name it."""
+
+    @staticmethod
+    def _requests(matrix, n: int = 3) -> list[SolveRequestV1]:
+        rng = np.random.default_rng(5)
+        return [SolveRequestV1(matrix=matrix,
+                               rhs=rng.standard_normal(matrix.shape[0]),
+                               tag=f"r{index}") for index in range(n)]
+
+    def test_header_names_match(self):
+        from repro.client import http as client_http
+        from repro.server import http as server_http
+
+        assert client_http.MATRIX_HELD_HEADER == \
+            server_http.MATRIX_HELD_HEADER
+
+    def test_repeat_requests_go_by_ref_and_answer_bit_identically(self):
+        matrix = pdd_real_sparse(40, density=0.2, dominance=3.0, seed=1)
+        requests = self._requests(matrix)
+        with SolveServer(cache=ArtifactCache(max_entries=8),
+                         background=False) as server:
+            local = [server.solve(request) for request in requests]
+        with _http_server(background=False) as http_server:
+            client = HTTPClient(http_server.url)
+            kinds = _payload_kinds(client)
+            remote = [client.solve(requests[0]), client.solve(requests[1])]
+            job_id = client.submit(requests[2])
+            assert http_server.solve_server.drain(timeout=60.0)
+            remote.append(client.result(job_id, timeout=60.0))
+            refs = _ref_counts(http_server)
+            client.close()
+        assert kinds == ["inline", "ref", "ref"]
+        assert refs == {"held": 2, "unknown": 0}
+        for ours, theirs in zip(local, remote):
+            assert np.array_equal(ours.solution, theirs.solution)
+            assert ours.iterations == theirs.iterations
+            assert ours.fingerprint == theirs.fingerprint
+            assert ours.provenance == theirs.provenance
+
+    def test_server_hashes_an_inline_matrix_once_and_a_ref_never(
+            self, monkeypatch):
+        matrix = pdd_real_sparse(40, density=0.2, dominance=3.0, seed=1)
+        request = self._requests(matrix, 1)[0]
+        fingerprint = matrix_fingerprint(matrix)
+        inline = json.dumps(request.to_json_dict()).encode()
+        ref = json.dumps(request.to_json_dict({fingerprint})).encode()
+        with _http_server(background=False) as http_server:
+            with HTTPClient(http_server.url) as client:
+                hashes = _matrix_hashes(monkeypatch)
+                first = client.exchange_raw("POST", "/v1/solve", body=inline)
+                assert hashes == [fingerprint]
+                second = client.exchange_raw("POST", "/v1/solve", body=ref)
+                assert hashes == [fingerprint]
+        assert first.status == second.status == 200
+        assert first.headers["x-repro-matrix-held"] == fingerprint
+        assert json.loads(first.body)["solution"] == \
+            json.loads(second.body)["solution"]
+
+    def test_registry_matrix_reply_carries_no_held_header(self):
+        body = json.dumps(SolveRequestV1(
+            matrix="2DFDLaplace_16").to_json_dict()).encode()
+        with _http_server(background=False) as http_server:
+            with HTTPClient(http_server.url) as client:
+                reply = client.exchange_raw("POST", "/v1/solve", body=body)
+        assert reply.status == 200
+        assert "x-repro-matrix-held" not in reply.headers
+
+    def test_unknown_ref_is_404_unknown_matrix(self):
+        fingerprint = "0123456789abcdef" * 2
+        payload = SolveRequestV1(matrix=laplacian_2d(4)).to_json_dict()
+        payload["matrix"] = {"csr": {"ref": fingerprint}}
+        with _http_server(background=False) as http_server:
+            status, body = _raw_exchange(http_server.url, "/v1/solve",
+                                         json.dumps(payload).encode())
+            refs = _ref_counts(http_server)
+        assert status == 404
+        assert body["code"] == "unknown_matrix"
+        assert body["detail"] == {"fingerprint": fingerprint}
+        assert refs == {"held": 0, "unknown": 1}
+
+    @pytest.mark.parametrize("ref", [7, None, "A" * 32, "0" * 31, "prefix"])
+    def test_malformed_ref_is_400_bad_request(self, ref):
+        payload = SolveRequestV1(matrix=laplacian_2d(4)).to_json_dict()
+        payload["matrix"] = {"csr": {"ref": ref}}
+        with _http_server(background=False) as http_server:
+            status, body = _raw_exchange(http_server.url, "/v1/solve",
+                                         json.dumps(payload).encode())
+        assert (status, body["code"]) == (400, "bad_request")
+
+    def test_metric_label_prefix_of_a_held_fingerprint_does_not_resolve(self):
+        matrix = laplacian_2d(4)
+        with _http_server(background=False) as http_server:
+            with HTTPClient(http_server.url) as client:
+                client.solve(SolveRequestV1(matrix=matrix))
+                held = client.held_fingerprints()
+            payload = SolveRequestV1(matrix=matrix).to_json_dict()
+            payload["matrix"] = {"csr": {"ref": held[0][:12]}}
+            status, body = _raw_exchange(http_server.url, "/v1/solve",
+                                         json.dumps(payload).encode())
+        assert held == [matrix_fingerprint(matrix)]
+        assert (status, body["code"]) == (400, "bad_request")
+
+    def test_eviction_answers_unknown_and_the_client_resends_inline_once(
+            self, monkeypatch):
+        from repro.server import http as server_http
+
+        first = pdd_real_sparse(40, density=0.2, dominance=3.0, seed=1)
+        second = pdd_real_sparse(40, density=0.2, dominance=3.0, seed=2)
+        monkeypatch.setattr(server_http, "MAX_HELD_MATRIX_BYTES", max(
+            m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+            for m in (first, second)))
+        with SolveServer(cache=ArtifactCache(max_entries=8),
+                         background=False) as server:
+            reference = server.solve(self._requests(first, 1)[0])
+        with _http_server(background=False) as http_server:
+            client = HTTPClient(http_server.url)
+            kinds = _payload_kinds(client)
+            client.solve(self._requests(first, 1)[0])
+            client.solve(self._requests(second, 1)[0])  # evicts the first
+            assert len(http_server.held_matrices) == 1
+            again = client.solve(self._requests(first, 1)[0])
+            refs = _ref_counts(http_server)
+            held = client.held_fingerprints()
+            client.close()
+        assert kinds == ["inline", "inline", "ref", "inline"]
+        assert refs == {"held": 0, "unknown": 1}
+        assert held == [matrix_fingerprint(second), matrix_fingerprint(first)]
+        assert np.array_equal(again.solution, reference.solution)
+        assert again.iterations == reference.iterations
+
+    def test_store_is_bounded_by_bytes(self):
+        from repro.obs.metrics import MetricsRegistry
+        from repro.server.http import HeldMatrices
+
+        matrices = [pdd_real_sparse(40, density=0.2, dominance=3.0, seed=seed)
+                    for seed in range(4)]
+        sizes = [m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+                 for m in matrices]
+        store = HeldMatrices(sizes[0] + sizes[1] + sizes[2] // 2,
+                             MetricsRegistry())
+        for matrix in matrices:
+            assert store.hold(matrix_fingerprint(matrix), matrix)
+        assert len(store) == 2
+        assert store.nbytes == sizes[2] + sizes[3] <= store.max_bytes
+        assert store.resolve(matrix_fingerprint(matrices[3])) is matrices[3]
+        assert store.resolve(matrix_fingerprint(matrices[0])) is None
+        big = laplacian_2d(20)  # larger than the whole bound
+        assert not store.hold(matrix_fingerprint(big), big)
+        assert store.resolve(matrix_fingerprint(big)) is None
+        assert len(store) == 2
+
+    def test_a_rejected_request_leaves_its_matrix_unheld(self):
+        non_square = sp.csr_matrix(np.ones((3, 4)))
+        payload = SolveRequestV1(matrix=non_square).to_json_dict()
+        with _http_server(background=False) as http_server:
+            status, body = _raw_exchange(http_server.url, "/v1/solve",
+                                         json.dumps(payload).encode())
+            held = len(http_server.held_matrices)
+        assert (status, body["code"]) == (400, "invalid")
+        assert held == 0
+
+    def test_server_that_never_sends_the_header_never_gets_a_ref(
+            self, monkeypatch):
+        """An older server (no held header) only ever sees inline bodies."""
+        from repro.server import http as server_http
+
+        reply_headers = server_http._Handler._reply_headers
+
+        def without_held(handler, request, trace_id):
+            headers = reply_headers(handler, request, trace_id)
+            headers.pop(server_http.MATRIX_HELD_HEADER, None)
+            return headers
+
+        monkeypatch.setattr(server_http._Handler, "_reply_headers",
+                            without_held)
+        matrix = laplacian_2d(6)
+        with _http_server(background=False) as http_server:
+            client = HTTPClient(http_server.url)
+            kinds = _payload_kinds(client)
+            for request in self._requests(matrix):
+                client.solve(request)
+            refs = _ref_counts(http_server)
+            held = client.held_fingerprints()
+            client.close()
+        assert kinds == ["inline"] * 3
+        assert held == []
+        assert refs == {"held": 0, "unknown": 0}
+
+    def test_client_held_set_is_bounded(self, monkeypatch):
+        from repro.client import http as client_http
+
+        monkeypatch.setattr(client_http, "MAX_HELD_FINGERPRINTS", 3)
+        matrices = [laplacian_2d(3 + index) for index in range(5)]
+        with _http_server(background=False) as http_server:
+            with HTTPClient(http_server.url) as client:
+                for matrix in matrices:
+                    client.solve(SolveRequestV1(matrix=matrix))
+                held = client.held_fingerprints()
+        assert held == [matrix_fingerprint(m) for m in matrices[-3:]]
+
+    def test_unknown_matrix_code_is_typed(self):
+        from repro.api import (
+            ERROR_CODES,
+            HTTP_STATUS_BY_CODE,
+            UnknownMatrixError,
+        )
+
+        assert "unknown_matrix" in ERROR_CODES
+        assert HTTP_STATUS_BY_CODE["unknown_matrix"] == 404
+        envelope = ErrorEnvelope.from_exception(UnknownMatrixError("0" * 32))
+        assert envelope.code == "unknown_matrix"
+        assert envelope.http_status == 404
