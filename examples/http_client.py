@@ -4,8 +4,10 @@ Talks the versioned wire protocol through :class:`repro.client.HTTPClient`:
 
 1. solve a registry matrix synchronously (``POST /v1/solve``),
 2. ship a raw CSR matrix through the fingerprinted base64 codec, then solve
-   it again: the server said it holds the matrix, so the second request
-   names it by fingerprint (``{"ref": ...}``) and gets the same solution,
+   it twice more: the server holds a matrix from its second inline request
+   on and says so, so the third request names it by fingerprint
+   (``{"ref": ...}``) — the server's ``api.matrix_refs`` counter shows it —
+   and gets the same solution,
 3. submit a queued job and poll it to completion
    (``POST /v1/submit`` + ``GET /v1/jobs/<id>``),
 4. pin a trace id (``X-Repro-Trace-Id``) and observe the server echo it —
@@ -66,13 +68,17 @@ def run(client: HTTPClient) -> None:
           f"fingerprint={response.fingerprint[:12]}…")
     print(f"provenance: {json.dumps(response.provenance.to_json_dict())}")
 
-    print("\n== POST /v1/solve (the same raw CSR again, by ref) ==")
-    # The first reply said the server holds the matrix, so this request
-    # carries only its fingerprint (or, if the server has since let it go,
-    # is re-sent inline within the same call).
-    by_ref = response.fingerprint in client.held_fingerprints()
-    again = client.solve(SolveRequestV1(matrix=matrix, rhs=rhs,
-                                        tag="pdd/wire/ref"))
+    print("\n== POST /v1/solve (the same raw CSR twice more) ==")
+    # The second inline request makes the server hold the matrix, and its
+    # reply says so, so the third carries only the fingerprint (or, if the
+    # server has since let the matrix go, is re-sent inline within the
+    # same call).
+    refs = 'api.matrix_refs{outcome="held"}'
+    before = client.metrics().counters.get(refs, 0)
+    for attempt in ("pdd/wire/again", "pdd/wire/ref"):
+        again = client.solve(SolveRequestV1(matrix=matrix, rhs=rhs,
+                                            tag=attempt))
+    by_ref = client.metrics().counters.get(refs, 0) > before
     identical = np.array_equal(again.solution, response.solution)
     print(f"{again.tag}: sent by ref={by_ref}, "
           f"solution bit-identical={identical}")

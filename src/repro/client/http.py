@@ -32,16 +32,18 @@ reported — so a stale connection never reads as ``kind="connection"`` and
 never makes the router fail over from a live replica.
 :meth:`HTTPClient.close` closes the pooled connections.
 
-A raw matrix is sent once.  A server that holds a request's matrix says so
-in the reply's ``X-Repro-Matrix-Held`` header, and the client remembers that
-fingerprint (at most :data:`MAX_HELD_FINGERPRINTS`, least recently used out)
-and sends later requests over the same matrix as ``{"ref": fingerprint}``
-instead of its CSR blocks.  A reply without the header makes the client
-forget the fingerprint again.  When the server no longer holds a ref'd
-matrix — evicted, restarted, or the fleet moved the shard to another
-replica — it answers ``unknown_matrix``, and the client sends the request
-once more with the matrix inline, within the same call: a caller never sees
-that code.  A server that never sends the header never receives a ref.
+A raw matrix that repeats is not sent again.  A server that holds a
+request's matrix (it does from the matrix's second inline request on) says
+so in the reply's ``X-Repro-Matrix-Held`` header, and the client remembers
+that fingerprint (at most :data:`MAX_HELD_FINGERPRINTS`, least recently used
+out) and sends later requests over the same matrix as
+``{"ref": fingerprint}`` instead of its CSR blocks.  A reply without the
+header makes the client forget the fingerprint again.  When the server no
+longer holds a ref'd matrix — evicted, restarted, or the fleet moved the
+shard to another replica — it answers ``unknown_matrix``, and the client
+sends the request once more with the matrix inline, within the same call: a
+caller never sees that code.  A server that never sends the header never
+receives a ref.
 """
 
 from __future__ import annotations
@@ -311,12 +313,6 @@ class HTTPClient(Client):
         return self._json(self._exchange_reply(method, path, payload).body)
 
     # -- matrices by ref ------------------------------------------------------
-    def held_fingerprints(self) -> list[str]:
-        """Fingerprints this client sends by ref, least recently confirmed
-        first."""
-        with self._held_lock:
-            return list(self._held)
-
     def _note_held(self, fingerprint: str, held: bool) -> None:
         with self._held_lock:
             if not held:

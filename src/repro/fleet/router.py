@@ -110,7 +110,9 @@ def shard_key_of(body: bytes) -> str | None:
         matrix = payload["matrix"]
         if "csr" in matrix:
             block = matrix["csr"]
-            return "fp:" + str(block.get("ref") or block["fingerprint"])
+            if isinstance(block, dict):
+                return "fp:" + str(block.get("ref") or block["fingerprint"])
+            return None
         if "name" in matrix:
             return "name:" + str(matrix["name"])
     except (UnicodeDecodeError, ValueError, KeyError, TypeError):

@@ -31,11 +31,11 @@ server's spans join the caller's trace) and echoes the id — the client's, or
 the server-generated one when tracing is on — on the response header and in
 ``SolveResponseV1.trace_id``.
 
-Matrices by reference: the server keeps the matrices of admitted inline
-requests in a store bounded by bytes (:class:`HeldMatrices`, keyed by the
-fingerprint the decode verified), and a 200/202 reply to a request over a
-raw matrix carries ``X-Repro-Matrix-Held: <fingerprint>`` when the store
-holds it.
+Matrices by reference: a raw matrix that comes inline a second time is
+kept, in a store bounded by bytes (:class:`HeldMatrices`, keyed by the
+fingerprint the decode verified) — a stream of matrices that never repeat
+keeps none of them — and a 200/202 reply to a request over a raw matrix
+carries ``X-Repro-Matrix-Held: <fingerprint>`` when the store holds it.
 A client that saw the header may send ``{"ref": <fingerprint>}`` in place
 of the CSR blocks; the ref is resolved at decode, so a queued job holds the
 matrix itself.  A ref the store does not hold (evicted, or never sent here)
@@ -100,8 +100,19 @@ TRACE_HEADER = "X-Repro-Trace-Id"
 MATRIX_HELD_HEADER = "X-Repro-Matrix-Held"
 
 #: Bytes of CSR arrays a server keeps for requests by ref.  Bounded by bytes,
-#: not entries: one inline body may be up to :data:`MAX_BODY_BYTES`.
-MAX_HELD_MATRIX_BYTES = 128 * 1024 * 1024
+#: not entries: one inline body may be up to :data:`MAX_BODY_BYTES`.  Only
+#: matrices that came inline twice are kept, so the bound is what traffic
+#: sending each matrix exactly twice costs: the store fills with matrices
+#: never asked for again.  8 MiB holds about 30 of the 2500-row, 265 kB
+#: matrices of the ``wire_fleet`` benchmark (which repeats 3 of them), or one
+#: matrix of about 700,000 nonzeros; a full store adds about 1.6 times its
+#: size to the process's RSS (two stores: 117 -> 144 MB, measured with
+#: 1200 such matrices sent twice each).
+MAX_HELD_MATRIX_BYTES = 8 * 1024 * 1024
+
+#: Fingerprints of raw matrices seen inline once and not (or no longer)
+#: held; the second inline request over one of them holds its matrix.
+MAX_SEEN_FINGERPRINTS = 1024
 
 #: Longest accepted inbound trace id (anything longer is ignored — the
 #: header is client-controlled and must not become an amplification vector
@@ -431,9 +442,13 @@ def _csr_bytes(matrix: sp.csr_matrix) -> int:
 class HeldMatrices:
     """Decoded inline matrices, by verified fingerprint, within a byte bound.
 
-    Least recently used first out; a matrix larger than the whole bound is
-    not kept.  Only the fingerprint a decode verified is ever a key, so a
-    ref resolves to exactly the matrix that was sent under it.
+    A matrix is held from its second inline request on: the first only
+    notes its fingerprint (at most :data:`MAX_SEEN_FINGERPRINTS` of them),
+    so matrices that never repeat cost no memory.  Least recently used
+    first out; an evicted fingerprint counts as seen, so the inline re-send
+    that follows a missed ref holds the matrix again.  A matrix larger than
+    the whole bound is not kept.  Only the fingerprint a decode verified is
+    ever a key, so a ref resolves to exactly the matrix sent under it.
     """
 
     def __init__(self, max_bytes: int, telemetry: MetricsRegistry) -> None:
@@ -441,15 +456,21 @@ class HeldMatrices:
         self.telemetry = telemetry
         self.nbytes = 0
         self._matrices: OrderedDict[str, sp.csr_matrix] = OrderedDict()
+        self._seen: OrderedDict[str, None] = OrderedDict()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._matrices)
 
+    def _note_seen(self, fingerprint: str) -> None:
+        self._seen[fingerprint] = None
+        if len(self._seen) > MAX_SEEN_FINGERPRINTS:
+            self._seen.popitem(last=False)
+
     def hold(self, fingerprint: str, matrix: sp.csr_matrix) -> bool:
-        """Hold ``matrix`` under its verified ``fingerprint``; whether it is
-        held (``False`` only for a matrix larger than the whole bound)."""
+        """Note ``matrix`` under its verified ``fingerprint``, holding it
+        if it was seen before; whether it is held now."""
         size = _csr_bytes(matrix)
         if size > self.max_bytes:
             return False
@@ -457,11 +478,16 @@ class HeldMatrices:
             if fingerprint in self._matrices:
                 self._matrices.move_to_end(fingerprint)
                 return True
+            if fingerprint not in self._seen:
+                self._note_seen(fingerprint)
+                return False
+            del self._seen[fingerprint]
             self._matrices[fingerprint] = matrix
             self.nbytes += size
             while self.nbytes > self.max_bytes:
-                _, evicted = self._matrices.popitem(last=False)
-                self.nbytes -= _csr_bytes(evicted)
+                evicted, held = self._matrices.popitem(last=False)
+                self.nbytes -= _csr_bytes(held)
+                self._note_seen(evicted)
         return True
 
     def resolve(self, fingerprint: str) -> sp.csr_matrix | None:

@@ -149,6 +149,9 @@ class TestSharding:
         assert shard_key_of(named) == "name:2DFDLaplace_16"
         assert shard_key_of(b"{not json") is None
         assert shard_key_of(b'{"matrix": 7}') is None
+        assert shard_key_of(b'{"matrix": {"csr": "x"}}') is None
+        assert shard_key_of(b'{"matrix": {"csr": [1]}}') is None
+        assert shard_key_of(b'{"matrix": {"csr": 7}}') is None
 
     def test_a_ref_routes_where_its_inline_request_did(self):
         matrix = _matrix(0)
@@ -163,26 +166,36 @@ class TestSharding:
         with _fleet_router(2) as (fleet, router):
             with HTTPClient(router.url) as client:
                 kinds = _payload_kinds(client)
-                first = [client.solve(SolveRequestV1(
+                passes = [[client.solve(SolveRequestV1(
                     matrix=matrix, rhs=np.ones(matrix.shape[0])))
-                    for matrix in matrices]
-                again = [client.solve(SolveRequestV1(
-                    matrix=matrix, rhs=np.ones(matrix.shape[0])))
-                    for matrix in matrices]
+                    for matrix in matrices] for _ in range(3)]
                 snapshot = client.metrics()
-        assert kinds == ["inline"] * 4 + ["ref"] * 4
-        for one, two in zip(first, again):
-            assert np.array_equal(one.solution, two.solution)
+        # The second inline request over a matrix makes its owner hold it.
+        assert kinds == ["inline"] * 8 + ["ref"] * 4
+        for first, *again in zip(*passes):
+            for other in again:
+                assert np.array_equal(first.solution, other.solution)
         # Every ref reached the replica that held its matrix.
         held = sum(value for key, value in snapshot.counters.items()
                    if key.startswith('api.matrix_refs{outcome="held"'))
         assert held == 4
-        assert snapshot.counters['fleet.shard_locality{hit="true"}'] == 8
+        assert snapshot.counters['fleet.shard_locality{hit="true"}'] == 12
 
     def test_unroutable_body_still_gets_the_typed_400(self):
         with _fleet_router(2) as (fleet, router):
             reply = HTTPClient(router.url).exchange_raw(
                 "POST", "/v1/solve", body=b"{not json",
+                headers={"Content-Type": "application/json"})
+        assert reply.status == 400
+        assert json.loads(reply.body)["code"] == "bad_request"
+
+    @pytest.mark.parametrize("csr", ["x", [1], 7])
+    def test_non_object_csr_block_gets_the_typed_400(self, csr):
+        payload = SolveRequestV1(matrix=_matrix(0)).to_json_dict()
+        payload["matrix"] = {"csr": csr}
+        with _fleet_router(2) as (fleet, router):
+            reply = HTTPClient(router.url).exchange_raw(
+                "POST", "/v1/solve", body=json.dumps(payload).encode(),
                 headers={"Content-Type": "application/json"})
         assert reply.status == 400
         assert json.loads(reply.body)["code"] == "bad_request"
@@ -363,14 +376,14 @@ class TestFailover:
             owner = _owner_of(router, matrix)
             with HTTPClient(router.url) as client:
                 kinds = _payload_kinds(client)
-                client.solve(request)
-                client.solve(request)
+                for _ in range(3):
+                    client.solve(request)
                 fleet._replicas[fleet.ids().index(owner)].kill()
                 moved = client.solve(request)
                 snapshot = client.metrics()
                 live = fleet.live_ids()
         survivor = next(name for name in fleet.ids() if name != owner)
-        assert kinds == ["inline", "ref", "ref", "inline"]
+        assert kinds == ["inline", "inline", "ref", "ref", "inline"]
         failovers = {key: value for key, value in snapshot.counters.items()
                      if key.startswith("fleet.failover")}
         assert failovers == {f'fleet.failover{{replica="{owner}"}}': 1}

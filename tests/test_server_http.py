@@ -639,7 +639,8 @@ def _ref_counts(http_server: SolveHTTPServer) -> dict[str, int]:
 
 
 class TestMatrixByRef:
-    """A matrix the server holds is sent once; later requests name it."""
+    """A matrix the server holds (from its second inline request on) is not
+    sent again; later requests name it."""
 
     @staticmethod
     def _requests(matrix, n: int = 3) -> list[SolveRequestV1]:
@@ -657,20 +658,20 @@ class TestMatrixByRef:
 
     def test_repeat_requests_go_by_ref_and_answer_bit_identically(self):
         matrix = pdd_real_sparse(40, density=0.2, dominance=3.0, seed=1)
-        requests = self._requests(matrix)
+        requests = self._requests(matrix, 4)
         with SolveServer(cache=ArtifactCache(max_entries=8),
                          background=False) as server:
             local = [server.solve(request) for request in requests]
         with _http_server(background=False) as http_server:
             client = HTTPClient(http_server.url)
             kinds = _payload_kinds(client)
-            remote = [client.solve(requests[0]), client.solve(requests[1])]
-            job_id = client.submit(requests[2])
+            remote = [client.solve(request) for request in requests[:3]]
+            job_id = client.submit(requests[3])
             assert http_server.solve_server.drain(timeout=60.0)
             remote.append(client.result(job_id, timeout=60.0))
             refs = _ref_counts(http_server)
             client.close()
-        assert kinds == ["inline", "ref", "ref"]
+        assert kinds == ["inline", "inline", "ref", "ref"]
         assert refs == {"held": 2, "unknown": 0}
         for ours, theirs in zip(local, remote):
             assert np.array_equal(ours.solution, theirs.solution)
@@ -688,14 +689,21 @@ class TestMatrixByRef:
         with _http_server(background=False) as http_server:
             with HTTPClient(http_server.url) as client:
                 hashes = _matrix_hashes(monkeypatch)
-                first = client.exchange_raw("POST", "/v1/solve", body=inline)
+                replies = [client.exchange_raw("POST", "/v1/solve",
+                                               body=inline)]
                 assert hashes == [fingerprint]
-                second = client.exchange_raw("POST", "/v1/solve", body=ref)
-                assert hashes == [fingerprint]
-        assert first.status == second.status == 200
-        assert first.headers["x-repro-matrix-held"] == fingerprint
-        assert json.loads(first.body)["solution"] == \
-            json.loads(second.body)["solution"]
+                replies.append(client.exchange_raw("POST", "/v1/solve",
+                                                   body=inline))
+                assert hashes == [fingerprint] * 2
+                replies.append(client.exchange_raw("POST", "/v1/solve",
+                                                   body=ref))
+                assert hashes == [fingerprint] * 2
+        assert [reply.status for reply in replies] == [200] * 3
+        # Held from the second inline request on.
+        assert [reply.headers.get("x-repro-matrix-held")
+                for reply in replies] == [None, fingerprint, fingerprint]
+        solutions = [json.loads(reply.body)["solution"] for reply in replies]
+        assert solutions[0] == solutions[1] == solutions[2]
 
     def test_registry_matrix_reply_carries_no_held_header(self):
         body = json.dumps(SolveRequestV1(
@@ -732,8 +740,9 @@ class TestMatrixByRef:
         matrix = laplacian_2d(4)
         with _http_server(background=False) as http_server:
             with HTTPClient(http_server.url) as client:
-                client.solve(SolveRequestV1(matrix=matrix))
-                held = client.held_fingerprints()
+                for _ in range(2):
+                    client.solve(SolveRequestV1(matrix=matrix))
+                held = list(client._held)
             payload = SolveRequestV1(matrix=matrix).to_json_dict()
             payload["matrix"] = {"csr": {"ref": held[0][:12]}}
             status, body = _raw_exchange(http_server.url, "/v1/solve",
@@ -756,15 +765,16 @@ class TestMatrixByRef:
         with _http_server(background=False) as http_server:
             client = HTTPClient(http_server.url)
             kinds = _payload_kinds(client)
-            client.solve(self._requests(first, 1)[0])
-            client.solve(self._requests(second, 1)[0])  # evicts the first
+            for matrix in (first, first, second, second):  # evicts the first
+                client.solve(self._requests(matrix, 1)[0])
             assert len(http_server.held_matrices) == 1
             again = client.solve(self._requests(first, 1)[0])
             refs = _ref_counts(http_server)
-            held = client.held_fingerprints()
+            held = list(client._held)
             client.close()
-        assert kinds == ["inline", "inline", "ref", "inline"]
+        assert kinds == ["inline"] * 4 + ["ref", "inline"]
         assert refs == {"held": 0, "unknown": 1}
+        # An evicted matrix counts as seen: its inline re-send holds it again.
         assert held == [matrix_fingerprint(second), matrix_fingerprint(first)]
         assert np.array_equal(again.solution, reference.solution)
         assert again.iterations == reference.iterations
@@ -780,15 +790,33 @@ class TestMatrixByRef:
         store = HeldMatrices(sizes[0] + sizes[1] + sizes[2] // 2,
                              MetricsRegistry())
         for matrix in matrices:
+            assert not store.hold(matrix_fingerprint(matrix), matrix)
             assert store.hold(matrix_fingerprint(matrix), matrix)
         assert len(store) == 2
         assert store.nbytes == sizes[2] + sizes[3] <= store.max_bytes
         assert store.resolve(matrix_fingerprint(matrices[3])) is matrices[3]
         assert store.resolve(matrix_fingerprint(matrices[0])) is None
         big = laplacian_2d(20)  # larger than the whole bound
-        assert not store.hold(matrix_fingerprint(big), big)
+        for _ in range(2):
+            assert not store.hold(matrix_fingerprint(big), big)
         assert store.resolve(matrix_fingerprint(big)) is None
         assert len(store) == 2
+
+    def test_matrices_that_never_repeat_are_not_held(self, monkeypatch):
+        from repro.obs.metrics import MetricsRegistry
+        from repro.server import http as server_http
+
+        monkeypatch.setattr(server_http, "MAX_SEEN_FINGERPRINTS", 2)
+        matrices = [pdd_real_sparse(40, density=0.2, dominance=3.0, seed=seed)
+                    for seed in range(3)]
+        store = server_http.HeldMatrices(1 << 20, MetricsRegistry())
+        for matrix in matrices:
+            assert not store.hold(matrix_fingerprint(matrix), matrix)
+        assert len(store) == 0 and store.nbytes == 0
+        # Only the two most recently seen fingerprints are remembered.
+        assert not store.hold(matrix_fingerprint(matrices[0]), matrices[0])
+        assert store.hold(matrix_fingerprint(matrices[2]), matrices[2])
+        assert len(store) == 1
 
     def test_a_rejected_request_leaves_its_matrix_unheld(self):
         non_square = sp.csr_matrix(np.ones((3, 4)))
@@ -821,7 +849,7 @@ class TestMatrixByRef:
             for request in self._requests(matrix):
                 client.solve(request)
             refs = _ref_counts(http_server)
-            held = client.held_fingerprints()
+            held = list(client._held)
             client.close()
         assert kinds == ["inline"] * 3
         assert held == []
@@ -835,8 +863,9 @@ class TestMatrixByRef:
         with _http_server(background=False) as http_server:
             with HTTPClient(http_server.url) as client:
                 for matrix in matrices:
-                    client.solve(SolveRequestV1(matrix=matrix))
-                held = client.held_fingerprints()
+                    for _ in range(2):
+                        client.solve(SolveRequestV1(matrix=matrix))
+                held = list(client._held)
         assert held == [matrix_fingerprint(m) for m in matrices[-3:]]
 
     def test_unknown_matrix_code_is_typed(self):
