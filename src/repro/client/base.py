@@ -7,6 +7,14 @@ runs against :class:`~repro.client.inprocess.InProcessClient` (a wrapped
 Both speak the frozen schemas of :mod:`repro.api`, raise the same
 :class:`~repro.api.errors.AdmissionError` taxonomy on rejection, and — for a
 fixed seed — return bit-identical responses.
+
+Collecting a queued job is one loop for every transport:
+:meth:`Client.result` asks a transport's :meth:`Client._await_job` hook for
+the job's status, waiting up to the rest of its timeout.  The in-process
+client blocks on the job; the HTTP client sends ``GET /v1/jobs/<id>?wait=``,
+which the server holds until the job finishes.  Only a transport that
+answers at once with the job unfinished (a server that ignores ``wait``) is
+asked again, at most once per ``poll_interval``.
 """
 
 from __future__ import annotations
@@ -39,9 +47,18 @@ class Client(abc.ABC):
     def submit(self, request: SolveRequestV1) -> int:
         """Admit a request into the server's queue; returns the job id."""
 
-    @abc.abstractmethod
     def job(self, job_id: int) -> JobStatusV1:
         """Current status of a submitted job (response/error once finished)."""
+        return self._await_job(job_id, 0.0)
+
+    @abc.abstractmethod
+    def _await_job(self, job_id: int, wait: float) -> JobStatusV1:
+        """The job's status, once it finishes or ``wait`` seconds pass.
+
+        The one hook :meth:`job` and :meth:`result` go through.  A transport
+        may answer earlier than ``wait`` with the job unfinished: a server
+        that ignores the wait always does.
+        """
 
     @abc.abstractmethod
     def metrics(self) -> TelemetrySnapshot:
@@ -62,14 +79,21 @@ class Client(abc.ABC):
     # -- conveniences shared by every transport ------------------------------
     def result(self, job_id: int, *, timeout: float = 60.0,
                poll_interval: float = 0.02) -> SolveResponseV1:
-        """Poll :meth:`job` until the job finishes; return its response.
+        """Wait for the job to finish; return its response.
+
+        Each ask waits for the rest of ``timeout`` through
+        :meth:`_await_job`, so a job is usually collected in one ask.  Asks
+        are at least ``poll_interval`` apart: a transport or server that
+        answers at once with the job unfinished (one that ignores the wait)
+        is polled at that pace.
 
         Raises the job's mapped failure when it failed and
         :class:`TimeoutError` when ``timeout`` elapses first.
         """
         deadline = time.monotonic() + timeout
         while True:
-            status = self.job(job_id)
+            asked_at = time.monotonic()
+            status = self._await_job(job_id, max(deadline - asked_at, 0.0))
             if status.error is not None:
                 status.error.raise_()
             if status.response is not None:
@@ -78,10 +102,13 @@ class Client(abc.ABC):
                 raise RuntimeError(
                     f"job {job_id} finished ({status.state}) without a "
                     f"response or error envelope")
-            if time.monotonic() >= deadline:
+            now = time.monotonic()
+            if now >= deadline:
                 raise TimeoutError(
                     f"job {job_id} did not finish within {timeout} s")
-            time.sleep(poll_interval)
+            pause = poll_interval - (now - asked_at)
+            if pause > 0:
+                time.sleep(min(pause, deadline - now))
 
     def __enter__(self) -> "Client":
         return self

@@ -44,6 +44,15 @@ shard to another replica — it answers ``unknown_matrix``, and the client
 sends the request once more with the matrix inline, within the same call: a
 caller never sees that code.  A server that never sends the header never
 receives a ref.
+
+:meth:`~repro.client.base.Client.result` collects a queued job with one
+long poll, ``GET /v1/jobs/<id>?wait=<s>``: the server holds the reply until
+the job finishes (up to its own cap), so a job costs one exchange, not a
+poll every ``poll_interval``.  The wait asked for is the rest of the
+caller's timeout, capped at :data:`MAX_WAIT_SHARE` of the read timeout so
+the reply always arrives before the socket gives up.  A server that ignores
+``wait`` answers at once and is polled as before; :meth:`HTTPClient.job`
+never waits.
 """
 
 from __future__ import annotations
@@ -94,6 +103,10 @@ MAX_IDLE_CONNECTIONS = 8
 
 #: Fingerprints of matrices the server said it holds, remembered per client.
 MAX_HELD_FINGERPRINTS = 256
+
+#: Share of the read timeout a job request may ask the server to wait
+#: (``?wait=``); the rest is the margin for its reply to arrive in.
+MAX_WAIT_SHARE = 0.5
 
 
 class _StaleConnection(Exception):
@@ -359,10 +372,14 @@ class HTTPClient(Client):
         payload = self._post_request("/v1/submit", request)
         return JobStatusV1.from_json_dict(payload).job_id
 
-    def job(self, job_id: int) -> JobStatusV1:
-        """``GET /v1/jobs/<id>``: current status of a queued job."""
-        payload = self._exchange("GET", f"/v1/jobs/{int(job_id)}")
-        return JobStatusV1.from_json_dict(payload)
+    def _await_job(self, job_id: int, wait: float) -> JobStatusV1:
+        """``GET /v1/jobs/<id>`` (``?wait=<s>`` when waiting), ``wait``
+        capped at :data:`MAX_WAIT_SHARE` of the read timeout."""
+        path = f"/v1/jobs/{int(job_id)}"
+        wait = min(wait, self.timeout * MAX_WAIT_SHARE)
+        if wait > 0:
+            path += f"?wait={wait:.3f}"
+        return JobStatusV1.from_json_dict(self._exchange("GET", path))
 
     def metrics(self) -> TelemetrySnapshot:
         """``GET /v1/metrics``: the server's telemetry snapshot."""

@@ -72,14 +72,17 @@ class InProcessClient(Client):
         self._jobs.track(job)
         return job.id
 
-    def job(self, job_id: int) -> JobStatusV1:
-        """Status of a job submitted through this client."""
+    def _await_job(self, job_id: int, wait: float) -> JobStatusV1:
+        """Status of a job submitted through this client, once it finishes
+        or ``wait`` seconds pass, blocking on the job itself."""
         job = self._jobs.find(job_id)
         if job is None:
             # Same behaviour as a remote 404: raise through the envelope so
             # transport-blind callers catch one exception type.
             ErrorEnvelope(code=ERROR_NOT_FOUND,
                           message=f"no such job {job_id}").raise_()
+        if wait > 0:
+            job.wait(wait)
         return job_status(job, response_transform=self._round_trip_response)
 
     def metrics(self) -> TelemetrySnapshot:

@@ -47,8 +47,12 @@ out across a :class:`~repro.fleet.replica.ReplicaFleet`:
 
 Job ids are namespaced by the router: ``POST /v1/submit`` records
 ``router_id -> (replica, remote_id)`` and rewrites the id in job-status
-responses, so polling a job hits the replica that queued it even though
-remote ids collide across replicas.
+responses, so asking about a job reaches the replica that queued it even
+though remote ids collide across replicas.  ``GET /v1/jobs/<id>?wait=``
+forwards its query string, the ``wait`` clamped below the hop's read
+timeout, so a long poll is one exchange on each hop; the replica ends a
+held reply when it shuts down, and the router's own shutdown does not wait
+for one.
 
 Tracing: the inbound ``X-Repro-Trace-Id`` header is forwarded on the proxied
 hop and the replica's echo is forwarded back, so one trace id follows a
@@ -61,6 +65,7 @@ from __future__ import annotations
 
 import json
 import threading
+from urllib.parse import urlencode
 
 from repro.api.errors import (
     ERROR_NOT_FOUND,
@@ -68,7 +73,7 @@ from repro.api.errors import (
     ErrorEnvelope,
     RemoteSolveError,
 )
-from repro.client.http import HTTPClient, RawReply
+from repro.client.http import MAX_WAIT_SHARE, HTTPClient, RawReply
 from repro.fleet.replica import ReplicaFleet
 from repro.fleet.ring import DEFAULT_VNODES, HashRing
 from repro.logging_utils import get_logger
@@ -147,7 +152,7 @@ class _RouterHandler(WireHandler):
             self._dispatch(lambda: self._send_metrics(
                 query, self.router.aggregate_snapshot))
         elif route.startswith("/v1/jobs/"):
-            self._dispatch(lambda: self.router.proxy_job(self, route))
+            self._dispatch(lambda: self.router.proxy_job(self, route, query))
         else:
             self._send_error_envelope(ErrorEnvelope(
                 code=ERROR_NOT_FOUND, message=f"no such endpoint {self.path}"))
@@ -330,9 +335,20 @@ class FleetRouter(WireListener):
         return RawReply(reply.status, reply.headers,
                         json.dumps(payload).encode("utf-8"))
 
-    def proxy_job(self, handler: _RouterHandler, route: str) -> None:
-        """``GET /v1/jobs/<router-id>`` → the replica that queued the job."""
+    def proxy_job(self, handler: _RouterHandler, route: str,
+                  query: dict[str, list[str]]) -> None:
+        """``GET /v1/jobs/<router-id>`` → the replica that queued the job.
+
+        The query string goes along, its ``wait`` clamped to
+        :data:`~repro.client.http.MAX_WAIT_SHARE` of :attr:`proxy_timeout`
+        so the replica's answer always arrives within the hop's read
+        timeout.
+        """
         router_id = handler._job_id(route)
+        if "wait" in query:
+            wait = min(handler._job_wait(query),
+                       self.proxy_timeout * MAX_WAIT_SHARE)
+            query = dict(query, wait=[format(wait, "g")])
         with self._jobs_lock:
             mapping = self._jobs.get(router_id)
         if mapping is None:
@@ -351,9 +367,11 @@ class FleetRouter(WireListener):
                 detail={"replica": replica, "remote_job_id": remote_id}))
             return
         try:
+            path = f"/v1/jobs/{remote_id}"
+            if query:
+                path += "?" + urlencode(query, doseq=True)
             reply = self._client_for(url).exchange_raw(
-                "GET", f"/v1/jobs/{remote_id}",
-                headers=self._forward_headers(handler))
+                "GET", path, headers=self._forward_headers(handler))
         except RemoteSolveError as error:
             if (error.envelope.detail or {}).get("kind") == "connection":
                 self.fleet.mark_dead(replica)

@@ -16,7 +16,9 @@ method   path               body / answer
 =======  =================  ===================================================
 POST     ``/v1/solve``      ``solve_request`` → ``solve_response`` (sync)
 POST     ``/v1/submit``     ``solve_request`` → ``job_status`` (queued, 202)
-GET      ``/v1/jobs/<id>``  → ``job_status`` (result / error once finished)
+GET      ``/v1/jobs/<id>``  → ``job_status`` (result / error once finished;
+                             ``?wait=<s>`` holds the reply until the job
+                             finishes, at most :data:`MAX_JOB_WAIT_S`)
 GET      ``/v1/metrics``    → ``telemetry`` snapshot
                              (``?format=prometheus`` → text exposition)
 GET      ``/v1/healthz``    → liveness + queue state
@@ -43,6 +45,12 @@ answers ``unknown_matrix`` (404) and the client sends the request inline.
 The ``api.matrix_refs`` counter, labelled ``outcome`` (``held`` /
 ``unknown``), counts the refs resolved and missed.
 
+Waiting for a job: ``wait`` must be a finite number of seconds >= 0 (else
+``bad_request``) and is clamped to :data:`MAX_JOB_WAIT_S`.  The handler
+waits on the job through :meth:`~repro.server.queue.Job.wait` in slices of
+:data:`JOB_WAIT_SLICE_S`, and answers the job's current state as soon as the
+listener shuts down, so a held reply never holds up a shutdown.
+
 Connections are HTTP/1.1 keep-alive: every accepted socket has
 ``TCP_NODELAY`` set, an idle one is closed after :data:`IDLE_TIMEOUT_S`, and
 shutting a listener down half-closes every open one, so idle handler
@@ -60,8 +68,10 @@ anything unexpected to ``internal`` (500).
 from __future__ import annotations
 
 import json
+import math
 import socket
 import threading
+import time
 from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs
@@ -124,6 +134,16 @@ MAX_TRACE_ID_CHARS = 128
 #: :mod:`repro.client.http`), so without a bound every client that went
 #: away without closing would pin a handler thread for good.
 IDLE_TIMEOUT_S = 30.0
+
+#: Longest a ``GET /v1/jobs/<id>?wait=`` holds its reply for an unfinished
+#: job; a longer ``wait`` is clamped to it.  The client asks again when the
+#: job is still unfinished, so this bounds only how long one handler thread
+#: waits, never how long a caller may wait.
+MAX_JOB_WAIT_S = 5.0
+
+#: A waiting job request checks for the listener's shutdown this often, so
+#: shutting down answers it within one slice instead of at the cap.
+JOB_WAIT_SLICE_S = 0.05
 
 
 class WireHandler(BaseHTTPRequestHandler):
@@ -236,9 +256,10 @@ class WireHandler(BaseHTTPRequestHandler):
         return raw
 
     def _split_path(self) -> tuple[str, dict[str, list[str]]]:
-        """``self.path`` split into the route and its parsed query string."""
+        """``self.path`` split into the route and its parsed query string
+        (a blank value is kept, to be rejected like any malformed one)."""
         route, _, query = self.path.partition("?")
-        return route, parse_qs(query)
+        return route, parse_qs(query, keep_blank_values=True)
 
     @staticmethod
     def _job_id(route: str) -> int:
@@ -248,6 +269,22 @@ class WireHandler(BaseHTTPRequestHandler):
             return int(token)
         except ValueError:
             raise SchemaError(f"job id {token!r} is not an integer") from None
+
+    @staticmethod
+    def _job_wait(query: dict[str, list[str]]) -> float:
+        """Seconds of the ``?wait=`` of a job request (0 without one):
+        a finite number >= 0, else a ``bad_request``."""
+        values = query.get("wait")
+        if not values:
+            return 0.0
+        try:
+            wait = float(values[-1])
+        except ValueError:
+            wait = float("nan")
+        if not math.isfinite(wait) or wait < 0:
+            raise SchemaError(f"wait must be a finite number of seconds "
+                              f">= 0, got {values[-1]!r}")
+        return wait
 
     def _send_metrics(self, query: dict[str, list[str]],
                       take_snapshot) -> None:
@@ -548,7 +585,7 @@ class _Handler(WireHandler):
             self._dispatch(lambda: self._send_metrics(
                 query, self.server.owner.solve_server.telemetry_snapshot))
         elif route.startswith("/v1/jobs/"):
-            self._dispatch(lambda: self._get_job(route))
+            self._dispatch(lambda: self._get_job(route, query))
         else:
             self._send_error_envelope(ErrorEnvelope(
                 code=ERROR_NOT_FOUND, message=f"no such endpoint {self.path}"))
@@ -572,14 +609,25 @@ class _Handler(WireHandler):
                         headers=self._reply_headers(
                             request, job.trace_id or trace_id))
 
-    def _get_job(self, route: str) -> None:
+    def _get_job(self, route: str, query: dict[str, list[str]]) -> None:
         job_id = self._job_id(route)
+        wait = min(self._job_wait(query), MAX_JOB_WAIT_S)
         job = self.server.owner.jobs.find(job_id)
         if job is None:
             self._send_error_envelope(ErrorEnvelope(
                 code=ERROR_NOT_FOUND, message=f"no such job {job_id}"))
             return
+        self._wait_for_job(job, wait)
         self._send_json(200, job_status(job).to_json_dict())
+
+    def _wait_for_job(self, job, wait: float) -> None:
+        """Hold the reply until ``job`` finishes, ``wait`` seconds pass or
+        the listener shuts down, whichever comes first."""
+        deadline = time.monotonic() + wait
+        while not self.server.closing:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or job.wait(min(remaining, JOB_WAIT_SLICE_S)):
+                return
 
     def _get_healthz(self) -> None:
         self._send_json(

@@ -106,6 +106,24 @@ class Job:
         """Whether the job has finished (successfully or not)."""
         return self._event.is_set()
 
+    def wait(self, timeout: float | None = None) -> bool:
+        """Block until the job finishes or ``timeout`` elapses; whether it
+        has finished."""
+        return self._event.wait(timeout)
+
+    def snapshot(self) -> tuple[str, Any, Exception | None]:
+        """``(state, result, error)`` as of one read of :attr:`state`.
+
+        :meth:`_finish` stores the result and error before it sets the
+        state, so a finished state always comes with its answer; reading
+        :meth:`done` and then :attr:`state` could instead see a job finish
+        in between, and report it ``done`` without one.
+        """
+        state = self.state
+        if state in (Job.DONE, Job.FAILED):
+            return state, self._result, self._error
+        return state, None, None
+
     def exception(self) -> Exception | None:
         """The failure, if any (``None`` while pending/running or on success)."""
         return self._error
@@ -174,18 +192,15 @@ def job_status(job: Job, *, response_transform=None) -> JobStatusV1:
     drift apart.  ``response_transform`` post-processes a finished response
     (the in-process client's wire-fidelity round-trip).
     """
+    state, result, failure = job.snapshot()
     response = None
     error = None
-    if job.done():
-        failure = job.exception()
-        if failure is not None:
-            error = ErrorEnvelope.from_exception(failure)
-        else:
-            result = job.result(timeout=0)
-            if isinstance(result, SolveResponseV1):
-                response = (result if response_transform is None
-                            else response_transform(result))
-    return JobStatusV1(job_id=job.id, state=job.state,
+    if failure is not None:
+        error = ErrorEnvelope.from_exception(failure)
+    elif isinstance(result, SolveResponseV1):
+        response = (result if response_transform is None
+                    else response_transform(result))
+    return JobStatusV1(job_id=job.id, state=state,
                        response=response, error=error)
 
 

@@ -189,8 +189,7 @@ class Scheduler:
         for job in jobs:
             request = job.request
             try:
-                matrix, name = self._resolve_matrix(request.matrix)
-                fingerprint = self._fingerprint(request, matrix)
+                matrix, name, fingerprint = self._resolve_matrix(request)
             except Exception as error:  # noqa: BLE001 - surfaced on the job
                 self.telemetry.counter("jobs_failed").add(1)
                 job._finish(error=error)
@@ -213,19 +212,26 @@ class Scheduler:
             groups[key].jobs.append(job)
         return list(groups.values())
 
-    def _resolve_matrix(self, matrix: sp.spmatrix | str
-                        ) -> tuple[sp.csr_matrix, str]:
-        if isinstance(matrix, str):
-            resolved = self.cache.get_or_build(
-                ("registry_matrix", matrix), lambda: get_matrix(matrix))
-            return resolved, matrix
-        return validate_square(matrix), ""
+    def _resolve_matrix(self, request) -> tuple[sp.csr_matrix, str, str]:
+        """The request's matrix, its registry name (``""`` for a raw one)
+        and its fingerprint, the group key.
 
-    def _fingerprint(self, request, matrix: sp.csr_matrix) -> str:
-        """The group key: the fingerprint the wire decode verified (or the
-        ref it resolved), else a hash of the matrix — for a request built in
-        process, or one naming a registry matrix."""
-        return request.verified_fingerprint or matrix_fingerprint(matrix)
+        A registry matrix is resolved and hashed once per cache entry.  A
+        raw one keeps the fingerprint the wire decode verified (or the ref
+        it resolved); only a request built in process is hashed here.
+        """
+        matrix = request.matrix
+        if isinstance(matrix, str):
+            def build() -> tuple[sp.csr_matrix, str]:
+                resolved = get_matrix(matrix)
+                return resolved, matrix_fingerprint(resolved)
+
+            resolved, fingerprint = self.cache.get_or_build(
+                ("registry_matrix", matrix), build)
+            return resolved, matrix, fingerprint
+        matrix = validate_square(matrix)
+        return (matrix, "",
+                request.verified_fingerprint or matrix_fingerprint(matrix))
 
     # -- one group ----------------------------------------------------------
     def _run_group(self, group: _Group) -> None:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -233,3 +234,67 @@ class TestHTTPClientReachability:
             assert excinfo.value.envelope.detail["kind"] == "connection"
         finally:
             listener.close()
+
+
+class TestResultWaits:
+    """``Client.result`` waits through one hook, and paces only a
+    transport that answers at once."""
+
+    def test_in_process_result_blocks_on_the_job(self, monkeypatch):
+        with _client() as client:
+            job_id = client.submit(SolveRequestV1(matrix="2DFDLaplace_16"))
+            asks: list[float] = []
+            await_job = client._await_job
+
+            def counting(job_id, wait):
+                asks.append(wait)
+                return await_job(job_id, wait)
+
+            monkeypatch.setattr(client, "_await_job", counting)
+            drainer = threading.Timer(0.3, client.drain)
+            drainer.start()
+            response = client.result(job_id, timeout=30.0, poll_interval=0.01)
+            drainer.join()
+        assert response.converged
+        assert len(asks) == 1 and 29.0 < asks[0] <= 30.0
+
+    def test_result_times_out_without_a_finished_job(self):
+        with _client() as client:
+            job_id = client.submit(SolveRequestV1(matrix="2DFDLaplace_16"))
+            started = time.monotonic()
+            with pytest.raises(TimeoutError):
+                client.result(job_id, timeout=0.2)
+            assert 0.2 <= time.monotonic() - started < 2.0
+
+    def test_a_server_that_ignores_wait_is_polled_at_the_interval(
+            self, monkeypatch):
+        """An older server answers every job request at once: ``result``
+        still completes, asking about once per ``poll_interval``."""
+        from repro.client import HTTPClient
+        from repro.server.http import SolveHTTPServer
+
+        monkeypatch.setattr(SolveHTTPServer.handler_class, "_job_wait",
+                            staticmethod(lambda query: 0.0))
+        with SolveHTTPServer(port=0, cache=ArtifactCache(max_entries=8),
+                             background=False) as http_server:
+            with HTTPClient(http_server.url) as client:
+                job_id = client.submit(SolveRequestV1(matrix="2DFDLaplace_16"))
+                asks: list[float] = []
+                exchange_raw = client.exchange_raw
+
+                def recording(method, path, **kwargs):
+                    if path.startswith("/v1/jobs/"):
+                        asks.append(time.monotonic())
+                    return exchange_raw(method, path, **kwargs)
+
+                monkeypatch.setattr(client, "exchange_raw", recording)
+                drainer = threading.Timer(
+                    0.5, http_server.solve_server.drain)
+                drainer.start()
+                response = client.result(job_id, timeout=30.0,
+                                         poll_interval=0.05)
+                drainer.join()
+        assert response.converged
+        gaps = np.diff(asks)
+        assert 2 <= len(asks) <= 16, len(asks)
+        assert gaps.min() >= 0.045, gaps.min()

@@ -40,17 +40,19 @@ from repro.server import SolveServer
 from repro.server.http import SolveHTTPServer, TRACE_HEADER
 from repro.service.cache import ArtifactCache
 from repro.sparse.fingerprint import matrix_fingerprint
-from test_server_http import _payload_kinds
+from test_server_http import _drain_later, _job_gets, _payload_kinds
 
 
 @contextlib.contextmanager
 def _fleet_router(n: int = 2, *, subprocess_replicas: bool = False,
-                  **router_kwargs):
-    """A started fleet of ``n`` replicas behind a started router."""
+                  replica_kwargs: dict | None = None, **router_kwargs):
+    """A started fleet of ``n`` replicas behind a started router
+    (``replica_kwargs`` go to each in-process replica's server)."""
     if subprocess_replicas:
         replicas = [SubprocessReplica(f"r{i}") for i in range(n)]
     else:
-        replicas = [InProcessReplica(f"r{i}") for i in range(n)]
+        replicas = [InProcessReplica(f"r{i}", **(replica_kwargs or {}))
+                    for i in range(n)]
     # Long interval + restart off: tests drive liveness with probe_now()
     # so every transition is deterministic.
     fleet = ReplicaFleet(replicas, health_interval=30.0, restart=False)
@@ -260,6 +262,98 @@ class TestJobs:
             envelope = excinfo.value.envelope
             assert envelope.code == "unavailable"
             assert envelope.detail["replica"] == owner
+
+
+class TestLongPoll:
+    """``GET /v1/jobs/<id>?wait=`` through the router: forwarded, clamped
+    below the hop's read timeout, one exchange per hop."""
+
+    @staticmethod
+    def _queued(fleet, router, client) -> tuple[int, SolveServer]:
+        """Submit one job to replicas that run nothing until drained;
+        returns its router id and the owning replica's solve server."""
+        matrix = _matrix(0)
+        job_id = client.submit(SolveRequestV1(matrix=matrix,
+                                              rhs=np.ones(matrix.shape[0])))
+        owner = _owner_of(router, matrix)
+        replica = next(r for r in fleet._replicas if r.name == owner)
+        return job_id, replica.http_server.solve_server
+
+    def test_one_collected_job_costs_one_job_request_per_hop(
+            self, connection_log):
+        with _fleet_router(2, replica_kwargs={"background": False}) as (
+                fleet, router):
+            with HTTPClient(router.url) as client:
+                job_id, owner = self._queued(fleet, router, client)
+                drainer = _drain_later(owner, 0.3)
+                response = client.result(job_id, timeout=60.0,
+                                         poll_interval=0.01)
+                drainer.join()
+            replica_gets = sum(
+                _job_gets(connection_log, replica.http_server)
+                for replica in fleet._replicas)
+            router_gets = _job_gets(connection_log, router)
+        assert response.converged
+        assert (router_gets, replica_gets) == (1, 1)
+
+    def test_forwarded_wait_is_clamped_below_the_proxy_timeout(self):
+        with _fleet_router(1, replica_kwargs={"background": False},
+                           proxy_timeout=4.0) as (fleet, router):
+            with HTTPClient(router.url) as client:
+                job_id, owner = self._queued(fleet, router, client)
+                replica_client = router._client_for(fleet.url_of("r0"))
+                paths: list[str] = []
+                exchange_raw = replica_client.exchange_raw
+
+                def recording(method, path, **kwargs):
+                    paths.append(path)
+                    return exchange_raw(method, path, **kwargs)
+
+                replica_client.exchange_raw = recording
+                drainer = _drain_later(owner, 0.2)
+                reply = client.exchange_raw(
+                    "GET", f"/v1/jobs/{job_id}?wait=60")
+                drainer.join()
+        assert reply.status == 200
+        assert json.loads(reply.body)["state"] == "done"
+        assert json.loads(reply.body)["job_id"] == job_id
+        _, remote_id = router._jobs[job_id]
+        assert paths == [f"/v1/jobs/{remote_id}?wait=2"]
+
+    @pytest.mark.parametrize("wait", ["-1", "nan", "inf", "abc"])
+    def test_malformed_wait_is_400_at_the_router(self, wait):
+        with _fleet_router(1) as (fleet, router):
+            with HTTPClient(router.url) as client:
+                job_id = client.submit(SolveRequestV1(matrix="2DFDLaplace_16"))
+                reply = client.exchange_raw(
+                    "GET", f"/v1/jobs/{job_id}?wait={wait}")
+        assert reply.status == 400
+        assert json.loads(reply.body)["code"] == "bad_request"
+
+    def test_shutdown_with_a_pending_long_poll_is_prompt(self):
+        """Neither the router's nor the replicas' shutdown waits for a
+        held job request, and stopping the fleet answers it."""
+        with _fleet_router(2, replica_kwargs={"background": False}) as (
+                fleet, router):
+            client = HTTPClient(router.url)
+            job_id, _ = self._queued(fleet, router, client)
+            answered: list = []
+            poller = threading.Thread(target=lambda: answered.append(
+                client.exchange_raw("GET", f"/v1/jobs/{job_id}?wait=30")))
+            poller.start()
+            time.sleep(0.3)
+            assert not answered, "the job request was not held"
+            started = time.monotonic()
+            router.shutdown()
+            router_s = time.monotonic() - started
+            fleet.drain()
+            poller.join(timeout=5.0)
+            answered_s = time.monotonic() - started
+            client.close()
+        assert router_s < 1.0, router_s
+        assert not poller.is_alive()
+        assert answered_s < 2.0, answered_s
+        assert answered[0].status == 200
 
 
 class TestFailover:

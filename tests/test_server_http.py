@@ -880,3 +880,151 @@ class TestMatrixByRef:
         envelope = ErrorEnvelope.from_exception(UnknownMatrixError("0" * 32))
         assert envelope.code == "unknown_matrix"
         assert envelope.http_status == 404
+
+
+def test_registry_matrix_is_hashed_once_across_requests(monkeypatch):
+    """A named matrix is resolved and fingerprinted once per cache entry,
+    not once per request that names it."""
+    request = SolveRequestV1(matrix="PDD_RealSparse_N128", maxiter=200)
+    with _http_server(background=False) as http_server:
+        with HTTPClient(http_server.url) as client:
+            hashes = _matrix_hashes(monkeypatch)
+            responses = [client.solve(request) for _ in range(3)]
+    assert len(hashes) == 1
+    assert {response.fingerprint for response in responses} == set(hashes)
+
+
+def _job_gets(connection_log, listener) -> int:
+    """``GET /v1/jobs/<id>`` requests ``listener`` has read."""
+    with connection_log.condition:
+        return sum(owner is listener and path.startswith("/v1/jobs/")
+                   for owner, _, path in connection_log.requests)
+
+
+def _drain_later(server: SolveServer, delay: float) -> threading.Thread:
+    """Run ``server``'s pending jobs ``delay`` seconds from now."""
+    def run() -> None:
+        time.sleep(delay)
+        server.drain(timeout=60.0)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread
+
+
+class TestLongPoll:
+    """``GET /v1/jobs/<id>?wait=`` holds the reply until the job finishes."""
+
+    def test_a_job_finishing_mid_wait_is_answered_at_once(self):
+        request = SolveRequestV1(matrix="2DFDLaplace_16")
+        with _http_server(background=False) as http_server:
+            with HTTPClient(http_server.url) as client:
+                job_id = client.submit(request)
+                drainer = _drain_later(http_server.solve_server, 0.3)
+                started = time.monotonic()
+                reply = client.exchange_raw("GET", f"/v1/jobs/{job_id}?wait=30")
+                elapsed = time.monotonic() - started
+                drainer.join()
+        assert reply.status == 200
+        assert json.loads(reply.body)["state"] == "done"
+        # Held past the drain's start, answered well before the cap.
+        assert 0.25 <= elapsed < 2.0, elapsed
+
+    def test_a_wait_is_clamped_to_the_cap(self, monkeypatch):
+        from repro.server import http as server_http
+
+        monkeypatch.setattr(server_http, "MAX_JOB_WAIT_S", 0.2)
+        with _http_server(background=False) as http_server:
+            with HTTPClient(http_server.url) as client:
+                job_id = client.submit(SolveRequestV1(matrix="2DFDLaplace_16"))
+                started = time.monotonic()
+                reply = client.exchange_raw("GET", f"/v1/jobs/{job_id}?wait=30")
+                elapsed = time.monotonic() - started
+        assert json.loads(reply.body)["state"] == "pending"
+        assert 0.15 <= elapsed < 2.0, elapsed
+
+    def test_one_collected_job_costs_one_job_request(self, connection_log):
+        request = SolveRequestV1(matrix="2DFDLaplace_16")
+        with _http_server(background=False) as http_server:
+            with HTTPClient(http_server.url) as client:
+                job_id = client.submit(request)
+                drainer = _drain_later(http_server.solve_server, 0.3)
+                response = client.result(job_id, timeout=60.0,
+                                         poll_interval=0.01)
+                drainer.join()
+        assert response.converged
+        assert _job_gets(connection_log, http_server) == 1
+
+    def test_long_polled_response_is_bit_identical_to_in_process(self):
+        stream = TestCrossTransportDeterminism()._stream()
+        with InProcessClient(cache=ArtifactCache(max_entries=32),
+                             background=False) as in_process:
+            job_ids = [in_process.submit(request) for request in stream]
+            drainer = _drain_later(in_process.server, 0.1)
+            local = [in_process.result(job_id, timeout=60.0)
+                     for job_id in job_ids]
+            drainer.join()
+        with _http_server(background=False) as http_server:
+            with HTTPClient(http_server.url) as client:
+                job_ids = [client.submit(request) for request in stream]
+                drainer = _drain_later(http_server.solve_server, 0.1)
+                remote = [client.result(job_id, timeout=60.0)
+                          for job_id in job_ids]
+                drainer.join()
+        for ours, theirs in zip(local, remote, strict=True):
+            assert ours.tag == theirs.tag
+            assert ours.iterations == theirs.iterations, ours.tag
+            assert ours.provenance == theirs.provenance, ours.tag
+            assert np.array_equal(ours.solution, theirs.solution), ours.tag
+
+    @pytest.mark.parametrize("wait", ["-1", "nan", "inf", "abc", "-inf",
+                                      "1e999", ""])
+    def test_malformed_wait_is_400_bad_request(self, wait):
+        with _http_server(background=False) as http_server:
+            with HTTPClient(http_server.url) as client:
+                job_id = client.submit(SolveRequestV1(matrix="2DFDLaplace_16"))
+                reply = client.exchange_raw(
+                    "GET", f"/v1/jobs/{job_id}?wait={wait}")
+                unknown = client.exchange_raw("GET", f"/v1/jobs/999?wait={wait}")
+        for answer in (reply, unknown):
+            assert answer.status == 400
+            envelope = ErrorEnvelope.from_json_dict(json.loads(answer.body))
+            assert envelope.code == "bad_request"
+            assert "wait" in envelope.message
+
+    def test_shutdown_answers_a_pending_long_poll_within_a_slice(self):
+        """A waiting handler answers once the listener shuts down; the
+        shutdown itself does not wait for it."""
+        from repro.server.http import JOB_WAIT_SLICE_S
+
+        solve_server = SolveServer(cache=ArtifactCache(max_entries=8),
+                                   background=False)
+        http_server = SolveHTTPServer(solve_server, port=0).start()
+        client = HTTPClient(http_server.url)
+        job_id = client.submit(SolveRequestV1(matrix="2DFDLaplace_16"))
+        answered: list = []
+
+        def long_poll() -> None:
+            reply = client.exchange_raw("GET", f"/v1/jobs/{job_id}?wait=30")
+            answered.append((time.monotonic(), reply))
+
+        poller = threading.Thread(target=long_poll)
+        poller.start()
+        try:
+            time.sleep(0.3)
+            assert not answered, "the job request was not held"
+            started = time.monotonic()
+            http_server.shutdown()
+            shutdown_s = time.monotonic() - started
+            poller.join(timeout=5.0)
+            assert not poller.is_alive()
+        finally:
+            client.close()
+            solve_server.shutdown()
+        answered_at, reply = answered[0]
+        assert shutdown_s < 1.0, shutdown_s
+        # One slice and scheduling slack; the cap would be 5 s.
+        assert answered_at - started < JOB_WAIT_SLICE_S + 1.0
+        assert reply.status == 200
+        assert json.loads(reply.body)["state"] == "pending"
+        assert reply.headers.get("connection") == "close"

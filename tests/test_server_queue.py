@@ -203,6 +203,105 @@ class TestRetention:
             assert job.result(timeout=0) == "answer"
 
 
+class _FinishesWhileChecked(Job):
+    """A job that finishes right after :meth:`done` says it has not: the
+    worst interleaving of a status read with the worker's ``_finish``."""
+
+    __slots__ = ("outcome",)
+
+    def done(self) -> bool:
+        finished = super().done()
+        if not finished:
+            self._finish(**self.outcome)
+        return finished
+
+
+class TestJobStatus:
+    @pytest.mark.parametrize("failed", [False, True])
+    def test_a_job_finishing_during_the_read_is_reported_whole(self, failed):
+        """A status reads the job once: it is either unfinished, or
+        finished together with its response or error — never ``done``
+        without an answer."""
+        from repro.server import SolveServer
+        from repro.server.queue import job_status
+        from repro.service.cache import ArtifactCache
+
+        with SolveServer(cache=ArtifactCache(max_entries=4),
+                         background=False) as server:
+            response = server.solve(_request())
+        job = _FinishesWhileChecked(7, _request())
+        job.outcome = ({"error": RuntimeError("boom")} if failed
+                       else {"result": response})
+        status = job_status(job)
+        if status.state in (Job.PENDING, Job.RUNNING):
+            assert status.response is None and status.error is None
+        elif failed:
+            assert status.state == Job.FAILED and status.error is not None
+        else:
+            assert status.state == Job.DONE
+            assert np.array_equal(status.response.solution,
+                                  response.solution)
+        job.done()  # finishes it, if the read above did not
+        finished = job_status(job)
+        assert finished.state == (Job.FAILED if failed else Job.DONE)
+        assert (finished.error if failed else finished.response) is not None
+
+    def test_statuses_read_while_jobs_finish_are_never_torn(self):
+        """Readers racing the finishing thread (more threads than cores,
+        a short switch interval) never see a job ``done`` without its
+        response."""
+        import sys
+
+        from repro.server import SolveServer
+        from repro.server.queue import job_status
+        from repro.service.cache import ArtifactCache
+
+        with SolveServer(cache=ArtifactCache(max_entries=4),
+                         background=False) as server:
+            response = server.solve(_request())
+        queue = JobQueue(max_depth=512)
+        jobs = [queue.submit(_request()) for _ in range(400)]
+        popped = queue.pop_batch()
+        torn: list = []
+        stop = threading.Event()
+
+        def read() -> None:
+            while not stop.is_set():
+                for job in jobs:
+                    status = job_status(job)
+                    if status.state == Job.DONE and status.response is None:
+                        torn.append(job.id)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        try:
+            for reader in readers:
+                reader.start()
+            for job in popped:
+                queue.finish(job, result=response)
+        finally:
+            stop.set()
+            for reader in readers:
+                reader.join(timeout=30.0)
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert all(job.done() for job in jobs)
+        assert torn == []
+
+    def test_wait_returns_once_the_job_finishes(self):
+        queue = JobQueue()
+        job = queue.submit(_request())
+        assert job.wait(0.01) is False
+        [popped] = queue.pop_batch()
+        finisher = threading.Timer(0.1, queue.finish, args=(popped,),
+                                   kwargs={"result": "answer"})
+        finisher.start()
+        assert job.wait(10.0) is True
+        finisher.join()
+        assert job.snapshot() == (Job.DONE, "answer", None)
+
+
 class TestTelemetry:
     def test_counter_monotonic(self):
         registry = MetricsRegistry()
