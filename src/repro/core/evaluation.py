@@ -72,8 +72,8 @@ def measurement_regime(settings: SolverSettings, rhs: np.ndarray) -> str:
     hash matches — same tolerance, iteration budget, restart policy and
     ``b`` — whatever seed or replication count produced them.  Both
     :class:`MatrixEvaluator` and the solve server prefix their store contexts
-    with it so consumers (the tuning service, the preconditioner policy) can
-    filter records by regime.
+    with it, so a stored record says which regime measured it; the solve
+    server also keys its cached baselines by it.
     """
     return content_hash(
         f"rtol={settings.rtol!r}:maxiter={settings.maxiter}"
@@ -184,7 +184,7 @@ class MatrixEvaluator:
         # Hash of the measurement *regime* (solver settings + rhs): two
         # records are statistically comparable exactly when this matches,
         # whatever seed / replication count produced them.  It prefixes the
-        # store context so consumers (the tuning service) can filter by it.
+        # store context (:meth:`record_context`).
         self.settings_fingerprint = measurement_regime(self.settings, self.rhs)
         if store is not None and not store.has_matrix(self.fingerprint):
             from repro.matrices.features import feature_vector
@@ -218,7 +218,7 @@ class MatrixEvaluator:
         times at the same ``alpha``; the :class:`ArtifactCache` removes the
         only build step those repeats share.  Keying by the matrix content
         fingerprint means *every* evaluator in the process — BO over a matrix
-        portfolio, the figure drivers, the tuning service — shares one build,
+        portfolio, the figure drivers — shares one build,
         while the LRU bound keeps the dense padded tables from accumulating
         when BO proposes continuous ``alpha`` values.
         """

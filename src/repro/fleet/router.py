@@ -327,10 +327,9 @@ class FleetRouter(WireListener):
             router_id = self._next_job_id
             self._next_job_id += 1
             self._jobs[router_id] = (replica, remote_id)
-            overflow = len(self._jobs) - MAX_TRACKED_JOBS
-            if overflow > 0:
-                for stale in list(self._jobs)[:overflow]:
-                    del self._jobs[stale]
+            while len(self._jobs) > MAX_TRACKED_JOBS:
+                # dicts iterate in insertion order: the first key is oldest.
+                del self._jobs[next(iter(self._jobs))]
         payload["job_id"] = router_id
         return RawReply(reply.status, reply.headers,
                         json.dumps(payload).encode("utf-8"))

@@ -143,8 +143,8 @@ def nearest_feature_neighbour(candidates: list[np.ndarray],
     Features are standardised (zero mean / unit variance, computed over the
     candidates plus the target) before the Euclidean distance so no single
     large-scale feature (e.g. ``max_degree``) dominates.  This is the one
-    warm-start convention shared by the tuning service and the solve-server
-    policy — both layers must pick the same neighbour for the same store.
+    warm-start convention: the ladder's ``warm_start`` stage ranks the
+    store's matrices with it.
 
     Columns that are constant (zero variance — a degenerate store where every
     matrix shares a feature value) or that contain non-finite entries carry no

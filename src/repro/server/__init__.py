@@ -1,6 +1,6 @@
 """Solve-server subsystem: the serving layer on top of kernels + tuning.
 
-The third layer of the stack (kernels → tuning service → **solve server**):
+The third layer of the stack (kernels → store/cache → **solve server**):
 a service that accepts a stream of
 :class:`~repro.api.schemas.SolveRequestV1`\\ s, admits or sheds them at a
 bounded queue, groups in-flight work by matrix content fingerprint so

@@ -171,10 +171,12 @@ class JobRegistry:
             self._jobs[job.id] = job
             overflow = len(self._jobs) - MAX_TRACKED_JOBS
             if overflow > 0:
-                # dicts iterate in insertion order: oldest first.
-                evictable = [job_id for job_id, tracked in self._jobs.items()
-                             if tracked.done()]
-                for job_id in evictable[:overflow]:
+                # dicts iterate in insertion order: oldest first.  Stop at
+                # the ``overflow``-th finished job, so a full registry pays
+                # for the unfinished jobs ahead of it, not for every job.
+                finished = (job_id for job_id, tracked in self._jobs.items()
+                            if tracked.done())
+                for job_id in list(itertools.islice(finished, overflow)):
                     del self._jobs[job_id]
 
     def find(self, job_id: int) -> Job | None:

@@ -1,7 +1,7 @@
-"""Tuning service layer: durable observations, shared artifacts, batch serving.
+"""Service layer: the observation store, the artifact cache and the ladder.
 
-This package turns the reproduction from a one-shot experiment pipeline into
-something that can serve many tuning requests fast:
+What the solve server, the offline tuner and the online learner share to
+answer "which parameters should this matrix get" without re-measuring:
 
 * :mod:`repro.service.store` — :class:`ObservationStore`, an append-only,
   crash-safe on-disk store of performance measurements keyed by matrix
@@ -11,13 +11,9 @@ something that can serve many tuning requests fast:
   expensive per-matrix build artifacts (``TransitionTable``\\ s, assembled
   preconditioners) shared by every evaluator in the process.
 * :mod:`repro.service.ladder` — the one recommendation ladder: the
-  ``stored`` / ``surrogate`` / ``warm_start`` / ``explore`` stages and the
+  ``stored`` / ``surrogate`` / ``warm_start`` stages and the
   :class:`Proposal` provenance type shared by the solve server's policy, the
-  batch tuner, the offline tuner and the online learner.
-* :mod:`repro.service.tuner_service` — :class:`TuningService`, the batch
-  front-end: exact reuse from the store, nearest-neighbour warm starts in
-  matrix-feature space, seeded exploration for the remaining budget, and
-  recommendations with provenance.
+  offline tuner and the online learner.
 
 Matrix identity everywhere is the content fingerprint from
 :func:`repro.sparse.fingerprint.matrix_fingerprint`.
@@ -38,11 +34,6 @@ from repro.service.store import (
     parameter_hash,
 )
 from repro.service.ladder import Proposal, StoreSnapshot
-from repro.service.tuner_service import (
-    TuningRequest,
-    TuningResult,
-    TuningService,
-)
 
 __all__ = [
     "ArtifactCache",
@@ -57,7 +48,4 @@ __all__ = [
     "parameter_hash",
     "Proposal",
     "StoreSnapshot",
-    "TuningRequest",
-    "TuningResult",
-    "TuningService",
 ]

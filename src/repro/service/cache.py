@@ -5,8 +5,8 @@ The MCMC tuning stack repeatedly rebuilds two kinds of artifacts:
 * :class:`~repro.mcmc.walks.TransitionTable` — depends only on
   ``(matrix, alpha)`` yet was rebuilt privately by every
   :class:`~repro.core.evaluation.MatrixEvaluator` instance, so two evaluators
-  over the same matrix (BO over a matrix portfolio, the figure drivers, the
-  tuning service) paid for the build twice;
+  over the same matrix (BO over a matrix portfolio, the figure drivers)
+  paid for the build twice;
 * assembled preconditioners, whenever a caller knows the full build key.
 
 :class:`ArtifactCache` is a thread-safe LRU keyed by arbitrary hashable

@@ -1,10 +1,9 @@
 """The recommendation ladder: which MCMC parameters should this matrix get?
 
 Every layer that answers that question — the solve server's policy, the
-batch :class:`~repro.service.tuner_service.TuningService`, the offline
-:class:`~repro.core.recommender.MCMCTuner` and the online learner — walks
-the stages of this module, so a parameter vector always arrives with the
-same account of where it came from (:class:`Proposal`):
+offline :class:`~repro.core.recommender.MCMCTuner` and the online learner —
+walks the stages of this module, so a parameter vector always arrives with
+the same account of where it came from (:class:`Proposal`):
 
 ``stored``
     Records of this exact matrix (content fingerprint), best first.
@@ -15,14 +14,11 @@ same account of where it came from (:class:`Proposal`):
 ``warm_start``
     Records of the nearest other matrix in standardised
     :func:`~repro.matrices.features.feature_vector` space, best first.
-``explore``
-    Seeded uniform samples of the parameter box.
 
-A stage that has nothing to say yields nothing.  The callers are fixed
-orderings of the stages: serving takes the first proposal of ``stored →
-surrogate → warm_start`` and otherwise falls through to its rule table;
-the tuning service concatenates ``stored → warm_start → explore`` until its
-budget is filled, then measures.
+A stage that has nothing to say yields nothing.  Serving takes the first
+proposal of ``stored → surrogate → warm_start`` and otherwise falls through
+to its rule table; the offline tuner and the online learner call
+``surrogate`` alone.
 
 ``stored`` and ``warm_start`` read a :class:`StoreSnapshot`, never the live
 store: records written while serving must not change in-flight decisions
@@ -46,9 +42,8 @@ from repro.mcmc.parameters import (
     DEFAULT_BOUNDS,
     MCMCParameters,
     ParameterBounds,
-    sample_parameters,
 )
-from repro.service.store import ObservationStore, StoredRecord, parameter_hash
+from repro.service.store import ObservationStore, StoredRecord
 
 __all__ = [
     "ORIGIN_EXPLICIT",
@@ -56,13 +51,11 @@ __all__ = [
     "ORIGIN_SURROGATE",
     "ORIGIN_WARM_START",
     "ORIGIN_RULE",
-    "ORIGIN_SAMPLED",
     "Proposal",
     "StoreSnapshot",
     "stored",
     "surrogate",
     "warm_start",
-    "explore",
 ]
 
 _LOG = get_logger("service.ladder")
@@ -74,7 +67,6 @@ ORIGIN_STORED = "stored"
 ORIGIN_SURROGATE = "surrogate"
 ORIGIN_WARM_START = "warm_start"
 ORIGIN_RULE = "rule"
-ORIGIN_SAMPLED = "sampled"
 
 
 @dataclass(frozen=True)
@@ -82,9 +74,9 @@ class Proposal:
     """One parameter vector and why it was proposed.
 
     ``y_mean`` / ``y_std`` are the metric (Eq. 4, lower is better) the
-    parameters are expected to reach: measured for ``stored`` proposals and
-    for the tuning service's recommendation, the model's predicted mean and
-    sigma for ``surrogate`` ones, ``None`` where nothing is known yet.
+    parameters are expected to reach: measured for ``stored`` proposals, the
+    model's predicted mean and sigma for ``surrogate`` ones, ``None`` where
+    nothing is known yet.
     """
 
     parameters: MCMCParameters
@@ -144,18 +136,9 @@ def _competing(records: tuple[StoredRecord, ...], solver: str | None
 
 
 def stored(snapshot: StoreSnapshot, fingerprint: str, *,
-           solver: str | None = None, regime: str | None = None
-           ) -> Iterator[Proposal]:
-    """Records of this exact matrix, best first.
-
-    ``regime`` keeps only records measured under that
-    :func:`~repro.core.evaluation.measurement_regime` (a context prefix):
-    the tuning service compares metrics, which is only meaningful between
-    records that share solver settings and right-hand side.
-    """
+           solver: str | None = None) -> Iterator[Proposal]:
+    """Records of this exact matrix, best first."""
     for record in _competing(snapshot.best_first(fingerprint), solver):
-        if regime is not None and not record.context.startswith(regime):
-            continue
         measured = record.to_record()
         yield Proposal(record.parameters, ORIGIN_STORED,
                        y_mean=measured.y_mean, y_std=measured.y_std)
@@ -182,31 +165,6 @@ def warm_start(snapshot: StoreSnapshot, matrix: sp.spmatrix, fingerprint: str,
     for record in _competing(snapshot.best_first(donor), solver):
         yield Proposal(record.parameters.clipped(bounds), ORIGIN_WARM_START,
                        neighbour_name=name, neighbour_distance=distance)
-
-
-def explore(count: int, *, bounds: ParameterBounds, solver: str, seed: int,
-            exclude: set[str]) -> list[Proposal]:
-    """Up to ``count`` seeded uniform samples whose hashes are not in ``exclude``.
-
-    Oversamples so that collisions with already-known parameter vectors do
-    not shrink the batch; gives up after eight rounds.
-    """
-    proposals: list[Proposal] = []
-    seen = set(exclude)
-    attempts = 0
-    while len(proposals) < count and attempts < 8:
-        fresh = sample_parameters(2 * (count - len(proposals)), bounds=bounds,
-                                  solver=solver,
-                                  seed=seed + 7919 * (attempts + 1))
-        for parameters in fresh:
-            if len(proposals) >= count:
-                break
-            key = parameter_hash(parameters)
-            if key not in seen:
-                seen.add(key)
-                proposals.append(Proposal(parameters, ORIGIN_SAMPLED))
-        attempts += 1
-    return proposals
 
 
 def surrogate(model: GraphNeuralSurrogate, dataset: SurrogateDataset,

@@ -5,8 +5,8 @@ re-measures identical ``(matrix, parameters)`` configurations across figures,
 benchmarks and BO rounds; each measurement costs a full preconditioner build
 plus Krylov solves.  :class:`ObservationStore` makes those measurements
 durable so that a killed run resumes where it stopped and later sessions
-(including the :class:`~repro.service.tuner_service.TuningService`) warm-start
-from everything measured before.
+(the solve server's policy among them) warm-start from everything measured
+before.
 
 Layout (one directory per store, one file in it)::
 

@@ -14,6 +14,7 @@ from repro.core.evaluation import (
 )
 from repro.exceptions import ParameterError
 from repro.mcmc.parameters import MCMCParameters
+from repro.service.store import ObservationStore
 
 
 class TestSolverSettings:
@@ -125,3 +126,46 @@ class TestCollectGridObservations:
         names = {obs.matrix_name for obs in observations}
         assert "pdd_tiny" not in names       # nonsymmetric -> CG skipped
         assert "laplace_tiny" in names       # SPD -> CG allowed
+
+
+class TestStoreAwareEvaluatorReplay:
+    @pytest.fixture()
+    def settings(self):
+        return SolverSettings(maxiter=200)
+
+    def test_stored_record_equals_fresh_measurement(self, tmp_path, settings,
+                                                    small_spd):
+        """Serving from the store is bit-identical to re-measuring."""
+        parameters = MCMCParameters(alpha=1.0, eps=0.5, delta=0.5)
+        store = ObservationStore(tmp_path / "store")
+        with_store = MatrixEvaluator(small_spd, "lap", settings=settings,
+                                     seed=3, store=store)
+        first = with_store.evaluate(parameters, n_replications=2)
+        served = with_store.evaluate(parameters, n_replications=2)
+        fresh = MatrixEvaluator(small_spd, "lap", settings=settings,
+                                seed=3).evaluate(parameters, n_replications=2)
+        assert served.y_values == first.y_values == fresh.y_values
+        assert len(store) == 1  # the replay added nothing
+        assert (served.preconditioned_iterations
+                == fresh.preconditioned_iterations)
+
+    def test_registered_matrix_is_not_featurised_again(self, tmp_path,
+                                                       settings, small_spd,
+                                                       monkeypatch):
+        """The store is the one source of "is this matrix registered": the
+        first evaluator registers it, a later one skips the feature pass,
+        and the index holds one matrix line."""
+        import repro.matrices.features as features
+
+        store = ObservationStore(tmp_path / "store")
+        first = MatrixEvaluator(small_spd, "lap", settings=settings,
+                                store=store)
+        assert store.has_matrix(first.fingerprint)
+
+        def refuse(matrix):
+            raise AssertionError("feature_vector recomputed")
+
+        monkeypatch.setattr(features, "feature_vector", refuse)
+        MatrixEvaluator(small_spd, "lap", settings=settings, store=store)
+        assert list(ObservationStore(tmp_path / "store").matrix_entries()) \
+            == [first.fingerprint]

@@ -263,6 +263,23 @@ class TestJobs:
             assert envelope.code == "unavailable"
             assert envelope.detail["replica"] == owner
 
+    def test_job_map_stays_at_the_bound(self):
+        """Past ``MAX_TRACKED_JOBS`` each recorded job drops the oldest."""
+        from repro.client.http import RawReply
+        from repro.server.queue import MAX_TRACKED_JOBS
+
+        # Never started: recording a job touches neither socket nor replica.
+        router = FleetRouter(ReplicaFleet([InProcessReplica("r0")],
+                                          restart=False))
+        total = MAX_TRACKED_JOBS + 10
+        for remote_id in range(1, total + 1):
+            reply = router._record_job("r0", RawReply(
+                202, {}, json.dumps({"job_id": remote_id}).encode()))
+            assert json.loads(reply.body)["job_id"] == remote_id
+            assert len(router._jobs) == min(remote_id, MAX_TRACKED_JOBS)
+        assert next(iter(router._jobs)) == total - MAX_TRACKED_JOBS + 1
+        assert router._jobs[total] == ("r0", total)
+
 
 class TestLongPoll:
     """``GET /v1/jobs/<id>?wait=`` through the router: forwarded, clamped

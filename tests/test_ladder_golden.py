@@ -1,15 +1,14 @@
 """Golden behaviour of the recommendation ladder.
 
 ``tests/data/ladder_golden.json`` was frozen at commit 92866d2 — the last
-one with four separate ladders (``PreconditionerPolicy.decide``,
-``TuningService._plan_candidates``, ``SurrogatePolicy.propose``,
-``MCMCTuner.recommend``) — by running this file as a script there.  The one
-ladder of :mod:`repro.service.ladder` must reproduce it: every serving
-provenance over a matrix zoo x store states x request forms, the tuning
-service's measured candidates and their origins for three seeds, and the
-surrogate's explore / exploit proposals.  The cases where the ``stored``
-stage now honours the request's solver are spelled out in
-``_solver_filter_fix``; nothing else may differ.
+one where the solve server's policy (``PreconditionerPolicy.decide``), the
+online learner (``SurrogatePolicy.propose``) and the offline tuner
+(``MCMCTuner.recommend``) each walked a ladder of their own — by running
+this file as a script there.  The one ladder of :mod:`repro.service.ladder`
+must reproduce it: every serving provenance over a matrix zoo x store
+states x request forms, and the surrogate's explore / exploit proposals.
+The cases where the ``stored`` stage now honours the request's solver are
+spelled out in ``_solver_filter_fix``; nothing else may differ.
 
 Regenerate only for a reviewed behaviour change::
 
@@ -28,11 +27,7 @@ import scipy.sparse as sp
 
 from repro.api.schemas import PolicyProvenance
 from repro.core.dataset import SurrogateDataset
-from repro.core.evaluation import (
-    LabelledObservation,
-    PerformanceRecord,
-    SolverSettings,
-)
+from repro.core.evaluation import LabelledObservation, PerformanceRecord
 from repro.core.recommender import MCMCTuner
 from repro.core.surrogate import GraphNeuralSurrogate, SurrogateConfig
 from repro.core.training import Trainer, TrainingConfig
@@ -40,9 +35,7 @@ from repro.learn import SurrogatePolicy
 from repro.matrices import feature_vector, laplacian_2d, pdd_real_sparse
 from repro.mcmc.parameters import MCMCParameters
 from repro.server.policy import PreconditionerPolicy
-from repro.service.cache import ArtifactCache
 from repro.service.store import ObservationStore
-from repro.service.tuner_service import TuningRequest, TuningService
 from repro.sparse.fingerprint import matrix_fingerprint
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "ladder_golden.json"
@@ -141,43 +134,6 @@ def serving_cases(root: Path) -> dict[str, dict]:
     return cases
 
 
-# -- tuning: measured candidates and their origins ---------------------------
-def _parameters_row(parameters: MCMCParameters) -> list:
-    return [parameters.alpha, parameters.eps, parameters.delta,
-            parameters.solver]
-
-
-def tuning_cases(root: Path) -> dict[str, list[dict]]:
-    """Cold start, neighbour warm start, then a re-tune that reuses."""
-    cases: dict[str, list[dict]] = {}
-    requests = [
-        (laplacian_2d(8), "lap8", 3),
-        (laplacian_2d(9), "lap9", 4),
-        (laplacian_2d(8), "lap8", 6),
-    ]
-    for seed in (0, 1, 5):
-        service = TuningService(root / f"seed{seed}",
-                                cache=ArtifactCache(max_entries=8),
-                                settings=SolverSettings(maxiter=200))
-        rows = []
-        for matrix, name, budget in requests:
-            result = service.tune_one(TuningRequest(
-                matrix=matrix, name=name, budget=budget, n_replications=1,
-                seed=seed))
-            rows.append({
-                "candidates": [_parameters_row(record.parameters)
-                               for record in result.measured_records],
-                "candidate_origins": dict(result.candidate_origins),
-                "reused_observations": result.reused_observations,
-                "recommended": _parameters_row(
-                    result.recommendation.parameters),
-                "recommended_origin": result.recommendation.origin,
-                "recommended_y_mean": result.recommendation.y_mean,
-            })
-        cases[f"seed{seed}"] = rows
-    return cases
-
-
 # -- surrogate: explore (MCMCTuner.recommend) and exploit (serving) ----------
 SURROGATE_SEED = 3
 SURROGATE_VERSION = "gen000001-golden"
@@ -256,7 +212,6 @@ def surrogate_cases() -> dict[str, dict]:
 
 def compute_golden(root: Path) -> dict:
     return {"serving": serving_cases(root / "serving"),
-            "tuning": tuning_cases(root / "tuning"),
             "surrogate": surrogate_cases()}
 
 
@@ -314,10 +269,6 @@ def test_solver_filter_fix_touches_only_the_named_solver_cases():
                        for form in ("solver_bicgstab", "solver_cg")}
 
 
-def test_tuning_candidates_match_golden(tmp_path):
-    _assert_same(tuning_cases(tmp_path), GOLDEN["tuning"], "tuning")
-
-
 def test_surrogate_stage_matches_recommend_propose_and_golden():
     from repro.learn.policy import N_CANDIDATES, N_RESTARTS, XI, proposal_seed
     from repro.mcmc.parameters import DEFAULT_BOUNDS
@@ -363,5 +314,4 @@ if __name__ == "__main__":
     GOLDEN_PATH.parent.mkdir(exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_PATH}: {len(golden['serving'])} serving cases, "
-          f"{len(golden['tuning'])} tuning seeds, "
           f"{len(golden['surrogate'])} surrogate targets")

@@ -19,6 +19,7 @@ from repro.matrices import (
     training_specs,
 )
 from repro.matrices import test_specs as registry_test_specs
+from repro.matrices.features import nearest_feature_neighbour
 
 
 class TestRegistry:
@@ -160,3 +161,96 @@ class TestDegenerateFeatureInputs:
 
         vector = feature_vector(sp.csr_matrix(1e-308 * np.eye(4)))
         assert np.all(np.isfinite(vector))
+
+
+class TestDegenerateStoreWarmStart:
+    """Feature standardisation must survive degenerate stores (regression).
+
+    A store whose registered feature vectors share constant columns, contain
+    near-zero-variance columns, or carry non-finite entries used to emit NaN
+    (or overflowed) distances from the shared standardise-then-distance
+    kernel, silently breaking the ladder's ``warm_start`` stage.  The stage
+    is driven here over stores seeded directly with one record per matrix.
+    """
+
+    def test_constant_feature_columns_yield_finite_distances(self):
+        # Every candidate and the target agree on the second column.
+        candidates = [np.array([1.0, 7.0, 3.0]), np.array([4.0, 7.0, 3.5])]
+        found = nearest_feature_neighbour(candidates, np.array([1.2, 7.0, 3.1]))
+        assert found is not None
+        best, distance = found
+        assert best == 0
+        assert np.isfinite(distance)
+
+    def test_near_zero_variance_column_does_not_overflow(self):
+        # Denormal-scale jitter in one column: dividing by its std would
+        # amplify rounding noise by ~1e300 and swamp every real feature.
+        candidates = [np.array([1.0, 1e-300]), np.array([5.0, 3e-300])]
+        found = nearest_feature_neighbour(candidates, np.array([1.1, 2e-300]))
+        assert found is not None
+        best, distance = found
+        assert best == 0
+        assert np.isfinite(distance)
+
+    def test_non_finite_feature_entries_do_not_poison_distances(self):
+        # One corrupt candidate with an inf feature: inf - mean(inf) = NaN
+        # used to propagate into *every* distance via the shared column std.
+        candidates = [np.array([1.0, np.inf]), np.array([2.0, np.inf])]
+        found = nearest_feature_neighbour(candidates, np.array([1.4, np.inf]))
+        assert found is not None
+        best, distance = found
+        assert best == 0
+        assert np.isfinite(distance)
+
+    @staticmethod
+    def _remember(store, matrix, name, features=None):
+        """Register ``matrix`` and give it one record, so it can donate."""
+        from repro.core.evaluation import PerformanceRecord
+        from repro.mcmc.parameters import MCMCParameters
+        from repro.sparse.fingerprint import matrix_fingerprint
+
+        fingerprint = matrix_fingerprint(matrix)
+        store.register_matrix(fingerprint, name, feature_vector(matrix)
+                              if features is None else features)
+        store.put_record(fingerprint, PerformanceRecord(
+            parameters=MCMCParameters(alpha=2.0, eps=0.5, delta=0.5),
+            matrix_name=name, baseline_iterations=10,
+            preconditioned_iterations=[5], y_values=[0.5]), context="t")
+
+    @staticmethod
+    def _donated(store, matrix):
+        from repro.service.ladder import StoreSnapshot, warm_start
+        from repro.sparse.fingerprint import matrix_fingerprint
+
+        return next(warm_start(StoreSnapshot(store), matrix,
+                               matrix_fingerprint(matrix)), None)
+
+    def test_nearest_neighbour_prefers_similar_structure(self, tmp_path):
+        from repro.matrices import pdd_real_sparse
+        from repro.service.store import ObservationStore
+
+        store = ObservationStore(tmp_path / "store")
+        self._remember(store, laplacian_2d(8), "lap8")
+        self._remember(store, pdd_real_sparse(40, density=0.2, dominance=2.0,
+                                              seed=1), "pdd")
+        donated = self._donated(store, laplacian_2d(9))
+        assert donated is not None
+        assert donated.neighbour_name == "lap8"
+
+    def test_service_warm_start_with_degenerate_registered_features(
+            self, tmp_path):
+        from repro.matrices import pdd_real_sparse
+        from repro.service.store import ObservationStore
+
+        # A store seeded with one healthy matrix plus one whose persisted
+        # feature vector is corrupt (NaN) must still warm-start from the
+        # healthy neighbour with a finite distance.
+        store = ObservationStore(tmp_path / "store")
+        self._remember(store, laplacian_2d(8), "lap8")
+        self._remember(store, pdd_real_sparse(30, density=0.2, dominance=2.0,
+                                              seed=3), "corrupt",
+                       features=np.full(14, np.nan))
+        donated = self._donated(store, laplacian_2d(9))
+        assert donated is not None
+        assert np.isfinite(donated.neighbour_distance)
+        assert donated.neighbour_name == "lap8"

@@ -569,13 +569,11 @@ class TestReviewRegressions:
         assert latency["p50"] == pytest.approx(2 * amortised["p50"])
         server.shutdown()
 
-    def test_policy_and_tuning_service_share_the_warm_start_stage(
-            self, tmp_path):
+    def test_policy_takes_the_warm_start_stage_neighbour(self, tmp_path):
         from repro.core.evaluation import PerformanceRecord
         from repro.matrices import feature_vector, laplacian_2d
         from repro.mcmc.parameters import MCMCParameters
         from repro.server.policy import PreconditionerPolicy
-        from repro.service import TuningRequest, TuningService
         from repro.service.ladder import StoreSnapshot, warm_start
 
         store = ObservationStore(tmp_path / "store")
@@ -594,9 +592,4 @@ class TestReviewRegressions:
         decision = policy.decide(target, matrix_fingerprint(target))
         assert decision.neighbour_name == donated.neighbour_name
         assert decision.neighbour_distance == pytest.approx(
-            donated.neighbour_distance)
-        [result] = TuningService(store).tune_batch([TuningRequest(
-            matrix=target, name="lap9", budget=1, n_replications=1)])
-        assert result.recommendation.neighbour_name == donated.neighbour_name
-        assert result.recommendation.neighbour_distance == pytest.approx(
             donated.neighbour_distance)

@@ -14,9 +14,11 @@ from repro.exceptions import ParameterError
 from repro.matrices import laplacian_2d
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.server.queue import (
+    MAX_TRACKED_JOBS,
     AdmissionError,
     Job,
     JobQueue,
+    JobRegistry,
     REJECT_CLOSED,
     REJECT_DRAINING,
     REJECT_INVALID,
@@ -201,6 +203,66 @@ class TestRetention:
         assert job.exception() is error
         if error is None:
             assert job.result(timeout=0) == "answer"
+
+
+class _CountedJob(Job):
+    """A job that counts the :meth:`done` calls made on it."""
+
+    __slots__ = ("done_calls",)
+
+    def __init__(self, job_id: int, finished: bool) -> None:
+        super().__init__(job_id, None)
+        self.done_calls = 0
+        if finished:
+            self._finish(result="answer")
+
+    def done(self) -> bool:
+        self.done_calls += 1
+        return super().done()
+
+
+class TestJobRegistryEviction:
+    def test_a_track_past_the_bound_checks_only_the_oldest_finished(self):
+        registry = JobRegistry()
+        jobs = [_CountedJob(job_id, finished=True)
+                for job_id in range(MAX_TRACKED_JOBS)]
+        for job in jobs:
+            registry.track(job)
+        assert sum(job.done_calls for job in jobs) == 0  # below the bound
+        registry.track(_CountedJob(MAX_TRACKED_JOBS, finished=False))
+        # overflow is 1 and the oldest job is finished: one check, not 4096
+        assert sum(job.done_calls for job in jobs) == 1
+        assert registry.find(0) is None and registry.find(1) is jobs[1]
+
+    def test_registry_never_exceeds_the_bound_plus_unfinished_jobs(
+            self, monkeypatch):
+        monkeypatch.setattr("repro.server.queue.MAX_TRACKED_JOBS", 8)
+        registry = JobRegistry()
+        tracked: list[Job] = []
+        for job_id in range(60):
+            # every third job stays unfinished; finish some older ones late
+            job = _CountedJob(job_id, finished=job_id % 3 != 0)
+            tracked.append(job)
+            registry.track(job)
+            if job_id % 7 == 6 and not tracked[job_id - 6].done():
+                tracked[job_id - 6]._finish(result="late")
+            unfinished = sum(not job.done() for job in tracked)
+            assert len(registry._jobs) <= 8 + unfinished
+            assert all(registry.find(job.id) is job
+                       for job in tracked if not job.done())
+
+    def test_an_unfinished_old_job_is_kept(self, monkeypatch):
+        monkeypatch.setattr("repro.server.queue.MAX_TRACKED_JOBS", 4)
+        registry = JobRegistry()
+        oldest = _CountedJob(0, finished=False)
+        registry.track(oldest)
+        finished = [_CountedJob(job_id, finished=True)
+                    for job_id in range(1, 11)]
+        for job in finished:
+            registry.track(job)
+        assert registry.find(0) is oldest
+        assert [registry.find(job.id) for job in finished] == \
+            [None] * 7 + finished[7:]
 
 
 class _FinishesWhileChecked(Job):
