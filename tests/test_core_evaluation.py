@@ -11,6 +11,7 @@ from repro.core.evaluation import (
     PerformanceRecord,
     SolverSettings,
     collect_grid_observations,
+    measurement_regime,
 )
 from repro.exceptions import ParameterError
 from repro.mcmc.parameters import MCMCParameters
@@ -169,3 +170,65 @@ class TestStoreAwareEvaluatorReplay:
         MatrixEvaluator(small_spd, "lap", settings=settings, store=store)
         assert list(ObservationStore(tmp_path / "store").matrix_entries()) \
             == [first.fingerprint]
+
+    def test_same_content_under_another_name_is_replayed(self, tmp_path,
+                                                         settings, small_spd):
+        """The store key is the matrix content, not the name it came in."""
+        parameters = MCMCParameters(alpha=1.0, eps=0.5, delta=0.5)
+        store = ObservationStore(tmp_path / "store")
+        first = MatrixEvaluator(small_spd, "lap", settings=settings,
+                                store=store).evaluate(parameters,
+                                                      n_replications=1)
+        renamed = MatrixEvaluator(small_spd.copy(), "renamed",
+                                  settings=settings, store=store)
+        assert renamed.evaluate(parameters, n_replications=1).y_values \
+            == first.y_values
+        assert len(store) == 1
+
+    def test_another_regime_is_measured_anew(self, tmp_path, settings,
+                                             small_spd):
+        """A record from other solver settings is not a measurement of
+        this regime: the evaluator measures and stores a second record."""
+        parameters = MCMCParameters(alpha=1.0, eps=0.5, delta=0.5)
+        store = ObservationStore(tmp_path / "store")
+        MatrixEvaluator(small_spd, "lap", settings=settings,
+                        store=store).evaluate(parameters, n_replications=1)
+        MatrixEvaluator(small_spd, "lap", settings=SolverSettings(maxiter=150),
+                        store=store).evaluate(parameters, n_replications=1)
+        assert len(store) == 2
+        assert len({record.context.split(":")[0] for record in store}) == 2
+
+    def test_record_context_leads_with_the_regime(self, settings, small_spd):
+        """Evaluators of one regime share the context prefix whatever their
+        seed; the rest of the context tells their measurements apart."""
+        evaluators = [MatrixEvaluator(small_spd, "lap", settings=settings,
+                                      seed=seed) for seed in (0, 7)]
+        regime = measurement_regime(settings, np.ones(small_spd.shape[0]))
+        contexts = [e.record_context(2, 1) for e in evaluators]
+        assert all(c.startswith(regime + ":") for c in contexts)
+        assert contexts[0] != contexts[1]
+
+
+class TestMeasurementRegime:
+    def test_same_settings_and_rhs_give_the_same_regime(self):
+        rhs = np.linspace(0.0, 1.0, 5)
+        assert measurement_regime(SolverSettings(maxiter=50), rhs) \
+            == measurement_regime(SolverSettings(maxiter=50), rhs.copy())
+
+    @pytest.mark.parametrize("other", [
+        SolverSettings(rtol=1e-6, maxiter=50),
+        SolverSettings(maxiter=51),
+        SolverSettings(maxiter=50, gmres_restart=10),
+    ], ids=["rtol", "maxiter", "restart"])
+    def test_each_solver_setting_changes_the_regime(self, other):
+        rhs = np.ones(5)
+        assert measurement_regime(other, rhs) \
+            != measurement_regime(SolverSettings(maxiter=50), rhs)
+
+    def test_rhs_changes_the_regime(self):
+        settings = SolverSettings(maxiter=50)
+        rhs = np.ones(5)
+        shifted = rhs.copy()
+        shifted[2] += 1e-12
+        assert measurement_regime(settings, rhs) \
+            != measurement_regime(settings, shifted)
