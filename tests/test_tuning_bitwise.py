@@ -58,6 +58,12 @@ FIT_CASES = {
     "gine/multi": dict(conv_type="gine", aggregation="multi", graph_hidden=8,
                        xa_hidden=8, xm_hidden=8, combined_hidden=8,
                        dropout=0.2),
+    # Two EdgeConv layers: the second one's input needs a gradient, so the
+    # fit runs the message's input gradient and the fan-in at both gathers.
+    "edge/mean/2layers": dict(graph_hidden=8, xa_hidden=8, xm_hidden=8,
+                              combined_hidden=8, graph_layers=2),
+    "edge/sum": dict(aggregation="sum", graph_hidden=8, xa_hidden=8,
+                     xm_hidden=8, combined_hidden=8),
 }
 
 
