@@ -28,8 +28,8 @@ def test_figure1_calibration(benchmark, pipeline_result):
     # Structural checks: both curves are proper calibration curves over the
     # full reference data with monotone coverage and valid Wilson bands.  The
     # paper's directional finding (the BO-enhanced model is better calibrated)
-    # is recorded in extra_info / EXPERIMENTS.md; at smoke scale (3 replicates,
-    # tiny surrogate) the direction is noisy, so it is reported, not asserted.
+    # is recorded in extra_info only; at smoke scale (3 replicates, tiny
+    # surrogate) the direction is noisy, so it is reported, not asserted.
     assert figure.n_observations > 0
     for curve in (pre, post):
         assert float(np.min(curve.observed_coverage)) >= 0.0

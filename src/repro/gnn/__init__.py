@@ -14,7 +14,8 @@ This package provides:
 * :mod:`repro.gnn.aggregate` -- neighbourhood aggregation helpers (sum / mean /
   max, plus the "multi" concatenation of all three explored in the paper);
 * :mod:`repro.gnn.layers` -- EdgeConv (the architecture selected by the
-  paper's HPO), a weighted GCN layer, a GATv2-style attention layer and a
+  paper's HPO; its ``sum`` / ``mean`` message is one fused tape node,
+  :class:`EdgeMessage`), a weighted GCN layer, a GATv2-style attention layer and a
   GINE-style layer, all edge-weight aware;
 * :mod:`repro.gnn.pooling` -- global pooling producing one embedding per graph.
 """
@@ -24,6 +25,7 @@ from repro.gnn.aggregate import aggregate_neighbours, KNOWN_AGGREGATIONS
 from repro.gnn.layers import (
     MessagePassingLayer,
     EdgeConv,
+    EdgeMessage,
     GCNConv,
     GATv2Conv,
     GINEConv,
@@ -40,6 +42,7 @@ __all__ = [
     "KNOWN_AGGREGATIONS",
     "MessagePassingLayer",
     "EdgeConv",
+    "EdgeMessage",
     "GCNConv",
     "GATv2Conv",
     "GINEConv",

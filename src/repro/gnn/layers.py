@@ -9,6 +9,14 @@ from the endpoint features and the edge feature, aggregate per target vertex,
 then apply layer normalisation and a ReLU -- so they are interchangeable in
 the surrogate via :func:`build_conv_layer` (the knob exercised by the
 architecture ablation benchmark).
+
+EdgeConv's message and its ``sum`` / ``mean`` aggregation run as one tape
+node, :class:`EdgeMessage`, with the numpy calls of the five-node chain it
+replaces (matmul, bias add, ReLU, segment sum, mean scale), so its output
+and gradients are the chain's bit for bit while the tape no longer keeps the
+chain's three ``(E, hidden)`` intermediates until the backward.  ``max`` and
+``multi`` aggregation keep the chain (:meth:`EdgeConv.messages` +
+:func:`~repro.gnn.aggregate.aggregate_neighbours`).
 """
 
 from __future__ import annotations
@@ -18,12 +26,14 @@ import numpy as np
 from repro.exceptions import GraphConstructionError
 from repro.gnn.aggregate import aggregate_neighbours, aggregation_output_dim
 from repro.nn import functional as F
+from repro.nn.autograd import Operation, apply
 from repro.nn.layers import LayerNorm, Linear, Module
 from repro.nn.tensor import Tensor
 
 __all__ = [
     "MessagePassingLayer",
     "EdgeConv",
+    "EdgeMessage",
     "GCNConv",
     "GATv2Conv",
     "GINEConv",
@@ -70,6 +80,14 @@ class MessagePassingLayer(Module):
         """Compute per-edge messages (shape ``(E, message_dim)``)."""
         raise NotImplementedError
 
+    def aggregated_messages(self, source_features: Tensor,
+                            target_features: Tensor, edge_features: Tensor,
+                            target_index: np.ndarray, num_nodes: int) -> Tensor:
+        """Per-target-vertex aggregate of :meth:`messages`."""
+        return aggregate_neighbours(
+            self.messages(source_features, target_features, edge_features),
+            target_index, num_nodes, self.aggregation)
+
     # -- shared forward --------------------------------------------------------
     def forward(self, node_features: Tensor, edge_index: np.ndarray,
                 edge_features: Tensor) -> Tensor:
@@ -78,12 +96,70 @@ class MessagePassingLayer(Module):
         num_nodes = node_features.shape[0]
         source_features = F.gather_rows(node_features, source_index)
         target_features = F.gather_rows(node_features, target_index)
-        edge_messages = self.messages(source_features, target_features, edge_features)
-        aggregated = aggregate_neighbours(edge_messages, target_index, num_nodes,
-                                          self.aggregation)
+        aggregated = self.aggregated_messages(source_features, target_features,
+                                              edge_features, target_index,
+                                              num_nodes)
         if self.output_projection is not None:
             aggregated = self.output_projection(aggregated)
         return F.relu(self.norm(aggregated))
+
+
+class EdgeMessage(Operation):
+    """EdgeConv's message and its ``sum`` / ``mean`` aggregation as one node.
+
+    The inputs are ``(stacked, W, b)``; the output is, per target vertex, the
+    sum or mean of ``ReLU(stacked @ W + b)`` over the vertex's incoming
+    edges.  The forward makes the numpy calls of the chain it replaces
+    (``MatMul`` -> ``Add`` -> ``ReLU`` -> ``SegmentSum`` -> ``Mul`` by the
+    mean scale) in that order, and the backward those of the chain's
+    backward, so output and gradients are the chain's bit for bit.  The ReLU
+    is ``h * (h > 0)``, as :class:`~repro.nn.functional.ReLU` computes it
+    (``np.maximum`` differs on ``-0.0`` and ``-inf``).  The ``(E, hidden)``
+    activations die when the forward returns: the node keeps ``stacked``,
+    ``W``, the boolean ReLU mask, the target ids and the mean scale.
+    """
+
+    # The bias gradient is the edge gradient itself: the engine sums it over
+    # the edges, as it does for the chain's ``Add``.
+    broadcastable = True
+
+    def __init__(self, target_index: np.ndarray, num_nodes: int,
+                 aggregation: str) -> None:
+        if aggregation not in ("sum", "mean"):
+            raise GraphConstructionError(
+                f"EdgeMessage aggregates by 'sum' or 'mean', not {aggregation!r}")
+        self.target_index = target_index
+        self.num_nodes = num_nodes
+        self.scale = (F.segment_mean_scale(target_index, num_nodes)[:, None]
+                      if aggregation == "mean" else None)
+        self._grad = None
+        self._index = -1
+
+    def forward(self, stacked, weight, bias):
+        h = stacked @ weight
+        h += bias
+        mask = h > 0
+        np.multiply(h, mask, out=h)
+        out = F.segment_incidence(self.target_index, self.num_nodes) @ h
+        if self.scale is not None:
+            out *= self.scale
+        self.stacked, self.weight, self.mask = stacked, weight, mask
+        return out
+
+    def backward(self, grad, index):
+        # The engine asks for the inputs in increasing order; the edge
+        # gradient is computed at the first request of a pass and shared.
+        if grad is not self._grad or index <= self._index:
+            edge_grad = grad if self.scale is None else grad * self.scale
+            edge_grad = edge_grad[self.target_index]
+            edge_grad *= self.mask
+            self._grad, self._edge_grad = grad, edge_grad
+        self._index = index
+        if index == 0:
+            return self._edge_grad @ self.weight.T
+        if index == 1:
+            return self.stacked.T @ self._edge_grad
+        return self._edge_grad
 
 
 class EdgeConv(MessagePassingLayer):
@@ -93,6 +169,10 @@ class EdgeConv(MessagePassingLayer):
     receiving vertex's feature, the feature difference along the edge and the
     edge weight -- implemented as a single linear layer per EdgeConv block
     (the surrogate stacks blocks when more depth is requested).
+
+    With ``sum`` or ``mean`` aggregation the message and the aggregation are
+    one :class:`EdgeMessage` node; ``max`` and ``multi`` aggregate the
+    :meth:`messages` chain, their only path.
     """
 
     def __init__(self, in_features: int, out_features: int, *, edge_dim: int = 1,
@@ -104,11 +184,29 @@ class EdgeConv(MessagePassingLayer):
         self.message_linear = Linear(self._message_input_dim, out_features,
                                      rng=self._rng)
 
-    def messages(self, source_features: Tensor, target_features: Tensor,
+    @staticmethod
+    def _stacked(source_features: Tensor, target_features: Tensor,
                  edge_features: Tensor) -> Tensor:
         difference = F.sub(source_features, target_features)
-        stacked = F.concat([target_features, difference, edge_features], axis=-1)
+        return F.concat([target_features, difference, edge_features], axis=-1)
+
+    def messages(self, source_features: Tensor, target_features: Tensor,
+                 edge_features: Tensor) -> Tensor:
+        stacked = self._stacked(source_features, target_features, edge_features)
         return F.relu(self.message_linear(stacked))
+
+    def aggregated_messages(self, source_features: Tensor,
+                            target_features: Tensor, edge_features: Tensor,
+                            target_index: np.ndarray, num_nodes: int) -> Tensor:
+        if self.aggregation not in ("sum", "mean"):
+            return super().aggregated_messages(
+                source_features, target_features, edge_features,
+                target_index, num_nodes)
+        stacked = self._stacked(source_features, target_features, edge_features)
+        operation = EdgeMessage(np.asarray(target_index, dtype=np.int64),
+                                num_nodes, self.aggregation)
+        return apply(operation, stacked, self.message_linear.weight,
+                     self.message_linear.bias)
 
 
 class GCNConv(MessagePassingLayer):

@@ -495,24 +495,36 @@ def _checked_ids(ids, count: int, rows: int | None, what: str) -> np.ndarray:
     return ids
 
 
-def _scatter_add(values: np.ndarray, ids: np.ndarray, count: int) -> np.ndarray:
-    """Rows of ``values`` summed into ``count`` buckets by ``ids``.
+def segment_incidence(ids: np.ndarray, count: int) -> sp.csr_matrix:
+    """The ``(count x len(ids))`` CSR incidence of ones whose row ``s``
+    lists, in order, the positions with id ``s``.
 
-    The sum is a product with a ``(count x rows)`` CSR incidence of ones
-    whose row ``s`` lists, in row order, the rows with id ``s`` (a stable
-    ``argsort`` of the ids; ``indptr`` from a ``bincount``).  scipy's CSR
-    product adds each bucket's rows in that order from 0.0, as the
-    unbuffered ``np.add.at`` scatter does, and ``1.0 * x`` is exact, so the
-    result is bit-identical to ``np.add.at`` (``np.add.reduceat`` is not).
+    The columns are a stable ``argsort`` of the ids and ``indptr`` comes from
+    a ``bincount``.  scipy's CSR product adds each row's entries in that
+    order from 0.0, as the unbuffered ``np.add.at`` scatter does, and
+    ``1.0 * x`` is exact, so ``incidence @ values`` is bit-identical to
+    ``np.add.at`` (``np.add.reduceat`` is not).
     """
-    rows = values.shape[0]
     indptr = np.zeros(count + 1, dtype=np.int64)
     np.cumsum(np.bincount(ids, minlength=count), out=indptr[1:])
-    incidence = sp.csr_matrix(
-        (np.ones(rows), np.argsort(ids, kind="stable"), indptr),
-        shape=(count, rows))
+    return sp.csr_matrix(
+        (np.ones(ids.shape[0]), np.argsort(ids, kind="stable"), indptr),
+        shape=(count, ids.shape[0]))
+
+
+def segment_mean_scale(ids: np.ndarray, count: int) -> np.ndarray:
+    """``1 / max(size, 1)`` per segment: a segment sum times it is the
+    segment mean, and an empty segment stays zero."""
+    counts = np.bincount(ids, minlength=count).astype(np.float64)
+    return 1.0 / np.maximum(counts, 1.0)
+
+
+def _scatter_add(values: np.ndarray, ids: np.ndarray, count: int) -> np.ndarray:
+    """Rows of ``values`` summed into ``count`` buckets by ``ids``, as a
+    product with :func:`segment_incidence`."""
+    rows = values.shape[0]
     width = int(np.prod(values.shape[1:]))
-    summed = incidence @ values.reshape(rows, width)
+    summed = segment_incidence(ids, count) @ values.reshape(rows, width)
     return summed.reshape((count,) + values.shape[1:])
 
 
@@ -591,11 +603,9 @@ def segment_mean(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tenso
     a = _ensure_tensor(a)
     segment_ids = _checked_ids(segment_ids, num_segments, a.data.shape[0],
                                "segment_ids")
-    counts = np.bincount(segment_ids, minlength=num_segments).astype(np.float64)
-    safe_counts = np.maximum(counts, 1.0)
+    scale = segment_mean_scale(segment_ids, num_segments)
     summed = apply(SegmentSum(segment_ids, num_segments), a)
-    scale = Tensor((1.0 / safe_counts)[:, None] if a.data.ndim > 1 else 1.0 / safe_counts)
-    return mul(summed, scale)
+    return mul(summed, Tensor(scale[:, None] if a.data.ndim > 1 else scale))
 
 
 def segment_max(a: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.core.surrogate import GraphNeuralSurrogate, SurrogateConfig
 from repro.exceptions import GraphConstructionError
 from repro.gnn import (
     EdgeConv,
+    EdgeMessage,
     GraphBatch,
     GraphData,
     KNOWN_AGGREGATIONS,
@@ -19,8 +23,10 @@ from repro.gnn import (
     global_sum_pool,
     graph_from_matrix,
 )
-from repro.matrices import laplacian_2d, pdd_real_sparse
+from repro.matrices import laplacian_2d, pdd_real_sparse, unsteady_advection_diffusion
 from repro.nn import functional as F
+from repro.nn.autograd import apply
+from repro.nn.gradcheck import gradcheck
 from repro.nn.tensor import Tensor
 
 
@@ -196,3 +202,121 @@ class TestConvLayers:
     def test_invalid_dimensions(self):
         with pytest.raises(GraphConstructionError):
             EdgeConv(0, 4)
+
+
+class TestEdgeMessage:
+    """The fused EdgeConv message against the five-node chain it replaces."""
+
+    #: Six edges into five vertices; vertex 2 receives none.
+    TARGETS = np.array([3, 0, 4, 0, 3, 1], dtype=np.int64)
+    NUM_NODES = 5
+
+    @staticmethod
+    def _inputs(seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        rng = np.random.default_rng(seed)
+        return (rng.standard_normal((6, 5)), rng.standard_normal((5, 4)),
+                rng.standard_normal(4))
+
+    def _fused(self, aggregation: str):
+        return lambda stacked, weight, bias: apply(
+            EdgeMessage(self.TARGETS, self.NUM_NODES, aggregation),
+            stacked, weight, bias)
+
+    def _chain(self, aggregation: str):
+        segment = F.segment_mean if aggregation == "mean" else F.segment_sum
+        return lambda stacked, weight, bias: segment(
+            F.relu(F.add(F.matmul(stacked, weight), bias)),
+            self.TARGETS, self.NUM_NODES)
+
+    @pytest.mark.parametrize("aggregation", ["sum", "mean"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gradcheck(self, aggregation, seed):
+        stacked, weight, bias = self._inputs(seed)
+        pre_activation = stacked @ weight + bias
+        assert (pre_activation < 0).any() and (pre_activation > 0).any()
+        assert np.abs(pre_activation).min() > 1e-3  # away from the ReLU kink
+        assert gradcheck(self._fused(aggregation), stacked, weight, bias,
+                         eps=1e-6, atol=1e-6, rtol=1e-5)
+
+    @pytest.mark.parametrize("aggregation", ["sum", "mean"])
+    @pytest.mark.parametrize("case", ["random", "minus_inf"])
+    def test_output_and_gradients_equal_the_chain_bit_for_bit(
+            self, aggregation, case):
+        arrays = self._inputs(7)
+        if case == "minus_inf":
+            # ReLU(-inf) is -inf * 0 = nan on the chain; np.maximum gives 0.
+            arrays[2][1] = -np.inf
+        upstream = np.random.default_rng(8).standard_normal((self.NUM_NODES, 4))
+        results = []
+        for function in (self._fused(aggregation), self._chain(aggregation)):
+            inputs = [Tensor(array.copy(), requires_grad=True)
+                      for array in arrays]
+            with np.errstate(invalid="ignore"):
+                output = function(*inputs)
+            output.backward(upstream)
+            results.append([output.data] + [t.grad for t in inputs])
+        fused, chain = results
+        assert not fused[0][2].any()  # the vertex with no edges
+        for got, expected in zip(fused, chain):
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    def test_second_backward_with_retained_graph_recomputes(self):
+        stacked, weight, bias = (Tensor(array, requires_grad=True)
+                                 for array in self._inputs(3))
+        output = self._fused("mean")(stacked, weight, bias)
+        output.backward(np.ones(output.shape), retain_graph=True)
+        first = weight.grad.copy()
+        weight.zero_grad()
+        output.backward(2.0 * np.ones(output.shape))
+        np.testing.assert_array_equal(weight.grad, 2.0 * first)
+
+    def test_rejects_max_aggregation(self):
+        with pytest.raises(GraphConstructionError, match="sum.*mean"):
+            EdgeMessage(self.TARGETS, self.NUM_NODES, "max")
+
+    @pytest.mark.parametrize("aggregation", ["max", "multi"])
+    def test_max_and_multi_keep_the_chain(self, aggregation):
+        graph = graph_from_matrix(laplacian_2d(4))
+        batch = GraphBatch.from_graphs([graph])
+        layer = build_conv_layer("edge", graph.node_feature_dim, 5,
+                                 aggregation=aggregation,
+                                 rng=np.random.default_rng(0))
+        node_features = Tensor(batch.node_features)
+        edge_features = Tensor(batch.edge_features)
+        sources = F.gather_rows(node_features, batch.edge_index[0])
+        targets = F.gather_rows(node_features, batch.edge_index[1])
+        expected = aggregate_neighbours(
+            layer.messages(sources, targets, edge_features),
+            batch.edge_index[1], graph.num_nodes, aggregation)
+        got = layer.aggregated_messages(sources, targets, edge_features,
+                                        batch.edge_index[1], graph.num_nodes)
+        assert got.data.tobytes() == expected.data.tobytes()
+        assert not isinstance(got._op, EdgeMessage)
+
+
+def test_edgeconv_tape_keeps_no_edge_by_hidden_intermediates():
+    """One taped embedding + backward of a 1-layer, 32-wide EdgeConv over
+    ``tune_unseen``'s three training graphs: the tape holds less than one
+    ``(E, 32)`` float array after the forward and peaks below 2.5 of them
+    (the unfused chain held 3.4 and peaked at 5.3)."""
+    matrices = (laplacian_2d(16), pdd_real_sparse(64),
+                unsteady_advection_diffusion(15, order=1))
+    batch = GraphBatch.from_graphs([graph_from_matrix(m) for m in matrices])
+    assert batch.num_edges == 35_023
+    model = GraphNeuralSurrogate(SurrogateConfig(
+        graph_hidden=32, graph_layers=1, seed=0).with_dims(
+        node_dim=batch.node_features.shape[1],
+        edge_dim=batch.edge_features.shape[1], xa_dim=3, xm_dim=3))
+    edge_array_bytes = batch.num_edges * 32 * 8
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        loss = F.sum(model.embed_graphs(batch))
+        held = tracemalloc.get_traced_memory()[0] - baseline
+        loss.backward()
+        peak = tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
+    assert held < 1.0 * edge_array_bytes
+    assert peak < 2.5 * edge_array_bytes
