@@ -15,8 +15,8 @@ This package provides:
   max, plus the "multi" concatenation of all three explored in the paper);
 * :mod:`repro.gnn.layers` -- EdgeConv (the architecture selected by the
   paper's HPO; its ``sum`` / ``mean`` message is one fused tape node,
-  :class:`EdgeMessage`), a weighted GCN layer, a GATv2-style attention layer and a
-  GINE-style layer, all edge-weight aware;
+  :class:`EdgeMessage`), a weighted GCN layer, a GATv2-style attention layer
+  and a GINE-style layer, all edge-weight aware;
 * :mod:`repro.gnn.pooling` -- global pooling producing one embedding per graph.
 """
 
