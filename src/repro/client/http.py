@@ -61,7 +61,6 @@ import http.client
 import json
 import threading
 import time
-from collections import OrderedDict
 from typing import NamedTuple
 from urllib.parse import urlsplit
 
@@ -81,6 +80,7 @@ from repro.api.schemas import (
 from repro.client.base import Client
 from repro.exceptions import ParameterError
 from repro.obs.trace import current_trace_id
+from repro.service.cache import ArtifactCache
 
 __all__ = ["HTTPClient", "RawReply"]
 
@@ -168,8 +168,7 @@ class HTTPClient(Client):
         self._idle_lock = threading.Lock()
         self._closed = False
         # Fingerprints the server holds, least recently confirmed first.
-        self._held: OrderedDict[str, None] = OrderedDict()
-        self._held_lock = threading.Lock()
+        self._held = ArtifactCache(MAX_HELD_FINGERPRINTS)
 
     # -- reachability failures ----------------------------------------------
     def _unavailable(self, kind: str, error: BaseException) -> RemoteSolveError:
@@ -326,16 +325,6 @@ class HTTPClient(Client):
         return self._json(self._exchange_reply(method, path, payload).body)
 
     # -- matrices by ref ------------------------------------------------------
-    def _note_held(self, fingerprint: str, held: bool) -> None:
-        with self._held_lock:
-            if not held:
-                self._held.pop(fingerprint, None)
-                return
-            self._held[fingerprint] = None
-            self._held.move_to_end(fingerprint)
-            if len(self._held) > MAX_HELD_FINGERPRINTS:
-                self._held.popitem(last=False)
-
     def _post_request(self, path: str, request: SolveRequestV1) -> dict:
         """POST a solve request, its matrix by ref when the server holds it.
 
@@ -351,14 +340,16 @@ class HTTPClient(Client):
             if (block is None or "ref" not in block
                     or error.envelope.code != ERROR_UNKNOWN_MATRIX):
                 raise
-            self._note_held(block["ref"], False)
+            self._held.pop(block["ref"])
             payload = request.to_json_dict()
             block = payload["matrix"]["csr"]
             reply = self._exchange_reply("POST", path, payload)
         if block is not None:
             fingerprint = block.get("ref") or block["fingerprint"]
-            self._note_held(fingerprint, reply.headers.get(
-                MATRIX_HELD_HEADER.lower()) == fingerprint)
+            if reply.headers.get(MATRIX_HELD_HEADER.lower()) == fingerprint:
+                self._held.put(fingerprint, True)
+            else:
+                self._held.pop(fingerprint)
         return self._json(reply.body)
 
     # -- Client API ----------------------------------------------------------

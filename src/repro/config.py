@@ -14,7 +14,6 @@ variable; see :mod:`repro.experiments.pipeline`.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,25 +49,3 @@ def active_profile(default: str = "smoke") -> str:
         return default
     return value
 
-
-@dataclass
-class GlobalConfig:
-    """Bundle of the few knobs that several subsystems share.
-
-    Attributes
-    ----------
-    seed:
-        Master seed used when an experiment does not specify its own.
-    float_dtype:
-        NumPy dtype used for dense computations (matrices remain float64).
-    profile:
-        Experiment scale profile; see :data:`KNOWN_PROFILES`.
-    """
-
-    seed: int = 0
-    float_dtype: np.dtype = field(default_factory=lambda: np.dtype(np.float64))
-    profile: str = "smoke"
-
-    def rng(self) -> np.random.Generator:
-        """Return a generator seeded from :attr:`seed`."""
-        return default_rng(self.seed)

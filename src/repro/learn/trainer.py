@@ -4,10 +4,10 @@ The scheduler persists one :class:`~repro.core.evaluation.PerformanceRecord`
 per MCMC-preconditioned solve into the :class:`ObservationStore`; this module
 turns that stream into versioned surrogate models:
 
-* :class:`MatrixBank` — a bounded, thread-safe cache of the actual matrices
-  seen by the server, keyed by the name recorded in the store (records alone
-  cannot rebuild graphs; the bank closes that gap, with the static matrix
-  registry as fallback for registry-named traffic).
+* :class:`MatrixBank` — an :class:`~repro.service.cache.ArtifactCache` of
+  the matrices seen by the server, keyed by the name recorded in the store
+  (records alone cannot rebuild graphs; the bank closes that gap, with the
+  static matrix registry as fallback for registry-named traffic).
 * :class:`SurrogateTrainer` — snapshots the store (``reload()`` reads only
   the index lines appended since the last one, so it is a cheap no-op when
   nothing changed), builds a :class:`SurrogateDataset`, trains the surrogate
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -40,6 +39,7 @@ from repro.exceptions import LearnError
 from repro.learn.registry import ModelRegistry
 from repro.logging_utils import get_logger
 from repro.matrices.registry import MATRIX_REGISTRY, get_matrix
+from repro.service.cache import ArtifactCache
 from repro.service.store import ObservationStore
 from repro.sparse.fingerprint import content_hash
 
@@ -79,42 +79,21 @@ class LearnConfig:
                 f"checkpoint_every must be >= 1, got {self.checkpoint_every}")
 
 
-class MatrixBank:
-    """Bounded name -> matrix cache fed by the scheduler as traffic arrives."""
+#: Byte bound of the :class:`MatrixBank`, beside its 64 entries.  All
+#: registry matrices together weigh about 5 MiB (the largest 1.7 MiB), so
+#: registry-sized traffic meets the entry bound first; larger ad-hoc
+#: matrices meet this one: eight matrices as large as the held-matrix
+#: store's whole 8 MiB bound, not 64 matrices of any size.
+MAX_BANKED_MATRIX_BYTES = 64 * 1024 * 1024
+
+
+class MatrixBank(ArtifactCache):
+    """Name -> CSR matrix LRU fed by the scheduler as traffic arrives,
+    bounded by ``max_entries`` and by :data:`MAX_BANKED_MATRIX_BYTES`; a
+    matrix heavier than that bound is not banked."""
 
     def __init__(self, max_entries: int = 64) -> None:
-        if max_entries < 1:
-            raise LearnError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = int(max_entries)
-        self._entries: OrderedDict[str, sp.csr_matrix] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def put(self, name: str, matrix: sp.spmatrix) -> None:
-        """Remember ``matrix`` under ``name`` (LRU eviction at capacity)."""
-        with self._lock:
-            if name in self._entries:
-                self._entries.move_to_end(name)
-                return
-            self._entries[name] = matrix.tocsr()
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-
-    def get(self, name: str) -> sp.csr_matrix | None:
-        """The matrix stored under ``name``, or ``None``."""
-        with self._lock:
-            matrix = self._entries.get(name)
-            if matrix is not None:
-                self._entries.move_to_end(name)
-            return matrix
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def names(self) -> list[str]:
-        """Currently banked matrix names (insertion order)."""
-        with self._lock:
-            return list(self._entries)
+        super().__init__(max_entries, max_bytes=MAX_BANKED_MATRIX_BYTES)
 
 
 def resolve_matrix(name: str, bank: MatrixBank | None) -> sp.csr_matrix | None:

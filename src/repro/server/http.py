@@ -72,7 +72,6 @@ import math
 import socket
 import threading
 import time
-from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs
 
@@ -91,6 +90,7 @@ from repro.obs.prometheus import render_prometheus
 from repro.obs.trace import use_trace_id
 from repro.server.queue import JobRegistry, job_status
 from repro.server.server import SolveServer
+from repro.service.cache import ArtifactCache
 from repro.version import __version__
 
 __all__ = ["SolveHTTPServer", "WireHandler", "WireListener", "HeldMatrices",
@@ -472,68 +472,44 @@ class WireListener:
         self.shutdown()
 
 
-def _csr_bytes(matrix: sp.csr_matrix) -> int:
-    return matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
-
-
-class HeldMatrices:
+class HeldMatrices(ArtifactCache):
     """Decoded inline matrices, by verified fingerprint, within a byte bound.
 
     A matrix is held from its second inline request on: the first only
     notes its fingerprint (at most :data:`MAX_SEEN_FINGERPRINTS` of them),
-    so matrices that never repeat cost no memory.  Least recently used
-    first out; an evicted fingerprint counts as seen, so the inline re-send
-    that follows a missed ref holds the matrix again.  A matrix larger than
-    the whole bound is not kept.  Only the fingerprint a decode verified is
-    ever a key, so a ref resolves to exactly the matrix sent under it.
+    so matrices that never repeat cost no memory.  The store is an
+    :class:`ArtifactCache` bounded by ``max_bytes`` (and, as each was seen
+    first, by :data:`MAX_SEEN_FINGERPRINTS` entries); an evicted fingerprint
+    counts as seen, so the inline re-send that follows a missed ref holds
+    the matrix again.  A matrix
+    larger than the whole bound is not kept.  Only the fingerprint a decode
+    verified is ever a key, so a ref resolves to exactly the matrix sent
+    under it.
     """
 
     def __init__(self, max_bytes: int, telemetry: MetricsRegistry) -> None:
-        self.max_bytes = int(max_bytes)
+        super().__init__(MAX_SEEN_FINGERPRINTS, max_bytes=max_bytes)
         self.telemetry = telemetry
-        self.nbytes = 0
-        self._matrices: OrderedDict[str, sp.csr_matrix] = OrderedDict()
-        self._seen: OrderedDict[str, None] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._matrices)
-
-    def _note_seen(self, fingerprint: str) -> None:
-        self._seen[fingerprint] = None
-        if len(self._seen) > MAX_SEEN_FINGERPRINTS:
-            self._seen.popitem(last=False)
+        self._seen = ArtifactCache(MAX_SEEN_FINGERPRINTS)
+        self._admission_lock = threading.Lock()
 
     def hold(self, fingerprint: str, matrix: sp.csr_matrix) -> bool:
         """Note ``matrix`` under its verified ``fingerprint``, holding it
         if it was seen before; whether it is held now."""
-        size = _csr_bytes(matrix)
-        if size > self.max_bytes:
-            return False
-        with self._lock:
-            if fingerprint in self._matrices:
-                self._matrices.move_to_end(fingerprint)
+        with self._admission_lock:
+            if self.get(fingerprint) is not None:
                 return True
-            if fingerprint not in self._seen:
-                self._note_seen(fingerprint)
+            if self._seen.pop(fingerprint) is None:
+                self._seen.put(fingerprint, True)
                 return False
-            del self._seen[fingerprint]
-            self._matrices[fingerprint] = matrix
-            self.nbytes += size
-            while self.nbytes > self.max_bytes:
-                evicted, held = self._matrices.popitem(last=False)
-                self.nbytes -= _csr_bytes(held)
-                self._note_seen(evicted)
-        return True
+            for evicted in self.put(fingerprint, matrix):
+                self._seen.put(evicted, True)
+            return fingerprint in self
 
     def resolve(self, fingerprint: str) -> sp.csr_matrix | None:
         """The matrix held under ``fingerprint``, else ``None``; counted as
         ``api.matrix_refs{outcome="held"|"unknown"}``."""
-        with self._lock:
-            matrix = self._matrices.get(fingerprint)
-            if matrix is not None:
-                self._matrices.move_to_end(fingerprint)
+        matrix = self.get(fingerprint)
         self.telemetry.counter(
             "api.matrix_refs",
             outcome="unknown" if matrix is None else "held").add(1)

@@ -7,9 +7,13 @@ answer "which parameters should this matrix get" without re-measuring:
   crash-safe on-disk store of performance measurements keyed by matrix
   content fingerprint; killed runs resume from it and later sessions
   warm-start from it.
-* :mod:`repro.service.cache` — :class:`ArtifactCache`, a process-wide LRU for
+* :mod:`repro.service.cache` — :class:`ArtifactCache`, the one bounded LRU
+  (by entries, optionally by bytes).  Its process-wide instance holds
   expensive per-matrix build artifacts (``TransitionTable``\\ s, assembled
-  preconditioners) shared by every evaluator in the process.
+  preconditioners) shared by every evaluator in the process; the solve
+  server's artifact cache and rule-flags memo, the HTTP server's held
+  matrices, the client's held fingerprints and the learner's matrix bank are
+  instances too.
 * :mod:`repro.service.ladder` — the one recommendation ladder: the
   ``stored`` / ``surrogate`` / ``warm_start`` stages and the
   :class:`Proposal` provenance type shared by the solve server's policy, the

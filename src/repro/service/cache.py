@@ -1,21 +1,21 @@
-"""Process-wide LRU cache for expensive per-matrix build artifacts.
+"""The one bounded LRU, and the process-wide cache of per-matrix artifacts.
 
-The MCMC tuning stack repeatedly rebuilds two kinds of artifacts:
+:class:`ArtifactCache` is a thread-safe LRU keyed by arbitrary hashables,
+bounded by entries and optionally by bytes: a CSR matrix weighs its
+``data`` + ``indices`` + ``indptr``, anything else nothing.  Beside the artifacts below it holds the serving policy's
+rule-flags memo, the HTTP server's held matrices
+(:class:`~repro.server.http.HeldMatrices`), the client's held fingerprints
+and the learner's :class:`~repro.learn.trainer.MatrixBank`.
 
-* :class:`~repro.mcmc.walks.TransitionTable` — depends only on
-  ``(matrix, alpha)`` yet was rebuilt privately by every
-  :class:`~repro.core.evaluation.MatrixEvaluator` instance, so two evaluators
-  over the same matrix (BO over a matrix portfolio, the figure drivers)
-  paid for the build twice;
-* assembled preconditioners, whenever a caller knows the full build key.
-
-:class:`ArtifactCache` is a thread-safe LRU keyed by arbitrary hashable
-tuples — by convention ``(kind, matrix_fingerprint, ...)`` with the
-fingerprint from :func:`repro.sparse.fingerprint.matrix_fingerprint`.  A
-process-wide instance is available through :func:`global_cache`, which is what
-:class:`MatrixEvaluator` uses by default; pass ``cache=ArtifactCache(...)`` to
-isolate a component.  The cache lives in memory only: an entry is rebuilt
-after eviction or in a new process, from the same inputs, to the same value.
+A :class:`~repro.mcmc.walks.TransitionTable` depends only on
+``(matrix, alpha)``, so every evaluator and the solve server share one build
+through :func:`cached_transition_table`; assembled preconditioners are
+cached whenever a caller knows the full build key.  Artifact keys are by
+convention ``(kind, matrix_fingerprint, ...)`` with the fingerprint from
+:func:`repro.sparse.fingerprint.matrix_fingerprint`.  :func:`global_cache`
+is the process-wide instance; pass ``cache=ArtifactCache(...)`` to isolate a
+component.  The cache lives in memory only: an entry is rebuilt after
+eviction or in a new process, from the same inputs, to the same value.
 """
 
 from __future__ import annotations
@@ -23,7 +23,9 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable
+from typing import Any, Callable, Hashable, Iterator
+
+import scipy.sparse as sp
 
 from repro.exceptions import ParameterError
 from repro.logging_utils import get_logger
@@ -88,6 +90,14 @@ def cached_transition_table(cache: "ArtifactCache", fingerprint: str,
         lambda: TransitionTable(jacobi_splitting(matrix, alpha).iteration_matrix))
 
 
+def _nbytes(value: Any) -> int:
+    """What ``value`` weighs against a byte bound: a CSR matrix's ``data`` +
+    ``indices`` + ``indptr``, anything else 0."""
+    if sp.issparse(value) and value.format == "csr":
+        return value.data.nbytes + value.indices.nbytes + value.indptr.nbytes
+    return 0
+
+
 class ArtifactCache:
     """Thread-safe in-memory LRU cache.
 
@@ -96,14 +106,24 @@ class ArtifactCache:
     max_entries:
         Maximum number of entries; the least recently used entry is evicted
         beyond that.  Must be >= 1.
+    max_bytes:
+        Optional bound on the summed weight of the values (see the module
+        docstring); least recently used entries are evicted beyond it, and a
+        value heavier than the whole bound is not kept.  ``None``: no bound.
     """
 
-    def __init__(self, max_entries: int = 32) -> None:
+    def __init__(self, max_entries: int = 32,
+                 max_bytes: int | None = None) -> None:
         if max_entries < 1:
             raise ParameterError(
                 f"max_entries must be >= 1, got {max_entries}")
+        if max_bytes is not None and max_bytes < 0:
+            raise ParameterError(f"max_bytes must be >= 0, got {max_bytes}")
         self._max_entries = int(max_entries)
-        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
+        self._max_bytes = None if max_bytes is None else int(max_bytes)
+        # key -> (value, its weight), least recently used first.
+        self._entries: OrderedDict[Hashable, tuple[Any, int]] = OrderedDict()
+        self._nbytes = 0
         self._lock = threading.RLock()
         self._key_locks: dict[Hashable, threading.Lock] = {}
         self.stats = CacheStats()
@@ -114,6 +134,16 @@ class ArtifactCache:
         """Capacity of the cache."""
         return self._max_entries
 
+    @property
+    def max_bytes(self) -> int | None:
+        """Byte bound of the cache (``None``: unbounded)."""
+        return self._max_bytes
+
+    @property
+    def nbytes(self) -> int:
+        """Summed weight of the cached values."""
+        return self._nbytes
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
@@ -121,6 +151,9 @@ class ArtifactCache:
     def __contains__(self, key: Hashable) -> bool:
         with self._lock:
             return key in self._entries
+
+    def __iter__(self) -> Iterator[Hashable]:
+        return iter(self.keys())
 
     def keys(self) -> list[Hashable]:
         """Snapshot of the keys, least recently used first."""
@@ -133,14 +166,46 @@ class ArtifactCache:
             if key in self._entries:
                 self._entries.move_to_end(key)
                 self.stats.hits += 1
-                return self._entries[key]
+                return self._entries[key][0]
             self.stats.misses += 1
         return default
 
-    def put(self, key: Hashable, value: Any) -> None:
-        """Insert ``key -> value``, evicting the LRU entry beyond capacity."""
+    def put(self, key: Hashable, value: Any) -> list[Hashable]:
+        """Insert ``key -> value``; the keys evicted beyond the bounds, least
+        recently used first.
+
+        A value heavier than ``max_bytes`` is not kept and evicts nothing;
+        the value it would have replaced is dropped all the same.
+        """
+        weight = _nbytes(value)
+        evicted = []
         with self._lock:
-            self._insert(key, value)
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self._nbytes -= old[1]
+            if self._max_bytes is not None and weight > self._max_bytes:
+                return evicted
+            self._entries[key] = (value, weight)
+            self._nbytes += weight
+            while (len(self._entries) > self._max_entries
+                   or (self._max_bytes is not None
+                       and self._nbytes > self._max_bytes)):
+                evicted_key, (_, evicted_weight) = self._entries.popitem(
+                    last=False)
+                self._nbytes -= evicted_weight
+                self.stats.evictions += 1
+                evicted.append(evicted_key)
+                _LOG.debug("evicted cache entry %r", evicted_key)
+        return evicted
+
+    def pop(self, key: Hashable, default: Any = None) -> Any:
+        """Remove ``key``, freeing its bytes; its value, else ``default``."""
+        with self._lock:
+            entry = self._entries.pop(key, None)
+            if entry is None:
+                return default
+            self._nbytes -= entry[1]
+            return entry[0]
 
     def get_or_build(self, key: Hashable, builder: Callable[[], Any]) -> Any:
         """Return the cached value for ``key``, building it at most once.
@@ -163,7 +228,7 @@ class ArtifactCache:
                 with self._lock:
                     if key in self._entries:
                         self._entries.move_to_end(key)
-                        return self._entries[key]
+                        return self._entries[key][0]
                 value = builder()
                 with self._lock:
                     self.stats.builds += 1
@@ -181,18 +246,10 @@ class ArtifactCache:
         """
         with self._lock:
             self._entries.clear()
+            self._nbytes = 0
             self._key_locks.clear()
             if reset_stats:
                 self.stats = CacheStats()
-
-    # -- internals ----------------------------------------------------------
-    def _insert(self, key: Hashable, value: Any) -> None:
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        while len(self._entries) > self._max_entries:
-            evicted_key, _ = self._entries.popitem(last=False)
-            self.stats.evictions += 1
-            _LOG.debug("evicted cache entry %r", evicted_key)
 
 
 #: Default capacity of the process-wide cache.  Padded transition tables are

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.config import (
-    GlobalConfig,
     KNOWN_PROFILES,
     PROFILE_ENV_VAR,
     active_profile,
@@ -43,15 +42,3 @@ class TestActiveProfile:
 
     def test_known_profiles_are_consistent(self):
         assert set(KNOWN_PROFILES) == {"smoke", "paper"}
-
-
-class TestGlobalConfig:
-    def test_rng_uses_seed(self):
-        config = GlobalConfig(seed=5)
-        np.testing.assert_allclose(config.rng().random(3),
-                                   np.random.default_rng(5).random(3))
-
-    def test_defaults(self):
-        config = GlobalConfig()
-        assert config.profile == "smoke"
-        assert config.float_dtype == np.dtype(np.float64)

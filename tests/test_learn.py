@@ -412,6 +412,29 @@ class TestMatrixBankAndSnapshot:
         assert skipped2 == 0
         assert "not-in-any-registry" in matrices2
 
+    def test_bank_is_bounded_by_bytes(self, tmp_path, monkeypatch):
+        from repro.learn import trainer
+
+        matrix = get_matrix("2DFDLaplace_16")
+        size = matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+        matrices = [matrix * scale for scale in (1, 2, 3)]
+        monkeypatch.setattr(trainer, "MAX_BANKED_MATRIX_BYTES", 2 * size)
+        store = ObservationStore(tmp_path / "store")
+        bank = MatrixBank()
+        for index, matrix in enumerate(matrices):
+            store.put_record(str(index) * 40, PerformanceRecord(
+                parameters=MCMCParameters(alpha=2.0, eps=0.2, delta=0.2),
+                matrix_name=f"ad-hoc-{index}", baseline_iterations=100,
+                preconditioned_iterations=[50], y_values=[0.5]),
+                context="adhoc")
+            bank.put(f"ad-hoc-{index}", matrix)
+        assert bank.keys() == ["ad-hoc-1", "ad-hoc-2"]
+        assert bank.nbytes == 2 * size <= bank.max_bytes
+        assert bank.stats.evictions == 1
+        observations, banked, skipped, _ = build_training_snapshot(store, bank)
+        assert skipped == 1 and len(observations) == 2
+        assert sorted(banked) == ["ad-hoc-1", "ad-hoc-2"]
+
 
 class TestServingIntegration:
     def test_surrogate_provenance_end_to_end(self, tmp_path):

@@ -149,6 +149,19 @@ def _calls(node: ast.AST, name: str) -> bool:
                  and node.func.attr == name))
 
 
+def test_one_lru(trees):
+    """``ArtifactCache`` is the only bounded LRU: no other module imports
+    ``OrderedDict`` or reorders / evicts with ``move_to_end`` / ``popitem``.
+    The router's FIFO job map (``del jobs[next(iter(jobs))]``) is no LRU."""
+    def hand_rolled_lru(node: ast.AST) -> bool:
+        return (isinstance(node, ast.alias) and node.name == "OrderedDict"
+                or _calls(node, "move_to_end") or _calls(node, "popitem"))
+
+    found = [place for place in _where(trees, hand_rolled_lru)
+             if not place.startswith("service/cache.py:")]
+    assert found == [], found
+
+
 def test_one_exit_from_every_krylov_solver(trees):
     """``SolveRun.finish`` is the only place a ``SolveResult`` is built and
     the only place a solve's phase timings are closed; the default budget

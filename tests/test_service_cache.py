@@ -6,6 +6,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core.evaluation import MatrixEvaluator, SolverSettings
 from repro.exceptions import ParameterError
@@ -82,6 +83,89 @@ class TestLRUSemantics:
         for thread in threads:
             thread.join()
         assert len(build_count) == 1
+
+
+def _csr(n: int) -> sp.csr_matrix:
+    return sp.identity(n, format="csr")
+
+
+def _weight(matrix: sp.csr_matrix) -> int:
+    return matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes
+
+
+class TestByteBound:
+    def test_evicts_least_recently_used_first(self):
+        a, b, c = _csr(10), _csr(10), _csr(10)
+        cache = ArtifactCache(max_entries=8, max_bytes=2 * _weight(a))
+        cache.put("a", a)
+        cache.put("b", b)
+        cache.get("a")          # refresh a -> b is now LRU
+        assert cache.put("c", c) == ["b"]
+        assert cache.keys() == ["a", "c"]
+        assert cache.nbytes == 2 * _weight(a)
+        assert cache.stats.evictions == 1
+
+    def test_evicts_as_many_as_needed(self):
+        small, big = _csr(5), _csr(20)
+        cache = ArtifactCache(max_entries=8, max_bytes=_weight(big))
+        cache.put("a", small)
+        cache.put("b", small)
+        assert cache.put("big", big) == ["a", "b"]
+        assert cache.keys() == ["big"] and cache.nbytes == _weight(big)
+        assert cache.stats.evictions == 2
+
+    def test_oversize_value_is_not_kept_and_evicts_nothing(self):
+        small = _csr(10)
+        cache = ArtifactCache(max_entries=8, max_bytes=2 * _weight(small))
+        cache.put("a", small)
+        assert cache.put("big", _csr(100)) == []
+        assert "big" not in cache
+        assert cache.keys() == ["a"] and cache.nbytes == _weight(small)
+        assert cache.stats.evictions == 0
+        # An oversize replacement drops the old value: no stale hit.
+        assert cache.put("a", _csr(100)) == []
+        assert len(cache) == 0 and cache.nbytes == 0
+
+    def test_replacing_a_key_reweighs_it(self):
+        small, big = _csr(10), _csr(30)
+        cache = ArtifactCache(max_entries=8, max_bytes=10 * _weight(big))
+        cache.put("a", small)
+        cache.put("b", small)
+        cache.put("a", big)
+        assert cache.nbytes == _weight(small) + _weight(big)
+        cache.put("a", small)
+        assert cache.nbytes == 2 * _weight(small)
+        assert cache.keys() == ["b", "a"]
+
+    def test_pop_removes_a_key_and_frees_its_bytes(self):
+        a, b = _csr(10), _csr(20)
+        cache = ArtifactCache(max_entries=8, max_bytes=1 << 20)
+        cache.put("a", a)
+        cache.put("b", b)
+        assert cache.pop("a") is a
+        assert "a" not in cache and cache.nbytes == _weight(b)
+        assert cache.pop("a") is None and cache.pop("a", "gone") == "gone"
+        assert cache.stats.requests == 0 and cache.stats.evictions == 0
+
+    def test_only_csr_matrices_weigh(self):
+        cache = ArtifactCache(max_entries=8, max_bytes=0)
+        cache.put("text", "value")
+        cache.put("dense", np.zeros(16))
+        assert cache.keys() == ["text", "dense"] and cache.nbytes == 0
+
+    def test_no_byte_bound_evicts_by_entries_only(self):
+        cache = ArtifactCache(max_entries=2)
+        assert cache.max_bytes is None
+        big = _csr(10_000)
+        assert cache.put("a", big) == [] and cache.put("b", big) == []
+        assert cache.put("c", big) == ["a"]
+        assert cache.nbytes == 2 * _weight(big)
+        cache.clear()
+        assert cache.nbytes == 0
+
+    def test_invalid_byte_bound(self):
+        with pytest.raises(ParameterError):
+            ArtifactCache(max_bytes=-1)
 
 
 class TestGlobalCache:
