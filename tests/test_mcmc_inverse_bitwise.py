@@ -7,10 +7,14 @@ stored entries before fill truncation and every :class:`WalkStatistics`
 field.  The cases reach what the default Laplacians do not: a non-symmetric
 operator built from two blocks, walks that explode, walks whose weights
 overflow to ``±inf`` and sum to NaN (the ``nan_to_num`` scrub), the raw
-estimate with no drop and no fill cap (sums that cancel included) and five
-blocks forced on a small matrix.  A rewrite of how walk deposits are summed
-that is meant to change no number must reproduce every entry.  Regenerate only by running this file as a script at the commit
-CHANGES.md names.
+estimate with no drop and no fill cap (sums that cancel included), five
+blocks forced on a small matrix, and transition tables 64 and 80 entries
+wide (a dense advection--diffusion matrix at a contracting and a divergent
+``alpha``, and an 81-unknown Laplacian with one dense row, so that rows of
+very different length share one padded table).  A rewrite of how walk deposits
+are summed or how a step is sampled that is meant to change no number must
+reproduce every entry.  Regenerate only by running this file as a script at
+the commit CHANGES.md names.
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.matrices import advection_diffusion, laplacian_2d
-from repro.mcmc import estimate_inverse, inversion
+from repro.matrices import (advection_diffusion, laplacian_2d,
+                            unsteady_advection_diffusion)
+from repro.mcmc import MCMCParameters, TransitionTable, estimate_inverse, inversion
 from repro.server.policy import DEFAULT_MCMC_PARAMETERS
 from repro.sparse import random_sparse
 
@@ -47,6 +52,16 @@ def _overflowing_row(n: int = 8) -> sp.csr_matrix:
     return sp.csr_matrix(dense)
 
 
+def _dense_row_laplacian(grid: int = 10) -> sp.csr_matrix:
+    """A 5-point Laplacian whose unknown 0 couples to every other one, so
+    the transition table pads the 5-point rows out to the dense row's width
+    and walks from any row can step into the dense one."""
+    dense = laplacian_2d(grid).toarray()
+    dense[0, 1:] = -0.01 * (1.0 + np.arange(dense.shape[0] - 1) % 3)
+    dense[1:, 0] = -0.02
+    return sp.csr_matrix(dense)
+
+
 def _cases() -> dict[str, dict]:
     """The build each golden entry freezes: matrix, options, block cap."""
     return {
@@ -62,18 +77,30 @@ def _cases() -> dict[str, dict]:
             matrix=laplacian_2d(20), drop_tolerance=0.0, fill_multiple=0.0),
         # The ``small_spd`` fixture (n = 49) in five blocks.
         "laplacian_2d(8),cap=500": dict(matrix=laplacian_2d(8), block_cap=500),
+        # Every row stored in full: 64-wide tables, contracting
+        # (||B||_inf 0.77) and divergent (||B||_inf 2.56).
+        "unsteady_advection_diffusion(8,2),alpha=4": dict(
+            matrix=unsteady_advection_diffusion(8, order=2),
+            parameters=MCMCParameters(alpha=4.0, eps=0.25, delta=0.25)),
+        "unsteady_advection_diffusion(8,2),alpha=0.5": dict(
+            matrix=unsteady_advection_diffusion(8, order=2),
+            parameters=MCMCParameters(alpha=0.5, eps=0.25, delta=0.25)),
+        "dense_row_laplacian(10)": dict(
+            matrix=_dense_row_laplacian(),
+            parameters=MCMCParameters(alpha=1.0, eps=0.1, delta=0.05)),
     }
 
 
 def _frozen(case: dict, seed: int) -> dict:
     case = dict(case)
     matrix = case.pop("matrix")
+    parameters = case.pop("parameters", DEFAULT_MCMC_PARAMETERS)
     cap = case.pop("block_cap", inversion._ROW_BLOCK_ENTRIES)
     with mock.patch.object(inversion, "_ROW_BLOCK_ENTRIES", cap), \
             mock.patch.object(inversion, "_estimate_block",
                               wraps=inversion._estimate_block) as block, \
             np.errstate(over="ignore", invalid="ignore"):
-        approx, report = estimate_inverse(matrix, DEFAULT_MCMC_PARAMETERS,
+        approx, report = estimate_inverse(matrix, parameters,
                                           seed=seed, return_report=True,
                                           **case)
     digest = hashlib.sha256()
@@ -111,6 +138,24 @@ def test_golden_reaches_each_path():
         assert exploding["statistics"]["exploded"] > 0
         overflowing = golden[f"overflowing_row(8),seed={seed}"]
         assert overflowing["statistics"]["exploded"] > 0
+        wide = "unsteady_advection_diffusion(8,2),alpha="
+        assert golden[f"{wide}4,seed={seed}"]["statistics"]["exploded"] == 0
+        assert golden[f"{wide}0.5,seed={seed}"]["statistics"]["exploded"] > 0
+
+
+def test_wide_cases_sample_from_wide_tables():
+    """The wide cases walk tables 64 and 80 entries wide, the latter with
+    3- to 5-entry rows padded behind its dense row."""
+    widths = {}
+    for label in ("unsteady_advection_diffusion(8,2),alpha=4",
+                  "dense_row_laplacian(10)"):
+        case = CASES[label]
+        alpha = case.get("parameters", DEFAULT_MCMC_PARAMETERS).alpha
+        splitting = inversion.jacobi_splitting(case["matrix"], alpha)
+        table = TransitionTable(splitting.iteration_matrix)
+        widths[label] = (table.max_row_nnz, int(table.row_nnz.min()))
+    assert widths["unsteady_advection_diffusion(8,2),alpha=4"][0] == 64
+    assert widths["dense_row_laplacian(10)"] == (80, 3)
 
 
 if __name__ == "__main__":
