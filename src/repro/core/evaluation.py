@@ -72,8 +72,8 @@ def measurement_regime(settings: SolverSettings, rhs: np.ndarray) -> str:
     hash matches — same tolerance, iteration budget, restart policy and
     ``b`` — whatever seed or replication count produced them.  Both
     :class:`MatrixEvaluator` and the solve server prefix their store contexts
-    with it, so a stored record says which regime measured it; the solve
-    server also keys its cached baselines by it.
+    with it, so a stored record says which regime measured it; both also
+    key their cached baselines by it.
     """
     return content_hash(
         f"rtol={settings.rtol!r}:maxiter={settings.maxiter}"
@@ -131,7 +131,7 @@ class LabelledObservation:
 
 
 class MatrixEvaluator:
-    """Measures ``y(A, x_M)`` for one matrix, caching the baselines.
+    """Measures ``y(A, x_M)`` for one matrix.
 
     Parameters
     ----------
@@ -149,9 +149,11 @@ class MatrixEvaluator:
         independent stream derived from ``(seed, i, r)``.
     cache:
         :class:`~repro.service.cache.ArtifactCache` holding the per-``alpha``
-        :class:`TransitionTable` builds.  Defaults to the process-wide
+        :class:`TransitionTable` builds and the per-solver baseline counts.
+        Defaults to the process-wide
         :func:`~repro.service.cache.global_cache`, so every evaluator over
-        the same matrix content (keyed by fingerprint) shares one build.
+        the same matrix content (keyed by fingerprint) shares one build and
+        one baseline solve.
     store:
         Optional :class:`~repro.service.store.ObservationStore`.  When set,
         :meth:`evaluate` first looks the exact measurement up in the store
@@ -179,7 +181,6 @@ class MatrixEvaluator:
         self.seed = int(seed)
         self.store = store
         self._cache = cache
-        self._baseline_cache: dict[str, int] = {}
         self.fingerprint = matrix_fingerprint(self.matrix)
         # Hash of the measurement *regime* (solver settings + rhs): two
         # records are statistically comparable exactly when this matches,
@@ -194,13 +195,14 @@ class MatrixEvaluator:
 
     # -- baselines -------------------------------------------------------------
     def baseline_iterations(self, solver: str) -> int:
-        """Iteration count without preconditioning (cached per solver)."""
-        if solver not in self._baseline_cache:
-            kwargs = self.settings.solver_kwargs(solver, self.matrix.shape[0])
-            result = solve(self.matrix, self.rhs, solver=solver, **kwargs)
-            self._baseline_cache[solver] = result.measured_iterations
-            _LOG.debug("baseline on %s: %s", self.name, result.describe())
-        return self._baseline_cache[solver]
+        """Iteration count without preconditioning, from :attr:`cache`: one
+        solve per matrix content, solver and measurement regime, shared by
+        every evaluator and the solve server."""
+        from repro.service.cache import cached_baseline_iterations
+
+        return cached_baseline_iterations(
+            self.cache, self.fingerprint, self.settings_fingerprint,
+            self.matrix, self.rhs, self.settings, solver)
 
     @property
     def cache(self) -> "ArtifactCache":

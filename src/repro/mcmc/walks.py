@@ -17,10 +17,15 @@ chains starting at state ``i``:
 The engine is fully vectorised over walks: all chains of a block of starting
 rows advance simultaneously using a padded per-row transition table, which is
 what keeps a pure-NumPy implementation fast enough for the paper-scale
-matrices.  The engine draws from whatever generator it is given; the
-inverse (:mod:`repro.mcmc.inversion`) seeds each row block's generator from
-child ``i`` of ``SeedSequence(seed).spawn(n_blocks)``, a stream keyed by the
-block index alone, which is what makes the result deterministic.
+matrices.  A step samples by a binary search over each walk's row of
+cumulative probabilities, so it touches ``O(log max_row_nnz)`` entries per
+walk rather than the whole padded row: a matrix with one dense row costs its
+5-point rows no more than a few extra rounds, and the chosen entries are the
+ones a linear count along the row picks, bit for bit.  The engine draws from
+whatever generator it is given; the inverse (:mod:`repro.mcmc.inversion`)
+seeds each row block's generator from child ``i`` of
+``SeedSequence(seed).spawn(n_blocks)``, a stream keyed by the block index
+alone, which is what makes the result deterministic.
 """
 
 from __future__ import annotations
@@ -148,6 +153,10 @@ class TransitionTable:
 
     Rows without non-zeros are *absorbing*: a walk entering them terminates.
 
+    A row's real cumulative entries never decrease and the last one is
+    forced to ``1.0``, which is what lets :meth:`step` binary-search a row
+    instead of scanning its padding.
+
     The construction is fully vectorised over the CSR arrays (segment sums
     via ``np.add.reduceat``, a padded-scatter followed by a row-wise
     ``np.cumsum`` for the inverse-CDF tables) — no per-row Python loop — which
@@ -174,6 +183,7 @@ class TransitionTable:
         nnz = int(csr.nnz)
         if nnz == 0:
             self._row_nnz = np.zeros(self._n, dtype=np.int64)
+            self._last = self._row_nnz
             self._cumprob = np.ones((self._n, width), dtype=np.float64)
             return
 
@@ -200,12 +210,12 @@ class TransitionTable:
         probabilities = np.zeros(self._n * width, dtype=np.float64)
         probabilities[flat] = abs_data / totals
         # Row-wise cumulative sums reproduce the per-row inverse-CDF tables
-        # (trailing zero padding after a row's last entry holds the row total,
-        # which :meth:`step` can never mis-sample thanks to its clamp).
+        # (trailing zero padding after a row's last entry holds the row total;
+        # :meth:`step` never reads it).
         cumprob = np.cumsum(probabilities.reshape(self._n, width), axis=1)
         # Guard against round-off: the last real cumulative value must be >= 1.
-        last = np.maximum(self._row_nnz, 1) - 1
-        cumprob[np.arange(self._n), last] = 1.0
+        self._last = np.maximum(self._row_nnz, 1) - 1
+        cumprob[np.arange(self._n), self._last] = 1.0
         self._cumprob = cumprob
 
         self._columns.ravel()[flat] = indices
@@ -252,6 +262,23 @@ class TransitionTable:
         not pass absorbing states (filter with :meth:`is_absorbing` first).
         The uniforms may be supplied directly (one per state, e.g. from a
         :class:`UniformBlockSource`) instead of drawn from ``rng``.
+
+        Each walk takes the first entry of its row's cumulative probabilities
+        that is ``>= u``, found by a binary search over the row's real
+        entries ``[0, row_nnz - 1]``: ``(max_row_nnz - 1).bit_length()``
+        rounds, each a gather, compare and ``np.where`` on ``(walks,)``
+        arrays that advances a walk by a halving power of two when the
+        probed entry is ``< u``.
+        This is the index the inverse CDF defines, counting every cumulative
+        value ``< u`` along the padded row and clamping to ``row_nnz - 1``:
+
+        * the real entries are cumulative sums of non-negative values, so the
+          ones ``< u`` form a prefix that the search finds;
+        * the last real entry is ``1.0``, above every ``u`` in ``[0, 1)``, so
+          the search never needs to look past it;
+        * a padding entry (the row total) is ``< u`` only when every real
+          entry before the last is too, and the clamp maps that count to
+          ``row_nnz - 1``, where the search stops.
         """
         if states.size == 0:
             return states.copy(), np.empty(0, dtype=np.float64)
@@ -262,14 +289,23 @@ class TransitionTable:
         elif uniforms.size != states.size:
             raise ParameterError(
                 f"got {uniforms.size} uniforms for {states.size} states")
-        cumulative = self._cumprob[states]
-        # Index of the first cumulative probability >= u (inverse-CDF sampling).
-        choice = np.sum(cumulative < uniforms[:, None], axis=1)
-        # Round-off guard: never exceed the row's non-zero count.
-        choice = np.minimum(choice, np.maximum(self._row_nnz[states] - 1, 0))
-        next_states = self._columns[states, choice]
-        multipliers = self._multiplier[states, choice]
-        return next_states, multipliers
+        width = self._cumprob.shape[1]
+        cumulative = self._cumprob.ravel()
+        # Flat indices into the padded tables: row r's entry k is r * width + k.
+        choice = np.asarray(states, dtype=np.int64) * width
+        last = choice + self._last.take(states)
+        # Invariant: every entry before ``choice`` is < u.  Probe the entry
+        # ``step`` ahead, never past the last real one (1.0, so not < u).
+        for shift in reversed(range((width - 1).bit_length())):
+            step = 1 << shift
+            probe = np.minimum(choice + (step - 1), last)
+            below = cumulative.take(probe) < uniforms
+            choice = np.where(below, choice + step, choice)
+        # Only a uniform above 1.0 passes the last entry; as the linear
+        # count's clamp did, keep it there rather than in the next row.
+        np.minimum(choice, last, out=choice)
+        return (self._columns.ravel().take(choice),
+                self._multiplier.ravel().take(choice))
 
 
 class WalkEngine:

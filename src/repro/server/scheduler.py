@@ -55,7 +55,7 @@ from repro.core.evaluation import (
     measurement_regime,
 )
 from repro.exceptions import PreconditionerError
-from repro.krylov.solve import solve, solve_many
+from repro.krylov.solve import solve_many
 from repro.logging_utils import get_logger
 from repro.matrices.features import feature_vector
 from repro.matrices.registry import get_matrix
@@ -66,7 +66,8 @@ from repro.obs.trace import NULL_TRACER
 from repro.precond.factory import make_preconditioner
 from repro.server.policy import PolicyDecision, PreconditionerPolicy
 from repro.server.queue import Job
-from repro.service.cache import ArtifactCache, cached_transition_table
+from repro.service.cache import (ArtifactCache, cached_baseline_iterations,
+                                 cached_transition_table)
 from repro.service.store import ObservationStore
 from repro.sparse.csr import validate_square
 from repro.sparse.fingerprint import matrix_fingerprint
@@ -132,9 +133,10 @@ class Scheduler:
         cached unpreconditioned baseline and persisted.
     matrix_bank:
         Optional :class:`~repro.learn.trainer.MatrixBank` (anything with a
-        ``put(name, matrix)``): every matrix that produces a store record
-        is banked under the record's ``matrix_name`` so the online trainer
-        can rebuild graphs for non-registry matrices.  ``None`` when
+        ``put(name, matrix)``): every raw (non-registry) matrix that
+        produces a store record is banked under the record's
+        ``matrix_name`` so the online trainer can rebuild its graph;
+        registry matrices it resolves by name.  ``None`` when
         learning is off — the scheduler never imports :mod:`repro.learn`.
     shadow_eval:
         When ``True`` (the ``--learn`` serving mode), every solve feeds
@@ -443,26 +445,26 @@ class Scheduler:
         """Persist an MCMC solve as a performance record (store feedback).
 
         Only genuine MCMC builds are recorded — they are the observations
-        the tuning layer consumes.  The unpreconditioned baseline is cached
-        per ``(fingerprint, solver, regime)`` so a traffic wave pays for it
-        once.  ``iterations`` is ``SolveResult.measured_iterations`` — what
+        the tuning layer consumes.  The unpreconditioned baseline comes from
+        :func:`~repro.service.cache.cached_baseline_iterations`, cached per
+        ``(fingerprint, solver, regime)`` so a traffic wave pays for it once.
+        ``iterations`` is ``SolveResult.measured_iterations`` — what
         ``MatrixEvaluator`` would have stored for the same solve.
         """
         if self.store is None or built_family != "mcmc":
             return
         regime = measurement_regime(settings, rhs)
-        baseline = self.cache.get_or_build(
-            ("server_baseline", group.fingerprint, decision.solver, regime),
-            lambda: self._baseline(group, decision.solver, settings, rhs))
+        baseline = cached_baseline_iterations(
+            self.cache, group.fingerprint, regime, group.matrix, rhs,
+            settings, decision.solver)
         if not self.store.has_matrix(group.fingerprint):
             self.store.register_matrix(group.fingerprint,
                                        group.name or group.fingerprint[:12],
                                        feature_vector(group.matrix))
-        if self.matrix_bank is not None:
-            # Bank under the record's matrix_name so the trainer can resolve
-            # graphs for matrices that are not in the registry.
-            self.matrix_bank.put(group.name or group.fingerprint[:12],
-                                 group.matrix)
+        if self.matrix_bank is not None and not group.name:
+            # Bank a raw matrix under the record's matrix_name so the trainer
+            # can resolve its graph; a registry one it rebuilds by name.
+            self.matrix_bank.put(group.fingerprint[:12], group.matrix)
         record = PerformanceRecord(
             parameters=decision.mcmc_parameters(),
             matrix_name=group.name or group.fingerprint[:12],
@@ -473,9 +475,3 @@ class Scheduler:
         if self.store.put_record(group.fingerprint, record,
                                  context=f"{regime}:server"):
             self.telemetry.counter("store.records_written").add(1)
-
-    def _baseline(self, group: _Group, solver: str,
-                  settings: SolverSettings, rhs: np.ndarray) -> int:
-        kwargs = settings.solver_kwargs(solver, group.matrix.shape[0])
-        return solve(group.matrix, rhs, solver=solver,
-                     **kwargs).measured_iterations

@@ -9,7 +9,9 @@ and the learner's :class:`~repro.learn.trainer.MatrixBank`.
 
 A :class:`~repro.mcmc.walks.TransitionTable` depends only on
 ``(matrix, alpha)``, so every evaluator and the solve server share one build
-through :func:`cached_transition_table`; assembled preconditioners are
+through :func:`cached_transition_table`; they share the unpreconditioned
+baseline iteration count of ``(matrix, solver, measurement regime)`` through
+:func:`cached_baseline_iterations` the same way; assembled preconditioners are
 cached whenever a caller knows the full build key.  Artifact keys are by
 convention ``(kind, matrix_fingerprint, ...)`` with the fingerprint from
 :func:`repro.sparse.fingerprint.matrix_fingerprint`.  :func:`global_cache`
@@ -23,14 +25,19 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterator
 
+import numpy as np
 import scipy.sparse as sp
 
 from repro.exceptions import ParameterError
+from repro.krylov import solve
 from repro.logging_utils import get_logger
 from repro.mcmc.walks import TransitionTable
 from repro.sparse.splitting import jacobi_splitting
+
+if TYPE_CHECKING:  # repro.core imports this module
+    from repro.core.evaluation import SolverSettings
 
 __all__ = [
     "ArtifactCache",
@@ -39,6 +46,7 @@ __all__ = [
     "configure_global_cache",
     "transition_table_key",
     "cached_transition_table",
+    "cached_baseline_iterations",
 ]
 
 _LOG = get_logger("service.cache")
@@ -88,6 +96,29 @@ def cached_transition_table(cache: "ArtifactCache", fingerprint: str,
     return cache.get_or_build(
         transition_table_key(fingerprint, alpha),
         lambda: TransitionTable(jacobi_splitting(matrix, alpha).iteration_matrix))
+
+
+def cached_baseline_iterations(cache: "ArtifactCache", fingerprint: str,
+                               regime: str, matrix: Any, rhs: np.ndarray,
+                               settings: "SolverSettings", solver: str) -> int:
+    """The unpreconditioned iteration count of ``solver`` on ``(matrix,
+    rhs)`` under ``settings`` from ``cache``, solved on a miss.
+
+    The one place the denominator of ``y(A, x_M)`` is keyed and measured,
+    for :class:`~repro.core.evaluation.MatrixEvaluator` and the solve
+    server alike: keyed by the matrix ``fingerprint``, ``solver`` and the
+    ``regime`` (:func:`~repro.core.evaluation.measurement_regime` of
+    ``settings`` and ``rhs``), so a fresh evaluator over matrix content the
+    process has measured before solves no baseline.
+    """
+    def build() -> int:
+        kwargs = settings.solver_kwargs(solver, matrix.shape[0])
+        result = solve(matrix, rhs, solver=solver, **kwargs)
+        _LOG.debug("baseline on %s: %s", fingerprint[:12], result.describe())
+        return result.measured_iterations
+
+    return cache.get_or_build(
+        ("baseline_iterations", fingerprint, solver, regime), build)
 
 
 def _nbytes(value: Any) -> int:

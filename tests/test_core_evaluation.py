@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,9 @@ from repro.core.evaluation import (
     measurement_regime,
 )
 from repro.exceptions import ParameterError
+from repro.krylov.solve import KNOWN_SOLVERS
 from repro.mcmc.parameters import MCMCParameters
+from repro.service.cache import ArtifactCache
 from repro.service.store import ObservationStore
 
 
@@ -61,6 +65,29 @@ class TestMatrixEvaluator:
         first = evaluator.baseline_iterations("gmres")
         second = evaluator.baseline_iterations("gmres")
         assert first == second > 0
+
+    def test_second_evaluator_over_the_same_content_solves_no_baseline(
+            self, small_spd, tiny_settings, default_parameters):
+        """Each tuning round builds a fresh evaluator; the baseline it needs
+        is already in the shared cache, so only preconditioned solves run."""
+        cache = ArtifactCache(max_entries=8)
+        first = MatrixEvaluator(small_spd, "lap", settings=tiny_settings,
+                                cache=cache)
+        expected = first.evaluate(default_parameters, n_replications=2)
+        preconditioners = []
+        gmres = KNOWN_SOLVERS["gmres"]
+
+        def spy(*args, **kwargs):
+            preconditioners.append(kwargs.get("preconditioner"))
+            return gmres(*args, **kwargs)
+
+        second = MatrixEvaluator(small_spd.copy(), "lap",
+                                 settings=tiny_settings, cache=cache)
+        with mock.patch.dict(KNOWN_SOLVERS, {"gmres": spy}):
+            record = second.evaluate(default_parameters, n_replications=2)
+        assert len(preconditioners) == 2
+        assert all(p is not None for p in preconditioners)
+        assert record == expected
 
     def test_evaluate_produces_requested_replications(self, small_spd, tiny_settings,
                                                       default_parameters):

@@ -480,6 +480,25 @@ class TestServingIntegration:
         finally:
             second.shutdown()
 
+    def test_bank_holds_only_raw_matrices(self, tmp_path):
+        """A registry matrix is rebuilt by name, so only the raw one is
+        banked although both produce store records."""
+        raw = get_matrix("2DFDLaplace_16") * 2.0
+        server = SolveServer(store=str(tmp_path / "store"), learn=True,
+                             model_dir=str(tmp_path / "models"),
+                             learn_config=fast_config(), background=False)
+        try:
+            for matrix in ("2DFDLaplace_32", raw):
+                response = server.solve(SolveRequestV1(
+                    matrix=matrix, preconditioner="mcmc", maxiter=2000))
+                assert response.provenance["family"] == "mcmc"
+            names = {stored.matrix_name for stored in server.store}
+            raw_name = matrix_fingerprint(raw)[:12]
+            assert names == {"2DFDLaplace_32", raw_name}
+            assert server._matrix_bank.keys() == [raw_name]
+        finally:
+            server.shutdown()
+
     def test_learn_requires_store_and_model_dir(self, tmp_path):
         from repro.exceptions import ParameterError
         with pytest.raises(ParameterError):

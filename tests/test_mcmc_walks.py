@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -305,6 +307,87 @@ class TestVectorisedTableEquivalence:
         np.testing.assert_allclose(table._cumprob[valid],
                                    reference._cumprob[valid],
                                    rtol=0.0, atol=1e-12)
+
+
+def _linear_step(table, states, uniforms):
+    """``TransitionTable.step`` as first written: count the cumulative
+    probabilities ``< u`` along the whole padded row, then clamp the count to
+    the row's last real entry.  Also returns where the clamp fired."""
+    count = np.sum(table._cumprob[states] < uniforms[:, None], axis=1)
+    last = np.maximum(table.row_nnz[states] - 1, 0)
+    choice = np.minimum(count, last)
+    return (table._columns[states, choice], table._multiplier[states, choice],
+            count > last)
+
+
+def _random_table(seed: int, n: int = 60) -> TransitionTable:
+    """Rows of every length from 1 to ``n`` (one dense), a few empty ones,
+    and rows whose tiny entries next to huge ones have probability 0.0."""
+    rng = np.random.default_rng(seed)
+    dense = np.zeros((n, n))
+    for row in range(n):
+        length = n if row == 0 else int(rng.integers(0, n + 1))
+        columns = rng.choice(n, size=length, replace=False)
+        dense[row, columns] = rng.standard_normal(length)
+        if row % 4 == 1 and length >= 3:
+            dense[row, columns[:length // 2]] = 1e-300
+            dense[row, columns[-1]] = 1e20
+    return TransitionTable(sp.csr_matrix(dense))
+
+
+class TestStepBinarySearch:
+    """``step``'s binary search picks the entry the linear count picks."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_linear_count(self, seed):
+        table = _random_table(seed)
+        live = np.flatnonzero(table.row_nnz > 0)
+        # Every uniform that lands exactly on a real cumulative entry, the
+        # extremes of [0, 1), an out-of-range 1.5 and random draws, each from
+        # every live row.
+        ties = [(row, table._cumprob[row, k]) for row in live
+                for k in range(table.row_nnz[row]) if table._cumprob[row, k] < 1]
+        rng = np.random.default_rng(100 + seed)
+        states = np.concatenate([[row for row, _ in ties], live, live, live,
+                                 np.repeat(live, 50)])
+        uniforms = np.concatenate([[value for _, value in ties],
+                                   np.zeros(live.size),
+                                   np.full(live.size, 1.0 - 2.0 ** -53),
+                                   np.full(live.size, 1.5),
+                                   rng.random(50 * live.size)])
+        next_states, multipliers = table.step(states, uniforms=uniforms)
+        expected_states, expected_multipliers, clamped = _linear_step(
+            table, states, uniforms)
+        np.testing.assert_array_equal(next_states, expected_states)
+        np.testing.assert_array_equal(multipliers, expected_multipliers)
+        # The cases that make the search's argument: stored entries of
+        # probability zero, and a row total below some u, which the linear
+        # count only gets right through its clamp.
+        assert np.any(np.diff(table._cumprob[live], axis=1)[
+            np.arange(table.max_row_nnz - 1)[None, :]
+            < table.row_nnz[live, None] - 1] == 0.0)
+        assert clamped.any()
+
+    def test_one_wide_step_allocates_less_than_the_padded_rows(self):
+        """8,000 walks on a 225-wide table: the linear count gathered a
+        ``(walks, width)`` block of 14.4 MB; the search keeps ``(walks,)``
+        arrays only."""
+        from repro.matrices import unsteady_advection_diffusion
+
+        matrix = unsteady_advection_diffusion(15, order=2)
+        table = TransitionTable(jacobi_splitting(matrix, 1.92).iteration_matrix)
+        assert table.max_row_nnz == 225
+        walks, width = 8000, table._cumprob.shape[1]
+        rng = np.random.default_rng(0)
+        states = rng.integers(0, table.dimension, walks)
+        uniforms = rng.random(walks)
+        tracemalloc.start()
+        try:
+            table.step(states, uniforms=uniforms)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < walks * width
 
 
 class TestBatchedUniformDraws:
