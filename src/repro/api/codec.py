@@ -38,6 +38,7 @@ from repro.sparse.csr import ensure_csr
 from repro.sparse.fingerprint import (
     DIGEST_LENGTH,
     content_hash,
+    csr_fingerprint,
     matrix_fingerprint,
 )
 
@@ -132,13 +133,13 @@ def encode_csr(matrix: sp.spmatrix | np.ndarray,
     payload equals the :func:`matrix_fingerprint` the server computes after
     decoding — the identity used for batching and cache keys survives the
     wire unchanged.  The fingerprint is computed once, for both the ``held``
-    test and the block.
+    test and the block, over the canonical ``csr`` as it stands.
     """
     if np.iscomplexobj(getattr(matrix, "data", matrix)):
         raise SchemaError(
             "cannot encode a complex matrix into the float64 wire format")
     csr = ensure_csr(matrix)
-    fingerprint = matrix_fingerprint(csr)
+    fingerprint = csr_fingerprint(csr)
     if fingerprint in held:
         return {"ref": fingerprint}
     indptr = np.ascontiguousarray(csr.indptr, dtype=np.int64)
@@ -160,7 +161,9 @@ def decode_csr(payload: dict,
 
     A ``{"ref": fingerprint}`` payload is looked up through ``resolve``
     instead (no lookup: nothing is held); the payload's verified
-    fingerprint is ``payload["ref"]`` or ``payload["fingerprint"]``.
+    fingerprint is ``payload["ref"]`` or ``payload["fingerprint"]``.  The
+    matrix returned is canonical CSR: the fingerprint check canonicalises
+    it in place (a resolved one went through that check before).
     """
     if not isinstance(payload, dict):
         raise SchemaError(

@@ -23,7 +23,7 @@ crashing a solver downstream.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Container, Iterator
 
 import numpy as np
@@ -32,6 +32,7 @@ import scipy.sparse as sp
 from repro.api.codec import decode_array, decode_csr, encode_array, encode_csr
 from repro.api.errors import AdmissionError, REJECT_INVALID, SchemaError
 from repro.api.versioning import negotiate, version_stamp
+from repro.sparse.csr import ensure_csr
 
 __all__ = [
     "SolveRequestV1",
@@ -39,36 +40,8 @@ __all__ = [
     "PolicyProvenance",
     "JobStatusV1",
     "TelemetrySnapshot",
-    "requested_family",
     "validate_request",
 ]
-
-
-def _known_solvers() -> tuple[str, ...]:
-    from repro.krylov.solve import KNOWN_SOLVERS
-
-    return tuple(sorted(KNOWN_SOLVERS))
-
-
-def _known_families() -> tuple[str, ...]:
-    from repro.precond.factory import KNOWN_FAMILIES
-
-    return KNOWN_FAMILIES
-
-
-def requested_family(preconditioner: str | None) -> str | None:
-    """The family a request names, stripped and lower-cased.
-
-    ``None`` when the request leaves the choice to the policy: no family,
-    or ``"auto"`` in any case or padding.
-
-    >>> [requested_family(name) for name in (" ILU0 ", " Auto ", None)]
-    ['ilu0', None, None]
-    """
-    if preconditioner is None:
-        return None
-    family = str(preconditioner).strip().lower()
-    return None if family == "auto" else family
 
 
 @dataclass(frozen=True)
@@ -90,7 +63,7 @@ class SolveRequestV1:
         Explicit preconditioner family (see
         :data:`repro.precond.factory.KNOWN_FAMILIES`), or ``None``/"auto"
         to let the policy choose; any case or padding is admitted (see
-        :func:`requested_family`).
+        :func:`validate_request`).
     rtol / maxiter:
         Solver limits shared by every solve of this request.
     priority:
@@ -110,9 +83,11 @@ class SolveRequestV1:
 
     ``verified_fingerprint`` is not a constructor argument: only
     :meth:`from_json_dict` sets it, to the fingerprint the codec verified
-    for a raw matrix (or the ref it resolved), so the server groups and
-    caches by it without hashing the matrix again.  It stays ``None`` on a
-    request built in process, and on one that names a registry matrix.
+    for a raw matrix (or the ref it resolved), which also says the matrix
+    is canonical CSR already; admission keeps it on the canonical request,
+    and the server groups and caches by it without hashing the matrix
+    again.  It stays ``None`` on a request built in process, and on one
+    that names a registry matrix.
     """
 
     matrix: sp.spmatrix | str
@@ -126,11 +101,6 @@ class SolveRequestV1:
     tag: str = ""
     verified_fingerprint: str | None = field(
         default=None, init=False, repr=False, compare=False)
-
-    def validate(self) -> "SolveRequestV1":
-        """Run the admission-boundary validation; returns ``self``."""
-        validate_request(self)
-        return self
 
     def to_json_dict(self, held: Container[str] = ()) -> dict:
         """The stamped wire form of this request.
@@ -214,7 +184,7 @@ class SolveRequestV1:
         return request
 
 
-def validate_request(request: SolveRequestV1) -> None:
+def validate_request(request: SolveRequestV1) -> SolveRequestV1:
     """Admission-boundary validation shared by every transport.
 
     Raises :class:`AdmissionError` with the structured ``invalid`` reason
@@ -222,8 +192,22 @@ def validate_request(request: SolveRequestV1) -> None:
     matrix entries, empty / shape-mismatched / non-finite right-hand sides,
     unknown solver or preconditioner names, and out-of-range limits —
     instead of letting a malformed request crash a solver downstream.
+
+    Returns the *canonical request*, which the scheduler and the policy
+    take as given: ``solver`` and ``preconditioner`` stripped and
+    lower-cased (``"auto"`` as ``None``), ``rhs`` float64, ``rtol`` a
+    ``float``, ``maxiter`` an ``int``, and a raw matrix canonical CSR
+    (:func:`~repro.sparse.csr.ensure_csr`; skipped when
+    ``verified_fingerprint`` says the wire decode already made it so).  A
+    caller's own float64 CSR is canonicalised in place, not copied.
+
+    >>> validate_request(SolveRequestV1(matrix="2DFDLaplace_16",
+    ...     solver=" GMRES ", preconditioner="AUTO")).preconditioner is None
+    True
     """
+    from repro.krylov.solve import KNOWN_SOLVERS
     from repro.matrices.registry import MATRIX_REGISTRY
+    from repro.precond.factory import KNOWN_FAMILIES
 
     def invalid(message: str) -> AdmissionError:
         return AdmissionError(REJECT_INVALID, message)
@@ -249,8 +233,9 @@ def validate_request(request: SolveRequestV1) -> None:
         raise invalid(
             f"matrix must be a sparse matrix or a registry name, "
             f"got {type(matrix).__name__}")
-    if request.rhs is not None:
-        rhs = np.asarray(request.rhs)
+    rhs = request.rhs
+    if rhs is not None:
+        rhs = np.asarray(rhs)
         if rhs.ndim != 1:
             raise invalid(
                 f"rhs must be a 1-D vector, got shape {rhs.shape}")
@@ -269,25 +254,34 @@ def validate_request(request: SolveRequestV1) -> None:
                           f"got dtype {rhs.dtype}")
         if not np.all(np.isfinite(rhs)):
             raise invalid("rhs contains non-finite entries (NaN/Inf)")
-    if request.solver is not None:
-        solvers = _known_solvers()
-        if str(request.solver).strip().lower() not in solvers:
-            raise invalid(
-                f"unknown solver {request.solver!r}; "
-                f"expected one of {solvers}")
-    family = requested_family(request.preconditioner)
-    if family is not None:
-        families = _known_families()
-        if family not in families:
-            raise invalid(
-                f"unknown preconditioner family {request.preconditioner!r}; "
-                f"expected one of {families}")
+        rhs = np.asarray(rhs, dtype=np.float64)
+    solver, family = (None if name is None else str(name).strip().lower()
+                      for name in (request.solver, request.preconditioner))
+    if solver is not None and solver not in KNOWN_SOLVERS:
+        raise invalid(f"unknown solver {request.solver!r}; "
+                      f"expected one of {tuple(sorted(KNOWN_SOLVERS))}")
+    if family == "auto":
+        family = None
+    if family is not None and family not in KNOWN_FAMILIES:
+        raise invalid(
+            f"unknown preconditioner family {request.preconditioner!r}; "
+            f"expected one of {KNOWN_FAMILIES}")
     if not isinstance(request.rtol, numbers.Real):
         raise invalid(f"rtol must be a real number, got {request.rtol!r}")
     if not 0.0 < request.rtol < 1.0:
         raise invalid(f"rtol must lie in (0, 1), got {request.rtol}")
     if not isinstance(request.maxiter, (int, np.integer)) or request.maxiter < 1:
         raise invalid(f"maxiter must be an integer >= 1, got {request.maxiter!r}")
+    if not isinstance(matrix, str) and request.verified_fingerprint is None:
+        matrix = ensure_csr(matrix)
+    canonical = replace(
+        request, matrix=matrix, rhs=rhs, solver=solver,
+        preconditioner=family, rtol=float(request.rtol),
+        maxiter=int(request.maxiter))
+    # replace() resets the init=False field to its default.
+    object.__setattr__(canonical, "verified_fingerprint",
+                       request.verified_fingerprint)
+    return canonical
 
 
 @dataclass(frozen=True)

@@ -59,9 +59,6 @@ import scipy.sparse as sp
 
 from repro.matrices.features import structural_flags
 from repro.mcmc.parameters import DEFAULT_BOUNDS, MCMCParameters, ParameterBounds
-from repro.api.errors import AdmissionError, REJECT_INVALID
-from repro.api.schemas import requested_family
-from repro.precond.factory import KNOWN_FAMILIES
 from repro.service import ladder
 from repro.service.cache import ArtifactCache
 from repro.service.ladder import ORIGIN_EXPLICIT, ORIGIN_RULE
@@ -170,28 +167,21 @@ class PreconditionerPolicy:
         """Decide family / parameters / solver for one matrix.
 
         ``solver`` and ``preconditioner`` are the request's explicit choices
-        (``None`` or ``"auto"``, in any case or padding, delegate to the
-        policy).
+        as :func:`~repro.api.schemas.validate_request` made them canonical:
+        a known name, lower-case, or ``None`` to delegate to the policy.
         """
-        family = requested_family(preconditioner)
-        if family is not None and family not in KNOWN_FAMILIES:
-            raise AdmissionError(
-                REJECT_INVALID,
-                f"unknown preconditioner family {preconditioner!r}; "
-                f"expected one of {KNOWN_FAMILIES}")
-
         snapshot = self._snapshot
-        if family is not None:
+        if preconditioner is not None:
             params: tuple = ()
-            if family == "mcmc":
+            if preconditioner == "mcmc":
                 tuned = next(
                     ladder.stored(snapshot, fingerprint, solver=solver), None)
                 params = _mcmc_params_tuple(
                     tuned.parameters if tuned is not None
                     else DEFAULT_MCMC_PARAMETERS)
             return PolicyDecision(
-                family=family, solver=solver or "gmres", params=params,
-                origin=ORIGIN_EXPLICIT)
+                family=preconditioner, solver=solver or "gmres",
+                params=params, origin=ORIGIN_EXPLICIT)
 
         proposal = next(
             ladder.stored(snapshot, fingerprint, solver=solver), None)

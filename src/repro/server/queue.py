@@ -275,13 +275,16 @@ class JobQueue:
         malformed requests — non-finite rhs entries, shape mismatches,
         unknown solver/preconditioner names — are rejected with the
         structured ``invalid`` reason instead of crashing a solver later.
+        The job holds the canonical request validation returns (names
+        lower-cased, rhs float64, a raw matrix canonical CSR), which is all
+        the scheduler and the policy ever see.
 
         ``trace_id`` / ``root_span`` attach the submitter's trace to the
         job *before* it becomes poppable — the scheduler thread may pick
         the job up the instant the lock is released, so stamping them
         after submit would race.
         """
-        validate_request(request)
+        request = validate_request(request)
         with self._condition:
             if self._closed:
                 raise AdmissionError(REJECT_CLOSED, "queue is closed")

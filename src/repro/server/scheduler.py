@@ -44,11 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from repro.api.schemas import (
-    PolicyProvenance,
-    SolveResponseV1,
-    requested_family,
-)
+from repro.api.schemas import PolicyProvenance, SolveResponseV1
 from repro.core.evaluation import (
     PerformanceRecord,
     SolverSettings,
@@ -69,8 +65,7 @@ from repro.server.queue import Job
 from repro.service.cache import (ArtifactCache, cached_baseline_iterations,
                                  cached_transition_table)
 from repro.service.store import ObservationStore
-from repro.sparse.csr import validate_square
-from repro.sparse.fingerprint import matrix_fingerprint
+from repro.sparse.fingerprint import csr_fingerprint, matrix_fingerprint
 
 __all__ = ["Scheduler", "end_job_trace"]
 
@@ -198,19 +193,12 @@ class Scheduler:
                 end_job_trace(self.tracer, job, outcome="error",
                               error=str(error))
                 continue
-            # Admission accepts any spelling of a solver or family name; the
-            # grouping, the policy, the solver settings and the response see
-            # the canonical one.
-            solver = (None if request.solver is None
-                      else str(request.solver).strip().lower())
-            family = requested_family(request.preconditioner)
-            key = (fingerprint, solver, family,
-                   float(request.rtol), int(request.maxiter))
+            key = (fingerprint, request.solver, request.preconditioner,
+                   request.rtol, request.maxiter)
             if key not in groups:
                 groups[key] = _Group(
-                    fingerprint=fingerprint, matrix=matrix, name=name,
-                    solver=solver, preconditioner=family,
-                    rtol=float(request.rtol), maxiter=int(request.maxiter))
+                    fingerprint, matrix, name, request.solver,
+                    request.preconditioner, request.rtol, request.maxiter)
             groups[key].jobs.append(job)
         return list(groups.values())
 
@@ -219,8 +207,9 @@ class Scheduler:
         and its fingerprint, the group key.
 
         A registry matrix is resolved and hashed once per cache entry.  A
-        raw one keeps the fingerprint the wire decode verified (or the ref
-        it resolved); only a request built in process is hashed here.
+        raw one is canonical CSR since admission and keeps the fingerprint
+        the wire decode verified (or the ref it resolved); only a request
+        built in process is hashed here.
         """
         matrix = request.matrix
         if isinstance(matrix, str):
@@ -231,9 +220,8 @@ class Scheduler:
             resolved, fingerprint = self.cache.get_or_build(
                 ("registry_matrix", matrix), build)
             return resolved, matrix, fingerprint
-        matrix = validate_square(matrix)
         return (matrix, "",
-                request.verified_fingerprint or matrix_fingerprint(matrix))
+                request.verified_fingerprint or csr_fingerprint(matrix))
 
     # -- one group ----------------------------------------------------------
     def _run_group(self, group: _Group) -> None:
@@ -270,8 +258,7 @@ class Scheduler:
         kwargs = settings.solver_kwargs(decision.solver, group.matrix.shape[0])
 
         n = group.matrix.shape[0]
-        columns = [np.ones(n) if job.request.rhs is None
-                   else np.asarray(job.request.rhs, dtype=np.float64).ravel()
+        columns = [np.ones(n) if job.request.rhs is None else job.request.rhs
                    for job in group.jobs]
 
         def run_solve():

@@ -29,6 +29,7 @@ import os
 import threading
 import time
 import uuid
+from contextlib import nullcontext
 
 from repro.api.schemas import SolveRequestV1, SolveResponseV1
 from repro.api.versioning import SCHEMA_VERSION, version_stamp
@@ -47,6 +48,12 @@ from repro.service.store import ObservationStore
 __all__ = ["SolveServer"]
 
 _LOG = get_logger("server")
+
+
+def _requested_names(request: SolveRequestV1) -> dict[str, str]:
+    """The solver and family a request names (``"auto"``: the policy's)."""
+    return {"solver": request.solver or "auto",
+            "preconditioner": request.preconditioner or "auto"}
 
 
 class SolveServer:
@@ -369,15 +376,18 @@ class SolveServer:
             # X-Repro-Trace-Id header) so one id follows the request across
             # the wire, the queue and the worker thread.
             trace_id = current_trace_id() or new_trace_id()
-            root = tracer.begin(
-                "request", trace_id=trace_id,
-                solver=request.solver or "auto",
-                preconditioner=request.preconditioner or "auto",
-                priority=int(request.priority))
+            root = tracer.begin("request", trace_id=trace_id,
+                                priority=int(request.priority),
+                                **_requested_names(request))
         admission = tracer.begin("admission", parent=root)
         try:
-            job = self.queue.submit(request, trace_id=trace_id,
-                                    root_span=root)
+            # A traced request's root span names what was admitted; the
+            # queue lock keeps the worker from ending it before that.
+            with nullcontext() if root is None else self.queue.admit_together():
+                job = self.queue.submit(request, trace_id=trace_id,
+                                        root_span=root)
+                if root is not None:
+                    root.attributes.update(_requested_names(job.request))
         except Exception as error:
             reason = getattr(error, "reason", "error")
             self.telemetry.counter("solve.rejected", reason=reason).add(1)

@@ -12,6 +12,8 @@ form (shape, dtype, ``indptr``, ``indices``, ``data``), so two matrices share
 a fingerprint exactly when they are equal as sparse matrices — same pattern
 *and* same values — regardless of how they were constructed (duplicate or
 explicit-zero entries are canonicalised away by :func:`ensure_csr`).
+:func:`csr_fingerprint` is the same hash without that pass, for a matrix that
+is already canonical (an admitted request's, a codec's).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import scipy.sparse as sp
 
 from repro.sparse.csr import ensure_csr
 
-__all__ = ["matrix_fingerprint", "content_hash"]
+__all__ = ["matrix_fingerprint", "csr_fingerprint", "content_hash"]
 
 #: Length (hex characters) of the truncated digests returned by this module.
 #: 128 bits is far beyond any realistic collision risk for matrix corpora
@@ -45,6 +47,17 @@ def content_hash(*parts: bytes | str) -> str:
     return digest.hexdigest()[:DIGEST_LENGTH]
 
 
+def csr_fingerprint(csr: sp.csr_matrix) -> str:
+    """:func:`matrix_fingerprint` of ``csr``, hashed as it stands: it must
+    already be what :func:`ensure_csr` returns, or the hash differs."""
+    return content_hash(
+        f"csr:{csr.shape[0]}x{csr.shape[1]}:{csr.data.dtype.str}",
+        np.ascontiguousarray(csr.indptr, dtype=np.int64).tobytes(),
+        np.ascontiguousarray(csr.indices, dtype=np.int64).tobytes(),
+        np.ascontiguousarray(csr.data).tobytes(),
+    )
+
+
 def matrix_fingerprint(matrix: sp.spmatrix | np.ndarray) -> str:
     """Stable content hash of a matrix (structure + values + dtype).
 
@@ -60,10 +73,4 @@ def matrix_fingerprint(matrix: sp.spmatrix | np.ndarray) -> str:
     >>> matrix_fingerprint(dense) == matrix_fingerprint(dense.T)
     False
     """
-    csr = ensure_csr(matrix)
-    return content_hash(
-        f"csr:{csr.shape[0]}x{csr.shape[1]}:{csr.data.dtype.str}",
-        np.ascontiguousarray(csr.indptr, dtype=np.int64).tobytes(),
-        np.ascontiguousarray(csr.indices, dtype=np.int64).tobytes(),
-        np.ascontiguousarray(csr.data).tobytes(),
-    )
+    return csr_fingerprint(ensure_csr(matrix))

@@ -162,6 +162,32 @@ def test_one_lru(trees):
     assert found == [], found
 
 
+def test_one_request_canonicaliser(trees):
+    """``validate_request`` returns the canonical request; the serving
+    layer takes it as given.  No ``.strip().lower()`` or family helper
+    under ``server/``, and neither the scheduler nor the policy
+    canonicalises the matrix again."""
+    def strip_lower(node: ast.AST) -> bool:
+        return (_calls(node, "lower") and isinstance(node.func, ast.Attribute)
+                and _calls(node.func.value, "strip"))
+
+    def mentions(names: set[str]):
+        return lambda node: (isinstance(node, ast.Name) and node.id in names
+                             or isinstance(node, ast.Attribute)
+                             and node.attr in names
+                             or isinstance(node, ast.alias)
+                             and node.name in names)
+
+    server = {name: tree for name, tree in trees.items()
+              if name.startswith("server/")}
+    assert _where(server, strip_lower) == []
+    assert _where(server, mentions({"requested_family"})) == []
+    taken_as_given = {name: trees[name]
+                      for name in ("server/scheduler.py", "server/policy.py")}
+    assert _where(taken_as_given, mentions(
+        {"validate_square", "ensure_csr", "requested_family"})) == []
+
+
 def test_one_exit_from_every_krylov_solver(trees):
     """``SolveRun.finish`` is the only place a ``SolveResult`` is built and
     the only place a solve's phase timings are closed; the default budget

@@ -15,6 +15,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.api.codec import encode_csr
+from repro.api.schemas import validate_request
 from repro.krylov import TERMINATIONS, solve
 from repro.matrices import (advection_diffusion, laplacian_2d, pdd_real_sparse,
                              unsteady_advection_diffusion)
@@ -277,6 +279,53 @@ class TestDeterminism:
         assert [r.provenance["family"] for r in responses] == ["ilu0"] * 2
         assert groups["max"] == 1
 
+    def test_raw_matrix_is_canonicalised_once_at_admission(self):
+        """A COO matrix with int64 data, an explicit zero and unsorted
+        indices is its canonical twin once admitted: one fingerprint, one
+        group, one answer bit for bit.  A caller's own float64 CSR is
+        canonicalised in place, not copied; any other form is converted
+        and the caller's object left as it was."""
+        twin = laplacian_2d(8)
+        n = twin.shape[0]
+        coo = twin.tocoo()
+        order = np.arange(coo.nnz)[::-1]
+        raw = sp.coo_matrix(
+            (np.append(coo.data[order].astype(np.int64), 0),
+             (np.append(coo.row[order], 0), np.append(coo.col[order], n - 1))),
+            shape=twin.shape)
+        rhs = np.random.default_rng(11).standard_normal(n)
+        server = _server()
+        jobs = server.submit_many([
+            SolveRequestV1(matrix=raw, rhs=rhs, tag="t"),
+            SolveRequestV1(matrix=twin, rhs=rhs, tag="t")])
+        assert server.drain(timeout=30.0)
+        from_raw, from_twin = [job.result(timeout=1.0) for job in jobs]
+        groups = server.telemetry_snapshot()["histograms"][
+            "scheduler.groups_per_batch"]
+        server.shutdown()
+        assert groups["max"] == 1
+        assert from_raw.batch_size == 2
+        assert from_raw.fingerprint == matrix_fingerprint(twin)
+        for field in dataclasses.fields(from_twin):
+            if field.name == "job_id":
+                continue
+            ours = getattr(from_raw, field.name)
+            theirs = getattr(from_twin, field.name)
+            if isinstance(theirs, np.ndarray):
+                assert np.array_equal(ours, theirs), field.name
+            else:
+                assert ours == theirs, field.name
+        # The caller's COO is converted, not touched.
+        assert raw.nnz == twin.nnz + 1 and raw.dtype == np.int64
+        # The caller's float64 CSR is the admitted matrix, made canonical.
+        caller = sp.csr_matrix((np.array([-1.0, 4.0, 0.0, 4.0]),
+                                np.array([1, 0, 0, 1]), np.array([0, 2, 4])),
+                               shape=(2, 2))
+        admitted = validate_request(SolveRequestV1(matrix=caller)).matrix
+        assert admitted is caller
+        assert caller.nnz == 3 and caller.has_sorted_indices
+        assert np.array_equal(caller.indices, [0, 1, 1])
+
     def test_submit_many_is_served_as_one_batch(self, dominant_matrix):
         """The background worker cannot pop part of a ``submit_many`` list:
         four same-matrix requests are one group of four."""
@@ -529,6 +578,49 @@ class TestBackpressureAndFailures:
         assert snapshot["queue"]["admitted"] == 1
         assert snapshot["artifact_cache"]["builds"] >= 1
         server.shutdown()
+
+
+class TestOneCanonicalisingPass:
+    """A repeat request whose preconditioner is cached runs
+    ``eliminate_zeros`` once for each canonicalisation it needs: the wire
+    decode's fingerprint check (inline only), admission's (a matrix built in
+    process) and the solver entry point's own (``prepare_system``)."""
+
+    @pytest.fixture()
+    def passes(self, monkeypatch) -> list:
+        calls: list = []
+        original = sp.csr_matrix.eliminate_zeros
+
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return original(matrix)
+
+        monkeypatch.setattr(sp.csr_matrix, "eliminate_zeros", counted)
+        return calls
+
+    @pytest.mark.parametrize("route,expected", [
+        ("by_ref", 1), ("inline", 2), ("in_process", 2)])
+    def test_served_request(self, passes, dominant_matrix, route, expected):
+        request = SolveRequestV1(matrix=dominant_matrix, solver="gmres",
+                                 preconditioner="jacobi")
+        fingerprint = matrix_fingerprint(dominant_matrix)
+        held = {fingerprint: dominant_matrix}
+        payload = request.to_json_dict(
+            held=held if route == "by_ref" else ())
+        server = _server()
+        server.solve(request)
+        passes.clear()
+        if route != "in_process":
+            request = SolveRequestV1.from_json_dict(payload, held.get)
+        response = server.solve(request)
+        server.shutdown()
+        assert response.converged and response.fingerprint == fingerprint
+        assert len(passes) == expected, passes
+
+    def test_client_encode(self, passes, dominant_matrix):
+        passes.clear()
+        encode_csr(dominant_matrix)
+        assert len(passes) == 1, passes
 
 
 class TestReviewRegressions:

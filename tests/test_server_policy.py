@@ -17,7 +17,6 @@ from repro.matrices import (
 from repro.mcmc.parameters import MCMCParameters
 from repro.api.schemas import PolicyProvenance
 from repro.server.policy import PreconditionerPolicy
-from repro.server.queue import AdmissionError
 from repro.service.ladder import (
     ORIGIN_EXPLICIT,
     ORIGIN_RULE,
@@ -76,22 +75,6 @@ class TestRuleTable:
         assert decision.family == "jacobi"
         assert decision.solver == "bicgstab"
         assert decision.origin == ORIGIN_EXPLICIT
-
-    def test_unknown_family_rejected(self):
-        matrix = laplacian_2d(8)
-        policy = PreconditionerPolicy()
-        with pytest.raises(AdmissionError):
-            policy.decide(matrix, matrix_fingerprint(matrix),
-                          preconditioner="cholesky_qr")
-
-    @pytest.mark.parametrize("spelling", ["auto", "AUTO", " Auto "])
-    def test_auto_in_any_spelling_is_the_policy_choice(self, spelling):
-        matrix = laplacian_2d(8)
-        policy = PreconditionerPolicy()
-        fingerprint = matrix_fingerprint(matrix)
-        assert policy.decide(matrix, fingerprint,
-                             preconditioner=spelling) == policy.decide(
-            matrix, fingerprint)
 
     def test_repeated_fingerprint_computes_the_flags_once(self, monkeypatch):
         """The rule table's input is memoised by fingerprint; a decision

@@ -108,6 +108,35 @@ def test_rejected_request_closes_trace_with_outcome():
     assert {s.name for s in rejected} == {"admission", "request"}
 
 
+def test_request_span_names_the_canonical_request():
+    """An admitted request's root span records the solver and family
+    admission made canonical; a rejected one's keeps what was sent."""
+    tracer = Tracer()
+    with SolveServer(background=False, tracer=tracer) as server:
+        admitted = server.solve(SolveRequestV1(
+            matrix="2DFDLaplace_16", solver=" GMRES ", preconditioner="AUTO"))
+        explicit = server.solve(SolveRequestV1(
+            matrix="2DFDLaplace_16", solver="CG", preconditioner=" Jacobi "))
+        with pytest.raises(Exception):
+            server.solve(SolveRequestV1(matrix="2DFDLaplace_16",
+                                        solver=" GMRES ",
+                                        preconditioner="Cholesky"))
+
+    def root(trace_id):
+        return next(s for s in tracer.spans(trace_id=trace_id)
+                    if s.name == "request")
+
+    for response, names in ((admitted, ("gmres", "auto")),
+                            (explicit, ("cg", "jacobi"))):
+        span = root(response.trace_id)
+        assert (span.attributes["solver"],
+                span.attributes["preconditioner"]) == names
+    rejected = next(s for s in tracer.spans() if s.name == "request"
+                    and s.attributes.get("outcome") == "rejected")
+    assert rejected.attributes["solver"] == " GMRES "
+    assert rejected.attributes["preconditioner"] == "Cholesky"
+
+
 def test_untraced_server_records_nothing():
     with SolveServer(background=False) as server:
         response = server.solve(_request(0))
