@@ -31,9 +31,13 @@ setup(
     python_requires=">=3.11",
     package_dir={"": "src"},
     packages=find_packages("src"),
-    # scipy is bounded to the release line whose private ``gstrs`` entry
-    # point and ``spsolve_triangular`` preparation repro.precond.base mirrors;
-    # widening it is a deliberate change, checked by tests/test_precond.py.
+    # scipy is bounded to the release line whose private entry points repro
+    # calls: SuperLU's ``gstrs`` (scipy.sparse.linalg._dsolve._superlu), with
+    # the ``spsolve_triangular`` preparation repro.precond.base mirrors, and
+    # L-BFGS-B's ``scipy.optimize._lbfgsb.setulb``, which
+    # repro.core.lbfgsb drives as ``minimize`` does.  Widening it is a
+    # deliberate change, checked by tests/test_precond.py and
+    # tests/test_core_lbfgsb.py (and by CI's scipy step before them).
     install_requires=["numpy", "scipy>=1.17,<1.18"],
     entry_points={
         "console_scripts": [

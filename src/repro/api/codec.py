@@ -124,7 +124,8 @@ def decode_array(payload: dict) -> np.ndarray:
 
 
 def encode_csr(matrix: sp.spmatrix | np.ndarray,
-               held: Container[str] = ()) -> dict:
+               held: Container[str] = (),
+               fingerprint: str | None = None) -> dict:
     """Encode a matrix as canonical CSR blocks plus its content fingerprint,
     or as ``{"ref": fingerprint}`` when that fingerprint is in ``held``.
 
@@ -134,12 +135,19 @@ def encode_csr(matrix: sp.spmatrix | np.ndarray,
     decoding — the identity used for batching and cache keys survives the
     wire unchanged.  The fingerprint is computed once, for both the ``held``
     test and the block, over the canonical ``csr`` as it stands.
+
+    A caller that already knows the matrix's fingerprint (a client that sent
+    the same matrix object before) passes it as ``fingerprint``: it is then
+    not computed again, and a ref is sent without touching the matrix.
     """
     if np.iscomplexobj(getattr(matrix, "data", matrix)):
         raise SchemaError(
             "cannot encode a complex matrix into the float64 wire format")
+    if fingerprint is not None and fingerprint in held:
+        return {"ref": fingerprint}
     csr = ensure_csr(matrix)
-    fingerprint = csr_fingerprint(csr)
+    if fingerprint is None:
+        fingerprint = csr_fingerprint(csr)
     if fingerprint in held:
         return {"ref": fingerprint}
     indptr = np.ascontiguousarray(csr.indptr, dtype=np.int64)

@@ -102,18 +102,22 @@ class SolveRequestV1:
     verified_fingerprint: str | None = field(
         default=None, init=False, repr=False, compare=False)
 
-    def to_json_dict(self, held: Container[str] = ()) -> dict:
+    def to_json_dict(self, held: Container[str] = (),
+                     fingerprint: str | None = None) -> dict:
         """The stamped wire form of this request.
 
         A raw matrix whose fingerprint is in ``held`` (the fingerprints the
         receiving server said it holds) travels as ``{"ref": fingerprint}``
-        inside the ``csr`` object instead of as blocks.
+        inside the ``csr`` object instead of as blocks.  ``fingerprint`` is
+        the raw matrix's fingerprint when the caller already knows it
+        (:func:`~repro.api.codec.encode_csr` then does not compute it).
         """
         payload = version_stamp("solve_request")
         if isinstance(self.matrix, str):
             matrix_payload: dict = {"name": self.matrix}
         else:
-            matrix_payload = {"csr": encode_csr(self.matrix, held)}
+            matrix_payload = {"csr": encode_csr(self.matrix, held,
+                                                fingerprint)}
         payload.update({
             "matrix": matrix_payload,
             "rhs": None if self.rhs is None else encode_array(self.rhs),

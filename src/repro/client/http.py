@@ -45,6 +45,16 @@ sends the request once more with the matrix inline, within the same call: a
 caller never sees that code.  A server that never sends the header never
 receives a ref.
 
+A client fingerprints each matrix object once (:class:`MatrixFingerprints`):
+a later request over the same object reuses the fingerprint, so a by-ref
+request does not read the matrix at all and an inline one only encodes it.
+The memo checks cheaply that the object is unchanged (the same object, its
+arrays at the same addresses, the same values at a sample of entries), so
+**a matrix must not be changed in place once it has been sent**: send a new
+matrix object instead.  A change the check misses would send a stale
+fingerprint — inline, the server's integrity check refuses the request; by
+ref, the server solves the matrix it holds under that fingerprint.
+
 :meth:`~repro.client.base.Client.result` collects a queued job with one
 long poll, ``GET /v1/jobs/<id>?wait=<s>``: the server holds the reply until
 the job finishes (up to its own cap), so a job costs one exchange, not a
@@ -61,8 +71,12 @@ import http.client
 import json
 import threading
 import time
+import weakref
 from typing import NamedTuple
 from urllib.parse import urlsplit
+
+import numpy as np
+import scipy.sparse as sp
 
 from repro.api.errors import (
     ERROR_UNAVAILABLE,
@@ -82,7 +96,7 @@ from repro.exceptions import ParameterError
 from repro.obs.trace import current_trace_id
 from repro.service.cache import ArtifactCache
 
-__all__ = ["HTTPClient", "RawReply"]
+__all__ = ["HTTPClient", "MatrixFingerprints", "RawReply"]
 
 #: Mirror of :data:`repro.server.http.TRACE_HEADER` — repeated here so the
 #: client stays a pure wire-protocol speaker with no server-package import
@@ -104,9 +118,72 @@ MAX_IDLE_CONNECTIONS = 8
 #: Fingerprints of matrices the server said it holds, remembered per client.
 MAX_HELD_FINGERPRINTS = 256
 
+#: Matrix objects whose fingerprints one client remembers.
+MAX_MEMO_MATRICES = 256
+
+#: About how many entries of each array a remembered fingerprint's check
+#: compares.
+MEMO_SAMPLES = 32
+
 #: Share of the read timeout a job request may ask the server to wait
 #: (``?wait=``); the rest is the margin for its reply to arrive in.
 MAX_WAIT_SHARE = 0.5
+
+
+def _sample(array: np.ndarray) -> bytes:
+    """The bytes of about :data:`MEMO_SAMPLES` entries spread evenly over
+    ``array`` (all of them in a small one)."""
+    return array.flat[::max(array.size // MEMO_SAMPLES, 1)].tobytes()
+
+
+def _memo_check(matrix) -> tuple | None:
+    """What must be unchanged for a remembered fingerprint of ``matrix`` to
+    hold: shape, dtype, the arrays' addresses and a sample of their entries.
+    ``None`` for a matrix kind the memo does not take (only CSR and dense
+    arrays)."""
+    if isinstance(matrix, np.ndarray):
+        arrays = (matrix,)
+    elif sp.issparse(matrix) and matrix.format == "csr":
+        arrays = (matrix.data, matrix.indices, matrix.indptr)
+    else:
+        return None
+    return (matrix.shape, matrix.dtype.str,
+            tuple((array.ctypes.data, array.shape, array.strides,
+                   _sample(array)) for array in arrays))
+
+
+class MatrixFingerprints:
+    """Fingerprints of the matrix objects a client has sent, at most
+    :data:`MAX_MEMO_MATRICES`, least recently used out.
+
+    A fingerprint is kept with a weak reference to its matrix object and
+    :func:`_memo_check` of it, and returned only while both still match:
+    the same object, its arrays at the same addresses and shapes, the same
+    bytes at about :data:`MEMO_SAMPLES` entries of each.  That check is
+    cheap and not a proof: a matrix must not be changed in place once it
+    has been sent.
+    """
+
+    def __init__(self, max_entries: int = MAX_MEMO_MATRICES) -> None:
+        # id(matrix) -> (weak reference, check, fingerprint)
+        self._entries = ArtifactCache(max_entries)
+
+    def get(self, matrix) -> str | None:
+        """The remembered fingerprint of ``matrix``, if it still holds."""
+        entry = self._entries.get(id(matrix))
+        if entry is None:
+            return None
+        reference, check, fingerprint = entry
+        if reference() is not matrix or _memo_check(matrix) != check:
+            return None
+        return fingerprint
+
+    def put(self, matrix, fingerprint: str) -> None:
+        """Remember ``fingerprint`` for ``matrix`` as it stands now."""
+        check = _memo_check(matrix)
+        if check is not None:
+            self._entries.put(id(matrix),
+                              (weakref.ref(matrix), check, fingerprint))
 
 
 class _StaleConnection(Exception):
@@ -169,6 +246,7 @@ class HTTPClient(Client):
         self._closed = False
         # Fingerprints the server holds, least recently confirmed first.
         self._held = ArtifactCache(MAX_HELD_FINGERPRINTS)
+        self._fingerprints = MatrixFingerprints()
 
     # -- reachability failures ----------------------------------------------
     def _unavailable(self, kind: str, error: BaseException) -> RemoteSolveError:
@@ -332,8 +410,14 @@ class HTTPClient(Client):
         the matrix inline.  The reply's held-matrix header then records
         whether the server holds the matrix now.
         """
-        payload = request.to_json_dict(self._held)
+        matrix = request.matrix
+        fingerprint = (None if isinstance(matrix, str)
+                       else self._fingerprints.get(matrix))
+        payload = request.to_json_dict(self._held, fingerprint)
         block = payload["matrix"].get("csr")
+        if block is not None and fingerprint is None:
+            fingerprint = block.get("ref") or block["fingerprint"]
+            self._fingerprints.put(matrix, fingerprint)
         try:
             reply = self._exchange_reply("POST", path, payload)
         except RemoteSolveError as error:
@@ -341,11 +425,10 @@ class HTTPClient(Client):
                     or error.envelope.code != ERROR_UNKNOWN_MATRIX):
                 raise
             self._held.pop(block["ref"])
-            payload = request.to_json_dict()
+            payload = request.to_json_dict((), fingerprint)
             block = payload["matrix"]["csr"]
             reply = self._exchange_reply("POST", path, payload)
         if block is not None:
-            fingerprint = block.get("ref") or block["fingerprint"]
             if reply.headers.get(MATRIX_HELD_HEADER.lower()) == fingerprint:
                 self._held.put(fingerprint, True)
             else:

@@ -68,20 +68,32 @@ def expected_improvement(mu: np.ndarray | float, sigma: np.ndarray | float,
     return float(values[0]) if scalar_input else values
 
 
-def expected_improvement_gradients(mu: float, sigma: float, y_min: float,
-                                   xi: float = 0.05) -> tuple[float, float]:
-    """Partial derivatives ``(dEI/dmu, dEI/dsigma)``.
+def expected_improvement_gradients(mu: np.ndarray | float,
+                                   sigma: np.ndarray | float, y_min: float,
+                                   xi: float = 0.05):
+    """Partial derivatives ``(dEI/dmu, dEI/dsigma)`` (vectorised over
+    ``mu`` / ``sigma``; a pair of floats for scalar input).
 
     Using ``z = (y_min - mu - xi) / sigma``:
     ``dEI/dmu = -Phi(z)`` and ``dEI/dsigma = phi(z)`` (the cross terms cancel).
     For a degenerate ``sigma`` the sub-gradient of the positive-part function
-    is returned.
+    is returned.  Every entry is computed on its own, so a vector's entries
+    are the scalar results bit for bit.
     """
-    if sigma <= _SIGMA_FLOOR:
-        improvement = y_min - mu - xi
-        return (-1.0 if improvement > 0 else 0.0), 0.0
-    z = (y_min - mu - xi) / sigma
-    return float(-ndtr(z)), float(_norm_pdf(z)[0])
+    mu_array = np.asarray(mu, dtype=np.float64)
+    sigma_array = np.asarray(sigma, dtype=np.float64)
+    scalar_input = mu_array.ndim == 0
+    mu_array = np.atleast_1d(mu_array)
+    sigma_array = np.broadcast_to(sigma_array, mu_array.shape)
+
+    improvement = y_min - mu_array - xi
+    degenerate = sigma_array <= _SIGMA_FLOOR
+    z = improvement / np.where(degenerate, 1.0, sigma_array)
+    d_mu = np.where(degenerate, np.where(improvement > 0, -1.0, 0.0), -ndtr(z))
+    d_sigma = np.where(degenerate, 0.0, _norm_pdf(z))
+    if scalar_input:
+        return float(d_mu[0]), float(d_sigma[0])
+    return d_mu, d_sigma
 
 
 @dataclass(frozen=True)
@@ -105,8 +117,9 @@ class ExpectedImprovement:
         """EI value(s) for predicted mean(s) and uncertainty(ies)."""
         return expected_improvement(mu, sigma, self.y_min, self.xi)
 
-    def gradients(self, mu: float, sigma: float) -> tuple[float, float]:
-        """``(dEI/dmu, dEI/dsigma)`` at a single prediction."""
+    def gradients(self, mu: np.ndarray | float, sigma: np.ndarray | float):
+        """``(dEI/dmu, dEI/dsigma)`` at predicted mean(s) and
+        uncertainty(ies)."""
         return expected_improvement_gradients(mu, sigma, self.y_min, self.xi)
 
     def describe(self) -> str:

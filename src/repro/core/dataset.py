@@ -6,7 +6,8 @@ vector (continuous part plus the categorical solver) and the sample mean /
 standard deviation of the performance metric.  This module provides:
 
 * :func:`encode_parameters` -- the fixed encoding of ``x_M`` (three continuous
-  values followed by a one-hot solver indicator);
+  values followed by a one-hot solver indicator), and
+  :func:`encode_parameter_rows` for a batch of rows under one solver;
 * :class:`Standardizer` -- zero-mean / unit-variance scaling fitted on the
   training split and reused everywhere else (Sec. 3.1: "All features are
   standardised");
@@ -23,13 +24,14 @@ import scipy.sparse as sp
 
 from repro.config import default_rng
 from repro.core.evaluation import LabelledObservation
-from repro.exceptions import DatasetError
+from repro.exceptions import DatasetError, ParameterError
 from repro.gnn.graph import GraphBatch, GraphData, graph_from_matrix
 from repro.matrices.features import feature_vector
 from repro.mcmc.parameters import KNOWN_SOLVERS, MCMCParameters
 
 __all__ = [
     "encode_parameters",
+    "encode_parameter_rows",
     "decode_parameters",
     "PARAMETER_VECTOR_DIM",
     "Standardizer",
@@ -43,10 +45,24 @@ PARAMETER_VECTOR_DIM = 3 + len(KNOWN_SOLVERS)
 
 def encode_parameters(parameters: MCMCParameters) -> np.ndarray:
     """Encode ``x_M`` as ``[alpha, eps, delta, onehot(solver)]``."""
-    vector = np.zeros(PARAMETER_VECTOR_DIM, dtype=np.float64)
-    vector[:3] = parameters.to_array()
-    vector[3 + KNOWN_SOLVERS.index(parameters.solver)] = 1.0
-    return vector
+    return encode_parameter_rows(parameters.to_array()[None, :],
+                                 parameters.solver)[0]
+
+
+def encode_parameter_rows(values: np.ndarray, solver: str) -> np.ndarray:
+    """:func:`encode_parameters` of every ``(alpha, eps, delta)`` row of
+    ``values`` under one ``solver``, as a ``(k, PARAMETER_VECTOR_DIM)``
+    array."""
+    values = np.asarray(values, dtype=np.float64)
+    if solver not in KNOWN_SOLVERS:
+        raise ParameterError(
+            f"unknown solver {solver!r}; expected one of {KNOWN_SOLVERS}")
+    if not np.all(np.isfinite(values)):
+        raise ParameterError("MCMC parameters must be finite")
+    encoded = np.zeros((len(values), PARAMETER_VECTOR_DIM), dtype=np.float64)
+    encoded[:, :3] = values
+    encoded[:, 3 + KNOWN_SOLVERS.index(solver)] = 1.0
+    return encoded
 
 
 def decode_parameters(vector: np.ndarray) -> MCMCParameters:

@@ -7,10 +7,15 @@ analytic partials w.r.t. the surrogate's ``mu`` and ``sigma`` outputs are
 combined in a single backward pass through the surrogate down to its ``x_M``
 input, then chained through the (linear) standardiser.
 
-The graph embedding of the target matrix does not depend on ``x_M``, so it is
-computed once per proposal call, with the rest of the ``x_M``-free branch, and
-every objective evaluation runs the surrogate's :class:`ParameterHead`: the
-``x_M`` part of the network as plain operation calls, with no autodiff tape.
+The restarts run in lockstep (:class:`~repro.core.lbfgsb.LockstepLBFGSB`):
+each round, the points every running restart asks for are evaluated in one
+call of the batched objective.  The graph embedding of the target matrix
+does not depend on ``x_M``, so it is computed once per proposal call, with
+the rest of the ``x_M``-free branch, and each objective call runs the
+surrogate's :class:`ParameterHead`: the ``x_M`` part of the network as plain
+operation calls, with no autodiff tape.  Every restart's iterates and
+result are those of ``scipy.optimize.minimize`` run on it alone, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -18,12 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 import scipy.sparse as sp
 
 from repro.config import default_rng
 from repro.core.acquisition import ExpectedImprovement
-from repro.core.dataset import SurrogateDataset, encode_parameters
+from repro.core.dataset import (
+    SurrogateDataset,
+    encode_parameter_rows,
+    encode_parameters,
+)
+from repro.core.lbfgsb import LockstepLBFGSB
 from repro.core.surrogate import GraphNeuralSurrogate, ParameterHead
 from repro.exceptions import AcquisitionError
 from repro.gnn.graph import GraphBatch, graph_from_matrix
@@ -107,29 +116,26 @@ class AcquisitionOptimizer:
         return embedding, x_a
 
     # -- objective ------------------------------------------------------------------
-    def _ei_and_gradient(self, x_raw: np.ndarray, head: ParameterHead,
-                         acquisition: ExpectedImprovement,
-                         solver: str) -> tuple[float, np.ndarray, float, float]:
-        """EI value, gradient w.r.t. raw ``(alpha, eps, delta)``, mu and sigma."""
-        parameters = MCMCParameters.from_array(np.clip(
-            x_raw, *self.bounds.as_arrays()), solver=solver)
-        x_m_raw = encode_parameters(parameters)
+    def _ei_and_gradient_batch(self, x_raw: np.ndarray, head: ParameterHead,
+                               acquisition: ExpectedImprovement, solver: str
+                               ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                          np.ndarray]:
+        """EI, its gradient w.r.t. raw ``(alpha, eps, delta)``, mu and sigma
+        at each row of ``x_raw`` (``(k, 3)``; shapes ``(k,)``, ``(k, 3)``,
+        ``(k,)``, ``(k,)``).  Each row's numbers do not depend on the others."""
+        x_m_raw = encode_parameter_rows(
+            np.clip(x_raw, *self.bounds.as_arrays()), solver)
         x_m_standardised = self.dataset.standardize_parameters(x_m_raw)
 
-        mu_array, sigma_array = head.forward(x_m_standardised[None, :])
-        mu = float(mu_array[0])
-        sigma = float(sigma_array[0])
+        mu, sigma = head.forward(x_m_standardised[:, None, :])
         d_mu, d_sigma = acquisition.gradients(mu, sigma)
 
         # One backward pass of the weighted head combination yields
         # d(EI)/d(x_M standardised); the chain rule through the standardiser is
         # a division by the per-column scale.
-        grad_standardised = head.input_gradient(d_mu, d_sigma)[0]
+        grad_standardised = head.input_gradient(d_mu, d_sigma)[:, 0, :]
         grad_raw_full = self.dataset.xm_standardizer.transform_gradient(grad_standardised)
-        gradient = grad_raw_full[:3]
-
-        ei_value = float(acquisition.value(mu, sigma))
-        return ei_value, gradient, mu, sigma
+        return acquisition.value(mu, sigma), grad_raw_full[:, :3], mu, sigma
 
     def reference_y_min(self, embedding: np.ndarray, x_a: np.ndarray, *,
                         matrix_name: str, solver: str, n_probe: int = 128) -> float:
@@ -171,7 +177,8 @@ class AcquisitionOptimizer:
 
         Implements the inner loop of Algorithm 1: for each candidate slot a
         number of random starting points are refined with L-BFGS-B on the
-        negative EI; the distinct optima with the largest EI are returned.
+        negative EI, all of them in lockstep; the distinct optima with the
+        largest EI are returned.
         ``y_min=None`` selects the incumbent automatically via
         :meth:`reference_y_min`.
         """
@@ -186,25 +193,22 @@ class AcquisitionOptimizer:
             acquisition = ExpectedImprovement(y_min=y_min, xi=xi)
             head = ParameterHead(self.model, embedding, x_a)
             lower, upper = self.bounds.as_arrays()
-            scipy_bounds = self.bounds.as_scipy_bounds()
 
-            evaluated: list[tuple[np.ndarray, float, float, float]] = []
-
-            def objective(x_raw: np.ndarray) -> tuple[float, np.ndarray]:
-                ei, gradient, _mu, _sigma = self._ei_and_gradient(
-                    x_raw, head, acquisition, solver)
-                return -ei, -gradient
+            def evaluate(points: np.ndarray) -> list[tuple]:
+                ei, _grad, mu, sigma = self._ei_and_gradient_batch(
+                    points, head, acquisition, solver)
+                return [(point, float(e), float(m), float(s))
+                        for point, e, m, s in zip(points, ei, mu, sigma)]
 
             total_starts = max(self.n_restarts * n_candidates, n_candidates)
-            for _ in range(total_starts):
-                start = self._rng.uniform(lower, upper)
-                result = scipy.optimize.minimize(
-                    objective, start, jac=True, method="L-BFGS-B",
-                    bounds=scipy_bounds, options={"maxiter": 60})
-                x_optimal = np.clip(result.x, lower, upper)
-                ei, _grad, mu, sigma = self._ei_and_gradient(
-                    x_optimal, head, acquisition, solver)
-                evaluated.append((x_optimal, ei, mu, sigma))
+            starts = [self._rng.uniform(lower, upper)
+                      for _ in range(total_starts)]
+            lbfgsb = LockstepLBFGSB(starts, lower, upper, maxiter=60)
+            while (points := lbfgsb.ask()) is not None:
+                ei, gradient, _mu, _sigma = self._ei_and_gradient_batch(
+                    points, head, acquisition, solver)
+                lbfgsb.tell(-ei, -gradient)
+            evaluated = evaluate(np.clip(lbfgsb.x, lower, upper))
 
             # Greedy selection of the distinct optima with the highest EI.
             evaluated.sort(key=lambda item: item[1], reverse=True)
@@ -217,11 +221,10 @@ class AcquisitionOptimizer:
                     continue
                 selected.append(entry)
             # Top up with random samples when the optima collapse onto few points.
-            while len(selected) < n_candidates:
-                random_point = self._rng.uniform(lower, upper)
-                ei, _grad, mu, sigma = self._ei_and_gradient(
-                    random_point, head, acquisition, solver)
-                selected.append((random_point, ei, mu, sigma))
+            if len(selected) < n_candidates:
+                selected += evaluate(np.array([
+                    self._rng.uniform(lower, upper)
+                    for _ in range(n_candidates - len(selected))]))
 
             candidates = [
                 Candidate(

@@ -195,17 +195,23 @@ class GraphNeuralSurrogate(Module):
 class ParameterHead:
     """``(mu, sigma)`` at one matrix as a function of ``x_M``, with no tape.
 
-    The acquisition optimiser evaluates the surrogate about a thousand times
-    a proposal at one graph, varying only ``x_M``, and needs the gradient
-    with respect to ``x_M`` only.  The ``x_M``-free branch of
+    The acquisition optimiser evaluates the surrogate at one graph for a
+    batch of ``x_M`` rows per L-BFGS-B round, and needs the gradient with
+    respect to ``x_M`` only.  The ``x_M``-free branch of
     :meth:`GraphNeuralSurrogate.forward_from_embedding` (the graph embedding
     row and ``h_A``) is computed once here.  :meth:`forward` runs the
     ``x_M`` stack, the combined stack and both heads as
     :class:`~repro.nn.layers.OperationChain` s of the model's own modules,
     and :meth:`input_gradient` backpropagates ``d_mu * mu + d_sigma * sigma``
     to ``x_M`` alone: no graph, no weight gradients, the model untouched.
-    The values and the gradient are the tape's at batch size 1, bit for
-    bit.
+
+    A batch of ``k`` points is stacked as ``(k, 1, xm_dim)``, each point a
+    ``(1, xm_dim)`` matrix of its own, and the constant rows are broadcast to
+    ``(k, 1, .)``.  numpy then multiplies every point by a weight matrix in
+    a product of its own, the one the tape makes at batch size 1, so each
+    row's values and gradient are the tape's at batch size 1 bit for bit,
+    whatever ``k`` is.  (A flat ``(k, xm_dim)`` batch is one matrix product
+    whose rows differ from those in the last bits.)
 
     ``graph_embedding`` is the ``(1, graph_hidden)`` embedding of the
     matrix and ``x_a`` its ``(1, xa_dim)`` standardised features; the model
@@ -227,17 +233,21 @@ class ParameterHead:
         self._concat = F.Concat(axis=-1)
 
     def forward(self, x_m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(mu, sigma)`` as 1-entry arrays at a ``(1, xm_dim)`` standardised
-        ``x_m``."""
-        combined = self._concat.forward(*self._constant, self._xm.forward(x_m))
+        """``(mu, sigma)``, each ``(k,)``, at ``k`` standardised points
+        stacked as ``(k, 1, xm_dim)``."""
+        constant = [np.broadcast_to(row, (len(x_m), 1, row.shape[-1]))
+                    for row in self._constant]
+        combined = self._concat.forward(*constant, self._xm.forward(x_m))
         hidden = self._combined.forward(combined)
         return self._mu.forward(hidden), self._sigma.forward(hidden)
 
-    def input_gradient(self, d_mu: float, d_sigma: float) -> np.ndarray:
-        """Gradient of ``d_mu * mu + d_sigma * sigma`` with respect to the
-        ``x_m`` of the latest :meth:`forward`, shaped like it."""
-        grad_hidden = (self._mu.backward(np.array([d_mu], dtype=np.float64))
-                       + self._sigma.backward(np.array([d_sigma],
-                                                       dtype=np.float64)))
+    def input_gradient(self, d_mu: np.ndarray, d_sigma: np.ndarray
+                       ) -> np.ndarray:
+        """Gradient of ``d_mu * mu + d_sigma * sigma`` (``(k,)`` weights)
+        with respect to the ``x_m`` of the latest :meth:`forward`, shaped
+        like it."""
+        grad_hidden = (self._mu.backward(np.asarray(d_mu, dtype=np.float64))
+                       + self._sigma.backward(np.asarray(d_sigma,
+                                                         dtype=np.float64)))
         grad_combined = self._combined.backward(grad_hidden)
         return self._xm.backward(self._concat.backward(grad_combined, 2))

@@ -198,18 +198,41 @@ class TestParameterHead:
         x_a = tiny_dataset.full_batch().x_a[:1]
         _half_live_mean_head(model, embedding, x_a, points)
         head = ParameterHead(model, embedding, x_a)
-        live = 0
-        for x_m in points:
-            d_mu, d_sigma = rng.choice([-1.0, 0.0, -0.3]), rng.uniform(0, 0.4)
-            mu, sigma = head.forward(x_m[None, :])
-            gradient = head.input_gradient(d_mu, d_sigma)
+        d_mu = rng.choice([-1.0, 0.0, -0.3], size=len(points))
+        d_sigma = rng.uniform(0, 0.4, size=len(points))
+        mu, sigma = head.forward(points[:, None, :])
+        gradient = head.input_gradient(d_mu, d_sigma)
+        assert gradient.shape == (len(points), 1, tiny_dataset.xm_dim)
+        for row, x_m in enumerate(points):
             tape_mu, tape_sigma, tape_gradient = _tape(
-                model, embedding, x_a, x_m, d_mu, d_sigma)
-            np.testing.assert_array_equal(mu, tape_mu)
-            np.testing.assert_array_equal(sigma, tape_sigma)
-            np.testing.assert_array_equal(gradient, tape_gradient)
-            live += mu[0] > 0.0
-        assert 0 < live < len(points)
+                model, embedding, x_a, x_m, d_mu[row], d_sigma[row])
+            np.testing.assert_array_equal(mu[[row]], tape_mu)
+            np.testing.assert_array_equal(sigma[[row]], tape_sigma)
+            np.testing.assert_array_equal(gradient[row], tape_gradient)
+        assert 0 < np.count_nonzero(mu > 0.0) < len(points)
+
+    @pytest.mark.parametrize("k", [1, 2, 17, 64])
+    def test_a_stack_equals_its_rows_one_at_a_time(self, tiny_dataset,
+                                                   tiny_surrogate_config, k):
+        """A ``(k, 1, xm_dim)`` stack gives each row the values and input
+        gradient of that row evaluated alone, bit for bit."""
+        model = GraphNeuralSurrogate(tiny_surrogate_config)
+        model.eval()
+        rng = np.random.default_rng(k)
+        points = rng.standard_normal((k, 1, tiny_dataset.xm_dim)) * 2.0
+        d_mu, d_sigma = -rng.uniform(0, 1, k), rng.uniform(0, 0.4, k)
+        embedding = model.embed_graphs_numpy(tiny_dataset.graph_batch)[[0]]
+        head = ParameterHead(model, embedding,
+                             tiny_dataset.full_batch().x_a[:1])
+        mu, sigma = head.forward(points)
+        gradient = head.input_gradient(d_mu, d_sigma)
+        for row in range(k):
+            row_mu, row_sigma = head.forward(points[[row]])
+            np.testing.assert_array_equal(mu[[row]], row_mu)
+            np.testing.assert_array_equal(sigma[[row]], row_sigma)
+            np.testing.assert_array_equal(
+                gradient[[row]],
+                head.input_gradient(d_mu[[row]], d_sigma[[row]]))
 
     def test_needs_evaluation_mode(self, tiny_dataset, tiny_surrogate_config):
         from dataclasses import replace

@@ -482,16 +482,28 @@ def test_core_does_not_import_scipy_stats(trees):
 
 
 def test_acquisition_objective_builds_no_tape(trees):
-    """Each objective call runs the surrogate's tape-free head: it
+    """Each (batched) objective call runs the surrogate's tape-free head: it
     constructs no ``Tensor`` and starts no ``.backward(`` pass."""
     objective = _method(trees["core/optimize.py"], "AcquisitionOptimizer",
-                        "_ei_and_gradient")
+                        "_ei_and_gradient_batch")
 
     def tapes(node: ast.AST) -> bool:
         return (isinstance(node, ast.Name) and node.id == "Tensor"
                 or _calls(node, "backward"))
 
     assert [node.lineno for node in ast.walk(objective) if tapes(node)] == []
+
+
+def test_one_acquisition_objective_and_no_minimize_loop(trees):
+    """``core/optimize.py`` has one objective, the batched one, and runs its
+    restarts through ``LockstepLBFGSB``, never ``scipy.optimize.minimize``."""
+    tree = trees["core/optimize.py"]
+    objectives = [node.name for node in ast.walk(tree)
+                  if _defines(node, r"_ei_and_gradient\w*")]
+    assert objectives == ["_ei_and_gradient_batch"]
+    assert [node.lineno for node in ast.walk(tree)
+            if _calls(node, "minimize") or _names(node, "minimize")] == []
+    assert any(_calls(node, "LockstepLBFGSB") for node in ast.walk(tree))
 
 
 @pytest.mark.parametrize("batches, epochs, start_epoch, stops_early", [

@@ -868,6 +868,48 @@ class TestMatrixByRef:
                 held = list(client._held)
         assert held == [matrix_fingerprint(m) for m in matrices[-3:]]
 
+    def test_client_fingerprints_a_matrix_object_once(self, monkeypatch):
+        """A repeat request over the same matrix object reuses the client's
+        fingerprint: a by-ref send hashes nothing anywhere, an inline repeat
+        only on the server."""
+        matrix = pdd_real_sparse(40, density=0.2, dominance=3.0, seed=1)
+        fingerprint = matrix_fingerprint(matrix)
+        requests = self._requests(matrix, 4)
+        with _http_server(background=False) as http_server:
+            with HTTPClient(http_server.url) as client:
+                kinds = _payload_kinds(client)
+                hashes = _matrix_hashes(monkeypatch)
+                client.solve(requests[0])
+                client.solve(requests[1])
+                assert hashes == [fingerprint] * 3  # client once, server twice
+                for request in requests[2:]:
+                    client.solve(request)
+        assert kinds == ["inline", "inline", "ref", "ref"]
+        assert hashes == [fingerprint] * 3
+
+    def test_fingerprint_memo_notices_a_changed_matrix(self):
+        from repro.client.http import MatrixFingerprints
+
+        memo = MatrixFingerprints(max_entries=2)
+        matrix = laplacian_2d(6)
+        memo.put(matrix, "a")
+        assert memo.get(matrix) == "a"
+        assert memo.get(matrix.copy()) is None  # another object
+        matrix.data[0] += 1.0  # a sampled entry
+        assert memo.get(matrix) is None
+        memo.put(matrix, "b")
+        matrix.data = matrix.data.copy()  # same values, new buffer
+        assert memo.get(matrix) is None
+        dense, other = np.eye(3), laplacian_2d(3)
+        memo.put(dense, "c")
+        assert memo.get(dense) == "c"
+        memo.put(other, "d")  # evicts the least recently used: matrix
+        memo.put(matrix, "b")  # evicts dense
+        assert [memo.get(m) for m in (dense, other, matrix)] == [None, "d", "b"]
+        coo = sp.coo_matrix(dense)
+        memo.put(coo, "e")  # only CSR and dense arrays are remembered
+        assert memo.get(coo) is None
+
     def test_unknown_matrix_code_is_typed(self):
         from repro.api import (
             ERROR_CODES,

@@ -36,6 +36,7 @@ from repro.core.acquisition import (
 )
 from repro.core.dataset import SurrogateDataset
 from repro.core.evaluation import LabelledObservation
+from repro.core.lbfgsb import LockstepLBFGSB
 from repro.core.optimize import AcquisitionOptimizer
 from repro.core.surrogate import GraphNeuralSurrogate, SurrogateConfig
 from repro.core.training import Trainer, TrainingConfig
@@ -151,36 +152,70 @@ def _candidate_records(candidates) -> list[list[str]]:
                   c.predicted_mean, c.predicted_sigma]) for c in candidates]
 
 
+def _rows(x_raw, result) -> list:
+    """The one-point calls ``(x_raw, (EI, gradient, mu, sigma))`` that one
+    batched objective call stands for, row by row."""
+    ei, gradient, mu, sigma = result
+    return [(x, row) for x, *row in zip(x_raw, ei, gradient, mu, sigma)]
+
+
 def _propose_record(dataset: SurrogateDataset) -> dict:
     """Every objective call of one seeded ``propose`` on an unseen matrix.
 
-    ``_ei_and_gradient`` is wrapped, not called with its own arguments, so
-    the record does not depend on how the objective is handed the target:
-    its first argument is the raw ``(alpha, eps, delta)`` and it returns
-    ``(EI, gradient, mu, sigma)``.
+    ``_ei_and_gradient_batch`` is wrapped, not called with its own
+    arguments, so the record does not depend on how the objective is handed
+    the target: its first argument is a ``(k, 3)`` batch of raw
+    ``(alpha, eps, delta)`` and it returns ``(EI, gradient, mu, sigma)``
+    row for row.  The restarts run in lockstep, so the rows of one call
+    belong to several restarts (``LockstepLBFGSB.pending`` names them); the
+    record puts the calls back in the order of one restart after another,
+    each followed by the evaluation of its optimum, then the top-up points,
+    as a proposal made them when it ran each restart on its own.
     """
     # Seed 5: the mean head's ReLU is live on part of the box only, so the
     # objective calls cross both of its branches.
     model, _history = _fit(dataset, "edge/mean", epochs=4, seed=5)
-    calls: list = []
+    batches: list = []
     targets: list = []
-    original = AcquisitionOptimizer._ei_and_gradient
+    asked: dict = {"starts": None}
+    original = AcquisitionOptimizer._ei_and_gradient_batch
+    ask = LockstepLBFGSB.ask
+
+    def recording_ask(self):
+        points = ask(self)
+        asked["starts"] = None if points is None else list(self.pending)
+        return points
 
     def recording(self, x_raw, *rest):
         result = original(self, x_raw, *rest)
-        calls.append((np.array(x_raw, dtype=np.float64), result))
+        batches.append((asked["starts"], _rows(np.array(x_raw), result)))
+        asked["starts"] = None
         targets[:] = rest
         return result
 
-    AcquisitionOptimizer._ei_and_gradient = recording
+    AcquisitionOptimizer._ei_and_gradient_batch = recording
+    LockstepLBFGSB.ask = recording_ask
     try:
         optimizer = AcquisitionOptimizer(model, dataset, n_restarts=2, seed=0)
         candidates = optimizer.propose(_unseen(), "unseen", n_candidates=2)
     finally:
-        AcquisitionOptimizer._ei_and_gradient = original
+        AcquisitionOptimizer._ei_and_gradient_batch = original
+        LockstepLBFGSB.ask = ask
+    per_start: dict = {}
+    after_restarts = []
+    for starts, rows in batches:
+        if starts is None:
+            after_restarts.append(rows)
+            continue
+        for start, row in zip(starts, rows):
+            per_start.setdefault(start, []).append(row)
+    optima, *top_ups = after_restarts
+    calls = [call for start, optimum in enumerate(optima)
+             for call in per_start[start] + [optimum]]
+    calls += [call for rows in top_ups for call in rows]
     model.eval()
-    fixed = [(point, original(optimizer, point, *targets))
-             for point in _fixed_points()]
+    points = _fixed_points()
+    fixed = _rows(points, original(optimizer, points, *targets))
     seen = AcquisitionOptimizer(model, dataset, n_restarts=1, seed=3).propose(
         laplacian_2d(6), "laplace", n_candidates=1, xi=1.0)
     return {"calls": len(calls),
